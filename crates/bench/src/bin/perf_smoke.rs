@@ -412,37 +412,11 @@ fn main() {
         u64::from(sh_servers),
     );
     let speedup = wall_1 / wall_n;
-    // One-shard tax: the windowless sharded executor wrapping a single
-    // world must cost ≈ nothing over the legacy engine. Best-of-3 on
-    // each path; the same seed produces the same events either way.
-    let solo = sharded_world(seed, 1, 4, 16, 150_000.0, sh_ms, 1);
-    let mut legacy_wall = f64::INFINITY;
-    let mut solo_wall = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let legacy = solo.run(0);
-        legacy_wall = legacy_wall.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let forced = solo.run_sharded(0);
-        solo_wall = solo_wall.min(t.elapsed().as_secs_f64());
-        assert_eq!(
-            forced.run.events_executed, legacy.run.events_executed,
-            "one-shard sharded run diverged from the legacy engine"
-        );
-    }
-    let solo_overhead_pct = (solo_wall / legacy_wall - 1.0) * 100.0;
     if let Value::Object(obj) = &mut sharded_stage {
         obj.insert("speedup_vs_1".to_string(), Value::Float(speedup));
         obj.insert("wall_1thread_ms".to_string(), Value::Float(wall_1 * 1e3));
-        obj.insert(
-            "one_shard_overhead_pct".to_string(),
-            Value::Float(solo_overhead_pct),
-        );
     }
-    println!(
-        "engine_events_sharded: {speedup:.2}x speedup at {sh_threads} threads vs 1, \
-         {solo_overhead_pct:+.1}% one-shard overhead vs legacy"
-    );
+    println!("engine_events_sharded: {speedup:.2}x speedup at {sh_threads} threads vs 1");
 
     // Stage 6: the scale stage. Full mode builds the paper-scale world:
     // one million connections across 100 single-server shards.

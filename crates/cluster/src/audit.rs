@@ -22,8 +22,8 @@
 //!    caller-supplied ceiling (a runaway feedback loop grows the heap
 //!    without bound long before it exhausts memory).
 //! 5. **Outbox drained** — audits run at synchronization-round
-//!    boundaries, where a sharded world's cross-shard outbox must be
-//!    empty (see [`crate::ShardedCluster`]).
+//!    boundaries, where a world's cross-shard outbox must be empty
+//!    (see [`crate::ShardedCluster`]).
 //!
 //! [`audit_sharded`] additionally checks **cross-shard conservation**:
 //! every message one shard emitted was injected into another.
@@ -100,13 +100,11 @@ pub fn audit_invariants(engine: &Engine<ClusterWorld>, max_pending: usize) -> Ve
 
     // 5. Outbox drained: audits happen at round boundaries, where the
     // executor has already moved every cross-shard message.
-    if let Some(ctx) = &world.shard {
-        if !ctx.outbox.is_empty() {
-            findings.push(format!(
-                "shard outbox holds {} undrained cross-shard messages at an audit point",
-                ctx.outbox.len()
-            ));
-        }
+    if !world.shard.outbox.is_empty() {
+        findings.push(format!(
+            "shard outbox holds {} undrained cross-shard messages at an audit point",
+            world.shard.outbox.len()
+        ));
     }
 
     findings
@@ -124,10 +122,8 @@ pub fn audit_sharded(cluster: &ShardedCluster, max_pending: usize) -> Vec<String
         for f in audit_invariants(&engine, max_pending) {
             findings.push(format!("shard {i}: {f}"));
         }
-        if let Some(ctx) = &engine.world().shard {
-            sent_total += ctx.sent;
-            received_total += ctx.received;
-        }
+        sent_total += engine.world().shard.sent;
+        received_total += engine.world().shard.received;
     }
     if sent_total != received_total {
         findings.push(format!(

@@ -23,8 +23,8 @@ pub struct Request {
     /// Which attempt this packet carries (0 = first try; retries and
     /// hedges reuse the id with a higher attempt).
     pub attempt: u32,
-    /// The shard whose client originated this request (0 in unsharded
-    /// worlds). A foreign server routes the response back here.
+    /// The shard whose client originated this request (0 in a one-shard
+    /// world). A foreign server routes the response back here.
     pub home_shard: u32,
     /// When the load tester initiated the send (user space).
     pub t_generated: SimTime,

@@ -64,21 +64,18 @@ impl ShardedCluster {
     ///
     /// # Panics
     ///
-    /// Panics if `engines` is empty, any world lacks a shard context,
-    /// or a context's `(index, n_shards)` disagrees with its position.
+    /// Panics if `engines` is empty or a world's shard context
+    /// `(index, n_shards)` disagrees with its position.
     pub fn new(engines: Vec<Engine<ClusterWorld>>, threads: usize) -> Self {
         assert!(!engines.is_empty(), "sharded cluster needs at least one shard");
         assert!(engines.len() < usize::from(u16::MAX), "shard count exceeds heap lane space");
         let mut windowed = false;
         for (i, engine) in engines.iter().enumerate() {
-            let ctx = engine.world().shard.as_ref();
-            assert!(ctx.is_some(), "shard {i} world was built without a shard context");
-            if let Some(ctx) = ctx {
-                assert_eq!(ctx.index as usize, i, "shard context index mismatch");
-                assert_eq!(ctx.n_shards as usize, engines.len(), "shard count mismatch");
-                if ctx.n_shards > 1 && ctx.remote_every > 0 {
-                    windowed = true;
-                }
+            let ctx = &engine.world().shard;
+            assert_eq!(ctx.index as usize, i, "shard context index mismatch");
+            assert_eq!(ctx.n_shards as usize, engines.len(), "shard count mismatch");
+            if ctx.n_shards > 1 && ctx.remote_every > 0 {
+                windowed = true;
             }
         }
         let n = engines.len();
@@ -135,12 +132,7 @@ impl ShardedCluster {
     pub fn is_finished(&self) -> bool {
         self.shards.iter().all(|s| {
             let engine = lock(s);
-            engine.pending_events() == 0
-                && engine
-                    .world()
-                    .shard
-                    .as_ref()
-                    .is_none_or(|ctx| ctx.outbox.is_empty())
+            engine.pending_events() == 0 && engine.world().shard.outbox.is_empty()
         })
     }
 
@@ -268,12 +260,10 @@ fn coordinate(
     let mut pending: Vec<(u64, u32, u64, u32, crate::world::ShardMsg)> = Vec::new();
     for (src, shard) in shards.iter().enumerate() {
         let mut engine = lock(shard);
-        if let Some(ctx) = engine.world_mut().shard.as_mut() {
-            for (pos, (at, dst, msg)) in ctx.outbox.drain(..).enumerate() {
-                #[allow(clippy::cast_possible_truncation)]
-                let src_id = src as u32;
-                pending.push((at.as_nanos(), src_id, pos as u64, dst, msg));
-            }
+        for (pos, (at, dst, msg)) in engine.world_mut().shard.outbox.drain(..).enumerate() {
+            #[allow(clippy::cast_possible_truncation)]
+            let src_id = src as u32;
+            pending.push((at.as_nanos(), src_id, pos as u64, dst, msg));
         }
     }
     pending.sort_by_key(|e| (e.0, e.1, e.2));
@@ -285,9 +275,7 @@ fn coordinate(
         #[allow(clippy::cast_possible_truncation)]
         let lane = (src + 1) as u16;
         engine.schedule_in_lane(SimTime::from_nanos(at), lane, msg.into_event());
-        if let Some(ctx) = engine.world_mut().shard.as_mut() {
-            ctx.received += 1;
-        }
+        engine.world_mut().shard.received += 1;
         injected.fetch_add(1, Ordering::Relaxed);
     }
     // The budget check sits after injection so a paused cluster always
@@ -394,7 +382,7 @@ mod tests {
         (0..n)
             .map(|i| {
                 // Shard 0 keeps the run seed so a 1-shard cluster is
-                // bit-identical to the legacy unsharded world.
+                // bit-identical to a bare world built with that seed.
                 let shard_seed = if i == 0 {
                     seed
                 } else {
@@ -438,8 +426,8 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_matches_legacy_unsharded() {
-        let legacy = ClusterBuilder::new(Arc::new(Memcached::default()))
+    fn single_shard_matches_a_bare_world() {
+        let bare = ClusterBuilder::new(Arc::new(Memcached::default()))
             .seed(7)
             .client(
                 ClientSpec::default(),
@@ -449,10 +437,10 @@ mod tests {
             .run();
         let (sharded, injected) = run_merged(1, 8, 7, 1);
         assert_eq!(injected, 0, "one shard can never cross");
-        assert_eq!(sharded.events_executed, legacy.events_executed);
+        assert_eq!(sharded.events_executed, bare.events_executed);
         assert_eq!(
             sharded.user_latencies_us(SimTime::ZERO),
-            legacy.user_latencies_us(SimTime::ZERO)
+            bare.user_latencies_us(SimTime::ZERO)
         );
     }
 
@@ -510,9 +498,7 @@ mod tests {
     fn audit_sharded_catches_conservation_skew() {
         let mut cluster = ShardedCluster::new(shard_engines(2, 4, 17), 1);
         cluster.run(5_000);
-        if let Some(ctx) = cluster.engine_mut(0).world_mut().shard.as_mut() {
-            ctx.sent += 1;
-        }
+        cluster.engine_mut(0).world_mut().shard.sent += 1;
         let findings = crate::audit::audit_sharded(&cluster, usize::MAX);
         assert!(
             findings.iter().any(|f| f.contains("cross-shard conservation")),

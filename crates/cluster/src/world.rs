@@ -150,9 +150,9 @@ impl ShardMsg {
     }
 }
 
-/// Sharding context attached to a world that participates in a
-/// [`crate::ShardedCluster`]. `None` on the classic single-world path,
-/// which then executes the exact event/RNG sequence it always has.
+/// A world's place in a [`crate::ShardedCluster`]. A world built
+/// without [`ClusterBuilder::shard`] is shard 0 of 1, which never
+/// routes a connection across shards.
 #[derive(Debug)]
 pub(crate) struct ShardCtx {
     /// This shard's index.
@@ -209,9 +209,7 @@ pub struct ClusterWorld {
     pub(crate) faults: Option<FaultPlan>,
     /// `None` when the retry policy is disabled.
     policy: Option<RetryPolicy>,
-    /// `None` outside sharded execution — the classic path then runs
-    /// bit-identically to every build before sharding existed.
-    pub(crate) shard: Option<ShardCtx>,
+    pub(crate) shard: ShardCtx,
 }
 
 impl ClusterWorld {
@@ -239,20 +237,9 @@ impl ClusterWorld {
         self.outstanding += delta;
     }
 
-    /// This world's shard index (0 when unsharded).
-    fn home_shard(&self) -> u32 {
-        self.shard.as_ref().map_or(0, |ctx| ctx.index)
-    }
-
-    /// The inter-shard propagation delay (zero when unsharded; only
-    /// read on paths where a shard context is guaranteed present).
-    fn shard_prop(&self) -> SimDuration {
-        self.shard.as_ref().map_or(SimDuration::ZERO, |ctx| ctx.prop)
-    }
-
     /// True if `req` originated on another shard's client.
     fn is_foreign(&self, req: &Request) -> bool {
-        req.home_shard != self.home_shard()
+        req.home_shard != self.shard.index
     }
 
     /// The foreign shard this connection's requests target, or `None`
@@ -262,7 +249,7 @@ impl ClusterWorld {
     /// every thread count.
     #[allow(clippy::cast_possible_truncation)]
     fn remote_dst(&self, client: u32, conn: u32) -> Option<u32> {
-        let ctx = self.shard.as_ref()?;
+        let ctx = &self.shard;
         if ctx.n_shards < 2 || ctx.remote_every == 0 || !conn.is_multiple_of(ctx.remote_every) {
             return None;
         }
@@ -285,13 +272,10 @@ impl ClusterWorld {
     }
 
     /// Queues a cross-shard message for the executor to inject at
-    /// `arrival`. Only called on paths where a shard context exists
-    /// (a `remote_dst` hit or a foreign request in hand).
+    /// `arrival`.
     fn send_cross_shard(&mut self, arrival: SimTime, dst: u32, msg: ShardMsg) {
-        if let Some(ctx) = self.shard.as_mut() {
-            ctx.sent += 1;
-            ctx.outbox.push((arrival, dst, msg));
-        }
+        self.shard.sent += 1;
+        self.shard.outbox.push((arrival, dst, msg));
     }
 
     // Client indices fit u32: cluster configs top out at a handful of
@@ -397,7 +381,7 @@ impl ClusterWorld {
     fn resend_packet(&mut self, client: u32, id: RequestId, entry: InFlight) -> Box<Request> {
         let mut req = Box::new(Request::new(id, client, entry.conn, entry.profile, entry.t_first));
         req.attempt = entry.attempt;
-        req.home_shard = self.home_shard();
+        req.home_shard = self.shard.index;
         req
     }
 }
@@ -419,7 +403,7 @@ impl World for ClusterWorld {
                 let id = RequestId(self.next_id);
                 self.next_id += 1;
                 let mut req = Box::new(Request::new(id, client, conn, profile, now));
-                req.home_shard = self.home_shard();
+                req.home_shard = self.shard.index;
                 self.outstanding += 1;
                 if self.sample_outstanding {
                     self.outstanding_samples.push((now, self.outstanding));
@@ -472,7 +456,7 @@ impl World for ClusterWorld {
                         // The packet leaves for a foreign server; it
                         // arrives there after the inter-shard delay,
                         // which is also the conservative lookahead.
-                        let arrive = out + self.shard_prop();
+                        let arrive = out + self.shard.prop;
                         self.send_cross_shard(arrive, dst, ShardMsg::Request(req));
                     }
                     None => {
@@ -492,7 +476,7 @@ impl World for ClusterWorld {
                     // back across the shard boundary if the request
                     // came from a foreign client.
                     if self.is_foreign(&req) {
-                        let back = now + self.shard_prop();
+                        let back = now + self.shard.prop;
                         let home = req.home_shard;
                         self.send_cross_shard(back, home, ShardMsg::Reset(req));
                     } else {
@@ -581,7 +565,7 @@ impl World for ClusterWorld {
                             .is_some_and(FaultPlan::drop_downlink);
                         if !lost {
                             if self.is_foreign(&req) {
-                                let arrive = out + self.shard_prop();
+                                let arrive = out + self.shard.prop;
                                 let home = req.home_shard;
                                 self.send_cross_shard(arrive, home, ShardMsg::Response(req));
                             } else {
@@ -784,7 +768,7 @@ pub struct ClusterBuilder {
     trace_frequencies: bool,
     fault_spec: FaultSpec,
     retry_policy: RetryPolicy,
-    shard: Option<(u32, u32, u32)>,
+    shard: (u32, u32, u32),
 }
 
 impl ClusterBuilder {
@@ -803,7 +787,7 @@ impl ClusterBuilder {
             trace_frequencies: false,
             fault_spec: FaultSpec::default(),
             retry_policy: RetryPolicy::default(),
-            shard: None,
+            shard: (0, 1, 0),
         }
     }
 
@@ -874,11 +858,10 @@ impl ClusterBuilder {
     /// Marks this world as shard `index` of `n_shards` in a
     /// [`crate::ShardedCluster`], with every `remote_every`-th
     /// connection targeting a foreign server (0 keeps all traffic
-    /// local). A `(0, 1, _)` context changes nothing observable: with
-    /// one shard no connection is ever remote, so the event and RNG
-    /// sequences match the unsharded build bit for bit.
+    /// local). Without this call the world is shard 0 of 1, where no
+    /// connection is ever remote.
     pub fn shard(mut self, index: u32, n_shards: u32, remote_every: u32) -> Self {
-        self.shard = Some((index, n_shards, remote_every));
+        self.shard = (index, n_shards, remote_every);
         self
     }
 
@@ -921,6 +904,7 @@ impl ClusterBuilder {
         let policy = self.retry_policy.enabled().then_some(self.retry_policy);
         let crash_starts = faults.as_ref().map(FaultPlan::crash_starts).unwrap_or_default();
         let first_stall = faults.as_ref().and_then(FaultPlan::first_stall);
+        let (index, n_shards, remote_every) = self.shard;
         let world = ClusterWorld {
             workload: self.workload,
             server,
@@ -934,9 +918,7 @@ impl ClusterBuilder {
             sample_outstanding: self.sample_outstanding,
             faults,
             policy,
-            shard: self.shard.map(|(index, n_shards, remote_every)| {
-                ShardCtx::new(index, n_shards, remote_every, crate::shard::INTER_SHARD_PROPAGATION)
-            }),
+            shard: ShardCtx::new(index, n_shards, remote_every, crate::shard::INTER_SHARD_PROPAGATION),
         };
         // Steady state keeps roughly one in-flight event per open
         // connection plus per-core completions and the periodic ticks;

@@ -1,6 +1,6 @@
 //! Stepped, checkpointable execution of one load-test run.
 //!
-//! [`ResumableRun`] drives the same engine [`LoadTest::run`] would
+//! [`ResumableRun`] drives the same cluster [`LoadTest::run`] would
 //! build, but in bounded event batches, with three extras a long
 //! unattended run needs:
 //!
@@ -15,11 +15,11 @@
 //!   user latencies, available mid-run without touching the record
 //!   vectors;
 //! * **auditing** — [`ResumableRun::audit`] runs the cluster invariant
-//!   checks against the live engine, e.g. at every checkpoint.
+//!   checks against the live engines, e.g. at every checkpoint.
 
-use treadmill_cluster::{checkpoint, merge_results, ClientMachine, ClusterWorld, ShardedCluster};
+use treadmill_cluster::{checkpoint, merge_results, ClientMachine, ShardedCluster};
 use treadmill_sim_core::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
-use treadmill_sim_core::{Engine, SimTime};
+use treadmill_sim_core::SimTime;
 use treadmill_stats::{
     LogHistogram, LogHistogramState, P2Quantile, P2State, StreamingStats, StreamingState,
 };
@@ -185,33 +185,16 @@ impl TailMonitor {
     }
 }
 
-/// The execution substrate behind a [`ResumableRun`]: one legacy
-/// engine, or a sharded parallel cluster (`servers > 1`).
-// One Body exists per run, so the inline-engine variant's size is not
-// worth a heap indirection on the single-server hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Body {
-    Single {
-        engine: Engine<ClusterWorld>,
-        /// Per-client count of records already folded into the monitor.
-        consumed: Vec<usize>,
-    },
-    Sharded {
-        cluster: ShardedCluster,
-        /// Per-shard, per-client folded-record counts. The monitor is
-        /// fed in shard-then-client order, a pure function of simulated
-        /// state — thread count never changes the observation stream.
-        consumed: Vec<Vec<usize>>,
-    },
-}
-
 /// One load-test run executing in bounded steps with checkpoint/resume.
 #[derive(Debug)]
 pub struct ResumableRun {
     test: LoadTest,
     run_seed: u64,
-    body: Body,
+    cluster: ShardedCluster,
+    /// Per-shard, per-client folded-record counts. The monitor is fed
+    /// in shard-then-client order, a pure function of simulated state —
+    /// thread count never changes the observation stream.
+    consumed: Vec<Vec<usize>>,
     monitor: TailMonitor,
 }
 
@@ -250,73 +233,47 @@ fn read_consumed(r: &mut SnapshotReader<'_>) -> Result<Vec<usize>, SnapshotError
 }
 
 impl ResumableRun {
-    /// Starts run number `run_index` of `test` from event zero. A test
-    /// with `servers > 1` steps the sharded parallel executor; the
-    /// checkpoint format, monitor, and report are the same either way.
+    /// Starts run number `run_index` of `test` from event zero, on the
+    /// same [`ShardedCluster`] [`LoadTest::run`] builds.
     pub fn new(test: LoadTest, run_index: u64) -> Self {
         let run_seed = test.derive_run_seed(run_index);
-        let body = if test.is_sharded() {
-            let cluster = test.build_sharded(run_seed);
-            let consumed = (0..cluster.n_shards())
-                .map(|i| vec![0; cluster.engine(i).world().clients.len()])
-                .collect();
-            Body::Sharded { cluster, consumed }
-        } else {
-            let engine = test.build_cluster(run_seed);
-            let consumed = vec![0; engine.world().clients.len()];
-            Body::Single { engine, consumed }
-        };
+        let cluster = test.build_sharded(run_seed);
+        let consumed = (0..cluster.n_shards())
+            .map(|i| vec![0; cluster.engine(i).world().clients.len()])
+            .collect();
         ResumableRun {
             test,
             run_seed,
-            body,
+            cluster,
+            consumed,
             monitor: TailMonitor::new(),
         }
     }
 
     /// Executes up to `max_events` events and folds newly completed
     /// records into the tail monitor. Returns the number executed;
-    /// `0` means the run has drained. A sharded run stops at the first
-    /// synchronization-round boundary past the budget, so it may
-    /// slightly overshoot `max_events`.
+    /// `0` means the run has drained. A one-server run executes exactly
+    /// `max_events` until it drains; a multi-server run stops at the
+    /// first synchronization-round boundary past the budget, so it may
+    /// slightly overshoot.
     pub fn step(&mut self, max_events: u64) -> u64 {
-        let executed = match &mut self.body {
-            Body::Single { engine, .. } => engine.run_events(max_events),
-            Body::Sharded { cluster, .. } => cluster.run(max_events),
-        };
-        self.drain_new_records();
-        executed
-    }
-
-    fn drain_new_records(&mut self) {
+        let executed = self.cluster.run(max_events);
         let warmup = SimTime::ZERO + self.test.warmup_window();
-        match &mut self.body {
-            Body::Single { engine, consumed } => {
-                fold_records(&mut self.monitor, warmup, consumed, &engine.world().clients);
-            }
-            Body::Sharded { cluster, consumed } => {
-                for (i, consumed) in consumed.iter_mut().enumerate() {
-                    let engine = cluster.engine(i);
-                    fold_records(&mut self.monitor, warmup, consumed, &engine.world().clients);
-                }
-            }
+        for (i, consumed) in self.consumed.iter_mut().enumerate() {
+            let engine = self.cluster.engine(i);
+            fold_records(&mut self.monitor, warmup, consumed, &engine.world().clients);
         }
+        executed
     }
 
     /// True once every event has drained.
     pub fn is_finished(&self) -> bool {
-        match &self.body {
-            Body::Single { engine, .. } => engine.pending_events() == 0,
-            Body::Sharded { cluster, .. } => cluster.is_finished(),
-        }
+        self.cluster.is_finished()
     }
 
     /// Events executed so far.
     pub fn events_executed(&self) -> u64 {
-        match &self.body {
-            Body::Single { engine, .. } => engine.events_executed(),
-            Body::Sharded { cluster, .. } => cluster.events_executed(),
-        }
+        self.cluster.events_executed()
     }
 
     /// The live tail monitor.
@@ -324,15 +281,11 @@ impl ResumableRun {
         &self.monitor
     }
 
-    /// Runs the cluster invariant auditor against the live engine(s).
-    /// See [`treadmill_cluster::audit_invariants`]; a sharded run uses
-    /// [`treadmill_cluster::audit_sharded`], which adds the cross-shard
-    /// message-conservation check.
+    /// Runs the cluster invariant auditor against the live engines. See
+    /// [`treadmill_cluster::audit_sharded`]: every shard's invariants
+    /// plus cross-shard message conservation.
     pub fn audit(&self, max_pending: usize) -> Vec<String> {
-        match &self.body {
-            Body::Single { engine, .. } => treadmill_cluster::audit_invariants(engine, max_pending),
-            Body::Sharded { cluster, .. } => treadmill_cluster::audit_sharded(cluster, max_pending),
-        }
+        treadmill_cluster::audit_sharded(&self.cluster, max_pending)
     }
 
     /// Captures the full run state — engine snapshot plus streaming
@@ -352,32 +305,19 @@ impl ResumableRun {
     /// checkpoint, which is most of the snapshot wall time.
     pub fn checkpoint_into(&self, buf: &mut Vec<u8>) {
         let scratch = std::mem::take(buf);
-        let hint = match &self.body {
-            Body::Single { engine, .. } => checkpoint::payload_size_hint(engine),
-            Body::Sharded { cluster, .. } => (0..cluster.n_shards())
-                .map(|i| checkpoint::payload_size_hint(&cluster.engine(i)))
-                .sum(),
-        };
+        let hint: usize = (0..self.cluster.n_shards())
+            .map(|i| checkpoint::payload_size_hint(&self.cluster.engine(i)))
+            .sum();
         let mut w = SnapshotWriter::sealing_reuse(scratch, hint + 8192);
         w.put_u64(self.run_seed);
-        // Shard count discriminates the envelope shape: 0 = the legacy
-        // single-engine layout, n ≥ 1 = n (payload, consumed) sections
-        // in shard order. A sharded checkpoint is only ever taken at a
+        // The shard count, then one (payload, consumed) section per
+        // shard in shard order. A checkpoint is only ever taken at a
         // round boundary (outboxes empty), so per-shard payloads are
         // self-contained.
-        match &self.body {
-            Body::Single { engine, consumed } => {
-                w.put_u32(0);
-                checkpoint::write_payload(engine, &mut w);
-                write_consumed(&mut w, consumed);
-            }
-            Body::Sharded { cluster, consumed } => {
-                w.put_u32(u32::try_from(cluster.n_shards()).unwrap_or(u32::MAX));
-                for (i, consumed) in consumed.iter().enumerate() {
-                    checkpoint::write_payload(&cluster.engine(i), &mut w);
-                    write_consumed(&mut w, consumed);
-                }
-            }
+        w.put_u32(u32::try_from(self.cluster.n_shards()).unwrap_or(u32::MAX));
+        for (i, consumed) in self.consumed.iter().enumerate() {
+            checkpoint::write_payload(&self.cluster.engine(i), &mut w);
+            write_consumed(&mut w, consumed);
         }
         self.monitor.write(&mut w);
         *buf = w.into_sealed();
@@ -401,43 +341,27 @@ impl ResumableRun {
                 "checkpoint was taken under a different run seed",
             ));
         }
-        let n_shards = r.get_u32()?;
-        let body = if n_shards == 0 {
-            if test.is_sharded() {
-                return Err(SnapshotError::Malformed(
-                    "unsharded checkpoint for a sharded configuration",
-                ));
-            }
-            let mut engine = test.build_cluster(run_seed);
-            checkpoint::read_payload(&mut engine, &mut r)?;
-            let consumed = read_consumed(&mut r)?;
-            if consumed.len() != engine.world().clients.len() {
+        if r.get_u32()? != test.server_count() {
+            return Err(SnapshotError::Malformed("shard count mismatch"));
+        }
+        let mut cluster = test.build_sharded(run_seed);
+        let mut consumed = Vec::with_capacity(cluster.n_shards());
+        for i in 0..cluster.n_shards() {
+            let engine = cluster.engine_mut(i);
+            checkpoint::read_payload(engine, &mut r)?;
+            let c = read_consumed(&mut r)?;
+            if c.len() != engine.world().clients.len() {
                 return Err(SnapshotError::Malformed("client count mismatch"));
             }
-            Body::Single { engine, consumed }
-        } else {
-            if !test.is_sharded() || u64::from(n_shards) != u64::from(test.server_count()) {
-                return Err(SnapshotError::Malformed("shard count mismatch"));
-            }
-            let mut cluster = test.build_sharded(run_seed);
-            let mut consumed = Vec::with_capacity(cluster.n_shards());
-            for i in 0..cluster.n_shards() {
-                let engine = cluster.engine_mut(i);
-                checkpoint::read_payload(engine, &mut r)?;
-                let c = read_consumed(&mut r)?;
-                if c.len() != engine.world().clients.len() {
-                    return Err(SnapshotError::Malformed("client count mismatch"));
-                }
-                consumed.push(c);
-            }
-            Body::Sharded { cluster, consumed }
-        };
+            consumed.push(c);
+        }
         let monitor = TailMonitor::read(&mut r)?;
         r.finish()?;
         Ok(ResumableRun {
             test,
             run_seed,
-            body,
+            cluster,
+            consumed,
             monitor,
         })
     }
@@ -446,17 +370,11 @@ impl ResumableRun {
     /// bit-identical to what `test.run(run_index)` would have produced
     /// in one uninterrupted execution.
     pub fn finish(self) -> LoadTestReport {
-        let ResumableRun { test, body, .. } = self;
-        match body {
-            Body::Single { mut engine, .. } => {
-                engine.run_to_completion();
-                test.report_from_result(treadmill_cluster::extract_result(engine))
-            }
-            Body::Sharded { mut cluster, .. } => {
-                cluster.run_to_completion();
-                test.report_from_result(merge_results(cluster.into_results()))
-            }
-        }
+        let ResumableRun {
+            test, mut cluster, ..
+        } = self;
+        cluster.run_to_completion();
+        test.report_from_result(merge_results(cluster.into_results()))
     }
 }
 
@@ -487,7 +405,24 @@ mod tests {
     fn stepped_run_matches_one_shot_run() {
         let golden = quick_test().run(0);
         let mut run = ResumableRun::new(quick_test(), 0);
-        while run.step(10_000) > 0 {}
+        let mut steps = Vec::new();
+        loop {
+            let executed = run.step(10_000);
+            if executed == 0 {
+                break;
+            }
+            steps.push(executed);
+        }
+        // One server steps exactly: every call before the run drains
+        // executes its whole budget, so checkpoint positions and the
+        // event counts a sweep reports land on multiples of it.
+        let (last, full) = steps.split_last().expect("the run executed events");
+        assert!(
+            full.iter().all(|&n| n == 10_000),
+            "a step before draining missed its budget: {steps:?}"
+        );
+        assert!(*last <= 10_000);
+        assert_eq!(steps.iter().sum::<u64>(), golden.run.events_executed);
         assert!(run.is_finished());
         assert_reports_identical(&golden, &run.finish());
     }
@@ -582,13 +517,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_checkpoint_rejected_by_unsharded_config() {
+    fn checkpoint_rejected_by_another_server_count() {
         let mut run = ResumableRun::new(sharded_test(1), 0);
         run.step(10_000);
         let bytes = run.checkpoint();
-        let unsharded = sharded_test(1).servers(1);
+        let one_server = sharded_test(1).servers(1);
         assert!(matches!(
-            ResumableRun::resume(unsharded, 0, &bytes),
+            ResumableRun::resume(one_server, 0, &bytes),
             Err(SnapshotError::Malformed(_))
         ));
     }

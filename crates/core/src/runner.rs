@@ -158,10 +158,10 @@ impl LoadTest {
         self
     }
 
-    /// Number of simulated servers. Each server forms one shard with
-    /// its own replica of the client set, so `target_rps` is offered
-    /// load *per server*. 1 (the default) keeps the classic unsharded
-    /// engine.
+    /// Number of simulated servers. Each server forms one shard of the
+    /// [`ShardedCluster`] with its own replica of the client set, so
+    /// `target_rps` is offered load *per server*. 1 (the default) is a
+    /// one-shard cluster, which runs unwindowed.
     pub fn servers(mut self, servers: u32) -> Self {
         assert!(servers > 0, "need at least one server");
         self.servers = servers;
@@ -204,41 +204,20 @@ impl LoadTest {
         SeedStream::new(self.seed).derive("run", run_index)
     }
 
-    /// Builds the configured cluster engine for one run, without
-    /// executing it — the entry point for stepped/resumable execution.
-    /// `LoadTest::run_seeded` is exactly
-    /// `extract_result(build_cluster(seed) → run_to_completion)` fed
-    /// through [`LoadTest::report_from_result`], so a stepped run that
-    /// ends in the same engine state produces a bit-identical report.
-    pub(crate) fn build_cluster(
-        &self,
-        run_seed: u64,
-    ) -> treadmill_sim_core::Engine<treadmill_cluster::ClusterWorld> {
-        self.build_world(run_seed, None)
-    }
-
     /// Builds one shard's world: a full server with its own replica of
-    /// the client set. Shard 0 reuses the run seed verbatim so a
-    /// one-shard sharded run is bit-identical to the legacy engine;
-    /// shard `i > 0` draws an independent stream from the run seed.
+    /// the client set. Shard 0 reuses the run seed verbatim, so the
+    /// golden seeds pinned before sharding existed still hold; shard
+    /// `i > 0` draws an independent stream from the run seed.
     fn build_shard_engine(
         &self,
         run_seed: u64,
         index: u32,
     ) -> treadmill_sim_core::Engine<treadmill_cluster::ClusterWorld> {
-        let shard_seed = if index == 0 {
+        let seed = if index == 0 {
             run_seed
         } else {
             SeedStream::new(run_seed).derive("shard", u64::from(index))
         };
-        self.build_world(shard_seed, Some((index, self.servers, self.remote_every)))
-    }
-
-    fn build_world(
-        &self,
-        seed: u64,
-        shard: Option<(u32, u32, u32)>,
-    ) -> treadmill_sim_core::Engine<treadmill_cluster::ClusterWorld> {
         let per_client_rate = self.target_rps / self.clients as f64;
         let mut builder = ClusterBuilder::new(Arc::clone(&self.workload))
             .hardware(self.hardware)
@@ -247,10 +226,8 @@ impl LoadTest {
             .seed(seed)
             .duration(self.duration)
             .faults(self.fault_spec)
-            .retry_policy(self.retry_policy);
-        if let Some((index, n_shards, remote_every)) = shard {
-            builder = builder.shard(index, n_shards, remote_every);
-        }
+            .retry_policy(self.retry_policy)
+            .shard(index, self.servers, self.remote_every);
         for _ in 0..self.clients {
             let mut spec = self.client_spec.clone();
             spec.connections = self.connections_per_client;
@@ -265,11 +242,6 @@ impl LoadTest {
             );
         }
         builder.build()
-    }
-
-    /// Whether this test runs on the sharded parallel executor.
-    pub(crate) fn is_sharded(&self) -> bool {
-        self.servers > 1
     }
 
     /// The configured server (= shard) count.
@@ -290,8 +262,12 @@ impl LoadTest {
             .unwrap_or(1)
     }
 
-    /// Builds the sharded cluster for one run without executing it —
-    /// the entry point for stepped/resumable sharded execution.
+    /// Builds the cluster for one run without executing it — the entry
+    /// point for stepped/resumable execution. `LoadTest::run_seeded` is
+    /// exactly `merge_results(build_sharded(seed) → run_to_completion)`
+    /// fed through [`LoadTest::report_from_result`], so a stepped run
+    /// that ends in the same engine state produces a bit-identical
+    /// report.
     pub(crate) fn build_sharded(&self, run_seed: u64) -> ShardedCluster {
         let engines = (0..self.servers)
             .map(|i| self.build_shard_engine(run_seed, i))
@@ -299,26 +275,12 @@ impl LoadTest {
         ShardedCluster::new(engines, self.effective_threads())
     }
 
-    /// Executes run number `run_index` on the sharded executor
-    /// regardless of the `servers` setting (a one-server sharded run
-    /// is bit-identical to [`LoadTest::run`]).
-    pub fn run_sharded(&self, run_index: u64) -> LoadTestReport {
-        let mut cluster = self.build_sharded(self.derive_run_seed(run_index));
-        cluster.run_to_completion();
-        self.report_from_result(merge_results(cluster.into_results()))
-    }
-
     /// Executes a run with an explicit cluster seed (used by
     /// [`LoadTest::run_robust`] to draw fresh re-run seeds).
     fn run_seeded(&self, run_seed: u64) -> LoadTestReport {
-        if self.is_sharded() {
-            let mut cluster = self.build_sharded(run_seed);
-            cluster.run_to_completion();
-            return self.report_from_result(merge_results(cluster.into_results()));
-        }
-        let mut engine = self.build_cluster(run_seed);
-        engine.run_to_completion();
-        self.report_from_result(treadmill_cluster::extract_result(engine))
+        let mut cluster = self.build_sharded(run_seed);
+        cluster.run_to_completion();
+        self.report_from_result(merge_results(cluster.into_results()))
     }
 
     /// Assembles the operator-facing report from a finished run. Pure

@@ -304,12 +304,15 @@ struct Manifest {
     running: std::collections::BTreeSet<u64>,
 }
 
-fn read_manifest(path: &Path, config_hash: &str) -> (Manifest, Vec<String>) {
+/// Replays the journal and seals a torn last line, so the next append
+/// starts a line of its own.
+fn read_manifest(path: &Path, config_hash: &str) -> io::Result<(Manifest, Vec<String>)> {
     let mut manifest = Manifest::default();
     let mut warnings = Vec::new();
     let Ok(contents) = fs::read_to_string(path) else {
-        return (manifest, warnings);
+        return Ok((manifest, warnings));
     };
+    seal_torn_tail(path, &contents)?;
     for line in contents.lines() {
         if line.trim().is_empty() {
             continue;
@@ -341,7 +344,7 @@ fn read_manifest(path: &Path, config_hash: &str) -> (Manifest, Vec<String>) {
             _ => {}
         }
     }
-    (manifest, warnings)
+    Ok((manifest, warnings))
 }
 
 /// Appends one journal line and fsyncs, so the transition survives a
@@ -352,6 +355,19 @@ fn append_journal(path: &Path, line: &ManifestLine) -> io::Result<()> {
         serde_json::to_string(line).map_err(io::Error::other)?;
     serialized.push('\n');
     file.write_all(serialized.as_bytes())?;
+    file.sync_all()
+}
+
+/// Closes a torn last line of the journal at `path`, whose current
+/// contents are `text`. A crash mid-append leaves a final line with no
+/// newline; without this seal the next append would be glued onto the
+/// debris and dropped on replay along with it.
+pub fn seal_torn_tail(path: &Path, text: &str) -> io::Result<()> {
+    if text.is_empty() || text.ends_with('\n') {
+        return Ok(());
+    }
+    let mut file = OpenOptions::new().append(true).open(path)?;
+    file.write_all(b"\n")?;
     file.sync_all()
 }
 
@@ -556,7 +572,7 @@ pub fn run_sweep_controlled(
     };
 
     let manifest = if opts.resume {
-        let (manifest, warnings) = read_manifest(&manifest_path, &config_hash);
+        let (manifest, warnings) = read_manifest(&manifest_path, &config_hash)?;
         outcome.warnings.extend(warnings);
         manifest
     } else {
@@ -1274,6 +1290,11 @@ mod tests {
 
     #[test]
     fn torn_journal_line_is_tolerated() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let golden_dir = tempdir("golden-torn");
+        run_sweep(&small_config(), &golden_dir, &opts(2)).expect("golden sweep");
+
         let dir = tempdir("torn");
         run_sweep(&small_config(), &dir, &opts(1)).expect("sweep");
         // Append a torn (truncated) line, as a SIGKILL mid-append would.
@@ -1284,17 +1305,44 @@ mod tests {
         file.write_all(b"{\"cell\":1,\"status\":\"run").expect("tear");
         drop(file);
 
+        // Resume, and stop again at cell 1's first checkpoint: the
+        // `running` line journaled after the torn tail must survive
+        // replay, or the second resume throws the checkpoint away.
         let resumed_opts = SweepOptions {
             resume: true,
             ..opts(2)
         };
-        let outcome = run_sweep(&small_config(), &dir, &resumed_opts).expect("resumed");
+        let cancel = AtomicBool::new(false);
+        let mut flip = |event: SweepEvent| {
+            if matches!(event, SweepEvent::Checkpointed { cell: 1, .. }) {
+                cancel.store(true, Ordering::Relaxed);
+            }
+        };
+        let mut ctrl = SweepControl {
+            cancel: Some(&cancel),
+            progress: Some(&mut flip),
+        };
+        let outcome =
+            run_sweep_controlled(&small_config(), &dir, &resumed_opts, &mut ctrl).expect("resumed");
         assert_eq!(outcome.skipped, vec![0]);
-        assert_eq!(outcome.executed, vec![1]);
+        assert!(outcome.interrupted);
         assert!(outcome
             .warnings
             .iter()
             .any(|w| w.contains("torn/unparseable")));
+
+        let outcome = run_sweep(&small_config(), &dir, &resumed_opts).expect("resumed again");
+        assert_eq!(outcome.resumed_cell, Some(1));
+        assert_eq!(outcome.executed, vec![1]);
+        for artifact in ["cell_0.tsv", "cell_1.tsv", "summary.tsv", "attribution.tsv"] {
+            let golden = fs::read(golden_dir.join(artifact)).expect("golden artifact");
+            let resumed = fs::read(dir.join(artifact)).expect("resumed artifact");
+            assert_eq!(
+                golden, resumed,
+                "{artifact} differs after a torn-tail resume"
+            );
+        }
+        let _ = fs::remove_dir_all(&golden_dir);
         let _ = fs::remove_dir_all(&dir);
     }
 

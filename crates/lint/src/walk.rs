@@ -13,7 +13,9 @@ use std::path::{Path, PathBuf};
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github", "results", "fixtures"];
 
 /// Returns every `.rs` file under `root` (workspace-relative paths,
-/// unix separators, sorted), skipping [`SKIP_DIRS`].
+/// unix separators, sorted), skipping [`SKIP_DIRS`] and any nested
+/// directory whose `Cargo.toml` declares a `[workspace]` of its own:
+/// that is a separate workspace, outside this one's package graph.
 pub fn rust_files(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
     walk(root, root, &mut out)?;
@@ -33,7 +35,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
             continue;
         };
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name) || name.starts_with('.') {
+            if SKIP_DIRS.contains(&name) || name.starts_with('.') || is_own_workspace(&path) {
                 continue;
             }
             walk(root, &path, out)?;
@@ -44,4 +46,41 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// True if `dir/Cargo.toml` has a `[workspace]` table.
+fn is_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| {
+        text.lines()
+            .any(|line| line.split('#').next().unwrap_or("").trim() == "[workspace]")
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nested_workspaces_are_not_walked() {
+        let root = std::env::temp_dir().join(format!("tml-walk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
+            std::fs::write(path, text).expect("write");
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+        write("src/lib.rs", "");
+        write(
+            "crates/a/Cargo.toml",
+            "[package]\n[lints]\nworkspace = true\n",
+        );
+        write("crates/a/src/lib.rs", "");
+        write("bench/Cargo.toml", "[package]\n\n[workspace]\n");
+        write("bench/src/main.rs", "");
+
+        let files = rust_files(&root).expect("walk");
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(files, vec!["crates/a/src/lib.rs", "src/lib.rs"]);
+    }
 }

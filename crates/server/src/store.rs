@@ -12,6 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
+use treadmill_core::sweep::seal_torn_tail;
 
 use crate::job::JobStatus;
 
@@ -196,15 +197,7 @@ impl FileStore {
         let journal = state_dir.join("jobs.jsonl");
         let (inner, seq, report) = match fs::read_to_string(&journal) {
             Ok(text) => {
-                // A torn final line has no trailing newline; seal it
-                // now so the next append starts a fresh line instead
-                // of being swallowed by the debris.
-                if !text.is_empty() && !text.ends_with('\n') {
-                    let mut file =
-                        OpenOptions::new().append(true).open(&journal)?;
-                    file.write_all(b"\n")?;
-                    file.sync_all()?;
-                }
+                seal_torn_tail(&journal, &text)?;
                 replay(&text)
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {

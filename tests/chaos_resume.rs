@@ -212,7 +212,7 @@ fn sigkilled_sharded_multithreaded_sweep_resumes_byte_identical() {
 
     let chaos_dir = root.join("chaos");
     // Half the kill budget: the sharded soak triples the per-cell event
-    // count, and the unsharded soak above already covers the long tail.
+    // count, and the one-server soak above already covers the long tail.
     let kills = chaos_loop(&config, &chaos_dir, kill_budget().div_ceil(2), 0xC0FFEE);
 
     for artifact in [
