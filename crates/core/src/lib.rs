@@ -49,6 +49,7 @@ mod convergence;
 pub mod experiment;
 mod instance;
 mod interarrival;
+pub mod journal;
 pub mod omission;
 mod phases;
 pub mod report;

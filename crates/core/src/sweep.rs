@@ -5,14 +5,15 @@
 //! procedure) and persists everything needed to survive a SIGKILL at
 //! any instant:
 //!
-//! * **manifest journal** — `manifest.jsonl` in the output directory
-//!   records one line per state transition (`pending` → `running` →
-//!   `done`), each carrying the cell's derived seed and the
+//! * **manifest journal** — `manifest.jsonl` in the output directory is
+//!   a [`Journal`] with one line per state transition (`pending` →
+//!   `running` → `done`), each carrying the cell's derived seed and the
 //!   configuration hash. Appends are fsynced; a line torn by a crash
-//!   mid-write is tolerated and ignored on replay.
-//! * **atomic artifacts** — every `.tsv` / `.ckpt` is written to a
-//!   `*.tmp` sibling, fsynced, then renamed into place, so a reader
-//!   (or a resumed sweep) never observes a half-written file.
+//!   mid-write is sealed on resume and ignored on replay.
+//! * **atomic artifacts** — every `.tsv` / `.ckpt` goes through
+//!   [`write_atomic`] (a `*.tmp` sibling, fsynced, then renamed into
+//!   place), so a reader (or a resumed sweep) never observes a
+//!   half-written file.
 //! * **checkpoints** — each running cell snapshots its full state
 //!   (engine + streaming estimators, see
 //!   [`crate::resumable::ResumableRun`]) every `ckpt_events` events.
@@ -26,8 +27,8 @@
 //! `summary.tsv` rows for skipped cells reproduce without re-running.
 
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -36,6 +37,7 @@ use treadmill_sim_core::fnv1a64;
 
 use crate::aggregation::tail_composition;
 use crate::config::{ConfigError, LoadTestConfig};
+use crate::journal::{write_atomic, Journal, Replay};
 use crate::report::health_warnings;
 use crate::resumable::ResumableRun;
 use crate::runner::LoadTestReport;
@@ -91,8 +93,8 @@ pub enum SweepEvent {
 /// Cooperative control handles for [`run_sweep_controlled`].
 ///
 /// `cancel` is polled at every checkpoint boundary and between cells;
-/// once observed `true`, the sweep seals the in-flight checkpoint,
-/// flushes the journal (appends are fsynced as written), and returns
+/// once observed `true`, the sweep seals the in-flight checkpoint
+/// (journal appends are already fsynced one by one) and returns
 /// with [`SweepOutcome::interrupted`] set — exactly the state a SIGKILL
 /// would leave, minus the lost batch. `progress` receives a
 /// [`SweepEvent`] for every state transition.
@@ -254,11 +256,20 @@ impl From<ConfigError> for SweepError {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ManifestLine {
     cell: u64,
-    status: String,
+    status: CellStatus,
     seed: u64,
     config_hash: String,
     #[serde(default)]
     result: Option<CellResult>,
+}
+
+/// A cell's journaled state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
+enum CellStatus {
+    Pending,
+    Running,
+    Done,
 }
 
 /// A finished cell's headline numbers, journaled as exact bit patterns
@@ -304,25 +315,15 @@ struct Manifest {
     running: std::collections::BTreeSet<u64>,
 }
 
-/// Replays the journal and seals a torn last line, so the next append
-/// starts a line of its own.
-fn read_manifest(path: &Path, config_hash: &str) -> io::Result<(Manifest, Vec<String>)> {
+/// Folds the replayed journal into per-cell knowledge, skipping (with a
+/// warning) lines journaled under another configuration.
+fn read_manifest(
+    replay: Replay<ManifestLine>,
+    config_hash: &str,
+    warnings: &mut Vec<String>,
+) -> Manifest {
     let mut manifest = Manifest::default();
-    let mut warnings = Vec::new();
-    let Ok(contents) = fs::read_to_string(path) else {
-        return Ok((manifest, warnings));
-    };
-    seal_torn_tail(path, &contents)?;
-    for line in contents.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        // A SIGKILL can tear the final line mid-write; skip anything
-        // that does not parse rather than refusing to resume.
-        let Ok(entry) = serde_json::from_str::<ManifestLine>(line) else {
-            warnings.push("manifest has a torn/unparseable line (ignored)".to_string());
-            continue;
-        };
+    for entry in replay.records {
         if entry.config_hash != config_hash {
             warnings.push(format!(
                 "manifest line for cell {} was journaled under config hash {} \
@@ -331,67 +332,23 @@ fn read_manifest(path: &Path, config_hash: &str) -> io::Result<(Manifest, Vec<St
             ));
             continue;
         }
-        match entry.status.as_str() {
-            "done" => {
-                if let Some(result) = entry.result {
-                    manifest.running.remove(&entry.cell);
-                    manifest.done.insert(entry.cell, result);
-                }
+        match (entry.status, entry.result) {
+            (CellStatus::Done, Some(result)) => {
+                manifest.running.remove(&entry.cell);
+                manifest.done.insert(entry.cell, result);
             }
-            "running" => {
+            (CellStatus::Running, _) => {
                 manifest.running.insert(entry.cell);
             }
             _ => {}
         }
     }
-    Ok((manifest, warnings))
-}
-
-/// Appends one journal line and fsyncs, so the transition survives a
-/// crash that happens right after it.
-fn append_journal(path: &Path, line: &ManifestLine) -> io::Result<()> {
-    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    let mut serialized =
-        serde_json::to_string(line).map_err(io::Error::other)?;
-    serialized.push('\n');
-    file.write_all(serialized.as_bytes())?;
-    file.sync_all()
-}
-
-/// Closes a torn last line of the journal at `path`, whose current
-/// contents are `text`. A crash mid-append leaves a final line with no
-/// newline; without this seal the next append would be glued onto the
-/// debris and dropped on replay along with it.
-pub fn seal_torn_tail(path: &Path, text: &str) -> io::Result<()> {
-    if text.is_empty() || text.ends_with('\n') {
-        return Ok(());
+    // A SIGKILL can tear the final line mid-write; the journal skips
+    // anything that does not parse rather than refusing to resume.
+    for _ in 0..replay.unparseable {
+        warnings.push("manifest has a torn/unparseable line (ignored)".to_string());
     }
-    let mut file = OpenOptions::new().append(true).open(path)?;
-    file.write_all(b"\n")?;
-    file.sync_all()
-}
-
-/// Writes `contents` to `path` atomically: a `*.tmp` sibling in the
-/// same directory, fsync, rename, directory fsync. A crash at any
-/// point leaves either the old file or the new one, never a torn mix.
-pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(contents)?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        // Persist the rename itself; without this a crash can forget
-        // the directory entry even though the data blocks are safe.
-        if let Ok(dir_handle) = File::open(dir) {
-            let _ = dir_handle.sync_all();
-        }
-    }
-    Ok(())
+    manifest
 }
 
 /// The `# seed=… config_hash=… version=…` provenance line every
@@ -571,11 +528,7 @@ pub fn run_sweep_controlled(
         ..SweepOutcome::default()
     };
 
-    let manifest = if opts.resume {
-        let (manifest, warnings) = read_manifest(&manifest_path, &config_hash)?;
-        outcome.warnings.extend(warnings);
-        manifest
-    } else {
+    if !opts.resume {
         // Fresh start: drop any previous journal and checkpoints so a
         // stale `done` line cannot shadow the new configuration.
         if manifest_path.exists() {
@@ -584,17 +537,19 @@ pub fn run_sweep_controlled(
         for cell in 0..opts.runs {
             let _ = fs::remove_file(ckpt_path(out_dir, cell));
         }
+    }
+    let (journal, replay) = Journal::open(&manifest_path)?;
+    let manifest = if opts.resume {
+        read_manifest(replay, &config_hash, &mut outcome.warnings)
+    } else {
         for cell in 0..opts.runs {
-            append_journal(
-                &manifest_path,
-                &ManifestLine {
-                    cell,
-                    status: "pending".to_string(),
-                    seed: test.derive_run_seed(cell),
-                    config_hash: config_hash.clone(),
-                    result: None,
-                },
-            )?;
+            journal.append(&ManifestLine {
+                cell,
+                status: CellStatus::Pending,
+                seed: test.derive_run_seed(cell),
+                config_hash: config_hash.clone(),
+                result: None,
+            })?;
         }
         Manifest::default()
     };
@@ -648,16 +603,13 @@ pub fn run_sweep_controlled(
         let mut run = match run {
             Some(run) => run,
             None => {
-                append_journal(
-                    &manifest_path,
-                    &ManifestLine {
-                        cell,
-                        status: "running".to_string(),
-                        seed,
-                        config_hash: config_hash.clone(),
-                        result: None,
-                    },
-                )?;
+                journal.append(&ManifestLine {
+                    cell,
+                    status: CellStatus::Running,
+                    seed,
+                    config_hash: config_hash.clone(),
+                    result: None,
+                })?;
                 ResumableRun::new(test.clone(), cell)
             }
         };
@@ -717,16 +669,13 @@ pub fn run_sweep_controlled(
             &attr_path(out_dir, cell),
             attribution_tsv(cell, seed, &config_hash, &test.raw_latencies(&report)).as_bytes(),
         )?;
-        append_journal(
-            &manifest_path,
-            &ManifestLine {
-                cell,
-                status: "done".to_string(),
-                seed,
-                config_hash: config_hash.clone(),
-                result: Some(result.clone()),
-            },
-        )?;
+        journal.append(&ManifestLine {
+            cell,
+            status: CellStatus::Done,
+            seed,
+            config_hash: config_hash.clone(),
+            result: Some(result.clone()),
+        })?;
         let _ = fs::remove_file(&checkpoint_file);
         let (samples, p99_us) = (result.samples, from_bits(&result.p99_bits));
         summary_cells.insert(cell, (seed, result));
@@ -1258,17 +1207,16 @@ mod tests {
         let config = small_config();
         let test = config.build().expect("build");
         let hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
-        append_journal(
-            &dir.join("manifest.jsonl"),
-            &ManifestLine {
+        let (journal, _) = Journal::open(&dir.join("manifest.jsonl")).expect("open journal");
+        journal
+            .append(&ManifestLine {
                 cell: 0,
-                status: "running".to_string(),
+                status: CellStatus::Running,
                 seed: test.derive_run_seed(0),
                 config_hash: hash,
                 result: None,
-            },
-        )
-        .expect("journal");
+            })
+            .expect("journal");
         let mut run = ResumableRun::new(test, 0);
         run.step(30_000);
         write_atomic(&ckpt_path(&dir, 0), &run.checkpoint()).expect("checkpoint");
@@ -1298,7 +1246,8 @@ mod tests {
         let dir = tempdir("torn");
         run_sweep(&small_config(), &dir, &opts(1)).expect("sweep");
         // Append a torn (truncated) line, as a SIGKILL mid-append would.
-        let mut file = OpenOptions::new()
+        use std::io::Write as _;
+        let mut file = fs::OpenOptions::new()
             .append(true)
             .open(dir.join("manifest.jsonl"))
             .expect("open journal");
@@ -1355,17 +1304,16 @@ mod tests {
         let config = small_config();
         let test = config.build().expect("build");
         let hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
-        append_journal(
-            &dir.join("manifest.jsonl"),
-            &ManifestLine {
+        let (journal, _) = Journal::open(&dir.join("manifest.jsonl")).expect("open journal");
+        journal
+            .append(&ManifestLine {
                 cell: 0,
-                status: "running".to_string(),
+                status: CellStatus::Running,
                 seed: test.derive_run_seed(0),
                 config_hash: hash,
                 result: None,
-            },
-        )
-        .expect("journal");
+            })
+            .expect("journal");
         fs::write(ckpt_path(&dir, 0), b"not a checkpoint").expect("corrupt ckpt");
 
         let resumed_opts = SweepOptions {
@@ -1468,16 +1416,6 @@ mod tests {
             assert!(cell.samples > 0);
             assert!(cell.p50_us > 0.0 && cell.p99_us >= cell.p95_us);
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn atomic_write_leaves_no_tmp_behind() {
-        let dir = tempdir("atomic");
-        let path = dir.join("results.tsv");
-        write_atomic(&path, b"# seed=1 config_hash=x version=0\ndata\n").expect("write");
-        assert!(path.exists());
-        assert!(!dir.join("results.tsv.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -69,7 +69,9 @@ const ENTRY_FNS: &[&str] = &[
 
 /// Files covered by DUR001 (fsync-before-publish discipline).
 fn dur001_scope(path: &str) -> bool {
-    path.starts_with("crates/server/") || path == "crates/core/src/sweep.rs"
+    path.starts_with("crates/server/")
+        || path == "crates/core/src/sweep.rs"
+        || path == "crates/core/src/journal.rs"
 }
 
 /// Panic-site method names and macros for PANIC002. `debug_assert*` is
@@ -672,8 +674,31 @@ pub fn publish(tmp: &Path, dst: &Path) {
     }
 
     #[test]
+    fn dur001_covers_the_journal() {
+        let bad = "\
+fn append_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+    file.write_all(bytes)?;
+    Ok(())
+}
+";
+        let good = "\
+fn append_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()
+}
+";
+        let s = sem(&[("crates/core/src/journal.rs", bad)]);
+        // The append handle is written but never fsynced.
+        assert_eq!(rule_lines(&s, "DUR001", "crates/core/src/journal.rs"), vec![3]);
+        let s = sem(&[("crates/core/src/journal.rs", good)]);
+        assert!(rule_lines(&s, "DUR001", "crates/core/src/journal.rs").is_empty());
+    }
+
+    #[test]
     fn dur001_scope_is_limited() {
-        // The same unsynced pattern outside server/sweep is not DUR001's
+        // The same unsynced pattern outside server/sweep/journal is not DUR001's
         // business (e.g. a debug dump in stats).
         let bad = "\
 pub fn dump(p: &Path) {

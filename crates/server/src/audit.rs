@@ -3,60 +3,45 @@
 //! Every run-affecting event appends one fsynced JSON line to
 //! `audit.jsonl`: what happened, to which job, under which seed and
 //! configuration hash, against which snapshot format version. The log
-//! is never rewritten or truncated — it is the service's provenance
-//! trail, answering "which bits produced this artifact" long after
-//! the job itself is gone.
+//! is a [`Journal`], so it is never rewritten or truncated and a line
+//! torn by a crash is sealed before the next incarnation's first record
+//! — it is the service's provenance trail, answering "which bits
+//! produced this artifact" long after the job itself is gone.
 
-use std::fs::OpenOptions;
-use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use serde::{Deserialize, Serialize};
+use treadmill_core::journal::Journal;
 use treadmill_sim_core::snapshot::SNAPSHOT_VERSION;
 
-use crate::jsonx::Obj;
-
 /// One audit line.
-#[derive(Debug)]
-pub struct AuditEntry<'a> {
+#[derive(Debug, Serialize, Deserialize)]
+pub struct AuditEntry {
     /// Wall-clock milliseconds since the Unix epoch. Provenance only —
     /// nothing deterministic reads it back.
     pub unix_ms: u64,
     /// Event tag (`submitted`, `run-started`, `run-done`,
     /// `run-interrupted`, `run-failed`, `recovered`).
-    pub event: &'a str,
+    pub event: String,
     /// Job id.
-    pub job: &'a str,
+    pub job: String,
     /// The experiment's master seed.
     pub seed: u64,
     /// FNV-1a hash of the configuration JSON — matches the sweep
     /// manifest's `config_hash`.
-    pub config_hash: &'a str,
+    pub config_hash: String,
     /// Checkpoint envelope version the run writes ([`SNAPSHOT_VERSION`]).
     pub snapshot_version: u32,
     /// Free-form detail (`fresh` / `resume` / an error message).
-    pub detail: &'a str,
-}
-
-impl AuditEntry<'_> {
-    /// One-line JSON encoding (the journal record format).
-    pub fn to_json(&self) -> String {
-        Obj::new()
-            .u64("unix_ms", self.unix_ms)
-            .str("event", self.event)
-            .str("job", self.job)
-            .u64("seed", self.seed)
-            .str("config_hash", self.config_hash)
-            .u64("snapshot_version", u64::from(self.snapshot_version))
-            .str("detail", self.detail)
-            .build()
-    }
+    pub detail: String,
 }
 
 /// The append-only log writer.
 #[derive(Debug)]
 pub struct AuditLog {
-    path: PathBuf,
+    journal: Journal<AuditEntry>,
 }
 
 fn unix_ms() -> u64 {
@@ -67,14 +52,16 @@ fn unix_ms() -> u64 {
 }
 
 impl AuditLog {
-    /// An audit log at `state_dir/audit.jsonl`.
-    pub fn open(state_dir: &Path) -> AuditLog {
-        AuditLog { path: state_dir.join("audit.jsonl") }
+    /// Opens the audit log at `state_dir/audit.jsonl`, sealing a line
+    /// torn by a crash.
+    pub fn open(state_dir: &Path) -> io::Result<AuditLog> {
+        let (journal, _) = Journal::open(&state_dir.join("audit.jsonl"))?;
+        Ok(AuditLog { journal })
     }
 
     /// Where the log lives.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// Appends one event, fsynced. Stamps `unix_ms` and
@@ -87,23 +74,15 @@ impl AuditLog {
         config_hash: &str,
         detail: &str,
     ) -> io::Result<()> {
-        let entry = AuditEntry {
+        self.journal.append(&AuditEntry {
             unix_ms: unix_ms(),
-            event,
-            job,
+            event: event.to_string(),
+            job: job.to_string(),
             seed,
-            config_hash,
+            config_hash: config_hash.to_string(),
             snapshot_version: SNAPSHOT_VERSION,
-            detail,
-        };
-        let mut serialized = entry.to_json();
-        serialized.push('\n');
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.write_all(serialized.as_bytes())?;
-        file.sync_all()
+            detail: detail.to_string(),
+        })
     }
 }
 
@@ -118,7 +97,7 @@ mod tests {
             .join(format!("tml-audit-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let log = AuditLog::open(&dir);
+        let log = AuditLog::open(&dir).unwrap();
         log.record("submitted", "exp-000000", 7, "00ff", "fresh").unwrap();
         log.record("run-done", "exp-000000", 7, "00ff", "").unwrap();
         let text = fs::read_to_string(log.path()).unwrap();
@@ -129,6 +108,25 @@ mod tests {
         assert_eq!(first["seed"], 7u64);
         assert_eq!(first["config_hash"], "00ff");
         assert_eq!(first["snapshot_version"], u64::from(SNAPSHOT_VERSION));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopen_seals_a_torn_tail_before_the_next_record() {
+        let dir = std::env::temp_dir()
+            .join(format!("tml-audit-torn-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        // A SIGKILL mid-append leaves a line without its newline.
+        fs::write(dir.join("audit.jsonl"), "{\"unix_ms\":1,\"event\":\"run-").unwrap();
+        let log = AuditLog::open(&dir).unwrap();
+        log.record("recovered", "exp-000000", 7, "00ff", "").unwrap();
+        let text = fs::read_to_string(log.path()).unwrap();
+        let last = text.lines().last().unwrap();
+        let entry: serde_json::Value = serde_json::from_str(last)
+            .unwrap_or_else(|e| panic!("last line {last:?} does not parse: {e}"));
+        assert_eq!(entry["event"], "recovered");
+        assert_eq!(text.lines().count(), 2, "{text}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

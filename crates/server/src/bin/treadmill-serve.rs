@@ -9,8 +9,9 @@
 //! Binds the HTTP service, prints the bound address (also written to
 //! `DIR/addr.txt`), and runs until SIGTERM/SIGINT, at which point it
 //! drains gracefully: stops accepting, seals the in-flight sweep's
-//! checkpoint, flushes the journal, exits 0. A SIGKILL'd instance
-//! restarted with `--resume` replays the journal and continues.
+//! checkpoint, exits 0 (journal appends are fsynced one by one). A
+//! SIGKILL'd instance restarted with `--resume` replays the journal
+//! and continues.
 
 use std::process::ExitCode;
 use std::thread;

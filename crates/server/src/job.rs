@@ -78,14 +78,27 @@ impl SpecError {
         }
     }
 
-    /// Renders the structured JSON error body served on the `400` path.
+    /// Renders the structured JSON error body served on the `400` path:
+    /// `{"error":{"kind":…,"field":…|null,"message":…}}`.
     pub fn to_json_body(&self) -> Vec<u8> {
-        let error = crate::jsonx::Obj::new()
-            .str("kind", self.kind())
-            .opt_str("field", self.field())
-            .str("message", &self.to_string())
-            .build();
-        crate::jsonx::Obj::new().raw("error", &error).build().into_bytes()
+        #[derive(Serialize)]
+        struct Body {
+            error: Detail,
+        }
+        #[derive(Serialize)]
+        struct Detail {
+            kind: String,
+            field: Option<String>,
+            message: String,
+        }
+        let body = Body {
+            error: Detail {
+                kind: self.kind().to_string(),
+                field: self.field().map(str::to_string),
+                message: self.to_string(),
+            },
+        };
+        serde_json::to_string(&body).unwrap_or_default().into_bytes()
     }
 }
 
@@ -150,11 +163,13 @@ impl ExperimentSpec {
         serde_json::to_string(self).unwrap_or_default()
     }
 
-    /// The configuration hash journaled by the sweep — same formula as
-    /// `core/src/sweep.rs`, so the audit log and the sweep manifest
-    /// agree.
+    /// The configuration hash journaled by the sweep — FNV-1a of the
+    /// same pretty JSON as [`LoadTestConfig::to_json`], so the audit log
+    /// and the sweep manifest agree. Rendered here because HTTP handlers
+    /// call this and must not reach `to_json`'s `expect`.
     pub fn config_hash(&self) -> String {
-        format!("{:016x}", fnv1a64(self.config.to_json().as_bytes()))
+        let json = serde_json::to_string_pretty(&self.config).unwrap_or_default();
+        format!("{:016x}", fnv1a64(json.as_bytes()))
     }
 }
 
@@ -168,7 +183,8 @@ impl ExperimentSpec {
 ///
 /// A drain or crash leaves a job `running`; restart with `--resume`
 /// re-enqueues it and the sweep continues from its checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum JobStatus {
     /// Admitted, waiting for the executor.
     Queued,
@@ -181,24 +197,13 @@ pub enum JobStatus {
 }
 
 impl JobStatus {
-    /// Journal encoding.
+    /// The lowercase name, as journaled and served.
     pub fn as_str(self) -> &'static str {
         match self {
             JobStatus::Queued => "queued",
             JobStatus::Running => "running",
             JobStatus::Done => "done",
             JobStatus::Failed => "failed",
-        }
-    }
-
-    /// Inverse of [`JobStatus::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "queued" => Some(JobStatus::Queued),
-            "running" => Some(JobStatus::Running),
-            "done" => Some(JobStatus::Done),
-            "failed" => Some(JobStatus::Failed),
-            _ => None,
         }
     }
 
@@ -235,6 +240,13 @@ mod tests {
     }
 
     #[test]
+    fn config_hash_matches_the_sweep_manifest() {
+        let spec = ExperimentSpec::from_json(&spec_json("50000")).unwrap();
+        let sweep_hash = format!("{:016x}", fnv1a64(spec.config.to_json().as_bytes()));
+        assert_eq!(spec.config_hash(), sweep_hash);
+    }
+
+    #[test]
     fn bad_config_is_typed_not_panicking() {
         let err = ExperimentSpec::from_json(&spec_json("-1")).unwrap_err();
         assert_eq!(err.kind(), "invalid");
@@ -259,7 +271,9 @@ mod tests {
             JobStatus::Done,
             JobStatus::Failed,
         ] {
-            assert_eq!(JobStatus::parse(s.as_str()), Some(s));
+            let json = serde_json::to_string(&s).unwrap();
+            assert_eq!(json, format!("\"{}\"", s.as_str()));
+            assert_eq!(serde_json::from_str::<JobStatus>(&json).unwrap(), s);
         }
         assert!(JobStatus::Done.is_terminal());
         assert!(!JobStatus::Running.is_terminal());

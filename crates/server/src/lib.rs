@@ -8,9 +8,10 @@
 //! loses work to a crash) is self-defeating — so every layer degrades
 //! gracefully:
 //!
-//! * **Journaled jobs** ([`store`]): the file-backed [`store::JobStore`]
-//!   appends every job state transition to an fsynced `jobs.jsonl`
-//!   journal (same torn-line-tolerant pattern as the sweep manifest).
+//! * **Journaled jobs** ([`store`]): the [`store::JobStore`] appends
+//!   every job state transition to an fsynced `jobs.jsonl` journal
+//!   (the same [`treadmill_core::journal::Journal`] as the sweep
+//!   manifest, so torn lines are sealed and skipped on replay).
 //!   A SIGKILL'd server restarted with `--resume` replays the journal
 //!   and continues in-flight experiments from their checkpoints,
 //!   producing byte-identical artifacts.
@@ -20,9 +21,9 @@
 //!   bound HTTP-side memory and latency.
 //! * **Graceful drain** ([`shutdown`], [`service`]): SIGTERM stops the
 //!   acceptor, cancels the in-flight sweep at the next checkpoint
-//!   boundary (sealing it to disk), and flushes the journal before
-//!   exit — indistinguishable on disk from a SIGKILL, minus the lost
-//!   batch.
+//!   boundary (sealing it to disk), and exits — every journal append
+//!   is already fsynced, so the state on disk is a SIGKILL's, minus
+//!   the lost batch.
 //! * **Audit trail** ([`audit`]): an append-only `audit.jsonl` records
 //!   seed, config hash, and snapshot version for every run.
 //!
@@ -32,9 +33,8 @@
 //! by the `treadmill-cli` `submit` / `status` / `fetch` subcommands.
 
 // Unlike the simulation crates this one is allowed to read wall
-// clocks (it serves real sockets); tml-lint carries the matching
-// allowlist entry. Panic budget is zero: handlers must degrade, not
-// abort.
+// clocks (it serves real sockets). Panic budget is zero: handlers must
+// degrade, not abort.
 #![warn(missing_docs)]
 #![cfg_attr(
     test,
@@ -45,7 +45,6 @@ pub mod audit;
 pub mod client;
 pub mod http;
 pub mod job;
-pub mod jsonx;
 pub mod queue;
 pub mod service;
 pub mod shutdown;
@@ -55,4 +54,4 @@ pub use audit::{AuditEntry, AuditLog};
 pub use job::{ExperimentSpec, JobStatus, SpecError};
 pub use queue::{BoundedQueue, Pop, Push};
 pub use service::{start, ServeOptions, ServerHandle, StartError, StoreKind};
-pub use store::{FileStore, JobStore, MemStore, ReplayReport, StoredJob, SubmitOutcome};
+pub use store::{JobStore, ReplayReport, StoredJob, SubmitOutcome};

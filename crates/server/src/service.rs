@@ -16,7 +16,8 @@
 //! carries read/write timeouts so no worker blocks past its budget.
 //! [`ServerHandle::drain`] runs the graceful-shutdown sequence: stop
 //! accepting, answer queued connections, cancel the in-flight sweep
-//! at its next checkpoint (sealing it), flush the journal, exit.
+//! at its next checkpoint (sealing it), exit. There is no journal to
+//! flush: every append is fsynced on its own.
 
 use std::fmt;
 use std::fs;
@@ -30,7 +31,8 @@ use std::time::{Duration, Instant};
 
 use std::collections::BTreeMap;
 
-use treadmill_core::sweep::write_atomic;
+use serde::Serialize;
+use treadmill_core::journal::write_atomic;
 use treadmill_core::{
     run_factorial_sweep_controlled, run_sweep_controlled, SweepControl, SweepEvent,
     SweepOptions,
@@ -39,11 +41,10 @@ use treadmill_core::{
 use crate::audit::AuditLog;
 use crate::http::{self, HttpError, Request};
 use crate::job::{ExperimentSpec, JobStatus};
-use crate::jsonx::Obj;
 use crate::queue::{BoundedQueue, Pop, Push};
-use crate::store::{FileStore, JobStore, MemStore, SubmitOutcome};
+use crate::store::{JobStore, SubmitOutcome};
 
-/// Which [`JobStore`] backend to run.
+/// Where the [`JobStore`] keeps its jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreKind {
     /// Volatile; forgets everything on exit. For tests and demos.
@@ -189,7 +190,7 @@ impl Progress {
 
 struct Shared {
     opts: ServeOptions,
-    store: Box<dyn JobStore>,
+    store: JobStore,
     jobs: BoundedQueue<String>,
     conns: BoundedQueue<TcpStream>,
     audit: AuditLog,
@@ -270,18 +271,18 @@ impl ServerHandle {
 /// pending jobs under `--resume`, and spawns the thread pool.
 pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
     fs::create_dir_all(&opts.state_dir)?;
-    let audit = AuditLog::open(&opts.state_dir);
+    let audit = AuditLog::open(&opts.state_dir)?;
 
-    let (store, pending): (Box<dyn JobStore>, Vec<String>) = match opts.store {
-        StoreKind::Memory => (Box::new(MemStore::new()), Vec::new()),
+    let (store, pending) = match opts.store {
+        StoreKind::Memory => (JobStore::in_memory(), Vec::new()),
         StoreKind::File => {
-            let (store, report) = FileStore::open(&opts.state_dir)?;
+            let (store, report) = JobStore::open(&opts.state_dir)?;
             if !report.pending.is_empty() && !opts.resume {
                 return Err(StartError::PendingWithoutResume(
                     report.pending.len(),
                 ));
             }
-            (Box::new(store), report.pending)
+            (store, report.pending)
         }
     };
 
@@ -370,13 +371,7 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     Push::Shed(mut stream) | Push::Closed(mut stream) => {
                         // Connection cap reached: shed at the door with
                         // an explicit 503 instead of queueing unboundedly.
-                        let _ = http::respond(
-                            &mut stream,
-                            503,
-                            "application/json",
-                            br#"{"error":{"kind":"overloaded","message":"connection cap reached"}}"#,
-                            &[("Retry-After", "1")],
-                        );
+                        let _ = shed_response(&mut stream, "connection cap reached");
                     }
                 }
             }
@@ -421,13 +416,48 @@ fn handle_conn(shared: &Arc<Shared>, stream: &mut TcpStream) {
     route(shared, &req, stream);
 }
 
-fn error_body(kind: &str, message: &str) -> String {
-    Obj::new()
-        .raw(
-            "error",
-            &Obj::new().str("kind", kind).str("message", message).build(),
-        )
-        .build()
+/// `{"error":{"kind":…,"message":…}}`, every error body but a
+/// rejected spec's ([`crate::SpecError::to_json_body`]).
+#[derive(Serialize)]
+struct ErrorBody {
+    error: ErrorDetail,
+}
+
+#[derive(Serialize)]
+struct ErrorDetail {
+    kind: String,
+    message: String,
+}
+
+/// `GET /readyz`; a draining server reports only its status.
+#[derive(Serialize)]
+struct ReadyBody {
+    status: String,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    queue_depth: Option<usize>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    queue_cap: Option<usize>,
+}
+
+/// `POST /experiments`: a new job reports its queue depth, a
+/// deduplicated one says so instead.
+#[derive(Serialize)]
+struct SubmitBody {
+    id: String,
+    status: JobStatus,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    deduplicated: Option<bool>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    queue_depth: Option<usize>,
+}
+
+/// `GET /experiments/{id}`.
+#[derive(Serialize)]
+struct StatusBody {
+    id: String,
+    status: JobStatus,
+    detail: Option<String>,
+    events: usize,
 }
 
 fn error_response(
@@ -436,21 +466,25 @@ fn error_response(
     kind: &str,
     message: &str,
 ) -> io::Result<()> {
-    http::respond(
-        stream,
-        status,
-        "application/json",
-        error_body(kind, message).as_bytes(),
-        &[],
-    )
+    json_response(stream, status, &error_body(kind, message), &[])
+}
+
+fn error_body(kind: &str, message: &str) -> ErrorBody {
+    ErrorBody {
+        error: ErrorDetail {
+            kind: kind.to_string(),
+            message: message.to_string(),
+        },
+    }
 }
 
 fn json_response(
     stream: &mut TcpStream,
     status: u16,
-    body: &str,
+    body: &impl Serialize,
     extra: &[(&str, &str)],
 ) -> io::Result<()> {
+    let body = serde_json::to_string(body).unwrap_or_default();
     http::respond(stream, status, "application/json", body.as_bytes(), extra)
 }
 
@@ -488,23 +522,19 @@ fn route(shared: &Arc<Shared>, req: &Request, stream: &mut TcpStream) {
 
 fn handle_readyz(shared: &Arc<Shared>, stream: &mut TcpStream) -> io::Result<()> {
     if shared.draining() {
-        return json_response(
-            stream,
-            503,
-            &Obj::new().str("status", "draining").build(),
-            &[("Retry-After", "1")],
-        );
+        let body = ReadyBody {
+            status: "draining".to_string(),
+            queue_depth: None,
+            queue_cap: None,
+        };
+        return json_response(stream, 503, &body, &[("Retry-After", "1")]);
     }
-    json_response(
-        stream,
-        200,
-        &Obj::new()
-            .str("status", "ready")
-            .u64("queue_depth", shared.jobs.depth() as u64)
-            .u64("queue_cap", shared.jobs.cap() as u64)
-            .build(),
-        &[],
-    )
+    let body = ReadyBody {
+        status: "ready".to_string(),
+        queue_depth: Some(shared.jobs.depth()),
+        queue_cap: Some(shared.jobs.cap()),
+    };
+    json_response(stream, 200, &body, &[])
 }
 
 fn shed_response(stream: &mut TcpStream, why: &str) -> io::Result<()> {
@@ -547,16 +577,15 @@ fn handle_submit(
         }
     };
     match outcome {
-        SubmitOutcome::Deduplicated(job) => json_response(
-            stream,
-            200,
-            &Obj::new()
-                .str("id", &job.id)
-                .str("status", job.status.as_str())
-                .bool("deduplicated", true)
-                .build(),
-            &[],
-        ),
+        SubmitOutcome::Deduplicated(job) => {
+            let body = SubmitBody {
+                id: job.id,
+                status: job.status,
+                deduplicated: Some(true),
+                queue_depth: None,
+            };
+            json_response(stream, 200, &body, &[])
+        }
         SubmitOutcome::Created(job) => {
             shared.progress_for(&job.id).push(format!(
                 "job {}: queued ({} cells)",
@@ -570,16 +599,15 @@ fn handle_submit(
                 key.unwrap_or(""),
             );
             match shared.jobs.push(job.id.clone()) {
-                Push::Accepted { depth } => json_response(
-                    stream,
-                    201,
-                    &Obj::new()
-                        .str("id", &job.id)
-                        .str("status", "queued")
-                        .u64("queue_depth", depth as u64)
-                        .build(),
-                    &[],
-                ),
+                Push::Accepted { depth } => {
+                    let body = SubmitBody {
+                        id: job.id,
+                        status: JobStatus::Queued,
+                        deduplicated: None,
+                        queue_depth: Some(depth),
+                    };
+                    json_response(stream, 201, &body, &[])
+                }
                 Push::Shed(_) | Push::Closed(_) => {
                     // Journal the shed so the job is not silently lost,
                     // then tell the client to retry.
@@ -603,18 +631,13 @@ fn handle_status(
     let Some(job) = shared.store.get(id) else {
         return error_response(stream, 404, "not-found", "no such experiment");
     };
-    let events = shared.find_progress(id).map_or(0, |p| p.count());
-    json_response(
-        stream,
-        200,
-        &Obj::new()
-            .str("id", &job.id)
-            .str("status", job.status.as_str())
-            .opt_str("detail", job.detail.as_deref())
-            .u64("events", events as u64)
-            .build(),
-        &[],
-    )
+    let body = StatusBody {
+        id: job.id,
+        status: job.status,
+        detail: job.detail,
+        events: shared.find_progress(id).map_or(0, |p| p.count()),
+    };
+    json_response(stream, 200, &body, &[])
 }
 
 fn handle_events(

@@ -1,6 +1,6 @@
 //! SIGTERM / SIGINT plumbing shared by `treadmill-serve` (graceful
-//! drain) and `treadmill-cli sweep` (seal the checkpoint, flush the
-//! journal, exit).
+//! drain) and `treadmill-cli sweep` (seal the checkpoint, exit; the
+//! journal needs no flush, every append is fsynced).
 //!
 //! The handler does the only async-signal-safe thing possible: it
 //! flips a process-wide [`AtomicBool`]. Everything else — closing

@@ -1,18 +1,17 @@
-//! Job persistence: the [`JobStore`] trait with an in-memory backend
-//! for tests and a file-backed backend whose `jobs.jsonl` journal
-//! reuses the crash-safety recipe of the sweep manifest
-//! (`core/src/sweep.rs`): append-only JSON lines, fsynced per append,
-//! torn trailing lines tolerated and ignored on replay, duplicate
-//! lines idempotent.
+//! Job persistence: one [`JobStore`], journaled to `jobs.jsonl` through
+//! [`treadmill_core::journal::Journal`] (the crash-safety recipe of the
+//! sweep manifest: one fsynced JSON line per transition, torn tails
+//! sealed and skipped on replay) or, for `--mem-store`, kept in memory
+//! only. Duplicate journal lines are idempotent.
 
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::fs;
+use std::io;
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
-use treadmill_core::sweep::seal_torn_tail;
+use treadmill_core::journal::Journal;
 
 use crate::job::JobStatus;
 
@@ -48,113 +47,13 @@ pub enum SubmitOutcome {
     Deduplicated(StoredJob),
 }
 
-/// Pluggable job persistence.
-pub trait JobStore: Send + Sync {
-    /// Admits a job (or dedups it by idempotency `key`).
-    fn submit(&self, key: Option<&str>, spec_json: &str) -> io::Result<SubmitOutcome>;
-    /// Records a lifecycle transition.
-    fn set_status(
-        &self,
-        id: &str,
-        status: JobStatus,
-        detail: Option<&str>,
-    ) -> io::Result<()>;
-    /// Fetches one job.
-    fn get(&self, id: &str) -> Option<StoredJob>;
-    /// All jobs in id order.
-    fn jobs(&self) -> Vec<StoredJob>;
-}
-
-/// Shared bookkeeping for both backends.
-#[derive(Default)]
-struct Inner {
-    next_job: u64,
-    jobs: BTreeMap<String, StoredJob>,
-    by_key: BTreeMap<String, String>,
-}
-
-impl Inner {
-    fn submit(&mut self, key: Option<&str>, spec_json: &str) -> SubmitOutcome {
-        if let Some(key) = key {
-            if let Some(id) = self.by_key.get(key) {
-                if let Some(job) = self.jobs.get(id) {
-                    return SubmitOutcome::Deduplicated(job.clone());
-                }
-            }
-        }
-        let id = format!("exp-{:06}", self.next_job);
-        self.next_job += 1;
-        let job = StoredJob {
-            id: id.clone(),
-            key: key.map(str::to_string),
-            spec_json: spec_json.to_string(),
-            status: JobStatus::Queued,
-            detail: None,
-        };
-        if let Some(key) = key {
-            self.by_key.insert(key.to_string(), id.clone());
-        }
-        self.jobs.insert(id, job.clone());
-        SubmitOutcome::Created(job)
-    }
-
-    fn set_status(&mut self, id: &str, status: JobStatus, detail: Option<&str>) -> bool {
-        match self.jobs.get_mut(id) {
-            Some(job) => {
-                job.status = status;
-                job.detail = detail.map(str::to_string);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// Volatile store for tests and `--mem-store` runs; journal-free, so
-/// a crash forgets everything (by design).
-#[derive(Default)]
-pub struct MemStore {
-    inner: Mutex<Inner>,
-}
-
-impl MemStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        MemStore::default()
-    }
-}
-
-impl JobStore for MemStore {
-    fn submit(&self, key: Option<&str>, spec_json: &str) -> io::Result<SubmitOutcome> {
-        Ok(lock(&self.inner).submit(key, spec_json))
-    }
-
-    fn set_status(
-        &self,
-        id: &str,
-        status: JobStatus,
-        detail: Option<&str>,
-    ) -> io::Result<()> {
-        lock(&self.inner).set_status(id, status, detail);
-        Ok(())
-    }
-
-    fn get(&self, id: &str) -> Option<StoredJob> {
-        lock(&self.inner).jobs.get(id).cloned()
-    }
-
-    fn jobs(&self) -> Vec<StoredJob> {
-        lock(&self.inner).jobs.values().cloned().collect()
-    }
-}
-
 /// One journal line: a job state transition. Submission lines carry
 /// the spec (and key); later transitions carry only the new status.
 #[derive(Debug, Serialize, Deserialize)]
 struct JournalLine {
     seq: u64,
     id: String,
-    status: String,
+    status: JobStatus,
     #[serde(default)]
     key: Option<String>,
     #[serde(default)]
@@ -177,185 +76,187 @@ pub struct ReplayReport {
     pub pending: Vec<String>,
 }
 
-/// Durable store: every transition is one fsynced JSON line in
-/// `jobs.jsonl`. [`FileStore::open`] replays the journal, so a
-/// SIGKILL'd server reconstructs exactly the admitted state.
-pub struct FileStore {
-    journal: PathBuf,
-    state: Mutex<InnerWithSeq>,
+/// The job table. With a journal, every transition is one fsynced
+/// line and [`JobStore::open`] replays it, so a SIGKILL'd server
+/// reconstructs exactly the admitted state; without one
+/// ([`JobStore::in_memory`]) a crash forgets everything, by design.
+pub struct JobStore {
+    journal: Option<Journal<JournalLine>>,
+    state: Mutex<State>,
 }
 
-struct InnerWithSeq {
-    inner: Inner,
-    seq: u64,
+#[derive(Default)]
+struct State {
+    next_job: u64,
+    next_seq: u64,
+    jobs: BTreeMap<String, StoredJob>,
+    by_key: BTreeMap<String, String>,
 }
 
-impl FileStore {
-    /// Opens (or creates) the journal under `state_dir` and replays it.
-    pub fn open(state_dir: &Path) -> io::Result<(FileStore, ReplayReport)> {
-        fs::create_dir_all(state_dir)?;
-        let journal = state_dir.join("jobs.jsonl");
-        let (inner, seq, report) = match fs::read_to_string(&journal) {
-            Ok(text) => {
-                seal_torn_tail(&journal, &text)?;
-                replay(&text)
+impl State {
+    fn set_status(&mut self, id: &str, status: JobStatus, detail: Option<&str>) -> bool {
+        match self.jobs.get_mut(id) {
+            Some(job) => {
+                job.status = status;
+                job.detail = detail.map(str::to_string);
+                true
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                (Inner::default(), 0, ReplayReport::default())
+            None => false,
+        }
+    }
+
+    /// Replays one journal line. Duplicate submissions are idempotent:
+    /// the first wins (a re-sent line cannot change the spec).
+    fn apply(&mut self, entry: JournalLine, report: &mut ReplayReport) {
+        self.next_seq = self.next_seq.max(entry.seq.saturating_add(1));
+        let Some(spec) = entry.spec else {
+            if !self.set_status(&entry.id, entry.status, entry.detail.as_deref()) {
+                report.orphan_lines += 1;
             }
-            Err(e) => return Err(e),
+            return;
         };
-        let store = FileStore {
-            journal,
-            state: Mutex::new(InnerWithSeq { inner, seq }),
+        if self.jobs.contains_key(&entry.id) {
+            return;
+        }
+        if let Some(key) = &entry.key {
+            self.by_key.insert(key.clone(), entry.id.clone());
+        }
+        if let Some(n) = entry
+            .id
+            .strip_prefix("exp-")
+            .and_then(|n| n.parse::<u64>().ok())
+        {
+            self.next_job = self.next_job.max(n + 1);
+        }
+        let job = StoredJob {
+            id: entry.id.clone(),
+            key: entry.key,
+            spec_json: spec,
+            status: entry.status,
+            detail: entry.detail,
+        };
+        self.jobs.insert(entry.id, job);
+    }
+}
+
+impl JobStore {
+    /// A store without a journal, for tests and `--mem-store` runs.
+    pub fn in_memory() -> JobStore {
+        JobStore {
+            journal: None,
+            state: Mutex::default(),
+        }
+    }
+
+    /// Opens (or creates) the journal under `state_dir` and replays
+    /// it. Torn lines (unparseable JSON) and status lines for unknown
+    /// ids are counted and skipped.
+    pub fn open(state_dir: &Path) -> io::Result<(JobStore, ReplayReport)> {
+        fs::create_dir_all(state_dir)?;
+        let (journal, replay) = Journal::open(&state_dir.join("jobs.jsonl"))?;
+        let mut state = State::default();
+        let mut report = ReplayReport {
+            torn_lines: replay.unparseable,
+            ..ReplayReport::default()
+        };
+        for entry in replay.records {
+            state.apply(entry, &mut report);
+        }
+        report.jobs = state.jobs.len();
+        report.pending = state
+            .jobs
+            .values()
+            .filter(|j| !j.status.is_terminal())
+            .map(|j| j.id.clone())
+            .collect();
+        let store = JobStore {
+            journal: Some(journal),
+            state: Mutex::new(state),
         };
         Ok((store, report))
     }
 
-    fn append(&self, line: &JournalLine) -> io::Result<()> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.journal)?;
-        let mut serialized =
-            serde_json::to_string(line).map_err(io::Error::other)?;
-        serialized.push('\n');
-        file.write_all(serialized.as_bytes())?;
-        file.sync_all()
-    }
-
-    /// Fsyncs the journal file and its directory — the drain path's
-    /// final flush (appends are already fsynced; this pins the
-    /// directory entry too).
-    pub fn flush(&self) -> io::Result<()> {
-        if let Ok(file) = File::open(&self.journal) {
-            file.sync_all()?;
-        }
-        if let Some(dir) = self.journal.parent() {
-            if let Ok(dir_handle) = File::open(dir) {
-                let _ = dir_handle.sync_all();
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Replays journal text into store state. Torn lines (no trailing
-/// newline, unparseable JSON) and status lines for unknown ids are
-/// counted and skipped; duplicate submissions of the same id are
-/// idempotent.
-fn replay(text: &str) -> (Inner, u64, ReplayReport) {
-    let mut inner = Inner::default();
-    let mut report = ReplayReport::default();
-    let mut seq = 0u64;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(entry) = serde_json::from_str::<JournalLine>(line) else {
-            report.torn_lines += 1;
-            continue;
+    /// Journals `line` under the next sequence number (no-op in memory).
+    fn append(&self, state: &mut State, mut line: JournalLine) -> io::Result<()> {
+        let Some(journal) = &self.journal else {
+            return Ok(());
         };
-        seq = seq.max(entry.seq.saturating_add(1));
-        let Some(status) = JobStatus::parse(&entry.status) else {
-            report.torn_lines += 1;
-            continue;
-        };
-        match entry.spec {
-            Some(spec) => {
-                // A submission line. Duplicates are idempotent: the
-                // first wins (a re-sent line cannot change the spec).
-                if !inner.jobs.contains_key(&entry.id) {
-                    let job = StoredJob {
-                        id: entry.id.clone(),
-                        key: entry.key.clone(),
-                        spec_json: spec,
-                        status,
-                        detail: entry.detail,
-                    };
-                    if let Some(key) = &entry.key {
-                        inner.by_key.insert(key.clone(), entry.id.clone());
-                    }
-                    if let Some(n) = entry
-                        .id
-                        .strip_prefix("exp-")
-                        .and_then(|n| n.parse::<u64>().ok())
-                    {
-                        inner.next_job = inner.next_job.max(n + 1);
-                    }
-                    inner.jobs.insert(entry.id, job);
-                }
-            }
-            None => {
-                if !inner.set_status(&entry.id, status, entry.detail.as_deref()) {
-                    report.orphan_lines += 1;
-                }
-            }
-        }
+        line.seq = state.next_seq;
+        state.next_seq += 1;
+        journal.append(&line)
     }
-    report.jobs = inner.jobs.len();
-    report.pending = inner
-        .jobs
-        .values()
-        .filter(|j| !j.status.is_terminal())
-        .map(|j| j.id.clone())
-        .collect();
-    (inner, seq, report)
-}
 
-impl JobStore for FileStore {
-    fn submit(&self, key: Option<&str>, spec_json: &str) -> io::Result<SubmitOutcome> {
+    /// Admits a job (or dedups it by idempotency `key`).
+    pub fn submit(&self, key: Option<&str>, spec_json: &str) -> io::Result<SubmitOutcome> {
         let mut state = lock(&self.state);
-        let outcome = state.inner.submit(key, spec_json);
-        if let SubmitOutcome::Created(job) = &outcome {
-            let seq = state.seq;
-            state.seq += 1;
-            self.append(&JournalLine {
-                seq,
-                id: job.id.clone(),
-                status: job.status.as_str().to_string(),
-                key: job.key.clone(),
-                spec: Some(job.spec_json.clone()),
-                detail: None,
-            })?;
+        if let Some(job) = key
+            .and_then(|key| state.by_key.get(key))
+            .and_then(|id| state.jobs.get(id))
+        {
+            return Ok(SubmitOutcome::Deduplicated(job.clone()));
         }
-        Ok(outcome)
+        let id = format!("exp-{:06}", state.next_job);
+        state.next_job += 1;
+        let job = StoredJob {
+            id: id.clone(),
+            key: key.map(str::to_string),
+            spec_json: spec_json.to_string(),
+            status: JobStatus::Queued,
+            detail: None,
+        };
+        if let Some(key) = key {
+            state.by_key.insert(key.to_string(), id.clone());
+        }
+        state.jobs.insert(id.clone(), job.clone());
+        let line = JournalLine {
+            seq: 0,
+            id,
+            status: job.status,
+            key: job.key.clone(),
+            spec: Some(job.spec_json.clone()),
+            detail: None,
+        };
+        self.append(&mut state, line)?;
+        Ok(SubmitOutcome::Created(job))
     }
 
-    fn set_status(
+    /// Records a lifecycle transition; unknown ids are ignored.
+    pub fn set_status(
         &self,
         id: &str,
         status: JobStatus,
         detail: Option<&str>,
     ) -> io::Result<()> {
         let mut state = lock(&self.state);
-        if !state.inner.set_status(id, status, detail) {
+        if !state.set_status(id, status, detail) {
             return Ok(());
         }
-        let seq = state.seq;
-        state.seq += 1;
-        self.append(&JournalLine {
-            seq,
+        let line = JournalLine {
+            seq: 0,
             id: id.to_string(),
-            status: status.as_str().to_string(),
+            status,
             key: None,
             spec: None,
             detail: detail.map(str::to_string),
-        })
+        };
+        self.append(&mut state, line)
     }
 
-    fn get(&self, id: &str) -> Option<StoredJob> {
-        lock(&self.state).inner.jobs.get(id).cloned()
+    /// Fetches one job.
+    pub fn get(&self, id: &str) -> Option<StoredJob> {
+        lock(&self.state).jobs.get(id).cloned()
     }
 
-    fn jobs(&self) -> Vec<StoredJob> {
-        lock(&self.state).inner.jobs.values().cloned().collect()
+    /// All jobs in id order.
+    pub fn jobs(&self) -> Vec<StoredJob> {
+        lock(&self.state).jobs.values().cloned().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -368,7 +269,7 @@ mod tests {
     #[test]
     fn submit_dedup_and_status_roundtrip_through_reopen() {
         let dir = tmp_dir("roundtrip");
-        let (store, report) = FileStore::open(&dir).unwrap();
+        let (store, report) = JobStore::open(&dir).unwrap();
         assert_eq!(report.jobs, 0);
 
         let SubmitOutcome::Created(job) =
@@ -387,7 +288,7 @@ mod tests {
             .set_status(&job.id, JobStatus::Running, None)
             .unwrap();
 
-        let (reopened, report) = FileStore::open(&dir).unwrap();
+        let (reopened, report) = JobStore::open(&dir).unwrap();
         assert_eq!(report.jobs, 1);
         assert_eq!(report.pending, vec!["exp-000000".to_string()]);
         let job = reopened.get("exp-000000").unwrap();
@@ -412,14 +313,14 @@ mod tests {
     #[test]
     fn torn_trailing_line_is_ignored() {
         let dir = tmp_dir("torn");
-        let (store, _) = FileStore::open(&dir).unwrap();
+        let (store, _) = JobStore::open(&dir).unwrap();
         store.submit(None, "{}").unwrap();
         let journal = dir.join("jobs.jsonl");
         let mut text = fs::read_to_string(&journal).unwrap();
         text.push_str("{\"seq\":99,\"id\":\"exp-0000"); // torn mid-write
         fs::write(&journal, text).unwrap();
 
-        let (_, report) = FileStore::open(&dir).unwrap();
+        let (_, report) = JobStore::open(&dir).unwrap();
         assert_eq!(report.jobs, 1);
         assert_eq!(report.torn_lines, 1);
         let _ = fs::remove_dir_all(&dir);
@@ -433,7 +334,7 @@ mod tests {
             "{\"seq\":0,\"id\":\"exp-000007\",\"status\":\"done\"}\n",
         )
         .unwrap();
-        let (store, report) = FileStore::open(&dir).unwrap();
+        let (store, report) = JobStore::open(&dir).unwrap();
         assert_eq!(report.orphan_lines, 1);
         assert!(store.jobs().is_empty());
         let _ = fs::remove_dir_all(&dir);

@@ -2,9 +2,9 @@
 //!
 //! Two attack surfaces, two invariants:
 //!
-//! * the file `JobStore`'s journal can be torn mid-write, bit-flipped
+//! * the `JobStore`'s journal can be torn mid-write, bit-flipped
 //!   by the storage layer, or hold duplicate lines from a replayed
-//!   crash — `FileStore::open` must replay *any* such journal without
+//!   crash — `JobStore::open` must replay *any* such journal without
 //!   panicking, and a store recovered from corruption must still
 //!   accept and persist new work;
 //! * the `POST /experiments` body is arbitrary bytes — every spec is
@@ -17,7 +17,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use treadmill_server::store::{FileStore, JobStore};
+use treadmill_server::store::JobStore;
 use treadmill_server::{ExperimentSpec, JobStatus};
 
 fn temp_state(tag: &str) -> PathBuf {
@@ -34,7 +34,7 @@ fn temp_state(tag: &str) -> PathBuf {
 /// Builds a realistic journal by driving a real store, then returns
 /// its raw text for mutation.
 fn seed_journal(dir: &Path, jobs: usize) -> String {
-    let (store, _) = FileStore::open(dir).unwrap();
+    let (store, _) = JobStore::open(dir).unwrap();
     for i in 0..jobs {
         let key = format!("key-{i}");
         let spec = format!("{{\"seed\":{i}}}");
@@ -57,7 +57,7 @@ fn seed_journal(dir: &Path, jobs: usize) -> String {
 fn assert_recovers(tag: &str, text: &[u8]) {
     let dir = temp_state(tag);
     fs::write(dir.join("jobs.jsonl"), text).unwrap();
-    let (store, report) = FileStore::open(&dir).unwrap();
+    let (store, report) = JobStore::open(&dir).unwrap();
 
     // A recovered store is a working store.
     let outcome = store.submit(Some("post-recovery"), "{}").unwrap();
@@ -66,7 +66,7 @@ fn assert_recovers(tag: &str, text: &[u8]) {
         | treadmill_server::SubmitOutcome::Deduplicated(job) => job.id,
     };
     drop(store);
-    let (store, reread) = FileStore::open(&dir).unwrap();
+    let (store, reread) = JobStore::open(&dir).unwrap();
     let job = store.get(&id).expect("post-recovery submission persisted");
     assert_eq!(job.status, JobStatus::Queued);
     assert!(

@@ -43,8 +43,9 @@
 //! ```
 //!
 //! `sweep` installs SIGINT/SIGTERM handlers: an interrupted sweep
-//! seals the in-flight checkpoint and flushes the journal before
-//! exiting, so `--resume` continues it exactly like a crashed one.
+//! seals the in-flight checkpoint before exiting (its journal appends
+//! are fsynced one by one), so `--resume` continues it exactly like a
+//! crashed one.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -276,7 +277,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         opts.ckpt_events
     );
     // Ctrl-C / SIGTERM cancels at the next checkpoint boundary: the
-    // checkpoint is sealed and the journal flushed, so `--resume`
+    // checkpoint is sealed (the journal is fsynced per append), so `--resume`
     // continues exactly like a SIGKILL'd sweep — same plumbing the
     // server's drain path uses.
     treadmill::server::shutdown::install();
