@@ -78,11 +78,6 @@ impl PacketCapture {
         self.sorted_latencies_us.is_empty()
     }
 
-    /// Ground-truth latencies in microseconds, sorted ascending.
-    pub fn latencies_us(&self) -> &[f64] {
-        &self.sorted_latencies_us
-    }
-
     /// The ground-truth `p`-quantile in microseconds.
     ///
     /// # Panics
@@ -148,8 +143,7 @@ mod tests {
         let records = vec![record(0, 10, 60), record(5, 15, 115)];
         let cap = PacketCapture::from_records(&records, SimTime::ZERO);
         assert_eq!(cap.len(), 2);
-        let lats = cap.latencies_us();
-        assert_eq!(lats, vec![50.0, 100.0]);
+        assert_eq!(cap.sorted_latencies_us, vec![50.0, 100.0]);
         assert_eq!(cap.quantile_us(0.0), 50.0);
         assert_eq!(cap.quantile_us(1.0), 100.0);
     }

@@ -112,12 +112,6 @@ impl ClientMachine {
         self.cpu.utilization(now)
     }
 
-    /// Mean client-CPU queueing delay per operation, µs (diagnostics —
-    /// this is the §II-C bias in the flesh).
-    pub fn mean_cpu_queueing_us(&self) -> f64 {
-        self.cpu.mean_queueing_micros()
-    }
-
     /// The client-CPU queue state, captured for checkpointing.
     pub(crate) fn cpu_state(&self) -> treadmill_sim_core::RateQueueState {
         self.cpu.state()
@@ -173,7 +167,7 @@ mod tests {
         }
         // 10 × 4us = 40us of CPU; the last send waited ~36us.
         assert!(last >= SimTime::from_nanos(1_000 + 40_000 + 12_000));
-        assert!(m.mean_cpu_queueing_us() > 10.0);
+        assert!(m.cpu.mean_queueing_micros() > 10.0);
     }
 
     #[test]
@@ -192,7 +186,7 @@ mod tests {
         for i in 0..100 {
             let _ = m.tx_ready_at(SimTime::from_micros(i * 100));
         }
-        assert!(m.mean_cpu_queueing_us() < 0.01);
+        assert!(m.cpu.mean_queueing_micros() < 0.01);
         assert!(m.cpu_utilization(SimTime::from_millis(10)) < 0.05);
     }
 }

@@ -1138,17 +1138,6 @@ impl RunResult {
         failed as f64 / settled as f64
     }
 
-    /// Right-censored latencies (µs) of requests abandoned at or after
-    /// `warmup` — lower bounds for the omission-correction estimator.
-    pub fn censored_latencies_us(&self, warmup: SimTime) -> Vec<f64> {
-        self.client_failures
-            .iter()
-            .flatten()
-            .filter(|f| f.t_generated >= warmup)
-            .map(FailureRecord::censored_latency_us)
-            .collect()
-    }
-
     /// User-space latencies (µs) of records generated at or after
     /// `warmup` — the load tester's view with warm-up discarded.
     pub fn user_latencies_us(&self, warmup: SimTime) -> Vec<f64> {
@@ -1180,14 +1169,6 @@ impl RunResult {
         }
         assert!(total > 0, "no measurement-window requests");
         within as f64 / total as f64
-    }
-
-    /// tcpdump ground-truth latencies (µs) after `warmup`.
-    pub fn nic_latencies_us(&self, warmup: SimTime) -> Vec<f64> {
-        self.all_records()
-            .filter(|r| r.t_generated >= warmup)
-            .map(ResponseRecord::nic_latency_us)
-            .collect()
     }
 }
 
@@ -1228,8 +1209,8 @@ mod tests {
         let result = quick_run(50_000.0, 2);
         let warmup = SimTime::from_millis(10);
         let user = result.user_latencies_us(warmup);
-        let nic = result.nic_latencies_us(warmup);
-        let gap = quantile(&user, 0.5) - quantile(&nic, 0.5);
+        let nic = crate::capture::PacketCapture::from_records(result.all_records(), warmup);
+        let gap = quantile(&user, 0.5) - nic.quantile_us(0.5);
         // kernel_tx 12us + kernel_rx 16us + 2 cpu ops ~1.6us ≈ 29.6us.
         assert!(gap > 20.0 && gap < 40.0, "gap {gap}us");
     }

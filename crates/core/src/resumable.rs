@@ -6,92 +6,57 @@
 //!
 //! * **checkpointing** — [`ResumableRun::checkpoint`] captures the
 //!   engine snapshot ([`treadmill_cluster::checkpoint`]) *plus* the
-//!   streaming tail estimators into one sealed envelope;
+//!   streaming tail estimator into one sealed envelope;
 //!   [`ResumableRun::resume`] restores both, so a run killed at any
 //!   event and resumed from its last checkpoint finishes with a
 //!   bit-identical [`LoadTestReport`];
-//! * **live tail monitoring** — constant-memory streaming estimators
-//!   (mean/variance, P² p99, a log-histogram) over the post-warm-up
-//!   user latencies, available mid-run without touching the record
-//!   vectors;
+//! * **live tail monitoring** — a constant-memory P² p99 estimate
+//!   over the post-warm-up user latencies, available mid-run without
+//!   touching the record vectors;
 //! * **auditing** — [`ResumableRun::audit`] runs the cluster invariant
 //!   checks against the live engines, e.g. at every checkpoint.
 
 use treadmill_cluster::{checkpoint, merge_results, ClientMachine, ShardedCluster};
 use treadmill_sim_core::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use treadmill_sim_core::SimTime;
-use treadmill_stats::{
-    LogHistogram, LogHistogramState, P2Quantile, P2State, StreamingStats, StreamingState,
-};
+use treadmill_stats::{P2Quantile, P2State};
 
 use crate::runner::{LoadTest, LoadTestReport};
 
-/// Constant-memory estimators over the measurement-window latencies,
-/// fed incrementally as records arrive.
+/// A constant-memory P² p99 estimate over the measurement-window
+/// latencies, fed incrementally as records arrive.
 #[derive(Debug, Clone)]
 pub struct TailMonitor {
-    stats: StreamingStats,
     p99: P2Quantile,
-    histogram: LogHistogram,
 }
-
-/// Histogram coverage: 1 µs – 10 s at 1% buckets matches the adaptive
-/// instance histogram's dynamic range.
-const HIST_MIN_US: f64 = 1.0;
-const HIST_MAX_US: f64 = 10_000_000.0;
-const HIST_PRECISION: f64 = 0.01;
 
 impl TailMonitor {
     fn new() -> Self {
         TailMonitor {
-            stats: StreamingStats::new(),
             p99: P2Quantile::new(0.99),
-            histogram: LogHistogram::new(HIST_MIN_US, HIST_MAX_US, HIST_PRECISION),
         }
     }
 
     fn observe(&mut self, latency_us: f64) {
-        self.stats.record(latency_us);
         self.p99.record(latency_us);
-        self.histogram.record(latency_us);
     }
 
     /// Samples observed so far.
     pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Running mean latency (µs).
-    pub fn mean_us(&self) -> f64 {
-        self.stats.mean()
+        self.p99.count() as u64
     }
 
     /// The P² running p99 estimate (µs). NaN until the first sample
     /// lands — an early checkpoint (mid-warmup, say) has no tail yet,
     /// and a monitoring read must not abort the sweep.
     pub fn p99_us(&self) -> f64 {
-        if self.stats.count() == 0 {
+        if self.p99.count() == 0 {
             return f64::NAN;
         }
         self.p99.estimate()
     }
 
-    /// A histogram quantile estimate (µs); NaN before the first sample.
-    pub fn quantile_us(&self, p: f64) -> f64 {
-        if self.stats.count() == 0 {
-            return f64::NAN;
-        }
-        self.histogram.quantile(p)
-    }
-
     fn write(&self, w: &mut SnapshotWriter) {
-        let s = self.stats.state();
-        w.put_u64(s.count);
-        w.put_f64(s.mean);
-        w.put_f64(s.m2);
-        w.put_f64(s.min);
-        w.put_f64(s.max);
-
         let p = self.p99.state();
         w.put_f64(p.p);
         for group in [&p.heights, &p.positions, &p.desired, &p.increments] {
@@ -104,31 +69,9 @@ impl TailMonitor {
         for &v in &p.initial {
             w.put_f64(v);
         }
-
-        let h = self.histogram.state();
-        w.put_f64(h.min);
-        w.put_f64(h.log_min);
-        w.put_f64(h.log_ratio);
-        w.put_u64(h.counts.len() as u64);
-        for &c in &h.counts {
-            w.put_u64(c);
-        }
-        w.put_u64(h.underflow);
-        w.put_u64(h.overflow);
-        w.put_u64(h.total);
-        w.put_f64(h.sum);
-        w.put_f64(h.max_seen);
     }
 
     fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let stats = StreamingStats::from_state(StreamingState {
-            count: r.get_u64()?,
-            mean: r.get_f64()?,
-            m2: r.get_f64()?,
-            min: r.get_f64()?,
-            max: r.get_f64()?,
-        });
-
         let p = r.get_f64()?;
         let mut groups = [[0.0f64; 5]; 4];
         for group in &mut groups {
@@ -154,34 +97,7 @@ impl TailMonitor {
             count,
             initial,
         });
-
-        let min = r.get_f64()?;
-        let log_min = r.get_f64()?;
-        let log_ratio = r.get_f64()?;
-        let n_counts = r.get_u64()?;
-        let n_counts = usize::try_from(n_counts)
-            .map_err(|_| SnapshotError::Malformed("histogram size overflows usize"))?;
-        let mut counts = Vec::with_capacity(n_counts);
-        for _ in 0..n_counts {
-            counts.push(r.get_u64()?);
-        }
-        let histogram = LogHistogram::from_state(LogHistogramState {
-            min,
-            log_min,
-            log_ratio,
-            counts,
-            underflow: r.get_u64()?,
-            overflow: r.get_u64()?,
-            total: r.get_u64()?,
-            sum: r.get_f64()?,
-            max_seen: r.get_f64()?,
-        });
-
-        Ok(TailMonitor {
-            stats,
-            p99,
-            histogram,
-        })
+        Ok(TailMonitor { p99 })
     }
 }
 
@@ -288,8 +204,8 @@ impl ResumableRun {
         treadmill_cluster::audit_sharded(&self.cluster, max_pending)
     }
 
-    /// Captures the full run state — engine snapshot plus streaming
-    /// estimators — as one sealed, checksummed envelope. The engine
+    /// Captures the full run state — engine snapshot plus the tail
+    /// monitor — as one sealed, checksummed envelope. The engine
     /// payload is embedded directly (not double-sealed), so the whole
     /// checkpoint costs one serialisation pass and one checksum.
     pub fn checkpoint(&self) -> Vec<u8> {
@@ -443,6 +359,60 @@ mod tests {
         assert_reports_identical(&golden, &resumed.finish());
     }
 
+    /// Runs `f`, returning its output and the wall seconds it took.
+    fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+        // tml-lint: allow(DET002, test-only timer for the checkpoint budget; no simulated state reads it)
+        let start = std::time::Instant::now();
+        let out = f();
+        (out, start.elapsed().as_secs_f64())
+    }
+
+    #[test]
+    fn checkpoint_serialisation_stays_within_five_percent_of_a_run() {
+        // A sweep cell's steady state: checkpoints every
+        // DEFAULT_CKPT_EVENTS events into one recycled buffer. Only the
+        // checkpoint calls are timed, against the plain run's wall;
+        // minima over three deterministic repetitions strip scheduler
+        // noise. The budget holds for optimised code only: under the
+        // test profile (opt-level 1) serialisation is relatively slower.
+        let test = LoadTest::new(Arc::new(Memcached::default()), 250_000.0)
+            .clients(4)
+            .duration(SimDuration::from_millis(400))
+            .warmup(SimDuration::from_millis(100))
+            .seed(2016);
+        let mut plain_wall = f64::INFINITY;
+        let mut ckpt_wall = f64::INFINITY;
+        let mut buf = Vec::new();
+        for _ in 0..3 {
+            let (plain, wall) = timed(|| test.run(0));
+            plain_wall = plain_wall.min(wall);
+
+            let mut run = ResumableRun::new(test.clone(), 0);
+            let mut checkpoints = 0;
+            let mut in_ckpt = 0.0;
+            while run.step(crate::sweep::DEFAULT_CKPT_EVENTS) > 0 && !run.is_finished() {
+                in_ckpt += timed(|| run.checkpoint_into(&mut buf)).1;
+                checkpoints += 1;
+            }
+            ckpt_wall = ckpt_wall.min(in_ckpt);
+            assert!(checkpoints > 0, "the run took no checkpoint");
+            assert_eq!(
+                run.finish().aggregated.p99.to_bits(),
+                plain.aggregated.p99.to_bits(),
+                "the checkpointed run drifted from the plain run"
+            );
+        }
+        let share = ckpt_wall / plain_wall;
+        eprintln!("checkpoint serialisation: {:.2}% of the plain run", share * 100.0);
+        if !cfg!(debug_assertions) {
+            assert!(
+                share <= 0.05,
+                "checkpoint serialisation took {:.1}% of the plain run (budget 5%)",
+                share * 100.0
+            );
+        }
+    }
+
     #[test]
     fn tail_monitor_survives_resume_bit_exactly() {
         // The monitor folds each client's new records at every step
@@ -464,16 +434,8 @@ mod tests {
 
         assert_eq!(straight.tail().count(), resumed.tail().count());
         assert_eq!(
-            straight.tail().mean_us().to_bits(),
-            resumed.tail().mean_us().to_bits()
-        );
-        assert_eq!(
             straight.tail().p99_us().to_bits(),
             resumed.tail().p99_us().to_bits()
-        );
-        assert_eq!(
-            straight.tail().quantile_us(0.999).to_bits(),
-            resumed.tail().quantile_us(0.999).to_bits()
         );
     }
 

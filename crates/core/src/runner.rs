@@ -447,14 +447,6 @@ impl LoadTestReport {
         self.run.delivered_in_window as f64 / expected
     }
 
-    /// Right-censored latencies (µs) of measurement-window requests the
-    /// tester abandoned — the lower bounds
-    /// [`crate::omission::correct_with_censored`] consumes alongside
-    /// [`LoadTestReport::pooled_latencies`].
-    pub fn censored_latencies(&self) -> Vec<f64> {
-        self.run.censored_latencies_us(SimTime::ZERO + self.warmup)
-    }
-
     /// Fraction of settled requests that ended in failure over the
     /// whole run (0.0 for a clean run).
     pub fn loss_fraction(&self) -> f64 {

@@ -132,40 +132,6 @@ impl Graph {
         self.fn_locs.iter().position(|&loc| loc == (fi, li))
     }
 
-    /// `mod child;` declarations of `file` resolved to workspace file
-    /// paths (the per-crate module graph).
-    pub fn module_children(&self, file: &str) -> Vec<String> {
-        let Some(&fi) = self.file_index.get(file) else {
-            return Vec::new();
-        };
-        let path = &self.files[fi].path;
-        let dir = match path.rsplit_once('/') {
-            Some((d, leaf)) => {
-                if leaf == "lib.rs" || leaf == "main.rs" || leaf == "mod.rs" {
-                    d.to_string()
-                } else {
-                    // `foo.rs` owns `foo/bar.rs`.
-                    format!("{d}/{}", leaf.trim_end_matches(".rs"))
-                }
-            }
-            None => String::new(),
-        };
-        let mut out = Vec::new();
-        for child in &self.files[fi].mod_decls {
-            for cand in [
-                format!("{dir}/{child}.rs"),
-                format!("{dir}/{child}/mod.rs"),
-            ] {
-                let cand = cand.trim_start_matches('/').to_string();
-                if self.file_index.contains_key(&cand) {
-                    out.push(cand);
-                    break;
-                }
-            }
-        }
-        out
-    }
-
     fn can_call(&self, from_crate: &str, to_crate: &str) -> bool {
         if from_crate == to_crate || self.deps_unknown {
             return true;
@@ -597,19 +563,6 @@ fn handler() { write_atomic(1, 2); }
             ],
         );
         assert_eq!(callees(&g, "top"), vec!["bottom"]);
-    }
-
-    #[test]
-    fn module_children_resolve_sibling_and_subdir() {
-        let g = build(&[
-            ("crates/core/src/lib.rs", "mod sweep;\nmod deep;\n"),
-            ("crates/core/src/sweep.rs", ""),
-            ("crates/core/src/deep/mod.rs", ""),
-        ]);
-        assert_eq!(
-            g.module_children("crates/core/src/lib.rs"),
-            vec!["crates/core/src/sweep.rs", "crates/core/src/deep/mod.rs"]
-        );
     }
 
     #[test]

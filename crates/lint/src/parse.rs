@@ -149,8 +149,6 @@ pub struct ParsedFile {
     /// Workspace-relative path (unix separators).
     pub path: String,
     pub fns: Vec<FnDef>,
-    /// `mod name;` declarations (child files of this module).
-    pub mod_decls: Vec<String>,
     pub imports: Vec<Import>,
     /// 1-based lines declaring a `Vec<Mutex<…>>` (or array of
     /// mutexes) — marks the file as using the sharded-lock pattern
@@ -400,13 +398,9 @@ pub fn parse_file(path: &str, model: &SourceModel) -> ParsedFile {
                 }
             }
             Tok::Ident(w) if w == "mod" => {
-                if let Some(name) = toks.get(i + 1).and_then(|t| ident_of(&t.tok)) {
-                    let name = name.to_string();
+                if toks.get(i + 1).and_then(|t| ident_of(&t.tok)).is_some() {
                     match toks.get(i + 2).map(|t| &t.tok) {
-                        Some(t) if is_op(t, ";") => {
-                            out.mod_decls.push(name);
-                            i += 3;
-                        }
+                        Some(t) if is_op(t, ";") => i += 3,
                         Some(t) if is_op(t, "{") => {
                             blocks.push(BlockKind::Mod);
                             i += 3;

@@ -23,7 +23,7 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -900,12 +900,4 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
     } else {
         "non-string panic payload"
     }
-}
-
-/// Reads `addr.txt` from a state dir — how tests and the CLI discover
-/// a server bound to port 0.
-pub fn read_addr_file(state_dir: &Path) -> io::Result<String> {
-    Ok(fs::read_to_string(state_dir.join("addr.txt"))?
-        .trim()
-        .to_string())
 }

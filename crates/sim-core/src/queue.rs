@@ -117,11 +117,6 @@ impl RateQueue {
         self.jobs
     }
 
-    /// Cumulative busy (service) time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
     /// Cumulative queueing (waiting) time across all jobs.
     pub fn total_queueing(&self) -> SimDuration {
         self.total_queueing
@@ -144,14 +139,6 @@ impl RateQueue {
             return 0.0;
         }
         (self.busy.as_nanos() as f64 / elapsed as f64).min(1.0)
-    }
-
-    /// Resets counters but keeps the server's `free_at` horizon, so
-    /// measurement windows can be restarted without breaking causality.
-    pub fn reset_counters(&mut self) {
-        self.busy = SimDuration::ZERO;
-        self.jobs = 0;
-        self.total_queueing = SimDuration::ZERO;
     }
 
     /// The mutable state a checkpoint must capture (the name is
@@ -231,7 +218,6 @@ mod tests {
         q.offer(SimTime::ZERO, SimDuration::from_micros(10));
         q.offer(SimTime::ZERO, SimDuration::from_micros(10));
         assert_eq!(q.jobs(), 2);
-        assert_eq!(q.busy_time(), SimDuration::from_micros(20));
         assert_eq!(q.total_queueing(), SimDuration::from_micros(10));
         assert_eq!(q.mean_queueing_micros(), 5.0);
         // 20us busy over 40us elapsed = 50% utilisation.
@@ -244,16 +230,5 @@ mod tests {
         q.offer(SimTime::ZERO, SimDuration::from_micros(100));
         assert_eq!(q.utilization(SimTime::from_micros(10)), 1.0);
         assert_eq!(RateQueue::new("idle").utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn reset_counters_keeps_horizon() {
-        let mut q = RateQueue::new("q");
-        q.offer(SimTime::ZERO, SimDuration::from_micros(10));
-        q.reset_counters();
-        assert_eq!(q.jobs(), 0);
-        // Still busy until 10us: a job at 5us must wait.
-        let out = q.offer(SimTime::from_micros(5), SimDuration::from_micros(1));
-        assert_eq!(out.queueing, SimDuration::from_micros(5));
     }
 }

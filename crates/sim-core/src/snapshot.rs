@@ -32,7 +32,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TMLS";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions rather than guessing.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Errors surfaced while opening or decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -324,13 +324,6 @@ impl SnapshotWriter {
         self.put_u64(d.as_nanos());
     }
 
-    /// Writes a length-prefixed byte string.
-    #[inline]
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_usize(bytes.len());
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Appends raw bytes with no length prefix — for fixed-layout
     /// structs encoded into a stack buffer first, so a hot serialisation
     /// loop costs one capacity check per struct instead of one per
@@ -477,17 +470,6 @@ impl<'a> SnapshotReader<'a> {
     pub fn get_duration(&mut self) -> Result<SimDuration, SnapshotError> {
         Ok(SimDuration::from_nanos(self.get_u64()?))
     }
-
-    /// Reads a length-prefixed byte string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Truncated`] if the payload ends early.
-    #[inline]
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let len = self.get_usize()?;
-        self.take(len)
-    }
 }
 
 #[cfg(test)]
@@ -507,7 +489,6 @@ mod tests {
         w.put_f64(f64::from_bits(0x7ff8_dead_beef_0001)); // NaN payload
         w.put_time(SimTime::from_nanos(42));
         w.put_duration(SimDuration::from_micros(7));
-        w.put_bytes(b"payload");
         let bytes = w.into_bytes();
 
         let mut r = SnapshotReader::new(&bytes);
@@ -521,7 +502,6 @@ mod tests {
         assert_eq!(r.get_f64().unwrap().to_bits(), 0x7ff8_dead_beef_0001);
         assert_eq!(r.get_time().unwrap(), SimTime::from_nanos(42));
         assert_eq!(r.get_duration().unwrap(), SimDuration::from_micros(7));
-        assert_eq!(r.get_bytes().unwrap(), b"payload");
         r.finish().unwrap();
     }
 

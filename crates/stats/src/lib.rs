@@ -42,7 +42,6 @@ pub mod compare;
 pub mod distribution;
 pub mod histogram;
 pub mod linalg;
-pub mod loghist;
 pub mod p2;
 pub mod quantile;
 pub mod regression;
@@ -50,7 +49,6 @@ pub mod streaming;
 pub mod summary;
 
 pub use histogram::{AdaptiveHistogram, HistogramConfig, StaticHistogram};
-pub use loghist::{LogHistogram, LogHistogramState};
 pub use p2::{P2Quantile, P2State};
-pub use streaming::{StreamingState, StreamingStats};
+pub use streaming::StreamingStats;
 pub use summary::LatencySummary;

@@ -3,9 +3,9 @@
 //!
 //! Treadmill's adaptive histogram needs a calibration phase before it
 //! can bin; P² needs none and uses five markers of constant memory.
-//! It is provided as an alternative aggregation backend and as a
-//! cross-check for the histogram's estimates: both must agree at
-//! steady state, and the ablation benchmarks compare their costs.
+//! That makes it the live p99 of a checkpointed run (the tail monitor
+//! in `treadmill_core::resumable`), and a cross-check for the
+//! histogram's estimates: both must agree at steady state.
 
 /// A streaming estimator of one quantile using the P² algorithm.
 ///

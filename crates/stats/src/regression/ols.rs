@@ -22,13 +22,6 @@ pub struct OlsFit {
     pub residual_variance: f64,
 }
 
-impl OlsFit {
-    /// The raw coefficient vector, in design-term order.
-    pub fn coefficient_values(&self) -> Vec<f64> {
-        self.coefficients.iter().map(|c| c.estimate).collect()
-    }
-}
-
 /// Fits `y = Xβ + ε` by least squares.
 ///
 /// `term_labels` provides display names for the coefficient table and

@@ -99,67 +99,6 @@ impl StreamingStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Captures the full accumulator state for checkpointing. Feeding
-    /// the result to [`StreamingStats::from_state`] yields an
-    /// accumulator whose every subsequent [`StreamingStats::record`]
-    /// and statistic is bit-identical to this one's.
-    pub fn state(&self) -> StreamingState {
-        StreamingState {
-            count: self.count,
-            mean: self.mean,
-            m2: self.m2,
-            min: self.min,
-            max: self.max,
-        }
-    }
-
-    /// Rebuilds an accumulator from a checkpointed [`StreamingState`].
-    pub fn from_state(state: StreamingState) -> Self {
-        StreamingStats {
-            count: state.count,
-            mean: state.mean,
-            m2: state.m2,
-            min: state.min,
-            max: state.max,
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A [`StreamingStats`] accumulator's full state, captured for
-/// checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamingState {
-    /// Number of observations.
-    pub count: u64,
-    /// Running mean.
-    pub mean: f64,
-    /// Sum of squared deviations (Welford's M2).
-    pub m2: f64,
-    /// Smallest observation, `+inf` if empty.
-    pub min: f64,
-    /// Largest observation, `-inf` if empty.
-    pub max: f64,
 }
 
 impl FromIterator<f64> for StreamingStats {
@@ -204,51 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_combined_stream() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.7).sin() * 10.0 + 5.0).collect();
-        let combined: StreamingStats = data.iter().copied().collect();
-        let mut left: StreamingStats = data[..37].iter().copied().collect();
-        let right: StreamingStats = data[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), combined.count());
-        assert!((left.mean() - combined.mean()).abs() < 1e-9);
-        assert!((left.sample_variance() - combined.sample_variance()).abs() < 1e-9);
-        assert_eq!(left.min(), combined.min());
-        assert_eq!(left.max(), combined.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s: StreamingStats = [1.0, 2.0].into_iter().collect();
-        let before = s.clone();
-        s.merge(&StreamingStats::new());
-        assert_eq!(s, before);
-        let mut empty = StreamingStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn state_round_trip_is_bit_identical() {
-        let mut original = StreamingStats::new();
-        for i in 0..7_777 {
-            original.record((f64::from(i) * 0.31).sin() * 40.0 + 3.0);
-        }
-        let mut resumed = StreamingStats::from_state(original.state());
-        assert_eq!(original, resumed);
-        for i in 0..7_777 {
-            let v = (f64::from(i) * 0.77).cos() * 12.0 - 1.0;
-            original.record(v);
-            resumed.record(v);
-        }
-        assert_eq!(original.count(), resumed.count());
-        assert_eq!(original.mean().to_bits(), resumed.mean().to_bits());
-        assert_eq!(original.m2.to_bits(), resumed.m2.to_bits());
-        assert_eq!(original.min().to_bits(), resumed.min().to_bits());
-        assert_eq!(original.max().to_bits(), resumed.max().to_bits());
-    }
-
-    #[test]
     fn extend_appends() {
         let mut s = StreamingStats::new();
         s.extend([1.0, 2.0, 3.0]);
@@ -269,22 +163,6 @@ mod tests {
             let s: StreamingStats = data.iter().copied().collect();
             prop_assert!(s.population_variance() >= -1e-9);
             prop_assert!(s.sample_variance() >= -1e-9);
-        }
-
-        #[test]
-        fn merge_is_order_insensitive(
-            a in prop::collection::vec(-1e3f64..1e3, 0..50),
-            b in prop::collection::vec(-1e3f64..1e3, 0..50),
-        ) {
-            let sa: StreamingStats = a.iter().copied().collect();
-            let sb: StreamingStats = b.iter().copied().collect();
-            let mut ab = sa.clone();
-            ab.merge(&sb);
-            let mut ba = sb.clone();
-            ba.merge(&sa);
-            prop_assert_eq!(ab.count(), ba.count());
-            prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9);
-            prop_assert!((ab.m2 - ba.m2).abs() < 1e-6);
         }
     }
 }

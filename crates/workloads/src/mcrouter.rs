@@ -155,7 +155,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let n = 100_000;
         let total: f64 = (0..n)
-            .map(|_| w.sample_request(&mut rng).base_service_ns())
+            .map(|_| {
+                let r = w.sample_request(&mut rng);
+                r.cpu_ns + r.mem_ns
+            })
             .sum();
         let empirical = total / f64::from(n);
         let declared = w.mean_service_ns();

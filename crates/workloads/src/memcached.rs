@@ -101,24 +101,6 @@ impl Default for Memcached {
 }
 
 impl Memcached {
-    /// A read-heavy variant (99% GETs), matching Facebook's hottest
-    /// pools.
-    pub fn read_heavy() -> Self {
-        Memcached {
-            get_fraction: 0.99,
-            ..Default::default()
-        }
-    }
-
-    /// A write-heavy variant (50% SETs), the stress case for value
-    /// copies.
-    pub fn write_heavy() -> Self {
-        Memcached {
-            get_fraction: 0.5,
-            ..Default::default()
-        }
-    }
-
     /// Derives the hit rate from a Zipf key-popularity model: `keys`
     /// distinct keys with skew `exponent`, of which the hottest
     /// `cached_keys` fit in memory.
@@ -323,7 +305,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let n = 100_000;
         let total: f64 = (0..n)
-            .map(|_| w.sample_request(&mut rng).base_service_ns())
+            .map(|_| {
+                let r = w.sample_request(&mut rng);
+                r.cpu_ns + r.mem_ns
+            })
             .sum();
         let empirical = total / f64::from(n);
         let declared = w.mean_service_ns();
@@ -338,7 +323,10 @@ mod tests {
         let w = Memcached::default();
         let mut rng = SmallRng::seed_from_u64(4);
         let samples: Vec<f64> = (0..10_000)
-            .map(|_| w.sample_request(&mut rng).base_service_ns())
+            .map(|_| {
+                let r = w.sample_request(&mut rng);
+                r.cpu_ns + r.mem_ns
+            })
             .collect();
         let stats: treadmill_stats::StreamingStats = samples.iter().copied().collect();
         let cv = stats.sample_stddev() / stats.mean();
@@ -347,14 +335,16 @@ mod tests {
     }
 
     #[test]
-    fn variants_shift_the_mix() {
+    fn get_fraction_sets_the_write_share() {
         let mut rng = SmallRng::seed_from_u64(5);
-        let heavy = Memcached::write_heavy();
+        let heavy = Memcached {
+            get_fraction: 0.5,
+            ..Default::default()
+        };
         let writes = (0..10_000)
             .filter(|_| heavy.sample_request(&mut rng).class == OpClass::Write)
             .count();
         assert!((writes as f64 / 10_000.0 - 0.5).abs() < 0.02);
-        assert!(Memcached::read_heavy().get_fraction > 0.98);
     }
 
     #[test]
@@ -398,7 +388,8 @@ mod tests {
         let mut sum = 0.0;
         let mut sum_sq = 0.0;
         for _ in 0..n {
-            let s = w.sample_request(&mut rng).base_service_ns();
+            let r = w.sample_request(&mut rng);
+            let s = r.cpu_ns + r.mem_ns;
             sum += s;
             sum_sq += s * s;
         }

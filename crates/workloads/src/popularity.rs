@@ -9,15 +9,13 @@
 //! instead of hard-coding it.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// A Zipf(s) distribution over ranks `0..keys`, sampled by inverse CDF
 /// with a precomputed cumulative table (exact, O(log n) per draw).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZipfSampler {
     keys: u64,
     exponent: f64,
-    #[serde(skip, default)]
     cdf: Vec<f64>,
 }
 
@@ -82,7 +80,6 @@ impl ZipfSampler {
     /// Draws a key rank (0 = hottest).
     pub fn sample(&self, rng: &mut dyn RngCore) -> u64 {
         use rand::Rng;
-        debug_assert!(!self.cdf.is_empty(), "sampler not initialised");
         let u: f64 = rng.gen::<f64>();
         let idx = self.cdf.partition_point(|&c| c < u);
         if idx < self.cdf.len() {
@@ -105,14 +102,6 @@ impl ZipfSampler {
         }
         let idx = (capacity as usize).min(self.cdf.len());
         self.cdf[idx - 1].min(1.0)
-    }
-
-    /// Rebuilds internal tables after deserialisation (serde skips the
-    /// CDF).
-    pub fn ensure_initialized(&mut self) {
-        if self.cdf.is_empty() {
-            self.build_cdf();
-        }
     }
 }
 
@@ -169,18 +158,6 @@ mod tests {
             (empirical - analytic).abs() < 0.02,
             "empirical {empirical} vs analytic {analytic}"
         );
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds_tables() {
-        let zipf = ZipfSampler::new(1_000, 1.0);
-        let json = serde_json::to_string(&zipf).unwrap();
-        let mut back: ZipfSampler = serde_json::from_str(&json).unwrap();
-        back.ensure_initialized();
-        assert_eq!(back.keys(), 1_000);
-        let mut rng = SmallRng::seed_from_u64(4);
-        let _ = back.sample(&mut rng);
-        assert!((back.hit_rate(1_000) - zipf.hit_rate(1_000)).abs() < 1e-12);
     }
 
     #[test]

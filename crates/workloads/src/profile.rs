@@ -47,14 +47,6 @@ pub struct RequestProfile {
     pub mem_ns: f64,
 }
 
-impl RequestProfile {
-    /// Total service demand at base frequency with local memory, in
-    /// nanoseconds.
-    pub fn base_service_ns(&self) -> f64 {
-        self.cpu_ns + self.mem_ns
-    }
-}
-
 /// Closed-form moments of a workload's service-demand and wire-size
 /// distributions — the input to the analytic fast-path estimator
 /// (`treadmill_inference::analytic`), which needs second moments and a
@@ -131,17 +123,5 @@ mod tests {
         assert_eq!(OpClass::Read.to_string(), "read");
         assert_eq!(OpClass::Write.to_string(), "write");
         assert_eq!(OpClass::Route.to_string(), "route");
-    }
-
-    #[test]
-    fn base_service_sums_components() {
-        let p = RequestProfile {
-            class: OpClass::Read,
-            request_bytes: 64,
-            response_bytes: 256,
-            cpu_ns: 9_000.0,
-            mem_ns: 3_000.0,
-        };
-        assert_eq!(p.base_service_ns(), 12_000.0);
     }
 }

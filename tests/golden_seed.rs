@@ -200,6 +200,44 @@ fn threshold_zero_screened_sweep_matches_full_factorial_bytes() {
     // factorial must not.
     assert!(screened_dir.join("screen.tsv").exists());
     assert!(!full_dir.join("screen.tsv").exists());
+
+    // A screen that drops cells must still give every kept cell the
+    // full factorial's bytes: a cell's seed comes from its hardware
+    // index, never from its position among the simulated cells. At
+    // threshold 0 every position equals its index, so only a screen
+    // that drops a cell in front of a kept one can tell the two apart.
+    let dropping_dir = base.join("dropping");
+    let plan = screen_hardware(&config, 0.2).unwrap();
+    assert_eq!(plan.flagged, vec![0, 1, 2, 3, 8, 9, 10, 11]);
+    let outcome = run_screened_sweep(&config, &dropping_dir, &opts, &plan.to_sweep_plan()).unwrap();
+    assert_eq!(outcome.simulated, plan.flagged);
+    let mut split: Vec<usize> = outcome
+        .simulated
+        .iter()
+        .chain(&outcome.screened_out)
+        .copied()
+        .collect();
+    split.sort_unstable();
+    assert_eq!(
+        split,
+        (0..16).collect::<Vec<_>>(),
+        "simulated and screened_out must split the cells"
+    );
+    for &cell in &outcome.simulated {
+        for artifact in ["summary.tsv", "attribution.tsv", "cell_0.tsv"] {
+            let rel = format!("hw_{cell:02}/{artifact}");
+            let full = fs::read(full_dir.join(&rel)).unwrap();
+            let kept = fs::read(dropping_dir.join(&rel)).unwrap();
+            assert_eq!(full, kept, "{rel} bytes diverged under a dropping screen");
+        }
+    }
+    for &cell in &outcome.screened_out {
+        let rel = format!("hw_{cell:02}");
+        assert!(
+            !dropping_dir.join(&rel).exists(),
+            "screened-out cell wrote {rel}/"
+        );
+    }
     let _ = fs::remove_dir_all(&base);
 }
 
