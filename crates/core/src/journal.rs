@@ -15,7 +15,11 @@
 //!   counted and skipped, never fatal.
 //!
 //! [`write_atomic`] is the companion for whole files (artifacts,
-//! checkpoints): a reader sees the old file or the new one, never a mix.
+//! checkpoint envelopes): a reader sees the old file or the new one,
+//! never a mix. [`append_synced_with`] and [`truncate_synced`] serve
+//! binary append-only files (a checkpoint's record segment): a streamed
+//! append made durable before anything refers to it, and the cut that
+//! drops what a crash appended past the last committed byte.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
@@ -100,11 +104,49 @@ fn seal_torn_tail(path: &Path) -> io::Result<()> {
     append_synced(path, b"\n")
 }
 
-/// The one durable append: open for append, one write, one fsync.
+/// A durable append of one byte string.
 fn append_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    append_synced_with(path, |file| file.write_all(bytes))
+}
+
+/// The one durable append: opens the file at `path` for append
+/// (creating it if missing), lets `fill` write to it, then fsyncs it.
+/// A writer that produces its bytes piece by piece streams them here.
+/// Returns `fill`'s value once the bytes are on disk.
+///
+/// # Errors
+///
+/// Filesystem errors, or `fill`'s; the appended bytes may then be
+/// absent or torn.
+pub fn append_synced_with<T>(
+    path: &Path,
+    fill: impl FnOnce(&mut File) -> io::Result<T>,
+) -> io::Result<T> {
     let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    file.write_all(bytes)?;
-    file.sync_all()
+    let value = fill(&mut file)?;
+    file.sync_all()?;
+    Ok(value)
+}
+
+/// Cuts the file at `path` back to its first `len` bytes and fsyncs
+/// the cut, so the next append continues byte `len` instead of landing
+/// on whatever lay past it. A shorter file is left as it is, and a
+/// missing one stays missing.
+///
+/// # Errors
+///
+/// Filesystem errors; the file may then still be longer than `len`.
+pub fn truncate_synced(path: &Path, len: u64) -> io::Result<()> {
+    let file = match OpenOptions::new().write(true).open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    if file.metadata()?.len() > len {
+        file.set_len(len)?;
+        file.sync_all()?;
+    }
+    Ok(())
 }
 
 /// Writes `contents` to `path` atomically: a `*.tmp` sibling in the
@@ -232,6 +274,24 @@ mod tests {
         // Invalid UTF-8 and a record of the wrong shape; the blank line
         // is not a record at all.
         assert_eq!(replay.unparseable, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_append_and_truncate_keep_the_committed_prefix() {
+        let dir = tempdir("segment");
+        let path = dir.join("cell_0.records");
+        // Cutting a file that does not exist yet is a no-op.
+        truncate_synced(&path, 0).expect("truncate missing");
+        assert!(!path.exists());
+        let n = append_synced_with(&path, |f| f.write_all(b"first ").map(|()| 6)).expect("append");
+        assert_eq!(n, 6);
+        append_synced_with(&path, |f| f.write_all(b"debris")).expect("append");
+        truncate_synced(&path, 6).expect("truncate");
+        // A cut past the end leaves the file alone.
+        truncate_synced(&path, 100).expect("truncate past end");
+        append_synced_with(&path, |f| f.write_all(b"second")).expect("append");
+        assert_eq!(fs::read(&path).expect("read"), b"first second");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -4,9 +4,15 @@
 //! build, but in bounded event batches, with three extras a long
 //! unattended run needs:
 //!
-//! * **checkpointing** — [`ResumableRun::checkpoint`] captures the
-//!   engine snapshot ([`treadmill_cluster::checkpoint`]) *plus* the
-//!   streaming tail estimator into one sealed envelope;
+//! * **checkpointing** — [`ResumableRun::checkpoint`] writes a
+//!   checkpoint in two parts. The records completed since the previous
+//!   checkpoint go onto an append-only *record segment* as one chunk
+//!   ([`treadmill_cluster::checkpoint::write_chunk`]), streamed through
+//!   a fixed-size buffer; everything else — engine state, the per-client
+//!   cursors, the segment's committed length and checksum, the
+//!   streaming tail estimator — comes back as one small sealed
+//!   *envelope*. A checkpoint therefore costs its new records in bytes
+//!   and time and a constant in memory, however long the run.
 //!   [`ResumableRun::resume`] restores both, so a run killed at any
 //!   event and resumed from its last checkpoint finishes with a
 //!   bit-identical [`LoadTestReport`];
@@ -15,13 +21,52 @@
 //!   touching the record vectors;
 //! * **auditing** — [`ResumableRun::audit`] runs the cluster invariant
 //!   checks against the live engines, e.g. at every checkpoint.
+//!
+//! Records stay in memory until the report: its quantiles are exact, so
+//! they need every sample.
 
-use treadmill_cluster::{checkpoint, merge_results, ClientMachine, ShardedCluster};
-use treadmill_sim_core::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use std::io::{self, BufReader, BufWriter, Read, Write};
+
+use treadmill_cluster::checkpoint::{self, RecordCursor};
+use treadmill_cluster::{merge_results, ClientMachine, ShardedCluster};
+use treadmill_sim_core::snapshot::{
+    self, Checksum64, SnapshotError, SnapshotReader, SnapshotWriter,
+};
 use treadmill_sim_core::SimTime;
 use treadmill_stats::{P2Quantile, P2State};
 
 use crate::runner::{LoadTest, LoadTestReport};
+
+/// The fixed buffer a checkpoint streams its records through, and a
+/// resume reads them back through.
+const SEGMENT_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Passes bytes through to `inner` and folds each one into `sum`, so
+/// the segment's checksum is kept without a second pass over it.
+struct Hashed<'a, T> {
+    inner: T,
+    sum: &'a mut Checksum64,
+}
+
+impl<T: Write> Write for Hashed<'_, T> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.sum.update(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl<T: Read> Read for Hashed<'_, T> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.sum.update(&buf[..n]);
+        Ok(n)
+    }
+}
 
 /// A constant-memory P² p99 estimate over the measurement-window
 /// latencies, fed incrementally as records arrive.
@@ -111,6 +156,11 @@ pub struct ResumableRun {
     /// in shard-then-client order, a pure function of simulated state —
     /// thread count never changes the observation stream.
     consumed: Vec<Vec<usize>>,
+    /// Per-shard, per-client cursors of the records already on the
+    /// record segment.
+    persisted: Vec<Vec<RecordCursor>>,
+    /// Length and running checksum of the segment's committed bytes.
+    segment: Checksum64,
     monitor: TailMonitor,
 }
 
@@ -131,23 +181,6 @@ fn fold_records(
     }
 }
 
-fn write_consumed(w: &mut SnapshotWriter, consumed: &[usize]) {
-    w.put_u64(consumed.len() as u64);
-    for &n in consumed {
-        w.put_usize(n);
-    }
-}
-
-fn read_consumed(r: &mut SnapshotReader<'_>) -> Result<Vec<usize>, SnapshotError> {
-    let n = r.get_u64()?;
-    let n = usize::try_from(n).map_err(|_| SnapshotError::Malformed("length overflows usize"))?;
-    let mut consumed = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        consumed.push(r.get_usize()?);
-    }
-    Ok(consumed)
-}
-
 impl ResumableRun {
     /// Starts run number `run_index` of `test` from event zero, on the
     /// same [`ShardedCluster`] [`LoadTest::run`] builds.
@@ -157,11 +190,14 @@ impl ResumableRun {
         let consumed = (0..cluster.n_shards())
             .map(|i| vec![0; cluster.engine(i).world().clients.len()])
             .collect();
+        let persisted = vec![Vec::new(); cluster.n_shards()];
         ResumableRun {
             test,
             run_seed,
             cluster,
             consumed,
+            persisted,
+            segment: Checksum64::new(),
             monitor: TailMonitor::new(),
         }
     }
@@ -204,52 +240,79 @@ impl ResumableRun {
         treadmill_cluster::audit_sharded(&self.cluster, max_pending)
     }
 
-    /// Captures the full run state — engine snapshot plus the tail
-    /// monitor — as one sealed, checksummed envelope. The engine
-    /// payload is embedded directly (not double-sealed), so the whole
-    /// checkpoint costs one serialisation pass and one checksum.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.checkpoint_into(&mut buf);
-        buf
-    }
-
-    /// [`ResumableRun::checkpoint`], but recycling `buf`'s allocation.
-    /// A loop that checkpoints every few million events should pass the
-    /// same buffer each time: reusing the multi-megabyte backing store
-    /// avoids a fresh allocation — and its page-fault cost — per
-    /// checkpoint, which is most of the snapshot wall time.
-    pub fn checkpoint_into(&self, buf: &mut Vec<u8>) {
-        let scratch = std::mem::take(buf);
-        let hint: usize = (0..self.cluster.n_shards())
-            .map(|i| checkpoint::payload_size_hint(&self.cluster.engine(i)))
-            .sum();
-        let mut w = SnapshotWriter::sealing_reuse(scratch, hint + 8192);
-        w.put_u64(self.run_seed);
-        // The shard count, then one (payload, consumed) section per
-        // shard in shard order. A checkpoint is only ever taken at a
-        // round boundary (outboxes empty), so per-shard payloads are
-        // self-contained.
-        w.put_u32(u32::try_from(self.cluster.n_shards()).unwrap_or(u32::MAX));
-        for (i, consumed) in self.consumed.iter().enumerate() {
-            checkpoint::write_payload(&self.cluster.engine(i), &mut w);
-            write_consumed(&mut w, consumed);
-        }
-        self.monitor.write(&mut w);
-        *buf = w.into_sealed();
-    }
-
-    /// Restores a run from a [`ResumableRun::checkpoint`] envelope.
-    /// `test` and `run_index` must describe the same configuration the
-    /// checkpoint was taken from.
+    /// Takes a checkpoint: streams the records completed since the
+    /// previous checkpoint onto `segment` as one chunk (every shard's
+    /// section, through a fixed-size buffer), then returns the sealed
+    /// envelope that commits it — engine state, cursors, the segment's
+    /// committed length and checksum, and the tail monitor.
+    ///
+    /// `segment` continues the bytes earlier checkpoints of this run
+    /// wrote (or that [`ResumableRun::resume`] read back). Make them
+    /// durable before publishing the envelope: an envelope must never
+    /// commit bytes a crash can lose.
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] if the envelope is corrupt, was
-    /// taken under a different seed, or disagrees structurally with
-    /// the configuration.
-    pub fn resume(test: LoadTest, run_index: u64, bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let payload = snapshot::open(bytes)?;
+    /// Whatever `segment` returns. The run no longer knows where its
+    /// segment ends; take no further checkpoint from it.
+    pub fn checkpoint<W: Write>(&mut self, segment: &mut W) -> io::Result<Vec<u8>> {
+        let mut out = BufWriter::with_capacity(
+            SEGMENT_BUFFER_BYTES,
+            Hashed {
+                inner: segment,
+                sum: &mut self.segment,
+            },
+        );
+        // One chunk per checkpoint, shard sections in shard order. A
+        // checkpoint is only ever taken at a round boundary (outboxes
+        // empty), so each shard's state is self-contained.
+        for (i, cursors) in self.persisted.iter_mut().enumerate() {
+            checkpoint::write_chunk(&self.cluster.engine(i), cursors, &mut out)?;
+        }
+        out.flush()?;
+        drop(out);
+
+        let hint: usize = (0..self.cluster.n_shards())
+            .map(|i| checkpoint::state_size_hint(&self.cluster.engine(i)))
+            .sum();
+        let mut w = SnapshotWriter::sealing(hint + 1024);
+        w.put_u64(self.run_seed);
+        w.put_u64(self.segment.len());
+        w.put_u64(self.segment.value());
+        w.put_u32(u32::try_from(self.cluster.n_shards()).unwrap_or(u32::MAX));
+        for i in 0..self.cluster.n_shards() {
+            checkpoint::write_state(&self.cluster.engine(i), &mut w);
+        }
+        self.monitor.write(&mut w);
+        Ok(w.into_sealed())
+    }
+
+    /// Bytes of record segment this run's checkpoints have committed.
+    pub fn segment_len(&self) -> u64 {
+        self.segment.len()
+    }
+
+    /// Restores a run from a [`ResumableRun::checkpoint`] envelope and
+    /// its record segment. Exactly the segment's committed prefix is
+    /// read, so bytes a crash appended past it are ignored; cut them off
+    /// (to [`ResumableRun::segment_len`]) before the next checkpoint
+    /// appends. `test` and `run_index` must describe the same
+    /// configuration the checkpoint was taken from.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SnapshotError`] if the envelope is corrupt or was
+    /// taken under a different seed, if the segment is shorter than the
+    /// envelope commits ([`SnapshotError::Truncated`]) or its committed
+    /// prefix does not match the envelope's checksum, or if either
+    /// disagrees structurally with the configuration.
+    pub fn resume<R: Read>(
+        test: LoadTest,
+        run_index: u64,
+        envelope: &[u8],
+        segment: R,
+    ) -> Result<Self, SnapshotError> {
+        let payload = snapshot::open(envelope)?;
         let mut r = SnapshotReader::new(payload);
         let run_seed = r.get_u64()?;
         if run_seed != test.derive_run_seed(run_index) {
@@ -257,19 +320,43 @@ impl ResumableRun {
                 "checkpoint was taken under a different run seed",
             ));
         }
+        let committed = r.get_u64()?;
+        let checksum = r.get_u64()?;
         if r.get_u32()? != test.server_count() {
             return Err(SnapshotError::Malformed("shard count mismatch"));
         }
         let mut cluster = test.build_sharded(run_seed);
+
+        let mut sum = Checksum64::new();
+        let mut input = Hashed {
+            inner: BufReader::with_capacity(SEGMENT_BUFFER_BYTES, segment.take(committed)),
+            sum: &mut sum,
+        };
+        while input.sum.len() < committed {
+            for i in 0..cluster.n_shards() {
+                checkpoint::read_chunk(cluster.engine_mut(i), &mut input)?;
+            }
+        }
+        if sum.value() != checksum {
+            return Err(SnapshotError::ChecksumMismatch);
+        }
+
         let mut consumed = Vec::with_capacity(cluster.n_shards());
+        let mut persisted = Vec::with_capacity(cluster.n_shards());
         for i in 0..cluster.n_shards() {
             let engine = cluster.engine_mut(i);
-            checkpoint::read_payload(engine, &mut r)?;
-            let c = read_consumed(&mut r)?;
-            if c.len() != engine.world().clients.len() {
-                return Err(SnapshotError::Malformed("client count mismatch"));
-            }
-            consumed.push(c);
+            checkpoint::read_state(engine, &mut r)?;
+            let clients = &engine.world().clients;
+            consumed.push(clients.iter().map(|c| c.records.len()).collect());
+            persisted.push(
+                clients
+                    .iter()
+                    .map(|c| RecordCursor {
+                        records: c.records.len(),
+                        failures: c.failures.len(),
+                    })
+                    .collect(),
+            );
         }
         let monitor = TailMonitor::read(&mut r)?;
         r.finish()?;
@@ -278,6 +365,8 @@ impl ResumableRun {
             run_seed,
             cluster,
             consumed,
+            persisted,
+            segment: sum,
             monitor,
         })
     }
@@ -348,12 +437,14 @@ mod tests {
         let golden = quick_test().run(0);
 
         // Simulate a crash: step partway, checkpoint, drop everything.
-        let bytes = {
+        let mut segment = Vec::new();
+        let envelope = {
             let mut run = ResumableRun::new(quick_test(), 0);
             run.step(40_000);
-            run.checkpoint()
+            run.checkpoint(&mut segment).expect("checkpoint")
         };
-        let mut resumed = ResumableRun::resume(quick_test(), 0, &bytes).expect("resume");
+        let mut resumed =
+            ResumableRun::resume(quick_test(), 0, &envelope, segment.as_slice()).expect("resume");
         while resumed.step(10_000) > 0 {}
         assert!(resumed.audit(usize::MAX).is_empty());
         assert_reports_identical(&golden, &resumed.finish());
@@ -367,43 +458,55 @@ mod tests {
         (out, start.elapsed().as_secs_f64())
     }
 
-    #[test]
-    fn checkpoint_serialisation_stays_within_five_percent_of_a_run() {
-        // A sweep cell's steady state: checkpoints every
-        // DEFAULT_CKPT_EVENTS events into one recycled buffer. Only the
-        // checkpoint calls are timed, against the plain run's wall;
-        // minima over three deterministic repetitions strip scheduler
-        // noise. The budget holds for optimised code only: under the
-        // test profile (opt-level 1) serialisation is relatively slower.
-        let test = LoadTest::new(Arc::new(Memcached::default()), 250_000.0)
-            .clients(4)
-            .duration(SimDuration::from_millis(400))
-            .warmup(SimDuration::from_millis(100))
-            .seed(2016);
+    /// A sweep cell's steady state: a checkpoint every
+    /// DEFAULT_CKPT_EVENTS events, its records streamed to a sink (no
+    /// disk, no fsync). Only the checkpoint calls are timed, against the
+    /// plain run's wall; minima over `reps` deterministic repetitions
+    /// strip scheduler noise. Returns the share of the plain run's wall
+    /// spent checkpointing, and the checkpoints per run.
+    fn checkpoint_share(test: &LoadTest, reps: usize) -> (f64, usize) {
         let mut plain_wall = f64::INFINITY;
         let mut ckpt_wall = f64::INFINITY;
-        let mut buf = Vec::new();
-        for _ in 0..3 {
+        let mut checkpoints = 0;
+        for _ in 0..reps {
             let (plain, wall) = timed(|| test.run(0));
             plain_wall = plain_wall.min(wall);
+            // Only its p99 is compared; the records go before the next run.
+            let plain_p99 = plain.aggregated.p99.to_bits();
+            drop(plain);
 
             let mut run = ResumableRun::new(test.clone(), 0);
-            let mut checkpoints = 0;
+            checkpoints = 0;
             let mut in_ckpt = 0.0;
             while run.step(crate::sweep::DEFAULT_CKPT_EVENTS) > 0 && !run.is_finished() {
-                in_ckpt += timed(|| run.checkpoint_into(&mut buf)).1;
+                in_ckpt += timed(|| run.checkpoint(&mut io::sink()).expect("checkpoint")).1;
                 checkpoints += 1;
             }
             ckpt_wall = ckpt_wall.min(in_ckpt);
             assert!(checkpoints > 0, "the run took no checkpoint");
             assert_eq!(
                 run.finish().aggregated.p99.to_bits(),
-                plain.aggregated.p99.to_bits(),
+                plain_p99,
                 "the checkpointed run drifted from the plain run"
             );
         }
-        let share = ckpt_wall / plain_wall;
-        eprintln!("checkpoint serialisation: {:.2}% of the plain run", share * 100.0);
+        (ckpt_wall / plain_wall, checkpoints)
+    }
+
+    #[test]
+    fn checkpoint_serialisation_stays_within_five_percent_of_a_run() {
+        // The budget holds for optimised code only: under the test
+        // profile (opt-level 1) serialisation is relatively slower.
+        let test = LoadTest::new(Arc::new(Memcached::default()), 250_000.0)
+            .clients(4)
+            .duration(SimDuration::from_millis(400))
+            .warmup(SimDuration::from_millis(100))
+            .seed(2016);
+        let (share, _) = checkpoint_share(&test, 3);
+        eprintln!(
+            "checkpoint serialisation: {:.2}% of the plain run",
+            share * 100.0
+        );
         if !cfg!(debug_assertions) {
             assert!(
                 share <= 0.05,
@@ -411,6 +514,31 @@ mod tests {
                 share * 100.0
             );
         }
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release only: two 3 s runs at 750k rps take minutes unoptimised"
+    )]
+    fn checkpoint_serialisation_of_a_3_s_run_stays_within_five_percent() {
+        // A long run: its share stays flat only if each of its 22
+        // checkpoints writes just the records completed since the one
+        // before.
+        let test = LoadTest::new(Arc::new(Memcached::default()), 750_000.0)
+            .duration(SimDuration::from_secs(3))
+            .seed(2016);
+        let (share, checkpoints) = checkpoint_share(&test, 2);
+        eprintln!(
+            "checkpoint serialisation, 3 s run: {:.2}% of the plain run over {checkpoints} checkpoints",
+            share * 100.0
+        );
+        assert_eq!(checkpoints, 22);
+        assert!(
+            share <= 0.05,
+            "checkpoint serialisation took {:.1}% of the plain run (budget 5%)",
+            share * 100.0
+        );
     }
 
     #[test]
@@ -424,12 +552,14 @@ mod tests {
         while straight.step(5_000) > 0 {}
 
         // Interrupted at the same point, then resumed.
-        let bytes = {
+        let mut segment = Vec::new();
+        let envelope = {
             let mut run = ResumableRun::new(quick_test(), 0);
             run.step(33_333);
-            run.checkpoint()
+            run.checkpoint(&mut segment).expect("checkpoint")
         };
-        let mut resumed = ResumableRun::resume(quick_test(), 0, &bytes).expect("resume");
+        let mut resumed =
+            ResumableRun::resume(quick_test(), 0, &envelope, segment.as_slice()).expect("resume");
         while resumed.step(5_000) > 0 {}
 
         assert_eq!(straight.tail().count(), resumed.tail().count());
@@ -437,6 +567,90 @@ mod tests {
             straight.tail().p99_us().to_bits(),
             resumed.tail().p99_us().to_bits()
         );
+    }
+
+    /// Response and failure records the run's clients hold, all shards.
+    fn record_totals(run: &ResumableRun) -> (usize, usize) {
+        let mut totals = (0, 0);
+        for i in 0..run.cluster.n_shards() {
+            for client in &run.cluster.engine(i).world().clients {
+                totals.0 += client.records.len();
+                totals.1 += client.failures.len();
+            }
+        }
+        totals
+    }
+
+    /// The envelope bound: pending events, in-flight requests and
+    /// queues, never records.
+    const ENVELOPE_BOUND: usize = 32 * 1024;
+
+    #[test]
+    fn checkpoints_write_only_their_new_records() {
+        use treadmill_cluster::{FaultSpec, RetryPolicy};
+        // Three shards, and losses with retries so failure records ride
+        // along with the responses.
+        let test = sharded_test(1)
+            .faults(FaultSpec {
+                uplink_loss: 0.01,
+                ..FaultSpec::default()
+            })
+            .retry_policy(RetryPolicy {
+                timeout_us: 1_000.0,
+                max_retries: 1,
+                ..RetryPolicy::default()
+            });
+        let golden = test.run(0);
+        let mut run = ResumableRun::new(test.clone(), 0);
+        // A chunk's fixed part: per shard "TMLR" and a client count, per
+        // client a record count and a failure count.
+        let header: usize = (0..run.cluster.n_shards())
+            .map(|i| 8 + 16 * run.cluster.engine(i).world().clients.len())
+            .sum();
+        let mut segment = Vec::new();
+        let mut envelope = Vec::new();
+        let mut checkpoints = 0;
+        while run.step(7_000) > 0 && !run.is_finished() {
+            envelope = run.checkpoint(&mut segment).expect("checkpoint");
+            checkpoints += 1;
+            // Every byte so far is a record (68 B), a failure (37 B) or
+            // a chunk header: no record was written twice.
+            let (records, failures) = record_totals(&run);
+            assert_eq!(
+                segment.len(),
+                checkpoints * header + 68 * records + 37 * failures,
+                "checkpoint {checkpoints}"
+            );
+            assert_eq!(run.segment_len(), segment.len() as u64);
+            assert!(envelope.len() < ENVELOPE_BOUND, "{} B", envelope.len());
+        }
+        assert!(checkpoints >= 5, "only {checkpoints} checkpoints");
+        assert!(record_totals(&run).1 > 0, "the run failed no request");
+        let resumed = ResumableRun::resume(test, 0, &envelope, segment.as_slice()).expect("resume");
+        assert_reports_identical(&golden, &resumed.finish());
+    }
+
+    #[test]
+    fn envelopes_stay_bounded_while_records_grow() {
+        let test = LoadTest::new(Arc::new(Memcached::default()), 250_000.0)
+            .clients(4)
+            .duration(SimDuration::from_millis(400))
+            .warmup(SimDuration::from_millis(100))
+            .seed(2016);
+        let mut run = ResumableRun::new(test, 0);
+        let mut sizes = Vec::new();
+        while run.step(crate::sweep::DEFAULT_CKPT_EVENTS / 10) > 0 && !run.is_finished() {
+            sizes.push(run.checkpoint(&mut io::sink()).expect("checkpoint").len());
+        }
+        let records = record_totals(&run).0;
+        eprintln!(
+            "envelopes {sizes:?} B; {records} records, {} B on the segment",
+            run.segment_len()
+        );
+        assert!(sizes.len() >= 8, "{sizes:?}");
+        assert!(sizes.iter().all(|&n| n < ENVELOPE_BOUND), "{sizes:?}");
+        // The segment holds the records; the envelopes do not grow with them.
+        assert!(run.segment_len() > 100 * ENVELOPE_BOUND as u64);
     }
 
     fn sharded_test(threads: u32) -> LoadTest {
@@ -466,13 +680,15 @@ mod tests {
         // Crash a 2-thread sweep mid-run, resume it single-threaded:
         // the checkpoint sits at a round boundary, so the thread count
         // on either side of the crash is irrelevant.
-        let bytes = {
+        let mut segment = Vec::new();
+        let envelope = {
             let mut run = ResumableRun::new(sharded_test(2), 0);
             run.step(30_000);
             assert_eq!(run.audit(usize::MAX), Vec::<String>::new());
-            run.checkpoint()
+            run.checkpoint(&mut segment).expect("checkpoint")
         };
-        let mut resumed = ResumableRun::resume(sharded_test(1), 0, &bytes).expect("resume");
+        let mut resumed = ResumableRun::resume(sharded_test(1), 0, &envelope, segment.as_slice())
+            .expect("resume");
         while resumed.step(10_000) > 0 {}
         assert!(resumed.audit(usize::MAX).is_empty());
         assert_reports_identical(&golden, &resumed.finish());
@@ -482,10 +698,11 @@ mod tests {
     fn checkpoint_rejected_by_another_server_count() {
         let mut run = ResumableRun::new(sharded_test(1), 0);
         run.step(10_000);
-        let bytes = run.checkpoint();
+        let mut segment = Vec::new();
+        let envelope = run.checkpoint(&mut segment).expect("checkpoint");
         let one_server = sharded_test(1).servers(1);
         assert!(matches!(
-            ResumableRun::resume(one_server, 0, &bytes),
+            ResumableRun::resume(one_server, 0, &envelope, segment.as_slice()),
             Err(SnapshotError::Malformed(_))
         ));
     }
@@ -494,9 +711,10 @@ mod tests {
     fn wrong_run_index_is_rejected() {
         let mut run = ResumableRun::new(quick_test(), 0);
         run.step(10_000);
-        let bytes = run.checkpoint();
+        let mut segment = Vec::new();
+        let envelope = run.checkpoint(&mut segment).expect("checkpoint");
         assert!(matches!(
-            ResumableRun::resume(quick_test(), 1, &bytes),
+            ResumableRun::resume(quick_test(), 1, &envelope, segment.as_slice()),
             Err(SnapshotError::Malformed(_))
         ));
     }
@@ -505,7 +723,17 @@ mod tests {
     fn truncated_checkpoint_is_rejected() {
         let mut run = ResumableRun::new(quick_test(), 0);
         run.step(10_000);
-        let bytes = run.checkpoint();
-        assert!(ResumableRun::resume(quick_test(), 0, &bytes[..bytes.len() - 7]).is_err());
+        let mut segment = Vec::new();
+        let envelope = run.checkpoint(&mut segment).expect("checkpoint");
+        let resume = |envelope: &[u8], segment: &[u8]| {
+            ResumableRun::resume(quick_test(), 0, envelope, segment).map(|_| ())
+        };
+        assert!(resume(&envelope[..envelope.len() - 7], &segment).is_err());
+        // A segment shorter than the envelope commits fails closed.
+        assert_eq!(
+            resume(&envelope, &segment[..segment.len() - 7]),
+            Err(SnapshotError::Truncated)
+        );
+        assert_eq!(resume(&envelope, &[]), Err(SnapshotError::Truncated));
     }
 }

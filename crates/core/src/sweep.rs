@@ -10,18 +10,24 @@
 //!   `running` → `done`), each carrying the cell's derived seed and the
 //!   configuration hash. Appends are fsynced; a line torn by a crash
 //!   mid-write is sealed on resume and ignored on replay.
-//! * **atomic artifacts** — every `.tsv` / `.ckpt` goes through
-//!   [`write_atomic`] (a `*.tmp` sibling, fsynced, then renamed into
-//!   place), so a reader (or a resumed sweep) never observes a
+//! * **atomic artifacts** — every `.tsv` and checkpoint envelope goes
+//!   through [`write_atomic`] (a `*.tmp` sibling, fsynced, then renamed
+//!   into place), so a reader (or a resumed sweep) never observes a
 //!   half-written file.
-//! * **checkpoints** — each running cell snapshots its full state
-//!   (engine + streaming estimators, see
-//!   [`crate::resumable::ResumableRun`]) every `ckpt_events` events.
+//! * **checkpoints** — every `ckpt_events` events the running cell
+//!   appends the records completed since its previous checkpoint to
+//!   `cell_N.records` and fsyncs them, then publishes `cell_N.ckpt`, a
+//!   small envelope holding the rest of its state and the segment's
+//!   committed length and checksum (see
+//!   [`crate::resumable::ResumableRun`]). A crash between the two leaves
+//!   the previous envelope in charge and a tail it does not commit.
 //! * **resume** — [`SweepOptions::resume`] replays the journal, skips
 //!   cells already `done` (their artifacts are left untouched),
-//!   resumes the in-flight cell from its checkpoint, and runs the
-//!   rest. Because checkpointed resume is bit-identical, the final
-//!   artifacts are byte-for-byte the same as an uninterrupted sweep's.
+//!   resumes the in-flight cell from its checkpoint — reading exactly
+//!   the committed prefix of its segment and cutting off the rest — and
+//!   runs the rest. Because checkpointed resume is bit-identical, the
+//!   final artifacts are byte-for-byte the same as an uninterrupted
+//!   sweep's.
 //!
 //! Each cell's quantiles are journaled as exact `f64` bit patterns, so
 //! `summary.tsv` rows for skipped cells reproduce without re-running.
@@ -37,10 +43,10 @@ use treadmill_sim_core::fnv1a64;
 
 use crate::aggregation::tail_composition;
 use crate::config::{ConfigError, LoadTestConfig};
-use crate::journal::{write_atomic, Journal, Replay};
+use crate::journal::{append_synced_with, truncate_synced, write_atomic, Journal, Replay};
 use crate::report::health_warnings;
 use crate::resumable::ResumableRun;
-use crate::runner::LoadTestReport;
+use crate::runner::{LoadTest, LoadTestReport};
 
 /// Progress notifications emitted by [`run_sweep_controlled`] as the
 /// sweep advances — the hook a long-running service uses to stream
@@ -133,8 +139,9 @@ pub struct SweepOptions {
     /// Cells (repeated runs) to execute.
     pub runs: u64,
     /// Events between checkpoints of the running cell. Smaller values
-    /// lose less work to a crash but cost more (a snapshot serialises
-    /// every completed record so far).
+    /// lose less work to a crash but cost more checkpoints: each writes
+    /// the records completed since the previous one, plus an envelope
+    /// of fixed size (the pending events and in-flight state).
     pub ckpt_events: u64,
     /// Replay the journal and continue a crashed sweep instead of
     /// starting fresh.
@@ -144,11 +151,12 @@ pub struct SweepOptions {
 }
 
 /// The default checkpoint interval, sized so checkpointing costs a few
-/// percent of a short cell: the test
-/// `checkpoint_serialisation_stays_within_five_percent_of_a_run`
-/// (`resumable.rs`) pins at most 5% on a 400 ms run. Each checkpoint
-/// re-serialises every record so far, so the share grows with run
-/// length.
+/// percent of a cell: the tests
+/// `checkpoint_serialisation_stays_within_five_percent_of_a_run` (a
+/// 400 ms run) and `checkpoint_serialisation_of_a_3_s_run_stays_within_five_percent`
+/// (`resumable.rs`) pin at most 5%. A checkpoint writes only the records
+/// completed since the previous one, so the share does not grow with
+/// run length.
 pub const DEFAULT_CKPT_EVENTS: u64 = 1_000_000;
 
 impl Default for SweepOptions {
@@ -408,8 +416,73 @@ fn summary_tsv(
     out
 }
 
+/// A cell's checkpoint envelope.
 fn ckpt_path(out_dir: &Path, cell: u64) -> PathBuf {
     out_dir.join(format!("cell_{cell}.ckpt"))
+}
+
+/// A cell's append-only record segment, committed by its envelope.
+fn records_path(out_dir: &Path, cell: u64) -> PathBuf {
+    out_dir.join(format!("cell_{cell}.records"))
+}
+
+/// Restores in-flight `cell` from its checkpoint: the envelope, then
+/// exactly the committed prefix of its record segment, which is then cut
+/// back to that prefix so the next chunk continues it instead of landing
+/// on what a crash appended. `None`, with a warning, when there is no
+/// usable checkpoint: the cell restarts from event zero.
+///
+/// A segment that cannot be opened holds no records, so an envelope
+/// that committed some fails closed as truncated.
+fn resume_cell(
+    test: &LoadTest,
+    out_dir: &Path,
+    cell: u64,
+    warnings: &mut Vec<String>,
+) -> io::Result<Option<ResumableRun>> {
+    let Ok(envelope) = fs::read(ckpt_path(out_dir, cell)) else {
+        warnings.push(format!(
+            "cell {cell}: was in flight but left no checkpoint; restarting from event zero"
+        ));
+        return Ok(None);
+    };
+    let segment_path = records_path(out_dir, cell);
+    let resumed = match fs::File::open(&segment_path) {
+        Ok(segment) => ResumableRun::resume(test.clone(), cell, &envelope, segment),
+        Err(_) => ResumableRun::resume(test.clone(), cell, &envelope, io::empty()),
+    };
+    match resumed {
+        Ok(run) => {
+            truncate_synced(&segment_path, run.segment_len())?;
+            warnings.push(format!(
+                "cell {cell}: resumed from checkpoint at {} events",
+                run.events_executed()
+            ));
+            Ok(Some(run))
+        }
+        Err(e) => {
+            warnings.push(format!(
+                "cell {cell}: checkpoint unusable ({e}); restarting from event zero"
+            ));
+            Ok(None)
+        }
+    }
+}
+
+/// Starts `cell` from event zero on an empty record segment, whatever
+/// an earlier attempt left in it.
+fn fresh_cell(test: &LoadTest, out_dir: &Path, cell: u64) -> io::Result<ResumableRun> {
+    truncate_synced(&records_path(out_dir, cell), 0)?;
+    Ok(ResumableRun::new(test.clone(), cell))
+}
+
+/// Checkpoints running `cell`: its new records onto the segment,
+/// fsynced, and only then the envelope that commits them.
+fn checkpoint_cell(run: &mut ResumableRun, out_dir: &Path, cell: u64) -> io::Result<()> {
+    let envelope = append_synced_with(&records_path(out_dir, cell), |segment| {
+        run.checkpoint(segment)
+    })?;
+    write_atomic(&ckpt_path(out_dir, cell), &envelope)
 }
 
 fn attr_path(out_dir: &Path, cell: u64) -> PathBuf {
@@ -540,6 +613,7 @@ pub fn run_sweep_controlled(
         }
         for cell in 0..opts.runs {
             let _ = fs::remove_file(ckpt_path(out_dir, cell));
+            let _ = fs::remove_file(records_path(out_dir, cell));
         }
     }
     let (journal, replay) = Journal::open(&manifest_path)?;
@@ -564,10 +638,6 @@ pub fn run_sweep_controlled(
         .map(|(&cell, result)| (cell, (test.derive_run_seed(cell), result.clone())))
         .collect();
 
-    // Snapshot scratch buffer, recycled across every checkpoint of
-    // every cell — see `ResumableRun::checkpoint_into`.
-    let mut ckpt_buf = Vec::new();
-
     'cells: for cell in 0..opts.runs {
         let seed = test.derive_run_seed(cell);
         if manifest.done.contains_key(&cell) {
@@ -581,31 +651,16 @@ pub fn run_sweep_controlled(
             break 'cells;
         }
 
-        let checkpoint_file = ckpt_path(out_dir, cell);
-        let mut run = None;
-        if opts.resume && manifest.running.contains(&cell) {
-            match fs::read(&checkpoint_file) {
-                Ok(bytes) => match ResumableRun::resume(test.clone(), cell, &bytes) {
-                    Ok(resumed) => {
-                        outcome.resumed_cell = Some(cell);
-                        outcome.warnings.push(format!(
-                            "cell {cell}: resumed from checkpoint at {} events",
-                            resumed.events_executed()
-                        ));
-                        run = Some(resumed);
-                    }
-                    Err(e) => outcome.warnings.push(format!(
-                        "cell {cell}: checkpoint unusable ({e}); restarting from event zero"
-                    )),
-                },
-                Err(_) => outcome.warnings.push(format!(
-                    "cell {cell}: was in flight but left no checkpoint; \
-                     restarting from event zero"
-                )),
+        let resumed = if opts.resume && manifest.running.contains(&cell) {
+            resume_cell(&test, out_dir, cell, &mut outcome.warnings)?
+        } else {
+            None
+        };
+        let mut run = match resumed {
+            Some(run) => {
+                outcome.resumed_cell = Some(cell);
+                run
             }
-        }
-        let mut run = match run {
-            Some(run) => run,
             None => {
                 journal.append(&ManifestLine {
                     cell,
@@ -614,7 +669,7 @@ pub fn run_sweep_controlled(
                     config_hash: config_hash.clone(),
                     result: None,
                 })?;
-                ResumableRun::new(test.clone(), cell)
+                fresh_cell(&test, out_dir, cell)?
             }
         };
         ctrl.emit(SweepEvent::CellStarted {
@@ -627,13 +682,13 @@ pub fn run_sweep_controlled(
         // checkpoint, audit. A SIGKILL between any two statements loses
         // at most one batch of work; a cancellation request observed
         // here returns with the just-sealed checkpoint as the resume
-        // point.
+        // point. The new records reach the segment and are fsynced
+        // before the envelope that commits them is published.
         while run.step(opts.ckpt_events) > 0 {
             if run.is_finished() {
                 break;
             }
-            run.checkpoint_into(&mut ckpt_buf);
-            write_atomic(&checkpoint_file, &ckpt_buf)?;
+            checkpoint_cell(&mut run, out_dir, cell)?;
             for finding in run.audit(opts.max_pending) {
                 outcome.warnings.push(format!("cell {cell}: auditor: {finding}"));
             }
@@ -680,7 +735,8 @@ pub fn run_sweep_controlled(
             config_hash: config_hash.clone(),
             result: Some(result.clone()),
         })?;
-        let _ = fs::remove_file(&checkpoint_file);
+        let _ = fs::remove_file(ckpt_path(out_dir, cell));
+        let _ = fs::remove_file(records_path(out_dir, cell));
         let (samples, p99_us) = (result.samples, from_bits(&result.p99_bits));
         summary_cells.insert(cell, (seed, result));
         outcome.executed.push(cell);
@@ -1058,6 +1114,23 @@ mod tests {
         dir
     }
 
+    /// A sweep directory a crash left with cell 0 journaled `running`.
+    fn crashed_dir(tag: &str, config: &LoadTestConfig) -> PathBuf {
+        let dir = tempdir(tag);
+        let test = config.build().expect("build");
+        let (journal, _) = Journal::open(&dir.join("manifest.jsonl")).expect("open journal");
+        journal
+            .append(&ManifestLine {
+                cell: 0,
+                status: CellStatus::Running,
+                seed: test.derive_run_seed(0),
+                config_hash: format!("{:016x}", fnv1a64(config.to_json().as_bytes())),
+                result: None,
+            })
+            .expect("journal");
+        dir
+    }
+
     fn opts(runs: u64) -> SweepOptions {
         SweepOptions {
             runs,
@@ -1080,6 +1153,7 @@ mod tests {
             assert!(text.contains("config_hash="));
             assert!(text.contains("aggregate\t"));
             assert!(!dir.join(format!("cell_{cell}.ckpt")).exists());
+            assert!(!dir.join(format!("cell_{cell}.records")).exists());
             let attr = fs::read_to_string(dir.join(format!("cell_{cell}.attr.tsv")))
                 .expect("attribution artifact");
             assert!(attr.starts_with("# seed="), "attr provenance: {attr}");
@@ -1207,23 +1281,11 @@ mod tests {
 
         // Hand-craft a crashed sweep: journal says cell 0 is running,
         // and a mid-run checkpoint exists.
-        let dir = tempdir("midcell");
         let config = small_config();
-        let test = config.build().expect("build");
-        let hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
-        let (journal, _) = Journal::open(&dir.join("manifest.jsonl")).expect("open journal");
-        journal
-            .append(&ManifestLine {
-                cell: 0,
-                status: CellStatus::Running,
-                seed: test.derive_run_seed(0),
-                config_hash: hash,
-                result: None,
-            })
-            .expect("journal");
-        let mut run = ResumableRun::new(test, 0);
+        let dir = crashed_dir("midcell", &config);
+        let mut run = ResumableRun::new(config.build().expect("build"), 0);
         run.step(30_000);
-        write_atomic(&ckpt_path(&dir, 0), &run.checkpoint()).expect("checkpoint");
+        checkpoint_cell(&mut run, &dir, 0).expect("checkpoint");
 
         let resumed_opts = SweepOptions {
             resume: true,
@@ -1304,20 +1366,8 @@ mod tests {
         let golden_dir = tempdir("golden-corrupt");
         run_sweep(&small_config(), &golden_dir, &opts(1)).expect("golden sweep");
 
-        let dir = tempdir("corrupt");
         let config = small_config();
-        let test = config.build().expect("build");
-        let hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
-        let (journal, _) = Journal::open(&dir.join("manifest.jsonl")).expect("open journal");
-        journal
-            .append(&ManifestLine {
-                cell: 0,
-                status: CellStatus::Running,
-                seed: test.derive_run_seed(0),
-                config_hash: hash,
-                result: None,
-            })
-            .expect("journal");
+        let dir = crashed_dir("corrupt", &config);
         fs::write(ckpt_path(&dir, 0), b"not a checkpoint").expect("corrupt ckpt");
 
         let resumed_opts = SweepOptions {
@@ -1421,5 +1471,264 @@ mod tests {
             assert!(cell.p50_us > 0.0 && cell.p99_us >= cell.p95_us);
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A cell of about 60 responses: checkpointing every third of its
+    /// events takes exactly two checkpoints, and the second record chunk
+    /// is about 1.5 KB, small enough to cut after every byte.
+    fn tiny_config() -> LoadTestConfig {
+        LoadTestConfig::from_json(
+            r#"{
+                "workload": { "workload": "memcached" },
+                "target_rps": 10000,
+                "clients": 1,
+                "duration_ms": 6,
+                "warmup_ms": 1,
+                "seed": 17
+            }"#,
+        )
+        .expect("valid config")
+    }
+
+    /// The files one checkpoint of an uninterrupted cell leaves.
+    struct OnDisk {
+        events: u64,
+        envelope: Vec<u8>,
+        segment: Vec<u8>,
+    }
+
+    /// Runs cell 0 of `test` into `dir` without a crash, checkpointing
+    /// every `every` events, and keeps each checkpoint's files.
+    fn checkpoints_on_disk(test: &LoadTest, dir: &Path, every: u64) -> Vec<OnDisk> {
+        let mut run = fresh_cell(test, dir, 0).expect("fresh cell");
+        let mut states = Vec::new();
+        while run.step(every) > 0 && !run.is_finished() {
+            checkpoint_cell(&mut run, dir, 0).expect("checkpoint");
+            states.push(OnDisk {
+                events: run.events_executed(),
+                envelope: fs::read(ckpt_path(dir, 0)).expect("envelope"),
+                segment: fs::read(records_path(dir, 0)).expect("segment"),
+            });
+        }
+        states
+    }
+
+    /// Recovers cell 0 of `dir` the way the sweep does (resume, or a
+    /// restart when no checkpoint is usable), takes the next checkpoint
+    /// and finishes. Returns the events it resumed at (`None` for a
+    /// restart), the segment right after that checkpoint, and the report.
+    fn recover(test: &LoadTest, dir: &Path, every: u64) -> (Option<u64>, Vec<u8>, LoadTestReport) {
+        let mut warnings = Vec::new();
+        let resumed = resume_cell(test, dir, 0, &mut warnings).expect("resume");
+        let (mut run, resumed_at) = match resumed {
+            Some(run) => {
+                let at = run.events_executed();
+                (run, Some(at))
+            }
+            None => (fresh_cell(test, dir, 0).expect("fresh cell"), None),
+        };
+        run.step(every);
+        checkpoint_cell(&mut run, dir, 0).expect("checkpoint");
+        let segment = fs::read(records_path(dir, 0)).expect("segment");
+        while run.step(every) > 0 {}
+        (resumed_at, segment, run.finish())
+    }
+
+    fn same_bits(a: &LoadTestReport, b: &LoadTestReport) -> bool {
+        a.aggregated == b.aggregated
+            && a.per_instance == b.per_instance
+            && a.run.client_records == b.run.client_records
+            && a.run.events_executed == b.run.events_executed
+    }
+
+    /// Crash points of the two-file checkpoint protocol, enumerated
+    /// rather than sampled: every state a crash can leave between and
+    /// inside the two checkpoints of a cell, down to a second record
+    /// chunk cut after every byte.
+    #[test]
+    fn every_crash_state_of_the_two_file_protocol_resumes_or_restarts() {
+        let config = tiny_config();
+        let test = config.build().expect("build");
+        let golden = test.run(0);
+        let every = golden.run.events_executed / 3 + 1;
+        let dir = tempdir("crash-states");
+        let states = checkpoints_on_disk(&test, &dir, every);
+        assert_eq!(states.len(), 2, "the cell must checkpoint exactly twice");
+        let (first, second) = (&states[0], &states[1]);
+        let chunk = first.segment.len()..second.segment.len();
+        assert!(chunk.len() > 500 && chunk.len() < 4_000, "{chunk:?}");
+
+        let reset = |envelope: Option<&[u8]>, segment: &[u8]| {
+            for path in [ckpt_path(&dir, 0), records_path(&dir, 0)] {
+                let _ = fs::remove_file(path);
+            }
+            if let Some(envelope) = envelope {
+                fs::write(ckpt_path(&dir, 0), envelope).expect("envelope");
+            }
+            fs::write(records_path(&dir, 0), segment).expect("segment");
+        };
+
+        // The second chunk appended and fsynced, then cut after every
+        // byte — the last cut is the whole chunk with its envelope
+        // unpublished. The first envelope stays in charge: the run
+        // resumes there, the cut tail goes, and the next checkpoint
+        // writes the uninterrupted segment byte for byte.
+        for end in chunk.start..=chunk.end {
+            reset(Some(&first.envelope), &second.segment[..end]);
+            let (resumed_at, segment, report) = recover(&test, &dir, every);
+            assert_eq!(resumed_at, Some(first.events), "cut at {end}");
+            assert!(
+                segment == second.segment,
+                "cut at {end}: the append landed on debris"
+            );
+            assert!(fs::read(ckpt_path(&dir, 0)).expect("envelope") == second.envelope);
+            assert!(same_bits(&report, &golden), "cut at {end}: report drifted");
+        }
+
+        // The second envelope's `.tmp` written (whole or torn) but never
+        // renamed: ignored, and overwritten by the next publish.
+        let tmp = dir.join("cell_0.ckpt.tmp");
+        for torn in [second.envelope.len(), second.envelope.len() / 2] {
+            reset(Some(&first.envelope), &second.segment);
+            fs::write(&tmp, &second.envelope[..torn]).expect("tmp");
+            let (resumed_at, segment, report) = recover(&test, &dir, every);
+            assert_eq!(resumed_at, Some(first.events));
+            assert!(segment == second.segment);
+            assert!(!tmp.exists(), "the publish left its .tmp behind");
+            assert!(same_bits(&report, &golden));
+        }
+
+        // A segment with no envelope yet (the first chunk whole or torn,
+        // its envelope never published): the cell restarts, and its first
+        // checkpoint starts the segment afresh rather than after the
+        // debris.
+        for end in [first.segment.len(), first.segment.len() / 2, 0] {
+            reset(None, &first.segment[..end]);
+            let (resumed_at, segment, report) = recover(&test, &dir, every);
+            assert_eq!(resumed_at, None, "no envelope, yet the cell resumed");
+            assert!(
+                segment == first.segment,
+                "restart at {end}: the append landed on debris"
+            );
+            assert!(same_bits(&report, &golden));
+        }
+        let _ = fs::remove_dir_all(&dir);
+
+        // The same states through the whole sweep: artifacts equal an
+        // uninterrupted sweep's, resumed or restarted as above.
+        let golden_dir = tempdir("golden-crash-states");
+        let every_opts = SweepOptions {
+            ckpt_events: every,
+            ..opts(1)
+        };
+        run_sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
+        let resume_opts = SweepOptions {
+            resume: true,
+            ..every_opts
+        };
+        let envelope = Some(first.envelope.as_slice());
+        let cases = [
+            ("unpublished", envelope, second.segment.as_slice(), Some(0)),
+            (
+                "torn-chunk",
+                envelope,
+                &second.segment[..chunk.start + 9],
+                Some(0),
+            ),
+            ("no-envelope", None, first.segment.as_slice(), None),
+        ];
+        for (tag, envelope, segment, resumed) in cases {
+            let dir = crashed_dir(tag, &config);
+            if let Some(envelope) = envelope {
+                fs::write(ckpt_path(&dir, 0), envelope).expect("envelope");
+                fs::write(dir.join("cell_0.ckpt.tmp"), &second.envelope[..40]).expect("tmp");
+            }
+            fs::write(records_path(&dir, 0), segment).expect("segment");
+            let outcome = run_sweep(&config, &dir, &resume_opts).expect("resumed sweep");
+            assert_eq!(outcome.resumed_cell, resumed, "{tag}");
+            for artifact in [
+                "cell_0.tsv",
+                "cell_0.attr.tsv",
+                "summary.tsv",
+                "attribution.tsv",
+            ] {
+                assert_eq!(
+                    fs::read(golden_dir.join(artifact)).expect("golden artifact"),
+                    fs::read(dir.join(artifact)).expect("resumed artifact"),
+                    "{tag}: {artifact} differs"
+                );
+            }
+            assert!(!ckpt_path(&dir, 0).exists() && !records_path(&dir, 0).exists());
+            let _ = fs::remove_dir_all(&dir);
+        }
+        let _ = fs::remove_dir_all(&golden_dir);
+    }
+
+    /// Checkpoints that must not be trusted fail closed: the cell
+    /// restarts from event zero and still lands on the golden bytes.
+    #[test]
+    fn untrustworthy_checkpoints_restart_the_cell() {
+        let config = tiny_config();
+        let test = config.build().expect("build");
+        let every = test.run(0).run.events_executed / 3 + 1;
+        let every_opts = SweepOptions {
+            ckpt_events: every,
+            ..opts(1)
+        };
+        let golden_dir = tempdir("golden-untrusted");
+        run_sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
+        let scratch = tempdir("untrusted-checkpoints");
+        let states = checkpoints_on_disk(&test, &scratch, every);
+        let _ = fs::remove_dir_all(&scratch);
+        let second = &states[1];
+
+        // A version-4 envelope (the format before the record segment).
+        let mut old = second.envelope.clone();
+        old[4..8].copy_from_slice(&4u32.to_le_bytes());
+        // A bit flipped inside the committed prefix of the segment.
+        let mut flipped = second.segment.clone();
+        flipped[second.segment.len() / 2] ^= 0x10;
+        let cases: [(&str, &[u8], &[u8], &str); 3] = [
+            ("version-4", &old, &second.segment, "version 4"),
+            (
+                "short-segment",
+                &second.envelope,
+                &second.segment[..second.segment.len() - 1],
+                "truncated",
+            ),
+            ("bit-flip", &second.envelope, &flipped, "checksum"),
+        ];
+        for (tag, envelope, segment, why) in cases {
+            let dir = crashed_dir(tag, &config);
+            fs::write(ckpt_path(&dir, 0), envelope).expect("envelope");
+            fs::write(records_path(&dir, 0), segment).expect("segment");
+            let outcome = run_sweep(
+                &config,
+                &dir,
+                &SweepOptions {
+                    resume: true,
+                    ..every_opts
+                },
+            )
+            .expect("resumed sweep");
+            assert_eq!(outcome.resumed_cell, None, "{tag}");
+            assert!(
+                outcome
+                    .warnings
+                    .iter()
+                    .any(|w| w.contains("unusable") && w.contains(why)),
+                "{tag}: {:?}",
+                outcome.warnings
+            );
+            for artifact in ["cell_0.tsv", "summary.tsv"] {
+                assert_eq!(
+                    fs::read(golden_dir.join(artifact)).expect("golden artifact"),
+                    fs::read(dir.join(artifact)).expect("restarted artifact"),
+                    "{tag}: {artifact} differs"
+                );
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+        let _ = fs::remove_dir_all(&golden_dir);
     }
 }

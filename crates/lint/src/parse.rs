@@ -69,10 +69,11 @@ pub struct CallSite {
 pub enum IoKind {
     /// `OpenOptions::…append(true)…` — an append-mode journal open.
     AppendOpen,
-    /// `File::create` / `OpenOptions::…create(…)…open` — a fresh write
-    /// handle.
+    /// `File::create` / `OpenOptions::…create(…)…open` /
+    /// `OpenOptions::…write(true)…open` — a write handle.
     CreateFile,
-    /// `write_all` / `write_fmt` — bytes entered the kernel buffer.
+    /// `write_all` / `write_fmt` — bytes entered the kernel buffer;
+    /// `set_len` — the file's length changed (a truncation).
     Write,
     /// `sync_all` / `sync_data` — bytes were forced to the device.
     Sync,
@@ -1084,7 +1085,9 @@ fn scan_body_ident(
             "create" if *stmt_has_file || *stmt_has_openoptions || path.first().map(String::as_str) == Some("File") => {
                 Some(IoKind::CreateFile)
             }
+            "write" if method && *stmt_has_openoptions => Some(IoKind::CreateFile),
             "write_all" | "write_fmt" => Some(IoKind::Write),
+            "set_len" if method => Some(IoKind::Write),
             "sync_all" | "sync_data" => Some(IoKind::Sync),
             "rename" if !method => Some(IoKind::Rename),
             _ => None,
@@ -1337,6 +1340,20 @@ fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
             kinds,
             vec![IoKind::CreateFile, IoKind::Write, IoKind::Sync, IoKind::Rename]
         );
+    }
+
+    #[test]
+    fn truncation_is_a_write_through_a_write_handle() {
+        let src = "\
+fn truncate_synced(path: &Path, len: u64) -> io::Result<()> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(len)?;
+    file.sync_all()
+}
+";
+        let p = parse(src);
+        let kinds: Vec<IoKind> = p.fns[0].io_events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, vec![IoKind::CreateFile, IoKind::Write, IoKind::Sync]);
     }
 
     #[test]

@@ -250,7 +250,8 @@ impl Semantics {
 
     /// DUR001: in journal/artifact code, every rename must be preceded
     /// by a sync, and an opened write handle must be synced before the
-    /// function returns.
+    /// function returns once it was written or truncated — an append
+    /// handle always, since it may be written through a callee.
     fn dur001_hits(&self, fi: usize, hits: &mut Vec<SemHit>) {
         let file = &self.graph.files[fi];
         if !dur001_scope(&file.path) || rules::is_test_like_path(&file.path) {
@@ -264,11 +265,16 @@ impl Semantics {
             let mut synced = false;
             let mut wrote = false;
             let mut opened = false;
+            let mut appending = false;
             for ev in evs {
                 match ev.kind {
                     IoKind::Sync => synced = true,
                     IoKind::Write => wrote = true,
-                    IoKind::AppendOpen | IoKind::CreateFile => opened = true,
+                    IoKind::CreateFile => opened = true,
+                    IoKind::AppendOpen => {
+                        opened = true;
+                        appending = true;
+                    }
                     IoKind::Rename => {
                         if !synced {
                             hits.push(SemHit {
@@ -283,11 +289,12 @@ impl Semantics {
                     }
                 }
             }
-            if opened && wrote && !synced {
+            if opened && (wrote || appending) && !synced {
                 let line = evs
                     .iter()
                     .rev()
                     .find(|e| e.kind == IoKind::Write)
+                    .or_else(|| evs.iter().find(|e| e.kind == IoKind::AppendOpen))
                     .map_or(f.line, |e| e.line);
                 hits.push(SemHit {
                     rule_id: "DUR001",
@@ -692,6 +699,44 @@ fn append_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let s = sem(&[("crates/core/src/journal.rs", bad)]);
         // The append handle is written but never fsynced.
         assert_eq!(rule_lines(&s, "DUR001", "crates/core/src/journal.rs"), vec![3]);
+        let s = sem(&[("crates/core/src/journal.rs", good)]);
+        assert!(rule_lines(&s, "DUR001", "crates/core/src/journal.rs").is_empty());
+    }
+
+    #[test]
+    fn dur001_covers_the_record_segment() {
+        // A truncation that is never fsynced, and a streamed append whose
+        // bytes come from a callee: both can be lost by a crash after
+        // the envelope that relies on them is published.
+        let bad = "\
+fn truncate_synced(path: &Path, len: u64) -> io::Result<()> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(len)?;
+    Ok(())
+}
+fn append_synced_with(path: &Path, fill: F) -> io::Result<T> {
+    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+    fill(&mut file)
+}
+";
+        let good = "\
+fn truncate_synced(path: &Path, len: u64) -> io::Result<()> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(len)?;
+    file.sync_all()
+}
+fn append_synced_with(path: &Path, fill: F) -> io::Result<T> {
+    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+    let value = fill(&mut file)?;
+    file.sync_all()?;
+    Ok(value)
+}
+";
+        let s = sem(&[("crates/core/src/journal.rs", bad)]);
+        assert_eq!(
+            rule_lines(&s, "DUR001", "crates/core/src/journal.rs"),
+            vec![3, 7]
+        );
         let s = sem(&[("crates/core/src/journal.rs", good)]);
         assert!(rule_lines(&s, "DUR001", "crates/core/src/journal.rs").is_empty());
     }

@@ -87,8 +87,8 @@ pub const RULES: &[Rule] = &[
         id: "DUR001",
         summary: "durability gap in journal/artifact code: a rename publishes \
                   a file with no preceding fsync, or a write handle is opened \
-                  and written but never synced (a crash can tear or lose the \
-                  record the resume path depends on)",
+                  and written, truncated or appended to but never synced (a \
+                  crash can tear or lose the record the resume path depends on)",
         hint: "write to a tmp file, sync_all, then rename; fsync journal \
                appends before acknowledging",
     },

@@ -22,7 +22,7 @@
 use std::fmt;
 use std::fs;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -245,8 +245,17 @@ impl ServerHandle {
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.jobs.close(false);
-        // The acceptor closes the connection queue (draining queued
-        // connections) when it observes the flag and exits.
+        // The acceptor blocks in `accept`: one connection to its own
+        // address wakes it to observe the flag, close the connection
+        // queue (draining queued connections) and exit.
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
     }
 
     /// Waits for every thread to exit. An `Err` means a worker
@@ -287,7 +296,6 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
     };
 
     let listener = TcpListener::bind(&opts.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     write_atomic(
         &opts.state_dir.join("addr.txt"),
@@ -357,11 +365,14 @@ fn spec_provenance(spec_json: &str) -> (u64, String) {
 }
 
 fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+    // `accept` blocks until a connection arrives, so a waiting client
+    // is served at once; `ServerHandle::drain` connects once to wake it.
     loop {
+        let accepted = listener.accept();
         if shared.draining() {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let _ = stream.set_read_timeout(Some(shared.opts.read_timeout));
                 let _ =
@@ -375,9 +386,9 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
+            // A failed accept (a peer that reset first, a full file
+            // table) is not fatal; the pause keeps a lasting one from
+            // spinning.
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }

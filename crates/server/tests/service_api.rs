@@ -84,6 +84,23 @@ fn shutdown(handle: ServerHandle, state: &PathBuf) {
 }
 
 #[test]
+fn drain_then_join_return_with_no_client_traffic() {
+    // The acceptor blocks in `accept`; with no client ever connecting,
+    // drain must wake it on its own for join to return.
+    let (handle, _addr, state) = mem_server("idle-drain");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.drain();
+        let _ = tx.send(handle.join());
+    });
+    let joined = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("drain then join hung with no client traffic");
+    joined.expect("service threads panicked");
+    let _ = fs::remove_dir_all(&state);
+}
+
+#[test]
 fn health_endpoints_respond() {
     let (handle, addr, state) = mem_server("health");
     let resp = get(&addr, "/healthz");

@@ -32,7 +32,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TMLS";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions rather than guessing.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Errors surfaced while opening or decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,31 +99,103 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// dependency-free and platform-stable (checkpoints are written and
 /// read on the same format version, never across hash variants).
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut lanes = [
-        SEED,
-        SEED ^ 0x9e37_79b9_7f4a_7c15,
-        SEED.rotate_left(17),
-        SEED.rotate_left(33),
-    ];
-    let mut chunks = bytes.chunks_exact(32);
-    for chunk in &mut chunks {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane ^= u64::from_le_bytes(fixed::<8>(&chunk[i * 8..i * 8 + 8]));
-            *lane = lane.wrapping_mul(PRIME);
+    let mut sum = Checksum64::new();
+    sum.update(bytes);
+    sum.value()
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// [`checksum64`] computed incrementally: feeding a byte string in any
+/// split gives the same value as hashing it whole. An append-only file
+/// keeps one of these running, so checksumming its whole prefix costs
+/// only the bytes appended since the last value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Checksum64 {
+    lanes: [u64; 4],
+    /// Bytes of an incomplete 32-byte block, waiting for the rest.
+    pending: [u8; 32],
+    pending_len: usize,
+    len: u64,
+}
+
+impl Default for Checksum64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Checksum64 {
+    /// The checksum of the empty string.
+    pub fn new() -> Self {
+        Checksum64 {
+            lanes: [
+                FNV_SEED,
+                FNV_SEED ^ 0x9e37_79b9_7f4a_7c15,
+                FNV_SEED.rotate_left(17),
+                FNV_SEED.rotate_left(33),
+            ],
+            pending: [0; 32],
+            pending_len: 0,
+            len: 0,
         }
     }
-    let mut hash = SEED ^ (bytes.len() as u64).wrapping_mul(PRIME);
-    for lane in lanes {
-        hash ^= lane;
-        hash = hash.wrapping_mul(PRIME);
+
+    fn block(&mut self, block: &[u8]) {
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            *lane ^= u64::from_le_bytes(fixed::<8>(&block[i * 8..i * 8 + 8]));
+            *lane = lane.wrapping_mul(FNV_PRIME);
+        }
     }
-    for &b in chunks.remainder() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
+
+    /// Appends `bytes` to the hashed string.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (32 - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 32 {
+                return;
+            }
+            let block = self.pending;
+            self.block(&block);
+            self.pending_len = 0;
+        }
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            self.block(block);
+        }
+        let tail = blocks.remainder();
+        self.pending[..tail.len()].copy_from_slice(tail);
+        self.pending_len = tail.len();
     }
-    hash
+
+    /// Bytes hashed so far.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// True before the first byte.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The checksum of everything hashed so far.
+    pub fn value(&self) -> u64 {
+        let mut hash = FNV_SEED ^ self.len.wrapping_mul(FNV_PRIME);
+        for lane in self.lanes {
+            hash ^= lane;
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+        for &b in &self.pending[..self.pending_len] {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+        hash
+    }
 }
 
 /// Wraps a payload in the versioned, checksummed snapshot envelope.
@@ -189,32 +261,13 @@ impl SnapshotWriter {
         }
     }
 
-    /// Creates an empty writer with `capacity` bytes pre-reserved —
-    /// callers that can estimate the payload size avoid growth copies
-    /// on multi-megabyte snapshots.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SnapshotWriter {
-            buf: Vec::with_capacity(capacity),
-            base: 0,
-        }
-    }
-
     /// Creates a writer that reserves room for the envelope header up
-    /// front so [`Self::into_sealed`] can fill it in place — a
-    /// multi-megabyte snapshot is sealed without the extra allocation
-    /// and copy that [`seal`] pays on an already-built payload.
+    /// front (and `capacity` payload bytes), so [`Self::into_sealed`]
+    /// can fill the header in place — the envelope is sealed without
+    /// the extra allocation and copy that [`seal`] pays on an
+    /// already-built payload.
     pub fn sealing(capacity: usize) -> Self {
-        Self::sealing_reuse(Vec::new(), capacity)
-    }
-
-    /// Like [`Self::sealing`], but recycles `buf`'s allocation: the
-    /// vector is cleared and grown to at least `capacity` +
-    /// [`ENVELOPE_BYTES`]. Steady-state checkpointing hands the
-    /// previous snapshot's buffer back in, so repeated multi-megabyte
-    /// snapshots skip both the allocation and its page-fault cost.
-    pub fn sealing_reuse(mut buf: Vec<u8>, capacity: usize) -> Self {
-        buf.clear();
-        buf.reserve(capacity + ENVELOPE_BYTES);
+        let mut buf = Vec::with_capacity(capacity + ENVELOPE_BYTES);
         buf.extend_from_slice(&[0u8; ENVELOPE_BYTES]);
         SnapshotWriter {
             buf,
@@ -543,6 +596,30 @@ mod tests {
         let mut r2 = SnapshotReader::new(&bytes);
         let _ = r2.get_u8().unwrap();
         assert!(matches!(r2.finish(), Err(SnapshotError::Malformed(_))));
+    }
+
+    #[test]
+    fn streamed_checksum_matches_one_shot_at_every_split() {
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in [0, 1, 31, 32, 33, 64, 95, 200] {
+            let whole = checksum64(&bytes[..len]);
+            for split in 0..=len {
+                for piece in [1, 7, 32, 40] {
+                    let mut sum = Checksum64::new();
+                    sum.update(&bytes[..split]);
+                    for chunk in bytes[split..len].chunks(piece) {
+                        sum.update(chunk);
+                    }
+                    assert_eq!(sum.value(), whole, "len {len} split {split} piece {piece}");
+                    assert_eq!(sum.len(), len as u64);
+                }
+            }
+        }
+        // Pinned values of the one-shot loop this replaced: the streamed
+        // form computes the same checksum, bit for bit.
+        assert_eq!(checksum64(b""), 0xb1a3_520a_5855_6232);
+        assert_eq!(checksum64(b"hello snapshot"), 0x70e8_876b_b643_0260);
+        assert_eq!(checksum64(&bytes), 0xcc6d_6a7e_d592_4246);
     }
 
     #[test]

@@ -283,6 +283,25 @@ impl AdaptiveHistogram {
         self.max_seen
     }
 
+    /// [`Self::quantile`] at each of `ps`, bit for bit, sorting the raw
+    /// calibration buffer once instead of once per quantile.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::quantile`].
+    pub(crate) fn quantiles<const N: usize>(&self, ps: [f64; N]) -> [f64; N] {
+        if self.calibrated {
+            return ps.map(|p| self.quantile(p));
+        }
+        assert!(self.total > 0, "quantile of empty histogram");
+        let mut sorted = self.calibration.clone();
+        sorted.sort_by(f64::total_cmp);
+        ps.map(|p| {
+            assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+            quantile_of_sorted(&sorted, p)
+        })
+    }
+
     /// Returns `(bin_upper_edge, cumulative_fraction)` pairs describing
     /// the empirical CDF, suitable for plotting Figures 5–6.
     pub fn cdf_points(&self) -> Vec<(f64, f64)> {

@@ -76,14 +76,15 @@ impl LatencySummary {
     /// Panics if the histogram is empty.
     pub fn from_histogram(hist: &AdaptiveHistogram) -> Self {
         assert!(!hist.is_empty(), "summary of empty histogram");
+        let [p50, p90, p95, p99, p999] = hist.quantiles(REPORTED_PERCENTILES);
         LatencySummary {
             count: hist.count(),
             mean: hist.mean(),
-            p50: hist.quantile(0.50),
-            p90: hist.quantile(0.90),
-            p95: hist.quantile(0.95),
-            p99: hist.quantile(0.99),
-            p999: hist.quantile(0.999),
+            p50,
+            p90,
+            p95,
+            p99,
+            p999,
             min: hist.min(),
             max: hist.max(),
         }
@@ -204,6 +205,29 @@ mod tests {
         let approx = LatencySummary::from_histogram(&hist);
         assert!((approx.p99 - exact.p99).abs() < 5.0);
         assert!((approx.mean - exact.mean).abs() < 1e-9, "mean is exact");
+    }
+
+    #[test]
+    fn from_histogram_equals_per_quantile_calls() {
+        // Below calibration_samples (raw samples, sorted once for all
+        // five quantiles) and past it (bins, with a few values left in
+        // the overflow bucket).
+        for n in [1_310u32, 50_000] {
+            let mut hist = AdaptiveHistogram::new();
+            for i in 0..n {
+                hist.record(100.0 + f64::from((i * 7_919) % 613) * 0.37);
+            }
+            for _ in 0..10 {
+                hist.record(1.0e6);
+            }
+            assert_eq!(hist.is_calibrated(), n > 2_000);
+            let s = LatencySummary::from_histogram(&hist);
+            let per_quantile = REPORTED_PERCENTILES.map(|p| hist.quantile(p).to_bits());
+            assert_eq!(
+                [s.p50, s.p90, s.p95, s.p99, s.p999].map(f64::to_bits),
+                per_quantile
+            );
+        }
     }
 
     #[test]

@@ -86,12 +86,14 @@ fn checkpoint_resume_reproduces_the_golden_bits() {
     // built engine, finish. Any state the snapshot misses — an RNG
     // stream position, a queue tie-break, a fault cursor — shows up
     // here as a drifted bit.
-    let bytes = {
+    let mut segment = Vec::new();
+    let envelope = {
         let mut run = ResumableRun::new(golden_test(), 0);
         run.step(123_456);
-        run.checkpoint()
+        run.checkpoint(&mut segment).unwrap()
     };
-    let mut resumed = ResumableRun::resume(golden_test(), 0, &bytes).unwrap();
+    let mut resumed =
+        ResumableRun::resume(golden_test(), 0, &envelope, segment.as_slice()).unwrap();
     while resumed.step(50_000) > 0 {}
     let report = resumed.finish();
     let agg = &report.aggregated;

@@ -1,13 +1,67 @@
-//! Property tests for the `TMLS` snapshot envelope: every way a
-//! checkpoint file can be damaged on disk — truncation from a torn
-//! write, a flipped bit from the storage layer, an envelope from a
-//! different format version — must surface as a typed
-//! [`SnapshotError`], never a panic and never silently-wrong state.
+//! Property tests for the `TMLS` snapshot envelope and the record
+//! segment it commits: every way a checkpoint can be damaged on disk —
+//! truncation from a torn write, a flipped bit from the storage layer,
+//! an envelope from a different format version, a segment cut short or
+//! full of garbage — must surface as a typed [`SnapshotError`], never a
+//! panic and never silently-wrong state.
 
 #![allow(clippy::unwrap_used)]
 
+use std::sync::{Arc, OnceLock};
+
 use proptest::prelude::*;
+use treadmill::core::{LoadTest, ResumableRun};
 use treadmill::sim::snapshot::{open, seal, SnapshotError, ENVELOPE_BYTES, SNAPSHOT_VERSION};
+use treadmill::sim::SimDuration;
+use treadmill::workloads::Memcached;
+
+fn tiny_test() -> LoadTest {
+    LoadTest::new(Arc::new(Memcached::default()), 20_000.0)
+        .clients(1)
+        .duration(SimDuration::from_millis(5))
+        .warmup(SimDuration::from_millis(1))
+        .seed(3)
+}
+
+/// The second checkpoint of a tiny run: its envelope, and the record
+/// segment both checkpoints wrote (exactly the committed bytes).
+fn checkpoint() -> &'static (Vec<u8>, Vec<u8>) {
+    static CHECKPOINT: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    CHECKPOINT.get_or_init(|| {
+        let mut run = ResumableRun::new(tiny_test(), 0);
+        let mut segment = Vec::new();
+        run.step(300);
+        run.checkpoint(&mut segment).unwrap();
+        run.step(300);
+        let envelope = run.checkpoint(&mut segment).unwrap();
+        assert!(!run.is_finished() && segment.len() > 1_000);
+        (envelope, segment)
+    })
+}
+
+fn resume(envelope: &[u8], segment: &[u8]) -> Result<(), SnapshotError> {
+    ResumableRun::resume(tiny_test(), 0, envelope, segment).map(|_| ())
+}
+
+#[test]
+fn intact_checkpoint_resumes_and_ignores_bytes_past_the_committed_prefix() {
+    let (envelope, segment) = checkpoint();
+    assert_eq!(resume(envelope, segment), Ok(()));
+    let mut longer = segment.clone();
+    longer.extend_from_slice(b"TMLR debris a crash appended");
+    assert_eq!(resume(envelope, &longer), Ok(()));
+}
+
+#[test]
+fn version_4_envelope_is_refused() {
+    let (envelope, segment) = checkpoint();
+    let mut old = envelope.clone();
+    old[4..8].copy_from_slice(&4u32.to_le_bytes());
+    assert_eq!(
+        resume(&old, segment),
+        Err(SnapshotError::BadVersion { found: 4 })
+    );
+}
 
 proptest! {
     /// Intact envelopes round-trip to the exact payload.
@@ -84,5 +138,42 @@ proptest! {
             }
             Err(e) => { let _ = e.to_string(); }
         }
+    }
+}
+
+proptest! {
+    /// A segment shorter than its envelope's committed length — cut at
+    /// any byte of the committed prefix — is truncated, never resumed.
+    #[test]
+    fn committed_prefix_cut_is_truncated(cut in 0usize..1 << 20) {
+        let (envelope, segment) = checkpoint();
+        let cut = cut % segment.len();
+        prop_assert_eq!(resume(envelope, &segment[..cut]), Err(SnapshotError::Truncated));
+    }
+
+    /// A single flipped bit anywhere in the committed prefix is caught:
+    /// a count or magic that no longer parses, or a checksum mismatch.
+    #[test]
+    fn committed_prefix_bit_flip_is_detected(at in 0usize..1 << 20, bit in 0u8..8) {
+        let (envelope, segment) = checkpoint();
+        let mut flipped = segment.clone();
+        let at = at % flipped.len();
+        flipped[at] ^= 1 << bit;
+        match resume(envelope, &flipped) {
+            Err(
+                SnapshotError::ChecksumMismatch
+                | SnapshotError::Truncated
+                | SnapshotError::Malformed(_),
+            ) => {}
+            other => prop_assert!(false, "flip at byte {} bit {}: {:?}", at, bit, other),
+        }
+    }
+
+    /// Arbitrary segment bytes under a genuine envelope are always a
+    /// typed error.
+    #[test]
+    fn arbitrary_segment_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..4096)) {
+        let (envelope, _) = checkpoint();
+        prop_assert!(resume(envelope, &bytes).is_err());
     }
 }
