@@ -3,30 +3,18 @@
 //! retries / hedging recover (or censor) it.
 //!
 //! Sweeps uplink-loss and stall-rate levels at a fixed load, once with
-//! a passive client and once with a timeout+retry policy, and writes
-//! `EXT09_faults.json` with p50/p99, loss fraction and the fault
-//! counters for every point.
+//! a passive client and once with a timeout+retry policy, and prints
+//! p50/p99, loss fraction and the fault counters for every point.
+//! `--quick` runs 60 ms experiments over 2 loss × 2 stall levels; the
+//! default and `--paper` run 250 ms experiments over 4 × 3.
 //!
-//! Usage: `ext09_faults [--check] [--out PATH] [--seed N] [--regen-golden]`
-//!
-//! `--check` runs a reduced matrix and asserts the robustness
-//! invariants CI cares about:
-//!
-//! 1. a zero-probability fault config is bit-identical to the plain
-//!    engine (the fault layer must be free when off);
-//! 2. a faulty run is reproducible: same seed, same plan ⇒ same bits
-//!    and same fault counters;
-//! 3. a factorial dataset with missing cells completes attribution via
-//!    the IRLS fallback instead of panicking.
-//!
-//! `--regen-golden` (requires `TREADMILL_REGEN_GOLDEN=1`) re-runs the
-//! golden-seed scenario and prints the constant block for
-//! `tests/golden_seed.rs`, so an intentional physics change can refresh
-//! the fixture in one command.
+//! The fault layer's invariants (free when off, reproducible when on,
+//! injecting when active, graceful attribution over missing cells) are
+//! pinned by tests, not by this binary.
 
 use std::sync::Arc;
 
-use serde_json::{Map, Value};
+use treadmill_bench::{banner, cell, row, BenchArgs, Scale};
 use treadmill_cluster::{FaultSpec, RetryPolicy};
 use treadmill_core::{LoadTest, LoadTestReport};
 use treadmill_sim_core::SimDuration;
@@ -49,40 +37,48 @@ fn retry_policy() -> RetryPolicy {
     }
 }
 
-fn point(label: &str, loss: f64, stall_hz: f64, report: &LoadTestReport) -> Value {
+fn point(policy: &str, loss: f64, stall_hz: f64, report: &LoadTestReport) {
     let faults = &report.run.fault_summary;
-    let mut obj = Map::new();
-    obj.insert("policy".to_string(), Value::String(label.to_string()));
-    obj.insert("uplink_loss".to_string(), Value::Float(loss));
-    obj.insert("stall_rate_hz".to_string(), Value::Float(stall_hz));
-    obj.insert("p50_us".to_string(), Value::Float(report.aggregated.p50));
-    obj.insert("p99_us".to_string(), Value::Float(report.aggregated.p99));
-    obj.insert(
-        "loss_fraction".to_string(),
-        Value::Float(report.loss_fraction()),
-    );
-    obj.insert("drops".to_string(), Value::UInt(faults.total_drops()));
-    obj.insert("retries".to_string(), Value::UInt(faults.retries));
-    obj.insert("hedges".to_string(), Value::UInt(faults.hedges));
-    obj.insert("timeouts".to_string(), Value::UInt(faults.timeouts));
-    obj.insert(
-        "failed_requests".to_string(),
-        Value::UInt(faults.failed_requests),
-    );
-    println!(
-        "{label:>7} loss={loss:<5} stall={stall_hz:>5}Hz  p99 {:>8.1}us  lost {:>6.3}%  \
-         retries {} hedges {} timeouts {}",
-        report.aggregated.p99,
-        report.loss_fraction() * 100.0,
-        faults.retries,
-        faults.hedges,
-        faults.timeouts
-    );
-    Value::Object(obj)
+    row([
+        policy.to_string(),
+        cell(loss, 2),
+        cell(stall_hz, 0),
+        cell(report.aggregated.p50, 3),
+        cell(report.aggregated.p99, 3),
+        cell(report.loss_fraction(), 6),
+        faults.total_drops().to_string(),
+        faults.retries.to_string(),
+        faults.hedges.to_string(),
+        faults.timeouts.to_string(),
+        faults.failed_requests.to_string(),
+    ]);
 }
 
-fn sweep(seed: u64, duration_ms: u64, losses: &[f64], stalls: &[f64]) -> Vec<Value> {
-    let mut points = Vec::new();
+fn main() {
+    let args = BenchArgs::parse();
+    banner(
+        "Extension 9",
+        "Tail latency under injected loss and stalls, passive vs retrying client \
+         (memcached, 250k RPS)",
+        &args,
+    );
+    let (duration_ms, losses, stalls): (u64, &[f64], &[f64]) = match args.scale {
+        Scale::Quick => (60, &[0.0, 0.05], &[0.0, 200.0]),
+        Scale::Default | Scale::Paper => (250, &[0.0, 0.01, 0.05, 0.10], &[0.0, 100.0, 500.0]),
+    };
+    row([
+        "policy",
+        "uplink_loss",
+        "stall_rate_hz",
+        "p50_us",
+        "p99_us",
+        "loss_fraction",
+        "drops",
+        "retries",
+        "hedges",
+        "timeouts",
+        "failed_requests",
+    ]);
     for &loss in losses {
         for &stall_hz in stalls {
             let spec = FaultSpec {
@@ -92,215 +88,13 @@ fn sweep(seed: u64, duration_ms: u64, losses: &[f64], stalls: &[f64]) -> Vec<Val
                 stall_us: 500.0,
                 ..Default::default()
             };
-            let passive = base_test(seed, duration_ms).faults(spec).run(0);
-            points.push(point("passive", loss, stall_hz, &passive));
-            let robust = base_test(seed, duration_ms)
+            let passive = base_test(args.seed, duration_ms).faults(spec).run(0);
+            point("passive", loss, stall_hz, &passive);
+            let robust = base_test(args.seed, duration_ms)
                 .faults(spec)
                 .retry_policy(retry_policy())
                 .run(0);
-            points.push(point("robust", loss, stall_hz, &robust));
+            point("robust", loss, stall_hz, &robust);
         }
     }
-    points
-}
-
-/// Invariant 1: configuring all-zero fault probabilities and a disabled
-/// retry policy must not perturb a single bit of the plain engine.
-fn check_zero_fault_identity(seed: u64, duration_ms: u64) {
-    let plain = base_test(seed, duration_ms).run(0);
-    let gated = base_test(seed, duration_ms)
-        .faults(FaultSpec::default())
-        .retry_policy(RetryPolicy::default())
-        .run(0);
-    assert_eq!(
-        plain.aggregated.p99.to_bits(),
-        gated.aggregated.p99.to_bits(),
-        "zero-probability faults changed the p99 bits"
-    );
-    assert_eq!(
-        plain.aggregated.mean.to_bits(),
-        gated.aggregated.mean.to_bits()
-    );
-    assert_eq!(plain.run.total_responses(), gated.run.total_responses());
-    assert_eq!(plain.run.events_executed, gated.run.events_executed);
-    assert!(gated.run.fault_summary.is_quiet());
-    println!("check: zero-fault config is bit-identical to the plain engine");
-}
-
-/// Invariant 2: a faulty run is deterministic — same seed, same plan,
-/// same bits and the same fault counters.
-fn check_faulty_reproducibility(seed: u64, duration_ms: u64) {
-    let spec = FaultSpec {
-        uplink_loss: 0.03,
-        downlink_loss: 0.01,
-        stall_rate_hz: 200.0,
-        stall_us: 800.0,
-        crash_rate_hz: 5.0,
-        ..Default::default()
-    };
-    let make = || {
-        base_test(seed, duration_ms)
-            .faults(spec)
-            .retry_policy(retry_policy())
-            .run(0)
-    };
-    let a = make();
-    let b = make();
-    assert_eq!(
-        a.aggregated.p99.to_bits(),
-        b.aggregated.p99.to_bits(),
-        "faulty run not reproducible"
-    );
-    assert_eq!(a.run.fault_summary, b.run.fault_summary);
-    assert_eq!(a.run.total_responses(), b.run.total_responses());
-    assert!(
-        !a.run.fault_summary.is_quiet(),
-        "fault config injected nothing"
-    );
-    println!(
-        "check: faulty run reproducible ({} drops, {} retries)",
-        a.run.fault_summary.total_drops(),
-        a.run.fault_summary.retries
-    );
-}
-
-/// Invariant 3: attribution with missing factorial cells degrades to
-/// the IRLS fallback instead of panicking.
-fn check_graceful_attribution() {
-    use rand::{Rng, SeedableRng};
-    use treadmill_cluster::HardwareConfig;
-    use treadmill_inference::{attribute_graceful, Dataset};
-    use treadmill_stats::regression::Cell;
-
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
-    let cells = (0..16)
-        .filter(|&i| i != 5)
-        .map(|i| {
-            let lv = HardwareConfig::from_index(i).levels();
-            let center = 80.0 + 30.0 * lv[0] - 8.0 * lv[1];
-            let runs: Vec<Vec<f64>> = (0..6)
-                .map(|_| (0..80).map(|_| center + rng.gen_range(-1.0..1.0)).collect())
-                .collect();
-            Cell::new(lv, runs)
-        })
-        .collect();
-    let dataset = Dataset {
-        cells,
-        target_rps: 1.0,
-        workload_name: "synthetic".into(),
-    };
-    let outcome = attribute_graceful(&dataset, 0.5, 30, 7);
-    assert!(outcome.degraded, "missing cell must flag degradation");
-    assert!(
-        outcome.warnings.iter().any(|w| w.contains("IRLS")),
-        "warnings must name the fallback: {:?}",
-        outcome.warnings
-    );
-    let predictions = outcome.result.predictions_all_configs();
-    assert!(predictions.iter().all(|p| p.is_finite()));
-    println!(
-        "check: 15-cell attribution degraded gracefully ({} warnings)",
-        outcome.warnings.len()
-    );
-}
-
-/// Re-runs the golden-seed scenario and prints the constants block for
-/// `tests/golden_seed.rs`. Gated behind `TREADMILL_REGEN_GOLDEN=1` so a
-/// stray invocation cannot be mistaken for an intentional refresh.
-fn regen_golden() {
-    if std::env::var("TREADMILL_REGEN_GOLDEN").as_deref() != Ok("1") {
-        eprintln!(
-            "refusing to regenerate golden constants: set TREADMILL_REGEN_GOLDEN=1 \
-             and update tests/golden_seed.rs in the same commit, saying why"
-        );
-        std::process::exit(2);
-    }
-    let report = LoadTest::new(Arc::new(Memcached::default()), 250_000.0)
-        .clients(4)
-        .duration(SimDuration::from_millis(120))
-        .warmup(SimDuration::from_millis(30))
-        .seed(42)
-        .run(0);
-    let agg = &report.aggregated;
-    println!("// Paste into tests/golden_seed.rs (seed 42, Memcached, 250k RPS):");
-    for (name, value) in [
-        ("mean", agg.mean),
-        ("p50", agg.p50),
-        ("p90", agg.p90),
-        ("p95", agg.p95),
-        ("p99", agg.p99),
-        ("p999", agg.p999),
-        ("min", agg.min),
-        ("max", agg.max),
-    ] {
-        println!("        (\"{name}\", agg.{name}, 0x{:016x}),", value.to_bits());
-    }
-    println!("    assert_eq!(agg.count, {});", agg.count);
-    println!(
-        "    assert_eq!(report.run.total_responses(), {});",
-        report.run.total_responses()
-    );
-    println!(
-        "    assert_eq!(report.run.events_executed, {});",
-        report.run.events_executed
-    );
-}
-
-fn main() {
-    let mut check = false;
-    let mut regen = false;
-    let mut out = "EXT09_faults.json".to_string();
-    let mut seed = 2016u64;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--regen-golden" => regen = true,
-            "--out" => out = iter.next().expect("--out needs a path"),
-            "--seed" => {
-                seed = iter
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed must be a u64");
-            }
-            other => panic!(
-                "unknown argument {other}; expected --check/--regen-golden/--out PATH/--seed N"
-            ),
-        }
-    }
-    if regen {
-        regen_golden();
-        return;
-    }
-
-    let duration_ms = if check { 60 } else { 250 };
-    check_zero_fault_identity(seed, duration_ms);
-    check_faulty_reproducibility(seed, duration_ms);
-    check_graceful_attribution();
-
-    let (losses, stalls): (Vec<f64>, Vec<f64>) = if check {
-        (vec![0.0, 0.05], vec![0.0, 200.0])
-    } else {
-        (vec![0.0, 0.01, 0.05, 0.10], vec![0.0, 100.0, 500.0])
-    };
-    let points = sweep(seed, duration_ms, &losses, &stalls);
-
-    let mut root = Map::new();
-    root.insert("schema".to_string(), Value::UInt(1));
-    root.insert(
-        "mode".to_string(),
-        Value::String(if check { "check" } else { "full" }.to_string()),
-    );
-    root.insert("seed".to_string(), Value::UInt(seed));
-    root.insert("points".to_string(), Value::Array(points));
-    let json =
-        serde_json::to_string_pretty(&Value::Object(root)).expect("serialize fault sweep");
-    std::fs::write(&out, &json).expect("write fault sweep");
-    let parsed: Value = serde_json::from_str(&json).expect("report must re-parse");
-    assert!(
-        !parsed["points"].as_array().expect("points array").is_empty(),
-        "sweep produced no points"
-    );
-    println!("wrote {out}");
 }

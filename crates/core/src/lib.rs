@@ -75,8 +75,7 @@ pub use runner::{
     LoadTest, LoadTestReport, RerunPolicy, RobustRunOutcome, RunDegradation,
 };
 pub use sweep::{
-    run_factorial_sweep, run_factorial_sweep_controlled, run_screened_sweep, run_sweep,
-    run_sweep_controlled, CellSummary, FactorialCellResult, FactorialOutcome,
-    ScreenedCell, ScreenedSweepPlan, SweepControl, SweepError, SweepEvent, SweepOptions,
-    SweepOutcome, FACTORIAL_CELLS,
+    run_factorial_sweep_controlled, run_sweep_controlled, CellSummary, FactorialCellResult,
+    FactorialOutcome, ScreenedCell, ScreenedSweepPlan, SweepControl, SweepError, SweepEvent,
+    SweepOptions, SweepOutcome, FACTORIAL_CELLS,
 };

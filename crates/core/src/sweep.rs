@@ -133,7 +133,7 @@ impl SweepControl<'_> {
     }
 }
 
-/// Knobs for [`run_sweep`].
+/// Knobs for [`run_sweep_controlled`].
 #[derive(Debug, Clone, Copy)]
 pub struct SweepOptions {
     /// Cells (repeated runs) to execute.
@@ -146,9 +146,10 @@ pub struct SweepOptions {
     /// Replay the journal and continue a crashed sweep instead of
     /// starting fresh.
     pub resume: bool,
-    /// Event-heap ceiling for the per-checkpoint invariant audit.
-    pub max_pending: usize,
 }
+
+/// Event-heap ceiling for the per-checkpoint invariant audit.
+const MAX_PENDING_EVENTS: usize = 10_000_000;
 
 /// The default checkpoint interval, sized so checkpointing costs a few
 /// percent of a cell: the tests
@@ -165,7 +166,6 @@ impl Default for SweepOptions {
             runs: 6,
             ckpt_events: DEFAULT_CKPT_EVENTS,
             resume: false,
-            max_pending: 10_000_000,
         }
     }
 }
@@ -194,7 +194,7 @@ pub struct CellSummary {
     pub p999_us: f64,
 }
 
-/// What [`run_sweep`] did, for operator-facing summaries.
+/// What [`run_sweep_controlled`] did, for operator-facing summaries.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOutcome {
     /// Cells executed (fresh or resumed) this invocation.
@@ -565,30 +565,18 @@ fn aggregate_attribution(
     out
 }
 
-/// Executes (or resumes) a sweep of `opts.runs` cells into `out_dir`.
-/// [`run_sweep_controlled`] with no cancellation or progress hooks.
+/// Executes (or resumes) a sweep of `opts.runs` cells into `out_dir`,
+/// with cooperative cancellation and progress reporting through `ctrl`
+/// (`SweepControl::default()` for neither).
 ///
 /// # Errors
 ///
 /// Returns [`SweepError::Config`] if the configuration does not build
 /// and [`SweepError::Io`] on filesystem trouble. A corrupt or missing
 /// checkpoint is *not* an error: the affected cell restarts from event
-/// zero (with a warning) and the sweep continues.
-pub fn run_sweep(
-    config: &LoadTestConfig,
-    out_dir: &Path,
-    opts: &SweepOptions,
-) -> Result<SweepOutcome, SweepError> {
-    run_sweep_controlled(config, out_dir, opts, &mut SweepControl::default())
-}
-
-/// [`run_sweep`] with cooperative cancellation and progress reporting —
-/// the entry point `treadmill-serve` and the signal-handling CLI use.
-///
-/// # Errors
-///
-/// Same as [`run_sweep`]. Cancellation is *not* an error: the outcome
-/// comes back `Ok` with [`SweepOutcome::interrupted`] set.
+/// zero (with a warning) and the sweep continues. Cancellation is not
+/// an error either: the outcome comes back `Ok` with
+/// [`SweepOutcome::interrupted`] set.
 pub fn run_sweep_controlled(
     config: &LoadTestConfig,
     out_dir: &Path,
@@ -689,7 +677,7 @@ pub fn run_sweep_controlled(
                 break;
             }
             checkpoint_cell(&mut run, out_dir, cell)?;
-            for finding in run.audit(opts.max_pending) {
+            for finding in run.audit(MAX_PENDING_EVENTS) {
                 outcome.warnings.push(format!("cell {cell}: auditor: {finding}"));
             }
             ctrl.emit(SweepEvent::Checkpointed {
@@ -964,56 +952,20 @@ fn screen_tsv(master_seed: u64, base_hash: &str, plan: &ScreenedSweepPlan) -> St
     out
 }
 
-/// Runs the full 2⁴ factorial sweep: every hardware cell gets its own
-/// crash-tolerant [`run_sweep`] into `hw_NN/` under `out_dir`, and the
-/// across-run aggregates land in `factorial.tsv`.
-///
-/// # Errors
-///
-/// Same as [`run_sweep`].
-pub fn run_factorial_sweep(
-    config: &LoadTestConfig,
-    out_dir: &Path,
-    opts: &SweepOptions,
-) -> Result<FactorialOutcome, SweepError> {
-    factorial_sweep_impl(config, out_dir, opts, None, &mut SweepControl::default())
-}
-
-/// Runs the two-stage screened sweep: DES runs are spent only on the
-/// cells the analytic screen flagged. A threshold-0 plan (every cell
-/// flagged) reproduces [`run_factorial_sweep`]'s artifacts
-/// byte-for-byte.
+/// Runs the 2⁴ factorial sweep: every hardware cell gets its own
+/// crash-tolerant [`run_sweep_controlled`] into `hw_NN/` under
+/// `out_dir`, and the across-run aggregates land in `factorial.tsv`.
+/// With a screen `plan`, DES runs are spent only on the cells it
+/// flagged and the predictions land in `screen.tsv`; a threshold-0
+/// plan (every cell flagged) reproduces `plan: None`'s artifacts
+/// byte-for-byte. Cells run one at a time, in index order: that is the
+/// order [`SweepEvent::CellDone`] reports them in.
 ///
 /// # Errors
 ///
 /// [`SweepError::Screen`] for a malformed plan, otherwise the same as
-/// [`run_sweep`].
-pub fn run_screened_sweep(
-    config: &LoadTestConfig,
-    out_dir: &Path,
-    opts: &SweepOptions,
-    plan: &ScreenedSweepPlan,
-) -> Result<FactorialOutcome, SweepError> {
-    factorial_sweep_impl(config, out_dir, opts, Some(plan), &mut SweepControl::default())
-}
-
-/// [`run_screened_sweep`] with cooperative cancellation and progress —
-/// the service entry point. `plan: None` is the full factorial.
-///
-/// # Errors
-///
-/// Same as [`run_screened_sweep`].
+/// [`run_sweep_controlled`].
 pub fn run_factorial_sweep_controlled(
-    config: &LoadTestConfig,
-    out_dir: &Path,
-    opts: &SweepOptions,
-    plan: Option<&ScreenedSweepPlan>,
-    ctrl: &mut SweepControl<'_>,
-) -> Result<FactorialOutcome, SweepError> {
-    factorial_sweep_impl(config, out_dir, opts, plan, ctrl)
-}
-
-fn factorial_sweep_impl(
     config: &LoadTestConfig,
     out_dir: &Path,
     opts: &SweepOptions,
@@ -1131,6 +1083,24 @@ mod tests {
         dir
     }
 
+    /// A sweep with no cancellation or progress hooks.
+    fn sweep(
+        config: &LoadTestConfig,
+        dir: &Path,
+        opts: &SweepOptions,
+    ) -> Result<SweepOutcome, SweepError> {
+        run_sweep_controlled(config, dir, opts, &mut SweepControl::default())
+    }
+
+    fn screened_sweep(
+        config: &LoadTestConfig,
+        dir: &Path,
+        opts: &SweepOptions,
+        plan: &ScreenedSweepPlan,
+    ) -> Result<FactorialOutcome, SweepError> {
+        run_factorial_sweep_controlled(config, dir, opts, Some(plan), &mut SweepControl::default())
+    }
+
     fn opts(runs: u64) -> SweepOptions {
         SweepOptions {
             runs,
@@ -1142,7 +1112,7 @@ mod tests {
     #[test]
     fn sweep_writes_all_artifacts() {
         let dir = tempdir("basic");
-        let outcome = run_sweep(&small_config(), &dir, &opts(2)).expect("sweep");
+        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("sweep");
         assert_eq!(outcome.executed, vec![0, 1]);
         assert!(outcome.skipped.is_empty());
         assert!(!outcome.interrupted);
@@ -1174,16 +1144,16 @@ mod tests {
     #[test]
     fn resume_skips_done_cells_and_reproduces_summary() {
         let golden_dir = tempdir("golden");
-        run_sweep(&small_config(), &golden_dir, &opts(3)).expect("golden sweep");
+        sweep(&small_config(), &golden_dir, &opts(3)).expect("golden sweep");
 
         // Run one cell, then "crash" (stop), then resume for all three.
         let dir = tempdir("resumed");
-        run_sweep(&small_config(), &dir, &opts(1)).expect("partial sweep");
+        sweep(&small_config(), &dir, &opts(1)).expect("partial sweep");
         let resumed_opts = SweepOptions {
             resume: true,
             ..opts(3)
         };
-        let outcome = run_sweep(&small_config(), &dir, &resumed_opts).expect("resumed sweep");
+        let outcome = sweep(&small_config(), &dir, &resumed_opts).expect("resumed sweep");
         assert_eq!(outcome.skipped, vec![0]);
         assert_eq!(outcome.executed, vec![1, 2]);
 
@@ -1208,7 +1178,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
 
         let golden_dir = tempdir("golden-cancel");
-        run_sweep(&small_config(), &golden_dir, &opts(2)).expect("golden sweep");
+        sweep(&small_config(), &golden_dir, &opts(2)).expect("golden sweep");
 
         // Cancel at the first checkpoint of cell 0 — the graceful
         // SIGTERM path: the sweep returns Ok, interrupted, with the
@@ -1236,7 +1206,7 @@ mod tests {
             resume: true,
             ..opts(2)
         };
-        let outcome = run_sweep(&small_config(), &dir, &resumed_opts).expect("resume");
+        let outcome = sweep(&small_config(), &dir, &resumed_opts).expect("resume");
         assert_eq!(outcome.resumed_cell, Some(0));
         assert!(!outcome.interrupted);
         for artifact in ["cell_0.tsv", "cell_1.tsv", "summary.tsv", "attribution.tsv"] {
@@ -1277,7 +1247,7 @@ mod tests {
     #[test]
     fn resume_restores_in_flight_cell_from_checkpoint() {
         let golden_dir = tempdir("golden-midcell");
-        run_sweep(&small_config(), &golden_dir, &opts(1)).expect("golden sweep");
+        sweep(&small_config(), &golden_dir, &opts(1)).expect("golden sweep");
 
         // Hand-craft a crashed sweep: journal says cell 0 is running,
         // and a mid-run checkpoint exists.
@@ -1291,7 +1261,7 @@ mod tests {
             resume: true,
             ..opts(1)
         };
-        let outcome = run_sweep(&config, &dir, &resumed_opts).expect("resumed sweep");
+        let outcome = sweep(&config, &dir, &resumed_opts).expect("resumed sweep");
         assert_eq!(outcome.resumed_cell, Some(0));
         for artifact in ["cell_0.tsv", "summary.tsv"] {
             let golden = fs::read(golden_dir.join(artifact)).expect("golden artifact");
@@ -1307,10 +1277,10 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
 
         let golden_dir = tempdir("golden-torn");
-        run_sweep(&small_config(), &golden_dir, &opts(2)).expect("golden sweep");
+        sweep(&small_config(), &golden_dir, &opts(2)).expect("golden sweep");
 
         let dir = tempdir("torn");
-        run_sweep(&small_config(), &dir, &opts(1)).expect("sweep");
+        sweep(&small_config(), &dir, &opts(1)).expect("sweep");
         // Append a torn (truncated) line, as a SIGKILL mid-append would.
         use std::io::Write as _;
         let mut file = fs::OpenOptions::new()
@@ -1346,7 +1316,7 @@ mod tests {
             .iter()
             .any(|w| w.contains("torn/unparseable")));
 
-        let outcome = run_sweep(&small_config(), &dir, &resumed_opts).expect("resumed again");
+        let outcome = sweep(&small_config(), &dir, &resumed_opts).expect("resumed again");
         assert_eq!(outcome.resumed_cell, Some(1));
         assert_eq!(outcome.executed, vec![1]);
         for artifact in ["cell_0.tsv", "cell_1.tsv", "summary.tsv", "attribution.tsv"] {
@@ -1364,7 +1334,7 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_restarts_the_cell() {
         let golden_dir = tempdir("golden-corrupt");
-        run_sweep(&small_config(), &golden_dir, &opts(1)).expect("golden sweep");
+        sweep(&small_config(), &golden_dir, &opts(1)).expect("golden sweep");
 
         let config = small_config();
         let dir = crashed_dir("corrupt", &config);
@@ -1374,7 +1344,7 @@ mod tests {
             resume: true,
             ..opts(1)
         };
-        let outcome = run_sweep(&config, &dir, &resumed_opts).expect("resumed");
+        let outcome = sweep(&config, &dir, &resumed_opts).expect("resumed");
         assert_eq!(outcome.resumed_cell, None);
         assert!(outcome.warnings.iter().any(|w| w.contains("unusable")));
         assert_eq!(
@@ -1389,14 +1359,14 @@ mod tests {
     #[test]
     fn config_change_invalidates_old_journal() {
         let dir = tempdir("confchange");
-        run_sweep(&small_config(), &dir, &opts(1)).expect("sweep");
+        sweep(&small_config(), &dir, &opts(1)).expect("sweep");
         let mut changed = small_config();
         changed.target_rps = 90_000.0;
         let resumed_opts = SweepOptions {
             resume: true,
             ..opts(1)
         };
-        let outcome = run_sweep(&changed, &dir, &resumed_opts).expect("resumed");
+        let outcome = sweep(&changed, &dir, &resumed_opts).expect("resumed");
         // The old done line is for a different config hash: re-run.
         assert_eq!(outcome.executed, vec![0]);
         assert!(outcome.skipped.is_empty());
@@ -1425,7 +1395,7 @@ mod tests {
         let dir = tempdir("screened");
         let plan = uniform_plan(&[3, 11], 0.05);
         let outcome =
-            run_screened_sweep(&small_config(), &dir, &opts(1), &plan).expect("sweep");
+            screened_sweep(&small_config(), &dir, &opts(1), &plan).expect("sweep");
         assert_eq!(outcome.simulated, vec![3, 11]);
         assert_eq!(outcome.screened_out.len(), 14);
         assert!(!outcome.interrupted);
@@ -1449,12 +1419,12 @@ mod tests {
         let dir = tempdir("badplan");
         let mut plan = uniform_plan(&[0], 0.0);
         plan.cells.truncate(4);
-        let err = run_screened_sweep(&small_config(), &dir, &opts(1), &plan)
+        let err = screened_sweep(&small_config(), &dir, &opts(1), &plan)
             .expect_err("short plan must be rejected");
         assert!(matches!(err, SweepError::Screen { .. }), "{err}");
         let mut plan = uniform_plan(&[0], 0.0);
         plan.cells[5].index = 9;
-        let err = run_screened_sweep(&small_config(), &dir, &opts(1), &plan)
+        let err = screened_sweep(&small_config(), &dir, &opts(1), &plan)
             .expect_err("misindexed plan must be rejected");
         assert!(err.to_string().contains("cell 5"), "{err}");
         let _ = fs::remove_dir_all(&dir);
@@ -1463,7 +1433,7 @@ mod tests {
     #[test]
     fn sweep_outcome_reports_cell_summaries() {
         let dir = tempdir("cellsummaries");
-        let outcome = run_sweep(&small_config(), &dir, &opts(2)).expect("sweep");
+        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("sweep");
         assert_eq!(outcome.cells.len(), 2);
         for (i, cell) in outcome.cells.iter().enumerate() {
             assert_eq!(cell.cell, i as u64);
@@ -1621,7 +1591,7 @@ mod tests {
             ckpt_events: every,
             ..opts(1)
         };
-        run_sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
+        sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
         let resume_opts = SweepOptions {
             resume: true,
             ..every_opts
@@ -1644,7 +1614,7 @@ mod tests {
                 fs::write(dir.join("cell_0.ckpt.tmp"), &second.envelope[..40]).expect("tmp");
             }
             fs::write(records_path(&dir, 0), segment).expect("segment");
-            let outcome = run_sweep(&config, &dir, &resume_opts).expect("resumed sweep");
+            let outcome = sweep(&config, &dir, &resume_opts).expect("resumed sweep");
             assert_eq!(outcome.resumed_cell, resumed, "{tag}");
             for artifact in [
                 "cell_0.tsv",
@@ -1676,7 +1646,7 @@ mod tests {
             ..opts(1)
         };
         let golden_dir = tempdir("golden-untrusted");
-        run_sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
+        sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
         let scratch = tempdir("untrusted-checkpoints");
         let states = checkpoints_on_disk(&test, &scratch, every);
         let _ = fs::remove_dir_all(&scratch);
@@ -1702,7 +1672,7 @@ mod tests {
             let dir = crashed_dir(tag, &config);
             fs::write(ckpt_path(&dir, 0), envelope).expect("envelope");
             fs::write(records_path(&dir, 0), segment).expect("segment");
-            let outcome = run_sweep(
+            let outcome = sweep(
                 &config,
                 &dir,
                 &SweepOptions {

@@ -210,6 +210,39 @@ pub fn attribute_graceful(
     }
 }
 
+/// The IRLS regressors over per-run quantile observations: one row per
+/// run, its cell's design row. `quantiles` runs parallel to `cells`; the
+/// matching response is `quantiles.concat()`.
+pub(crate) fn run_quantile_matrix(
+    design: &FactorialDesign,
+    cells: &[Cell],
+    quantiles: &[Vec<f64>],
+) -> Matrix {
+    let rows: usize = quantiles.iter().map(Vec::len).sum();
+    let mut matrix = Matrix::zeros(rows, design.num_terms());
+    let mut r = 0;
+    for (cell, cell_quantiles) in cells.iter().zip(quantiles) {
+        let row = design.row(&cell.levels);
+        for _ in cell_quantiles {
+            for (c, v) in row.iter().enumerate() {
+                matrix[(r, c)] = *v;
+            }
+            r += 1;
+        }
+    }
+    matrix
+}
+
+/// IRLS quantile regression of `y` on `matrix` with the paper's 0.01-σ
+/// perturbation, for the all-dummy regressors.
+pub(crate) fn jittered_irls(matrix: &Matrix, y: &[f64], tau: f64) -> Result<Vec<f64>, SolveError> {
+    let options = IrlsOptions {
+        jitter: 0.01,
+        ..Default::default()
+    };
+    quantile_regression_irls(matrix, y, tau, &options)
+}
+
 /// IRLS point fit over per-run quantile rows plus a cluster bootstrap
 /// (resampling runs within each cell, mirroring [`bootstrap_saturated`])
 /// for standard errors.
@@ -222,32 +255,8 @@ fn fit_irls_with_bootstrap(
 ) -> Result<Vec<CoefficientEstimate>, SolveError> {
     let run_quantiles: Vec<Vec<f64>> =
         cells.iter().map(|cell| per_run_quantiles(cell, tau)).collect();
-    let options = IrlsOptions {
-        // The paper's 0.01-σ perturbation trick, for the all-dummy
-        // regressors.
-        jitter: 0.01,
-        ..Default::default()
-    };
-
-    let fit = |quantiles: &[Vec<f64>]| -> Result<Vec<f64>, SolveError> {
-        let rows: usize = quantiles.iter().map(Vec::len).sum();
-        let mut matrix = Matrix::zeros(rows, design.num_terms());
-        let mut y = Vec::with_capacity(rows);
-        let mut r = 0;
-        for (cell, cell_quantiles) in cells.iter().zip(quantiles) {
-            let row = design.row(&cell.levels);
-            for &q in cell_quantiles {
-                for (c, v) in row.iter().enumerate() {
-                    matrix[(r, c)] = *v;
-                }
-                y.push(q);
-                r += 1;
-            }
-        }
-        quantile_regression_irls(&matrix, &y, tau, &options)
-    };
-
-    let point = fit(&run_quantiles)?;
+    let matrix = run_quantile_matrix(design, cells, &run_quantiles);
+    let point = jittered_irls(&matrix, &run_quantiles.concat(), tau)?;
 
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let mut per_coef: Vec<StreamingStats> =
@@ -259,7 +268,7 @@ fn fit_irls_with_bootstrap(
                 *slot = src[rng.gen_range(0..src.len())];
             }
         }
-        let beta = fit(&resampled)?;
+        let beta = jittered_irls(&matrix, &resampled.concat(), tau)?;
         for (stat, value) in per_coef.iter_mut().zip(&beta) {
             stat.record(*value);
         }

@@ -5,15 +5,15 @@
 //! total for 4 factors), randomly permuting the configuration order,
 //! and sub-samples 20k latency samples from each experiment's converged
 //! window. We reproduce the same structure; independence between
-//! experiments comes from disjoint seed streams, and experiments run in
-//! parallel across OS threads.
+//! experiments comes from disjoint seed streams rather than from run
+//! order, so experiments run in index order, in parallel across OS
+//! threads ([`run_grid`]).
 
 // tml-lint: allow(DET001, subsample() uses the map for keyed displaced-index lookups only; see justification at the construction site)
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 use treadmill_cluster::HardwareConfig;
 use treadmill_core::LoadTest;
@@ -116,11 +116,9 @@ impl Dataset {
     }
 }
 
-/// Runs the full factorial collection.
+/// Runs the full factorial collection across `plan.threads` workers.
 ///
-/// Experiment order is randomly permuted (as the paper prescribes to
-/// preserve independence) and executed across `plan.threads` workers;
-/// results are deterministic for a given `plan.seed` regardless of
+/// Results are deterministic for a given `plan.seed` regardless of
 /// thread interleaving because every experiment derives its own seed.
 ///
 /// # Panics
@@ -130,43 +128,14 @@ pub fn collect(plan: &CollectionPlan) -> Dataset {
     assert!(plan.runs_per_config > 0, "need at least one run per config");
     assert!(plan.samples_per_run > 0, "need at least one sample per run");
 
-    // Job list: (config index, repetition), shuffled.
-    let mut jobs: Vec<(usize, usize)> = (0..16)
-        .flat_map(|c| (0..plan.runs_per_config).map(move |r| (c, r)))
-        .collect();
-    let mut order_rng = SeedStream::new(plan.seed).stream("experiment-order", 0);
-    jobs.shuffle(&mut order_rng);
-
-    // One pre-sized slot per job: each experiment writes its own
-    // `OnceLock`, so worker threads never serialize on a shared lock.
-    let slots: Vec<OnceLock<Vec<f64>>> =
-        (0..16 * plan.runs_per_config).map(|_| OnceLock::new()).collect();
-    let next_job = AtomicUsize::new(0);
-    let jobs = &jobs;
-    let slots_ref = &slots;
-
-    std::thread::scope(|scope| {
-        for _ in 0..plan.threads.max(1) {
-            scope.spawn(|| loop {
-                let idx = next_job.fetch_add(1, Ordering::Relaxed);
-                if idx >= jobs.len() {
-                    break;
-                }
-                let (config_idx, rep) = jobs[idx];
-                let samples = run_one_experiment(plan, config_idx, rep);
-                slots_ref[config_idx * plan.runs_per_config + rep]
-                    .set(samples)
-                    .expect("each job owns exactly one slot");
-            });
-        }
-    });
-
-    let mut filled = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every job slot filled"));
+    let reps = plan.runs_per_config;
+    let mut filled = run_grid(16 * reps, plan.threads, |job| {
+        run_one_experiment(plan, job / reps, job % reps)
+    })
+    .into_iter();
     let cells = (0..16)
         .map(|config_idx| {
-            let runs: Vec<Vec<f64>> = filled.by_ref().take(plan.runs_per_config).collect();
+            let runs: Vec<Vec<f64>> = filled.by_ref().take(reps).collect();
             let levels = HardwareConfig::from_index(config_idx).levels();
             Cell::new(levels, runs)
         })
@@ -176,6 +145,37 @@ pub fn collect(plan: &CollectionPlan) -> Dataset {
         target_rps: plan.target_rps,
         workload_name: plan.workload.name().to_string(),
     }
+}
+
+/// Runs `job(0)` … `job(jobs - 1)` across `threads` scoped workers and
+/// returns the results in job order. Each job writes its own pre-sized
+/// `OnceLock` slot, so workers never serialize on a shared lock, and
+/// completion order cannot reach the result as long as a job derives
+/// everything it draws from its index.
+pub(crate) fn run_grid<T: Send + Sync + std::fmt::Debug>(
+    jobs: usize,
+    threads: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let slots: Vec<OnceLock<T>> = (0..jobs).map(|_| OnceLock::new()).collect();
+    let next_job = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.max(1) {
+            scope.spawn(|| loop {
+                let idx = next_job.fetch_add(1, Ordering::Relaxed);
+                if idx >= jobs {
+                    break;
+                }
+                slots[idx]
+                    .set(job(idx))
+                    .expect("each job owns exactly one slot");
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every job slot filled"))
+        .collect()
 }
 
 fn run_one_experiment(plan: &CollectionPlan, config_idx: usize, rep: usize) -> Vec<f64> {

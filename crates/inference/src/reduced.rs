@@ -10,12 +10,10 @@
 //! pseudo-R² against the saturated model's. If interactions matter, the
 //! truncated models must explain visibly less.
 
-use treadmill_stats::linalg::Matrix;
 use treadmill_stats::regression::fit::pseudo_r_squared;
-use treadmill_stats::regression::{
-    per_run_quantiles, quantile_regression_irls, FactorialDesign, IrlsOptions,
-};
+use treadmill_stats::regression::{per_run_quantiles, FactorialDesign};
 
+use crate::attribution::{jittered_irls, run_quantile_matrix};
 use crate::dataset::Dataset;
 use crate::factors::factor_names;
 
@@ -55,32 +53,14 @@ pub fn fit_reduced(dataset: &Dataset, tau: f64, max_order: usize) -> ReducedMode
     let design = FactorialDesign::with_interactions(&factor_names(), max_order);
 
     // Observations: one per experiment — its measured τ-quantile.
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut y: Vec<f64> = Vec::new();
-    for cell in &dataset.cells {
-        for run_quantile in per_run_quantiles(cell, tau) {
-            rows.push(cell.levels.clone());
-            y.push(run_quantile);
-        }
-    }
-    let mut matrix = Matrix::zeros(rows.len(), design.num_terms());
-    for (r, levels) in rows.iter().enumerate() {
-        for (c, v) in design.row(levels).into_iter().enumerate() {
-            matrix[(r, c)] = v;
-        }
-    }
-    let coefficients = quantile_regression_irls(
-        &matrix,
-        &y,
-        tau,
-        &IrlsOptions {
-            // The paper's 0.01-σ perturbation trick, for the all-dummy
-            // regressors.
-            jitter: 0.01,
-            ..Default::default()
-        },
-    )
-    .expect("factorial designs are full rank");
+    let quantiles: Vec<Vec<f64>> = dataset
+        .cells
+        .iter()
+        .map(|cell| per_run_quantiles(cell, tau))
+        .collect();
+    let matrix = run_quantile_matrix(&design, &dataset.cells, &quantiles);
+    let y = quantiles.concat();
+    let coefficients = jittered_irls(&matrix, &y, tau).expect("factorial designs are full rank");
     let predictions = matrix.mul_vec(&coefficients);
     let r2 = pseudo_r_squared(tau, &y, &predictions);
     ReducedModel {

@@ -244,10 +244,10 @@ pub struct ScreenPlan {
 
 impl ScreenPlan {
     /// Converts a hardware-space plan into the contract `core::sweep`'s
-    /// screened orchestration consumes ([`run_screened_sweep`] /
-    /// `run_factorial_sweep_controlled`).
+    /// screened orchestration consumes
+    /// ([`run_factorial_sweep_controlled`]).
     ///
-    /// [`run_screened_sweep`]: treadmill_core::run_screened_sweep
+    /// [`run_factorial_sweep_controlled`]: treadmill_core::run_factorial_sweep_controlled
     pub fn to_sweep_plan(&self) -> treadmill_core::ScreenedSweepPlan {
         treadmill_core::ScreenedSweepPlan {
             threshold: self.threshold,

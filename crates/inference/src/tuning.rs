@@ -5,8 +5,7 @@
 //! experiments. The paper reports p99 −43% and its standard deviation
 //! −93%.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::Rng;
 use treadmill_cluster::HardwareConfig;
@@ -14,6 +13,8 @@ use treadmill_core::LoadTest;
 use treadmill_sim_core::{SeedStream, SimDuration};
 use treadmill_stats::StreamingStats;
 use treadmill_workloads::Workload;
+
+use crate::dataset::run_grid;
 
 /// Parameters of the before/after validation.
 #[derive(Debug, Clone)]
@@ -119,33 +120,20 @@ pub fn validate(plan: &TuningPlan, recommended: HardwareConfig) -> TuningOutcome
 
 fn run_arm(plan: &TuningPlan, pinned: Option<HardwareConfig>, salt: u64) -> ArmSummary {
     let seeds = SeedStream::new(plan.seed ^ salt);
-    // tml-lint: allow(DET007, slots are pre-sized and index-assigned by experiment id; completion order never reaches the result)
-    let results: Mutex<Vec<(f64, f64)>> = Mutex::new(vec![(0.0, 0.0); plan.experiments]);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..plan.threads.max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= plan.experiments {
-                    break;
-                }
-                let hardware = pinned.unwrap_or_else(|| {
-                    let mut rng = seeds.stream("config-choice", i as u64);
-                    HardwareConfig::from_index(rng.gen_range(0..16))
-                });
-                let test = LoadTest::new(Arc::clone(&plan.workload), plan.target_rps)
-                    .clients(plan.clients)
-                    .hardware(hardware)
-                    .duration(plan.duration)
-                    .warmup(plan.warmup)
-                    .seed(seeds.derive("tuning-run", i as u64));
-                let report = test.run(i as u64);
-                results.lock().expect("poisoned")[i] =
-                    (report.aggregated.p50, report.aggregated.p99);
-            });
-        }
+    let pairs = run_grid(plan.experiments, plan.threads, |i| {
+        let hardware = pinned.unwrap_or_else(|| {
+            let mut rng = seeds.stream("config-choice", i as u64);
+            HardwareConfig::from_index(rng.gen_range(0..16))
+        });
+        let test = LoadTest::new(Arc::clone(&plan.workload), plan.target_rps)
+            .clients(plan.clients)
+            .hardware(hardware)
+            .duration(plan.duration)
+            .warmup(plan.warmup)
+            .seed(seeds.derive("tuning-run", i as u64));
+        let report = test.run(i as u64);
+        (report.aggregated.p50, report.aggregated.p99)
     });
-    let pairs = results.into_inner().expect("poisoned");
     ArmSummary {
         p50s: pairs.iter().map(|&(p50, _)| p50).collect(),
         p99s: pairs.iter().map(|&(_, p99)| p99).collect(),

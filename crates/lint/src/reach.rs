@@ -55,9 +55,7 @@ const ENTRY_TYPES: &[&str] = &["ClusterWorld", "ShardedCluster"];
 /// Free functions that are deterministic entry points (sweep drivers
 /// and the analytic screening predictors).
 const ENTRY_FNS: &[&str] = &[
-    "run_sweep",
     "run_sweep_controlled",
-    "run_factorial_sweep",
     "run_factorial_sweep_controlled",
     "screen_factors",
     "screen_cells",
@@ -533,6 +531,47 @@ mod tests {
                     .collect()
             })
             .unwrap_or_default()
+    }
+
+    #[test]
+    fn every_named_entry_point_matches_shipped_code() {
+        // A deleted or renamed entry point would shrink the
+        // deterministic roots without a word: every name must still
+        // seed at least one root of the workspace.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let analysis =
+            crate::analyze_workspace(&root, &crate::baseline::Baseline::default()).unwrap();
+        let sem = analysis.semantics.unwrap();
+        let roots: Vec<_> = (0..sem.graph.fn_count())
+            .filter(|&id| sem.det_root(id))
+            .map(|id| sem.graph.fn_def(id))
+            .collect();
+        let has = |ty: Option<&str>, name: Option<&str>| {
+            roots
+                .iter()
+                .any(|f| f.self_ty.as_deref() == ty && name.is_none_or(|name| f.name == name))
+        };
+        let mut unmatched: Vec<String> = ENTRY_FNS
+            .iter()
+            .filter(|name| !has(None, Some(name)))
+            .map(|name| format!("fn {name}"))
+            .collect();
+        unmatched.extend(
+            ENTRY_METHODS
+                .iter()
+                .filter(|(ty, name)| !has(Some(ty), Some(name)))
+                .map(|(ty, name)| format!("{ty}::{name}")),
+        );
+        unmatched.extend(
+            ENTRY_TYPES
+                .iter()
+                .filter(|ty| !has(Some(ty), None))
+                .map(|ty| format!("impl {ty}")),
+        );
+        assert!(
+            unmatched.is_empty(),
+            "named entry points match nothing: {unmatched:?}"
+        );
     }
 
     #[test]

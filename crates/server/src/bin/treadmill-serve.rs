@@ -3,7 +3,6 @@
 //! ```text
 //! treadmill-serve --state-dir DIR [--addr HOST:PORT] [--resume]
 //!                 [--queue-cap N] [--workers N] [--max-conns N]
-//!                 [--mem-store]
 //! ```
 //!
 //! Binds the HTTP service, prints the bound address (also written to
@@ -17,13 +16,12 @@ use std::process::ExitCode;
 use std::thread;
 use std::time::Duration;
 
-use treadmill_server::service::{start, ServeOptions, StoreKind};
+use treadmill_server::service::{start, ServeOptions};
 use treadmill_server::shutdown;
 
 fn usage() -> &'static str {
     "usage: treadmill-serve --state-dir DIR [--addr HOST:PORT] [--resume]\n\
-     \x20                   [--queue-cap N] [--workers N] [--max-conns N]\n\
-     \x20                   [--mem-store]\n"
+     \x20                   [--queue-cap N] [--workers N] [--max-conns N]\n"
 }
 
 fn parse_args() -> Result<ServeOptions, String> {
@@ -33,7 +31,6 @@ fn parse_args() -> Result<ServeOptions, String> {
     let mut queue_cap: Option<usize> = None;
     let mut workers: Option<usize> = None;
     let mut max_conns: Option<usize> = None;
-    let mut mem_store = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -51,7 +48,6 @@ fn parse_args() -> Result<ServeOptions, String> {
             "--max-conns" => {
                 max_conns = Some(parse_count(&take("--max-conns")?)?);
             }
-            "--mem-store" => mem_store = true,
             other => return Err(format!("unknown flag: {other}")),
         }
     }
@@ -68,9 +64,6 @@ fn parse_args() -> Result<ServeOptions, String> {
     }
     if let Some(n) = max_conns {
         opts.max_conns = n;
-    }
-    if mem_store {
-        opts.store = StoreKind::Memory;
     }
     Ok(opts)
 }

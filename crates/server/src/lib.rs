@@ -53,5 +53,5 @@ pub mod store;
 pub use audit::{AuditEntry, AuditLog};
 pub use job::{ExperimentSpec, JobStatus, SpecError};
 pub use queue::{BoundedQueue, Pop, Push};
-pub use service::{start, ServeOptions, ServerHandle, StartError, StoreKind};
+pub use service::{start, ServeOptions, ServerHandle, StartError};
 pub use store::{JobStore, ReplayReport, StoredJob, SubmitOutcome};

@@ -44,15 +44,6 @@ use crate::job::{ExperimentSpec, JobStatus};
 use crate::queue::{BoundedQueue, Pop, Push};
 use crate::store::{JobStore, SubmitOutcome};
 
-/// Where the [`JobStore`] keeps its jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// Volatile; forgets everything on exit. For tests and demos.
-    Memory,
-    /// Journaled `jobs.jsonl` under the state directory (the default).
-    File,
-}
-
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -71,16 +62,14 @@ pub struct ServeOptions {
     /// Connection cap (queued + in-flight); accepts beyond it get an
     /// immediate `503`.
     pub max_conns: usize,
-    /// Per-socket read timeout.
-    pub read_timeout: Duration,
-    /// Per-socket write timeout.
-    pub write_timeout: Duration,
-    /// Longest a `/events` stream stays open before asking the client
-    /// to reconnect (bounds worker occupancy).
-    pub events_window: Duration,
-    /// Store backend.
-    pub store: StoreKind,
 }
+
+/// Per-socket read and write timeout.
+const SOCKET_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Longest a `/events` stream stays open before asking the client to
+/// reconnect (bounds worker occupancy).
+const EVENTS_WINDOW: Duration = Duration::from_secs(10);
 
 impl ServeOptions {
     /// Defaults tuned for tests and small deployments.
@@ -92,10 +81,6 @@ impl ServeOptions {
             queue_cap: 8,
             http_workers: 4,
             max_conns: 32,
-            read_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(2),
-            events_window: Duration::from_secs(10),
-            store: StoreKind::File,
         }
     }
 }
@@ -275,25 +260,17 @@ impl ServerHandle {
     }
 }
 
-/// Starts the service: opens the store (replaying the journal for the
-/// file backend), binds the listener, writes `addr.txt`, re-enqueues
-/// pending jobs under `--resume`, and spawns the thread pool.
+/// Starts the service: opens the store (replaying its journal), binds
+/// the listener, writes `addr.txt`, re-enqueues pending jobs under
+/// `--resume`, and spawns the thread pool.
 pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
     fs::create_dir_all(&opts.state_dir)?;
     let audit = AuditLog::open(&opts.state_dir)?;
 
-    let (store, pending) = match opts.store {
-        StoreKind::Memory => (JobStore::in_memory(), Vec::new()),
-        StoreKind::File => {
-            let (store, report) = JobStore::open(&opts.state_dir)?;
-            if !report.pending.is_empty() && !opts.resume {
-                return Err(StartError::PendingWithoutResume(
-                    report.pending.len(),
-                ));
-            }
-            (store, report.pending)
-        }
-    };
+    let (store, report) = JobStore::open(&opts.state_dir)?;
+    if !report.pending.is_empty() && !opts.resume {
+        return Err(StartError::PendingWithoutResume(report.pending.len()));
+    }
 
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
@@ -314,7 +291,7 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
 
     // Re-admit journaled pending jobs (recovery bypasses the cap:
     // they were admitted under it originally).
-    for id in pending {
+    for id in report.pending {
         if let Some(job) = shared.store.get(&id) {
             let (seed, hash) = spec_provenance(&job.spec_json);
             let _ = shared.audit.record("recovered", &id, seed, &hash, "");
@@ -374,9 +351,8 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         }
         match accepted {
             Ok((stream, _peer)) => {
-                let _ = stream.set_read_timeout(Some(shared.opts.read_timeout));
-                let _ =
-                    stream.set_write_timeout(Some(shared.opts.write_timeout));
+                let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+                let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
                 match shared.conns.push(stream) {
                     Push::Accepted { .. } => {}
                     Push::Shed(mut stream) | Push::Closed(mut stream) => {
@@ -660,7 +636,7 @@ fn handle_events(
         return error_response(stream, 404, "not-found", "no such experiment");
     }
     let progress = shared.progress_for(id);
-    let deadline = Instant::now() + shared.opts.events_window;
+    let deadline = Instant::now() + EVENTS_WINDOW;
     let mut cursor = 0usize;
     http::start_chunked(stream, 200, "text/plain; charset=utf-8")?;
     loop {
@@ -783,7 +759,10 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
     };
     let config_hash = spec.config_hash();
     let out_dir = shared.job_dir(id);
-    let resume = out_dir.join("manifest.jsonl").exists();
+    // A job that already has a directory ran before this attempt (a
+    // SIGKILL or a drain stopped it): resume it. Where a sweep keeps its
+    // journals is the sweep's business; only the job directory is ours.
+    let resume = out_dir.exists();
     let _ = shared.store.set_status(id, JobStatus::Running, None);
     let _ = shared.audit.record(
         "run-started",
@@ -802,7 +781,6 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
         runs: spec.runs,
         ckpt_events: spec.ckpt_events,
         resume,
-        ..SweepOptions::default()
     };
     let mut on_event = |event: SweepEvent| progress.push(render_event(&event));
     let mut ctrl = SweepControl {

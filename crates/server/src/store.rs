@@ -1,8 +1,8 @@
 //! Job persistence: one [`JobStore`], journaled to `jobs.jsonl` through
 //! [`treadmill_core::journal::Journal`] (the crash-safety recipe of the
 //! sweep manifest: one fsynced JSON line per transition, torn tails
-//! sealed and skipped on replay) or, for `--mem-store`, kept in memory
-//! only. Duplicate journal lines are idempotent.
+//! sealed and skipped on replay). Duplicate journal lines are
+//! idempotent.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -76,12 +76,11 @@ pub struct ReplayReport {
     pub pending: Vec<String>,
 }
 
-/// The job table. With a journal, every transition is one fsynced
-/// line and [`JobStore::open`] replays it, so a SIGKILL'd server
-/// reconstructs exactly the admitted state; without one
-/// ([`JobStore::in_memory`]) a crash forgets everything, by design.
+/// The job table. Every transition is one fsynced journal line and
+/// [`JobStore::open`] replays it, so a SIGKILL'd server reconstructs
+/// exactly the admitted state.
 pub struct JobStore {
-    journal: Option<Journal<JournalLine>>,
+    journal: Journal<JournalLine>,
     state: Mutex<State>,
 }
 
@@ -140,14 +139,6 @@ impl State {
 }
 
 impl JobStore {
-    /// A store without a journal, for tests and `--mem-store` runs.
-    pub fn in_memory() -> JobStore {
-        JobStore {
-            journal: None,
-            state: Mutex::default(),
-        }
-    }
-
     /// Opens (or creates) the journal under `state_dir` and replays
     /// it. Torn lines (unparseable JSON) and status lines for unknown
     /// ids are counted and skipped.
@@ -170,20 +161,17 @@ impl JobStore {
             .map(|j| j.id.clone())
             .collect();
         let store = JobStore {
-            journal: Some(journal),
+            journal,
             state: Mutex::new(state),
         };
         Ok((store, report))
     }
 
-    /// Journals `line` under the next sequence number (no-op in memory).
+    /// Journals `line` under the next sequence number.
     fn append(&self, state: &mut State, mut line: JournalLine) -> io::Result<()> {
-        let Some(journal) = &self.journal else {
-            return Ok(());
-        };
         line.seq = state.next_seq;
         state.next_seq += 1;
-        journal.append(&line)
+        self.journal.append(&line)
     }
 
     /// Admits a job (or dedups it by idempotency `key`).

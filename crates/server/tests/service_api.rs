@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use treadmill_server::client;
-use treadmill_server::service::{start, ServeOptions, ServerHandle, StoreKind};
+use treadmill_server::service::{start, ServeOptions, ServerHandle};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -19,11 +19,9 @@ fn temp_state(tag: &str) -> PathBuf {
     dir
 }
 
-fn mem_server(tag: &str) -> (ServerHandle, String, PathBuf) {
+fn server(tag: &str) -> (ServerHandle, String, PathBuf) {
     let state = temp_state(tag);
-    let mut opts = ServeOptions::new(&state);
-    opts.store = StoreKind::Memory;
-    let handle = start(opts).expect("start service");
+    let handle = start(ServeOptions::new(&state)).expect("start service");
     let addr = handle.addr().to_string();
     (handle, addr, state)
 }
@@ -87,7 +85,7 @@ fn shutdown(handle: ServerHandle, state: &PathBuf) {
 fn drain_then_join_return_with_no_client_traffic() {
     // The acceptor blocks in `accept`; with no client ever connecting,
     // drain must wake it on its own for join to return.
-    let (handle, _addr, state) = mem_server("idle-drain");
+    let (handle, _addr, state) = server("idle-drain");
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         handle.drain();
@@ -102,7 +100,7 @@ fn drain_then_join_return_with_no_client_traffic() {
 
 #[test]
 fn health_endpoints_respond() {
-    let (handle, addr, state) = mem_server("health");
+    let (handle, addr, state) = server("health");
     let resp = get(&addr, "/healthz");
     assert_eq!(resp.status, 200);
     assert_eq!(resp.text(), "ok\n");
@@ -117,7 +115,7 @@ fn health_endpoints_respond() {
 
 #[test]
 fn invalid_specs_get_typed_400s() {
-    let (handle, addr, state) = mem_server("badspec");
+    let (handle, addr, state) = server("badspec");
 
     // Malformed JSON.
     let resp = post_spec(&addr, "{not json", None);
@@ -154,7 +152,7 @@ fn invalid_specs_get_typed_400s() {
 
 #[test]
 fn unknown_routes_and_methods_are_typed() {
-    let (handle, addr, state) = mem_server("routes");
+    let (handle, addr, state) = server("routes");
     assert_eq!(get(&addr, "/experiments/exp-999999").status, 404);
     assert_eq!(get(&addr, "/nope").status, 404);
     let resp = client::request(&addr, "DELETE", "/healthz", &[], b"", TIMEOUT).unwrap();
@@ -164,7 +162,7 @@ fn unknown_routes_and_methods_are_typed() {
 
 #[test]
 fn submit_runs_to_done_and_serves_artifacts() {
-    let (handle, addr, state) = mem_server("lifecycle");
+    let (handle, addr, state) = server("lifecycle");
 
     // Big enough (3 cells × ~45k requests) that the job is still in
     // flight when the not-ready probe below lands.
@@ -207,7 +205,7 @@ fn submit_runs_to_done_and_serves_artifacts() {
 
 #[test]
 fn screened_spec_runs_two_stage_sweep_and_serves_screen_artifacts() {
-    let (handle, addr, state) = mem_server("screened");
+    let (handle, addr, state) = server("screened");
 
     // High threshold: the analytic screen keeps only the worst cells,
     // so the DES stage runs far fewer than 16 sweeps.
@@ -250,8 +248,71 @@ fn screened_spec_runs_two_stage_sweep_and_serves_screen_artifacts() {
 }
 
 #[test]
+fn drained_screened_job_resumes_where_it_stopped() {
+    // Several flagged cells of several checkpoints each, so a drain
+    // requested once the first flagged cell is done lands inside the job.
+    let spec = r#"{"config":{"workload":{"workload":"memcached"},
+        "target_rps":150000,"clients":2,"connections_per_client":4,
+        "duration_ms":120,"warmup_ms":20,"seed":11,
+        "screen":{"threshold":0.2}},"runs":1,"ckpt_events":25000}"#;
+    let artifacts = |state: &PathBuf, id: &str| -> Vec<Vec<u8>> {
+        ["factorial.tsv", "screen.tsv"]
+            .iter()
+            .map(|file| fs::read(state.join("jobs").join(id).join(file)).unwrap())
+            .collect()
+    };
+
+    let (handle, addr, golden_state) = server("screened-golden");
+    let id = field_str(&post_spec(&addr, spec, None).text(), "id").unwrap();
+    wait_done(&addr, &id);
+    let golden = artifacts(&golden_state, &id);
+    shutdown(handle, &golden_state);
+
+    let (handle, addr, state) = server("screened-resume");
+    let id = field_str(&post_spec(&addr, spec, None).text(), "id").unwrap();
+    let job_dir = state.join("jobs").join(&id);
+    let first_cell_done = || {
+        fs::read_dir(&job_dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .any(|entry| {
+                entry.file_name().to_string_lossy().starts_with("hw_")
+                    && entry.path().join("summary.tsv").exists()
+            })
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !first_cell_done() {
+        assert!(Instant::now() < deadline, "no flagged cell finished");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.drain();
+    handle.join().expect("service threads panicked");
+    let jobs = fs::read_to_string(state.join("jobs.jsonl")).unwrap();
+    assert!(
+        !jobs.contains("\"status\":\"done\""),
+        "the job finished before the drain; nothing left to resume:\n{jobs}"
+    );
+
+    let mut opts = ServeOptions::new(&state);
+    opts.resume = true;
+    let handle = start(opts).expect("restart service");
+    let addr = handle.addr().to_string();
+    wait_done(&addr, &id);
+    let events = get(&addr, &format!("/experiments/{id}/events")).text();
+    assert!(events.contains("skipped (already done)"), "{events}");
+    assert!(events.contains("resuming from journal"), "{events}");
+    assert_eq!(
+        artifacts(&state, &id),
+        golden,
+        "resumed factorial.tsv / screen.tsv differ from an uninterrupted job's"
+    );
+    shutdown(handle, &state);
+}
+
+#[test]
 fn idempotency_key_deduplicates() {
-    let (handle, addr, state) = mem_server("dedup");
+    let (handle, addr, state) = server("dedup");
 
     let first = post_spec(&addr, &small_spec(3), Some("k-123"));
     assert_eq!(first.status, 201, "{}", first.text());
@@ -276,7 +337,6 @@ fn idempotency_key_deduplicates() {
 fn admission_queue_sheds_with_503_and_retry_after() {
     let state = temp_state("overload");
     let mut opts = ServeOptions::new(&state);
-    opts.store = StoreKind::Memory;
     opts.queue_cap = 1;
     let handle = start(opts).expect("start service");
     let addr = handle.addr().to_string();

@@ -223,7 +223,7 @@ fn sigkilled_server_resumes_to_byte_identical_artifacts() {
 #[test]
 fn sigterm_drains_cleanly() {
     let root = temp_root("drain");
-    let (mut child, addr) = spawn_server(&root.join("state"), false, &["--mem-store"]);
+    let (mut child, addr) = spawn_server(&root.join("state"), false, &[]);
     assert_eq!(
         client::request(&addr, "GET", "/readyz", &[], b"", TIMEOUT).unwrap().status,
         200

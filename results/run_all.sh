@@ -7,7 +7,7 @@
 # that produced it.
 cd /root/repo
 VERSION=$(grep -m1 '^version' Cargo.toml | cut -d'"' -f2)
-for bin in tab01 tab02 tab03 fig01 fig02 fig03 fig04 fig05 fig06 tab04 fig07 fig08 fig09 fig10 fig11 fig12 ext01_interarrival ext02_anova ext03_aggregation ext04_histogram ext05_hysteresis ext06_omission ext07_freqtrace ext08_interactions; do
+for bin in tab01 tab02 tab03 fig01 fig02 fig03 fig04 fig05 fig06 tab04 fig07 fig08 fig09 fig10 fig11 fig12 ext01_interarrival ext02_anova ext03_aggregation ext04_histogram ext05_hysteresis ext06_omission ext07_freqtrace ext08_interactions ext09_faults; do
   echo "=== $bin ($(date +%H:%M:%S)) ===" >> results/progress.log
   tmp="results/$bin.tsv.tmp"
   echo "# seed=42 config_hash=default version=$VERSION generator=$bin" > "$tmp"

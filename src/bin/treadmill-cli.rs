@@ -52,8 +52,8 @@ use std::sync::Arc;
 
 use treadmill::cluster::HardwareConfig;
 use treadmill::core::{
-    run_sweep_controlled, run_until_converged, ExperimentOptions, LoadTestConfig,
-    SweepControl, SweepEvent, SweepOptions,
+    run_factorial_sweep_controlled, run_sweep_controlled, run_until_converged,
+    ExperimentOptions, LoadTestConfig, SweepControl, SweepEvent, SweepOptions,
 };
 use treadmill::inference::{
     attribute, collect, screen_factors, CollectionPlan, ScreeningOptions,
@@ -558,11 +558,12 @@ fn cmd_screen_analytic(flags: &Flags, path: &str) -> Result<(), String> {
         "DES stage: simulating {} flagged cells into {out} ...",
         plan.flagged.len()
     );
-    let outcome = treadmill::core::run_screened_sweep(
+    let outcome = run_factorial_sweep_controlled(
         &config,
         std::path::Path::new(out),
         &opts,
-        &plan.to_sweep_plan(),
+        Some(&plan.to_sweep_plan()),
+        &mut SweepControl::default(),
     )
     .map_err(|e| e.to_string())?;
     for cell in &outcome.cells {

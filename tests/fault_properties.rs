@@ -88,7 +88,9 @@ proptest! {
 
     /// The retry budget is a hard cap: no response or failure can record
     /// more than `max_retries + 1` attempts, and failures censor at a
-    /// non-negative elapsed time.
+    /// non-negative elapsed time. An active loss rate must also inject
+    /// drops: a fault layer that silently does nothing would pass the
+    /// cap vacuously.
     #[test]
     fn retry_budget_is_bounded(
         seed in 0u64..1_000,
@@ -102,6 +104,7 @@ proptest! {
             ..Default::default()
         };
         let result = base(seed, 150_000.0).faults(spec).retry_policy(policy).run();
+        prop_assert!(result.fault_summary.total_drops() > 0, "fault config injected nothing");
         for record in result.all_records() {
             prop_assert!(record.attempts >= 1);
             prop_assert!(record.attempts <= max_retries + 1);

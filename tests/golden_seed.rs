@@ -4,7 +4,9 @@
 //! buffer reuse) can prove they did not change observable behaviour.
 //!
 //! If a change *intends* to alter results (new RNG, different physics),
-//! update the constants in the same commit and say why.
+//! update the constants in the same commit and say why:
+//! `load_test_run_zero_is_bit_stable` fails with every drifted constant
+//! as a line ready to paste.
 
 // Integration tests exercise the public API end-to-end: unwrap on
 // already-validated setup and exact float comparison (bit-identity is
@@ -25,6 +27,17 @@ fn golden_test() -> LoadTest {
         .seed(42)
 }
 
+/// A pinned count: `(source text, observed, pinned)`.
+macro_rules! count {
+    ($observed:expr, $pinned:expr) => {
+        (
+            stringify!($observed),
+            u64::try_from($observed).unwrap(),
+            $pinned,
+        )
+    };
+}
+
 #[test]
 fn load_test_run_zero_is_bit_stable() {
     let report = golden_test().run(0);
@@ -42,19 +55,39 @@ fn load_test_run_zero_is_bit_stable() {
         ("min", agg.min, 0x40461d4fdf3b645a),
         ("max", agg.max, 0x40768db645a1cac1),
     ];
-    for (name, value, bits) in golden {
-        assert_eq!(
-            value.to_bits(),
-            *bits,
-            "aggregated {name} drifted: got {value:?} (0x{:016x})",
-            value.to_bits()
-        );
+    let counts: &[(&str, u64, u64)] = &[
+        count!(agg.count, 22_378),
+        count!(report.run.total_responses(), 29_839),
+        count!(report.run.events_executed, 298_547),
+        count!(report.pooled_latencies().len(), 22_378),
+        count!(report.ground_truth.len(), 22_378),
+    ];
+    // Every drifted constant at once, each as the line that pins its
+    // new value, so an intended change is one paste rather than one
+    // rerun per constant.
+    let mut drifted = Vec::new();
+    for &(name, value, bits) in golden {
+        if value.to_bits() != bits {
+            drifted.push(format!(
+                "        (\"{name}\", agg.{name}, 0x{:016x}), // {value:?}, was 0x{bits:016x}",
+                value.to_bits()
+            ));
+        }
     }
-    assert_eq!(agg.count, 22_378);
-    assert_eq!(report.run.total_responses(), 29_839);
-    assert_eq!(report.run.events_executed, 298_547);
-    assert_eq!(report.pooled_latencies().len(), 22_378);
-    assert_eq!(report.ground_truth.len(), 22_378);
+    for &(observed, value, pinned) in counts {
+        if value != pinned {
+            drifted.push(format!(
+                "        count!({observed}, {value}), // was {pinned}"
+            ));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "{} golden constant(s) drifted; if the change is intended, paste these \
+         lines over their old ones and say why in the commit:\n{}",
+        drifted.len(),
+        drifted.join("\n")
+    );
 }
 
 #[test]
@@ -154,7 +187,8 @@ fn sharded_run_is_bit_identical_across_thread_counts() {
 fn threshold_zero_screened_sweep_matches_full_factorial_bytes() {
     use std::fs;
     use treadmill::core::{
-        run_factorial_sweep, run_screened_sweep, LoadTestConfig, SweepOptions,
+        run_factorial_sweep_controlled, LoadTestConfig, ScreenedSweepPlan, SweepControl,
+        SweepOptions,
     };
     use treadmill::inference::screen_hardware;
 
@@ -179,10 +213,14 @@ fn threshold_zero_screened_sweep_matches_full_factorial_bytes() {
     let screened_dir = base.join("screened");
     let _ = fs::remove_dir_all(&base);
 
-    run_factorial_sweep(&config, &full_dir, &opts).unwrap();
+    let sweep = |dir: &std::path::Path, plan: Option<&ScreenedSweepPlan>| {
+        run_factorial_sweep_controlled(&config, dir, &opts, plan, &mut SweepControl::default())
+            .unwrap()
+    };
+    sweep(&full_dir, None);
     let plan = screen_hardware(&config, 0.0).unwrap();
     assert_eq!(plan.flagged.len(), 16, "threshold 0 must flag every cell");
-    run_screened_sweep(&config, &screened_dir, &opts, &plan.to_sweep_plan()).unwrap();
+    sweep(&screened_dir, Some(&plan.to_sweep_plan()));
 
     let full_factorial = fs::read(full_dir.join("factorial.tsv")).unwrap();
     let screened_factorial = fs::read(screened_dir.join("factorial.tsv")).unwrap();
@@ -211,7 +249,7 @@ fn threshold_zero_screened_sweep_matches_full_factorial_bytes() {
     let dropping_dir = base.join("dropping");
     let plan = screen_hardware(&config, 0.2).unwrap();
     assert_eq!(plan.flagged, vec![0, 1, 2, 3, 8, 9, 10, 11]);
-    let outcome = run_screened_sweep(&config, &dropping_dir, &opts, &plan.to_sweep_plan()).unwrap();
+    let outcome = sweep(&dropping_dir, Some(&plan.to_sweep_plan()));
     assert_eq!(outcome.simulated, plan.flagged);
     let mut split: Vec<usize> = outcome
         .simulated
