@@ -16,9 +16,10 @@
 //!   segment must reach). Its size follows what is pending, not how long
 //!   the run has been going.
 //!
-//! [`snapshot`] and [`restore`] are the whole-engine form: one chunk of
-//! every record, then the state, in one self-describing, checksummed
-//! envelope (see [`treadmill_sim_core::snapshot`]).
+//! A checkpoint is one or more chunks on a record segment plus one
+//! state sealed in an envelope (see [`treadmill_sim_core::snapshot`]);
+//! `treadmill_core`'s `ResumableRun` is the one place that assembles
+//! them.
 //!
 //! Restoring targets a *freshly built* engine for the same
 //! configuration. Everything that is a pure function of the
@@ -37,7 +38,7 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
-use treadmill_sim_core::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use treadmill_sim_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use treadmill_sim_core::{Engine, RateQueueState, SimDuration, SimTime, UtilizationState};
 use treadmill_workloads::{OpClass, RequestProfile};
 
@@ -48,34 +49,6 @@ use crate::server::core::CoreJob;
 use crate::server::FrequencyEvent;
 use crate::world::{ClusterWorld, Event};
 use crate::{FailureKind, FailureRecord};
-
-/// Serialises the engine's full mutable state — every record, then the
-/// rest — into a sealed snapshot.
-pub fn snapshot(engine: &Engine<ClusterWorld>) -> Vec<u8> {
-    let mut records = Vec::new();
-    // Writing into memory cannot fail.
-    let _ = write_chunk(engine, &mut Vec::new(), &mut records);
-    let mut w = SnapshotWriter::sealing(records.len() + state_size_hint(engine));
-    w.put_raw(&records);
-    write_state(engine, &mut w);
-    w.into_sealed()
-}
-
-/// A generous upper estimate of [`write_state`]'s size for `engine`,
-/// used to pre-size the writer. It follows what is pending (events,
-/// in-flight requests, queued jobs); records are not part of the state.
-pub fn state_size_hint(engine: &Engine<ClusterWorld>) -> usize {
-    let world = engine.world();
-    let per_client: usize = world
-        .clients
-        .iter()
-        .map(|c| 160 + c.in_flight.len() * 64)
-        .sum();
-    4096 + per_client
-        + world.outstanding_samples.len() * 12
-        + world.server.cores.len() * 96
-        + engine.pending_events() * 160
-}
 
 /// How far one client's records have been written to a segment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -330,24 +303,6 @@ pub fn write_state(engine: &Engine<ClusterWorld>, w: &mut SnapshotWriter) {
     );
     w.put_u64(world.shard.sent);
     w.put_u64(world.shard.received);
-}
-
-/// Restores a [`snapshot`] onto a freshly built engine for the same
-/// configuration (same workload, specs, clients, seed — see the module
-/// docs for what "same" buys).
-///
-/// # Errors
-///
-/// Returns a [`SnapshotError`] if the envelope is corrupt, the version
-/// is unknown, or the payload disagrees structurally with the rebuilt
-/// engine (wrong client/core/link count, unknown event tag, trailing
-/// bytes).
-pub fn restore(engine: &mut Engine<ClusterWorld>, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let mut payload = snapshot::open(bytes)?;
-    read_chunk(engine, &mut payload)?;
-    let mut r = SnapshotReader::new(payload);
-    read_state(engine, &mut r)?;
-    r.finish()
 }
 
 /// Decodes a state written by [`write_state`] from `r` and applies it
@@ -904,15 +859,40 @@ fn get_event(r: &mut SnapshotReader<'_>) -> Result<Event, SnapshotError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::ClientSpec;
     use crate::source::PoissonSource;
     use crate::world::{extract_result, ClusterBuilder, RunResult};
     use crate::{FaultSpec, RetryPolicy};
     use std::sync::Arc;
+    use treadmill_sim_core::snapshot;
     use treadmill_sim_core::SimDuration;
     use treadmill_workloads::Memcached;
+
+    /// The whole engine in one sealed envelope: one chunk of every
+    /// record, then the state.
+    pub(crate) fn snapshot(engine: &Engine<ClusterWorld>) -> Vec<u8> {
+        let mut records = Vec::new();
+        write_chunk(engine, &mut Vec::new(), &mut records).expect("writing to memory");
+        let mut w = SnapshotWriter::new();
+        w.put_raw(&records);
+        write_state(engine, &mut w);
+        w.into_sealed()
+    }
+
+    /// Restores a [`snapshot`] onto a freshly built engine for the same
+    /// configuration.
+    pub(crate) fn restore(
+        engine: &mut Engine<ClusterWorld>,
+        bytes: &[u8],
+    ) -> Result<(), SnapshotError> {
+        let mut payload = snapshot::open(bytes)?;
+        read_chunk(engine, &mut payload)?;
+        let mut r = SnapshotReader::new(payload);
+        read_state(engine, &mut r)?;
+        r.finish()
+    }
 
     /// A configuration exercising every stateful subsystem: two clients
     /// (one cross-rack), faults on every channel, retries and hedging.
@@ -1066,7 +1046,8 @@ mod tests {
         );
         let mut state = SnapshotWriter::new();
         write_state(&engine, &mut state);
-        let state = state.into_bytes();
+        let state = state.into_sealed();
+        let state = snapshot::open(&state).expect("sealed state");
 
         let mut resumed = lossy().build();
         let mut input = segment.as_slice();
@@ -1074,7 +1055,7 @@ mod tests {
         assert_eq!(segment.len() - input.len(), first);
         read_chunk(&mut resumed, &mut input).expect("second chunk");
         assert!(input.is_empty());
-        let mut r = SnapshotReader::new(&state);
+        let mut r = SnapshotReader::new(state);
         read_state(&mut resumed, &mut r).expect("state");
         r.finish().expect("whole state read");
         resumed.run_to_completion();
@@ -1085,7 +1066,7 @@ mod tests {
         let mut short = lossy().build();
         read_chunk(&mut short, &mut &segment[..first]).expect("first chunk");
         assert!(matches!(
-            read_state(&mut short, &mut SnapshotReader::new(&state)),
+            read_state(&mut short, &mut SnapshotReader::new(state)),
             Err(SnapshotError::Malformed(_))
         ));
     }

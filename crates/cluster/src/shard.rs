@@ -518,11 +518,11 @@ mod tests {
         let mut original = ShardedCluster::new(shard_engines(2, 4, 23), 2);
         original.run(8_000);
         let blobs: Vec<Vec<u8>> = (0..original.n_shards())
-            .map(|i| crate::checkpoint::snapshot(original.engine_mut(i)))
+            .map(|i| crate::checkpoint::tests::snapshot(original.engine_mut(i)))
             .collect();
         let mut resumed_engines = shard_engines(2, 4, 23);
         for (engine, blob) in resumed_engines.iter_mut().zip(&blobs) {
-            crate::checkpoint::restore(engine, blob).unwrap();
+            crate::checkpoint::tests::restore(engine, blob).unwrap();
         }
         let mut resumed = ShardedCluster::new(resumed_engines, 1);
         resumed.run_to_completion();

@@ -7,26 +7,16 @@ use treadmill_stats::{AdaptiveHistogram, HistogramConfig, LatencySummary};
 use crate::phases::{current_phase, Phase, PhaseConfig};
 
 /// Configuration for a [`TreadmillInstance`].
-#[derive(Debug, Clone)]
+///
+/// Every measurement-phase response is recorded. §II-B samples to bound
+/// the measurement overhead of a real load tester; a simulated one pays
+/// no such overhead.
+#[derive(Debug, Clone, Default)]
 pub struct InstanceConfig {
     /// Phase (warm-up) configuration.
     pub phases: PhaseConfig,
     /// Histogram configuration.
     pub histogram: HistogramConfig,
-    /// Record one of every `sample_one_in` measurement-phase responses
-    /// (§II-B: "due to high request rates, sampling must be used to
-    /// control the measurement overhead"). `1` records everything.
-    pub sample_one_in: u64,
-}
-
-impl Default for InstanceConfig {
-    fn default() -> Self {
-        InstanceConfig {
-            phases: PhaseConfig::default(),
-            histogram: HistogramConfig::default(),
-            sample_one_in: 1,
-        }
-    }
 }
 
 /// One Treadmill instance's measurement pipeline: discards warm-up
@@ -47,21 +37,16 @@ pub struct TreadmillInstance {
     config: InstanceConfig,
     histogram: AdaptiveHistogram,
     discarded: u64,
-    skipped: u64,
-    seen: u64,
     last_observed: SimTime,
 }
 
 impl TreadmillInstance {
     /// Creates an empty instance.
     pub fn new(config: InstanceConfig) -> Self {
-        assert!(config.sample_one_in >= 1, "sampling stride must be >= 1");
         TreadmillInstance {
             histogram: AdaptiveHistogram::with_config(config.histogram.clone()),
             config,
             discarded: 0,
-            skipped: 0,
-            seen: 0,
             last_observed: SimTime::ZERO,
         }
     }
@@ -72,11 +57,6 @@ impl TreadmillInstance {
         self.last_observed = self.last_observed.max(record.t_delivered);
         if record.t_generated < SimTime::ZERO + self.config.phases.warmup {
             self.discarded += 1;
-            return;
-        }
-        self.seen += 1;
-        if self.config.sample_one_in > 1 && !self.seen.is_multiple_of(self.config.sample_one_in) {
-            self.skipped += 1;
             return;
         }
         self.histogram.record(record.user_latency_us());
@@ -106,11 +86,6 @@ impl TreadmillInstance {
     /// Warm-up samples discarded.
     pub fn discarded(&self) -> u64 {
         self.discarded
-    }
-
-    /// Measurement-phase responses skipped by the sampling stride.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
     }
 
     /// The configured warm-up window.
@@ -171,7 +146,6 @@ mod tests {
                 calibration_samples: calibration,
                 ..Default::default()
             },
-            sample_one_in: 1,
         }
     }
 
@@ -212,35 +186,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn summary_of_empty_instance_panics() {
         TreadmillInstance::new(InstanceConfig::default()).summary();
-    }
-
-    #[test]
-    fn sampling_stride_thins_measurements_without_bias() {
-        let mut full = TreadmillInstance::new(config(0, 50));
-        let mut thinned = TreadmillInstance::new(InstanceConfig {
-            sample_one_in: 10,
-            ..config(0, 50)
-        });
-        for i in 0..20_000 {
-            let rec = record(i * 5, 100 + (i % 200));
-            full.observe(&rec);
-            thinned.observe(&rec);
-        }
-        assert_eq!(full.samples(), 20_000);
-        assert_eq!(thinned.samples(), 2_000);
-        assert_eq!(thinned.skipped(), 18_000);
-        // The thinned estimate stays close to the full one.
-        let a = full.summary().p99;
-        let b = thinned.summary().p99;
-        assert!((a - b).abs() < 10.0, "full {a} vs sampled {b}");
-    }
-
-    #[test]
-    #[should_panic(expected = "stride")]
-    fn zero_stride_rejected() {
-        TreadmillInstance::new(InstanceConfig {
-            sample_one_in: 0,
-            ..Default::default()
-        });
     }
 }

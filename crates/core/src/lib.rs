@@ -71,9 +71,7 @@ pub use interarrival::InterArrival;
 pub use phases::{Phase, PhaseConfig};
 pub use report::{health_warnings, render_report};
 pub use resumable::{ResumableRun, TailMonitor};
-pub use runner::{
-    LoadTest, LoadTestReport, RerunPolicy, RobustRunOutcome, RunDegradation,
-};
+pub use runner::{LoadTest, LoadTestReport};
 pub use sweep::{
     run_factorial_sweep_controlled, run_sweep_controlled, CellSummary, FactorialCellResult,
     FactorialOutcome, ScreenedCell, ScreenedSweepPlan, SweepControl, SweepError, SweepEvent,

@@ -272,10 +272,7 @@ impl ResumableRun {
         out.flush()?;
         drop(out);
 
-        let hint: usize = (0..self.cluster.n_shards())
-            .map(|i| checkpoint::state_size_hint(&self.cluster.engine(i)))
-            .sum();
-        let mut w = SnapshotWriter::sealing(hint + 1024);
+        let mut w = SnapshotWriter::new();
         w.put_u64(self.run_seed);
         w.put_u64(self.segment.len());
         w.put_u64(self.segment.value());

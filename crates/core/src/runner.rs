@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use treadmill_cluster::{
-    merge_results, ClientSpec, ClusterBuilder, FaultSpec, HardwareConfig, NetworkSpec,
-    PacketCapture, RetryPolicy, RunResult, ServerSpec, ShardedCluster,
+    merge_results, ClientSpec, ClusterBuilder, FaultSpec, HardwareConfig, PacketCapture,
+    RetryPolicy, RunResult, ServerSpec, ShardedCluster,
 };
 use treadmill_sim_core::{SeedStream, SimDuration, SimTime};
 use treadmill_stats::LatencySummary;
@@ -44,11 +44,9 @@ pub struct LoadTest {
     connections_per_client: u32,
     hardware: HardwareConfig,
     server_spec: ServerSpec,
-    network_spec: NetworkSpec,
     client_spec: ClientSpec,
     duration: SimDuration,
     warmup: SimDuration,
-    aggregation: AggregationMethod,
     seed: u64,
     servers: u32,
     threads: u32,
@@ -69,11 +67,9 @@ impl LoadTest {
             connections_per_client: 16,
             hardware: HardwareConfig::default(),
             server_spec: ServerSpec::default(),
-            network_spec: NetworkSpec::default(),
             client_spec: ClientSpec::default(),
             duration: SimDuration::from_millis(600),
             warmup: SimDuration::from_millis(100),
-            aggregation: AggregationMethod::Mean,
             seed: 0,
             servers: 1,
             threads: 0,
@@ -108,12 +104,6 @@ impl LoadTest {
         self
     }
 
-    /// Overrides the network specification.
-    pub fn network_spec(mut self, spec: NetworkSpec) -> Self {
-        self.network_spec = spec;
-        self
-    }
-
     /// Overrides the client machine template.
     pub fn client_spec(mut self, spec: ClientSpec) -> Self {
         self.client_spec = spec;
@@ -129,12 +119,6 @@ impl LoadTest {
     /// Warm-up discard window.
     pub fn warmup(mut self, warmup: SimDuration) -> Self {
         self.warmup = warmup;
-        self
-    }
-
-    /// Cross-instance aggregation method.
-    pub fn aggregation(mut self, method: AggregationMethod) -> Self {
-        self.aggregation = method;
         self
     }
 
@@ -196,7 +180,9 @@ impl LoadTest {
     /// Executes run number `run_index` (a fresh server start — new
     /// hysteresis state — per the repeated-run procedure).
     pub fn run(&self, run_index: u64) -> LoadTestReport {
-        self.run_seeded(self.derive_run_seed(run_index))
+        let mut cluster = self.build_sharded(self.derive_run_seed(run_index));
+        cluster.run_to_completion();
+        self.report_from_result(merge_results(cluster.into_results()))
     }
 
     /// The cluster seed for run number `run_index`.
@@ -222,7 +208,6 @@ impl LoadTest {
         let mut builder = ClusterBuilder::new(Arc::clone(&self.workload))
             .hardware(self.hardware)
             .server_spec(self.server_spec.clone())
-            .network_spec(self.network_spec.clone())
             .seed(seed)
             .duration(self.duration)
             .faults(self.fault_spec)
@@ -263,7 +248,7 @@ impl LoadTest {
     }
 
     /// Builds the cluster for one run without executing it — the entry
-    /// point for stepped/resumable execution. `LoadTest::run_seeded` is
+    /// point for stepped/resumable execution. [`LoadTest::run`] is
     /// exactly `merge_results(build_sharded(seed) → run_to_completion)`
     /// fed through [`LoadTest::report_from_result`], so a stepped run
     /// that ends in the same engine state produces a bit-identical
@@ -273,14 +258,6 @@ impl LoadTest {
             .map(|i| self.build_shard_engine(run_seed, i))
             .collect();
         ShardedCluster::new(engines, self.effective_threads())
-    }
-
-    /// Executes a run with an explicit cluster seed (used by
-    /// [`LoadTest::run_robust`] to draw fresh re-run seeds).
-    fn run_seeded(&self, run_seed: u64) -> LoadTestReport {
-        let mut cluster = self.build_sharded(run_seed);
-        cluster.run_to_completion();
-        self.report_from_result(merge_results(cluster.into_results()))
     }
 
     /// Assembles the operator-facing report from a finished run. Pure
@@ -300,7 +277,7 @@ impl LoadTest {
                 instance.summary()
             })
             .collect();
-        let aggregated = aggregate(&per_instance, self.aggregation);
+        let aggregated = aggregate(&per_instance, AggregationMethod::Mean);
         let warmup_time = SimTime::ZERO + self.warmup;
         let ground_truth =
             PacketCapture::from_records(result.all_records(), warmup_time);
@@ -320,98 +297,6 @@ impl LoadTest {
     pub fn raw_latencies(&self, report: &LoadTestReport) -> Vec<Vec<f64>> {
         latencies_per_client(&report.run.client_records, SimTime::ZERO + self.warmup)
     }
-
-    /// Graceful degradation under faults: executes run `run_index` and,
-    /// if it lost more than `policy.max_loss_fraction` of its requests,
-    /// re-runs it with fresh seeds up to `policy.max_attempts` total
-    /// attempts. The returned outcome carries the accepted report plus
-    /// a [`RunDegradation`] note describing what happened; a run that
-    /// exhausts the budget is returned anyway with `flagged = true`
-    /// rather than panicking, so a factorial collection can continue
-    /// and account for the gap downstream.
-    pub fn run_robust(&self, run_index: u64, policy: &RerunPolicy) -> RobustRunOutcome {
-        assert!(policy.max_attempts > 0, "need at least one attempt");
-        let mut notes = Vec::new();
-        let mut attempt = 0u32;
-        loop {
-            let run_seed = if attempt == 0 {
-                SeedStream::new(self.seed).derive("run", run_index)
-            } else {
-                SeedStream::new(self.seed)
-                    .child("rerun", run_index)
-                    .derive("attempt", u64::from(attempt))
-            };
-            let report = self.run_seeded(run_seed);
-            let loss_fraction = report.run.loss_fraction();
-            let over_budget = loss_fraction > policy.max_loss_fraction;
-            attempt += 1;
-            if over_budget && attempt < policy.max_attempts {
-                notes.push(format!(
-                    "run {run_index} attempt {attempt} lost {:.2}% of requests \
-                     (> {:.2}% budget); re-running with a fresh seed",
-                    loss_fraction * 100.0,
-                    policy.max_loss_fraction * 100.0
-                ));
-                continue;
-            }
-            if over_budget {
-                notes.push(format!(
-                    "run {run_index} still lost {:.2}% of requests after \
-                     {attempt} attempts; accepting the degraded run",
-                    loss_fraction * 100.0
-                ));
-            }
-            return RobustRunOutcome {
-                report,
-                degradation: RunDegradation {
-                    attempts: attempt,
-                    loss_fraction,
-                    flagged: over_budget,
-                    notes,
-                },
-            };
-        }
-    }
-}
-
-/// Re-run budget for [`LoadTest::run_robust`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RerunPolicy {
-    /// Total attempts allowed per run (1 = never re-run).
-    pub max_attempts: u32,
-    /// Highest acceptable [`RunResult::loss_fraction`].
-    pub max_loss_fraction: f64,
-}
-
-impl Default for RerunPolicy {
-    fn default() -> Self {
-        RerunPolicy {
-            max_attempts: 3,
-            max_loss_fraction: 0.05,
-        }
-    }
-}
-
-/// What [`LoadTest::run_robust`] had to do to produce its report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunDegradation {
-    /// Attempts executed (1 = the first run was accepted).
-    pub attempts: u32,
-    /// Loss fraction of the accepted run.
-    pub loss_fraction: f64,
-    /// True if even the accepted run exceeded the loss budget.
-    pub flagged: bool,
-    /// Human-readable notes for the report.
-    pub notes: Vec<String>,
-}
-
-/// A report plus the degradation bookkeeping of the rerun loop.
-#[derive(Debug, Clone)]
-pub struct RobustRunOutcome {
-    /// The accepted run.
-    pub report: LoadTestReport,
-    /// How it was obtained.
-    pub degradation: RunDegradation,
 }
 
 /// Everything one load-test run produced.

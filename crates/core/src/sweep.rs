@@ -6,10 +6,11 @@
 //! any instant:
 //!
 //! * **manifest journal** — `manifest.jsonl` in the output directory is
-//!   a [`Journal`] with one line per state transition (`pending` →
-//!   `running` → `done`), each carrying the cell's derived seed and the
-//!   configuration hash. Appends are fsynced; a line torn by a crash
-//!   mid-write is sealed on resume and ignored on replay.
+//!   a [`Journal`] with one line per state transition (`running` when a
+//!   cell starts from event zero, `done` with its results), each
+//!   carrying the cell's derived seed and the configuration hash. A
+//!   cell with no line has not started. Appends are fsynced; a line torn
+//!   by a crash mid-write is sealed on resume and ignored on replay.
 //! * **atomic artifacts** — every `.tsv` and checkpoint envelope goes
 //!   through [`write_atomic`] (a `*.tmp` sibling, fsynced, then renamed
 //!   into place), so a reader (or a resumed sweep) never observes a
@@ -279,6 +280,7 @@ struct ManifestLine {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "lowercase")]
 enum CellStatus {
+    /// Written by older builds before any cell ran; replay ignores it.
     Pending,
     Running,
     Done,
@@ -608,15 +610,6 @@ pub fn run_sweep_controlled(
     let manifest = if opts.resume {
         read_manifest(replay, &config_hash, &mut outcome.warnings)
     } else {
-        for cell in 0..opts.runs {
-            journal.append(&ManifestLine {
-                cell,
-                status: CellStatus::Pending,
-                seed: test.derive_run_seed(cell),
-                config_hash: config_hash.clone(),
-                result: None,
-            })?;
-        }
         Manifest::default()
     };
 
@@ -1149,6 +1142,17 @@ mod tests {
         // Run one cell, then "crash" (stop), then resume for all three.
         let dir = tempdir("resumed");
         sweep(&small_config(), &dir, &opts(1)).expect("partial sweep");
+        // A fresh cell journals two lines, `running` then `done`. Older
+        // builds first journaled a `pending` line per cell; a manifest
+        // they wrote still replays without a warning.
+        let manifest_path = dir.join("manifest.jsonl");
+        let manifest = fs::read_to_string(&manifest_path).expect("manifest");
+        let lines: Vec<&str> = manifest.lines().collect();
+        assert_eq!(lines.len(), 2, "{manifest}");
+        assert!(lines[0].contains(r#""status":"running""#), "{manifest}");
+        assert!(lines[1].contains(r#""status":"done""#), "{manifest}");
+        let pending = lines[0].replace(r#""status":"running""#, r#""status":"pending""#);
+        fs::write(&manifest_path, format!("{pending}\n{manifest}")).expect("old manifest");
         let resumed_opts = SweepOptions {
             resume: true,
             ..opts(3)
@@ -1156,6 +1160,11 @@ mod tests {
         let outcome = sweep(&small_config(), &dir, &resumed_opts).expect("resumed sweep");
         assert_eq!(outcome.skipped, vec![0]);
         assert_eq!(outcome.executed, vec![1, 2]);
+        assert!(
+            !outcome.warnings.iter().any(|w| w.contains("unparseable")),
+            "{:?}",
+            outcome.warnings
+        );
 
         for artifact in [
             "cell_0.tsv",

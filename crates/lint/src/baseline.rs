@@ -1,9 +1,10 @@
 //! The checked-in baseline (`lint-baseline.toml`) and its ratchet.
 //!
-//! The baseline records *exactly* how much grandfathered debt exists:
-//! per-crate PANIC001 budgets and per-`RULE:file` grandfathered counts
-//! for the deterministic rules. `--check` enforces an exact match in
-//! both directions — more findings than budgeted fails (new debt), and
+//! The baseline records *exactly* how much grandfathered debt exists,
+//! and only PANIC001 carries any: a budget per crate, and per file for
+//! files carved out of their crate's pool. Every other rule fails on
+//! its first finding. `--check` enforces an exact match in both
+//! directions — more findings than budgeted fails (new debt), and
 //! fewer findings than budgeted also fails with the number to write
 //! (the ratchet: once debt is paid down, the baseline must shrink to
 //! match and can never grow back).
@@ -26,9 +27,6 @@ pub struct Baseline {
     /// that must stay panic-free even while its crate still carries
     /// debt.
     pub panic_budget_files: BTreeMap<String, usize>,
-    /// `[grandfathered]`: `"RULE:path"` → allowed findings of that rule
-    /// in that file.
-    pub grandfathered: BTreeMap<String, usize>,
 }
 
 /// Parses the TOML subset used by `lint-baseline.toml`.
@@ -51,10 +49,7 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
         }
         if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
             section = name.trim().to_string();
-            if !matches!(
-                section.as_str(),
-                "panic-budget" | "panic-budget-files" | "grandfathered"
-            ) {
+            if !matches!(section.as_str(), "panic-budget" | "panic-budget-files") {
                 return Err(format!("line {lineno}: unknown section [{section}]"));
             }
             continue;
@@ -73,9 +68,6 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
             }
             "panic-budget-files" => {
                 baseline.panic_budget_files.insert(key, value);
-            }
-            "grandfathered" => {
-                baseline.grandfathered.insert(key, value);
             }
             _ => return Err(format!("line {lineno}: entry outside a section")),
         }
@@ -135,7 +127,6 @@ pub fn prune(text: &str, analysis: &crate::Analysis) -> String {
                 analysis.panic_file_actual.get(&key).copied().unwrap_or(0),
                 true,
             ),
-            "grandfathered" => (analysis.grand_actual.get(&key).copied().unwrap_or(0), false),
             _ => {
                 out.push_str(raw);
                 out.push('\n');
@@ -174,9 +165,6 @@ treadmill-core = 3
 
 [panic-budget-files]
 \"crates/inference/src/analytic.rs\" = 0  # pinned panic-free
-
-[grandfathered]
-\"DET002:crates/bench/src/bin/fig02.rs\" = 3
 ";
         let b = parse(text).expect("parses");
         assert_eq!(b.panic_budget.get("treadmill-stats"), Some(&12));
@@ -185,15 +173,13 @@ treadmill-core = 3
             b.panic_budget_files.get("crates/inference/src/analytic.rs"),
             Some(&0)
         );
-        assert_eq!(
-            b.grandfathered.get("DET002:crates/bench/src/bin/fig02.rs"),
-            Some(&3)
-        );
     }
 
     #[test]
     fn rejects_unknown_sections_and_bad_values() {
         assert!(parse("[mystery]\n").is_err());
+        // Only PANIC001 has budgets.
+        assert!(parse("[grandfathered]\n\"DET002:crates/x/src/y.rs\" = 1\n").is_err());
         assert!(parse("[panic-budget]\nx = -1\n").is_err());
         assert!(parse("[panic-budget]\nno-equals\n").is_err());
     }
@@ -201,7 +187,7 @@ treadmill-core = 3
     #[test]
     fn empty_file_is_empty_baseline() {
         let b = parse("").expect("empty ok");
-        assert!(b.panic_budget.is_empty() && b.grandfathered.is_empty());
+        assert!(b.panic_budget.is_empty());
         assert!(b.panic_budget_files.is_empty());
     }
 
@@ -216,10 +202,6 @@ treadmill-core = 2
 [panic-budget-files]
 \"crates/inference/src/analytic.rs\" = 0
 \"crates/core/src/sweep.rs\" = 3
-
-[grandfathered]
-\"DET002:crates/x/src/y.rs\" = 2
-\"DET001:crates/x/src/z.rs\" = 1
 ";
         let mut analysis = Analysis::default();
         // stats paid one site down (4 → 3); core paid off entirely.
@@ -228,10 +210,6 @@ treadmill-core = 2
         analysis
             .panic_file_actual
             .insert("crates/core/src/sweep.rs".to_string(), 0);
-        // one grandfathered entry shrinks, the other is dead.
-        analysis
-            .grand_actual
-            .insert("DET002:crates/x/src/y.rs".to_string(), 1);
 
         let pruned = prune(text, &analysis);
         assert!(pruned.contains("# header comment stays"));
@@ -246,8 +224,6 @@ treadmill-core = 2
             pruned.contains("\"crates/core/src/sweep.rs\" = 0"),
             "paid-off carve-out becomes a pin: {pruned}"
         );
-        assert!(pruned.contains("\"DET002:crates/x/src/y.rs\" = 1"));
-        assert!(!pruned.contains("DET001:crates/x/src/z.rs"), "dead entry dropped");
 
         // The pruned text reparses, and pruning is idempotent.
         let b = parse(&pruned).expect("pruned baseline parses");

@@ -52,7 +52,7 @@ use scan::SourceModel;
 pub struct Analysis {
     /// Unsuppressed, unbudgeted findings — these fail `--check`.
     pub failures: Vec<Finding>,
-    /// Findings covered by the baseline (grandfathered debt).
+    /// PANIC001 findings covered by the baseline's budgets.
     pub budgeted: Vec<Finding>,
     /// Count of findings silenced by valid allow comments.
     pub suppressed: usize,
@@ -68,8 +68,6 @@ pub struct Analysis {
     pub panic_actual: BTreeMap<String, usize>,
     /// Actual PANIC001 counts per pinned file, as reconciled.
     pub panic_file_actual: BTreeMap<String, usize>,
-    /// Actual counts per grandfathered `RULE:file` key, as reconciled.
-    pub grand_actual: BTreeMap<String, usize>,
 }
 
 impl Analysis {
@@ -190,12 +188,12 @@ pub fn analyze_files(
     analysis
 }
 
-/// Splits raw findings into failures vs baseline-covered debt and
-/// emits ratchet errors for every exact-match violation.
+/// Splits raw findings into failures vs budgeted PANIC001 debt and
+/// emits ratchet errors for every exact-match violation. Every other
+/// rule has no budget: each of its findings fails.
 fn reconcile(analysis: &mut Analysis, raw: Vec<Finding>, baseline: &Baseline) {
     let mut panic_counts: BTreeMap<String, usize> = BTreeMap::new();
     let mut panic_file_counts: BTreeMap<String, usize> = BTreeMap::new();
-    let mut grand_counts: BTreeMap<String, usize> = BTreeMap::new();
 
     for finding in raw {
         match finding.rule.as_str() {
@@ -224,18 +222,7 @@ fn reconcile(analysis: &mut Analysis, raw: Vec<Finding>, baseline: &Baseline) {
                     analysis.failures.push(finding);
                 }
             }
-            "LINT000" => analysis.failures.push(finding),
-            _ => {
-                let key = format!("{}:{}", finding.rule, finding.file);
-                let n = grand_counts.entry(key.clone()).or_insert(0);
-                *n += 1;
-                let allowance = baseline.grandfathered.get(&key).copied().unwrap_or(0);
-                if *n <= allowance {
-                    analysis.budgeted.push(finding);
-                } else {
-                    analysis.failures.push(finding);
-                }
-            }
+            _ => analysis.failures.push(finding),
         }
     }
 
@@ -259,91 +246,8 @@ fn reconcile(analysis: &mut Analysis, raw: Vec<Finding>, baseline: &Baseline) {
             ));
         }
     }
-    for (key, allowance) in &baseline.grandfathered {
-        let actual = grand_counts.get(key).copied().unwrap_or(0);
-        if actual < *allowance {
-            analysis.ratchet_errors.push(format!(
-                "grandfathered \"{key}\" = {allowance} but only {actual} finding(s) \
-                 remain — the baseline may only shrink: set it to {actual} \
-                 (or delete the entry if 0)"
-            ));
-        }
-    }
-
     analysis.panic_actual = panic_counts;
     analysis.panic_file_actual = panic_file_counts;
-    analysis.grand_actual = grand_counts;
-}
-
-/// Serialises the analysis as stable machine-readable JSON.
-pub fn to_json(analysis: &Analysis) -> String {
-    let mut out = String::from("{");
-    push_kv(&mut out, "files_scanned", &analysis.files_scanned.to_string());
-    out.push_str(",\"failures\":");
-    findings_json(&mut out, &analysis.failures);
-    out.push_str(",\"budgeted\":");
-    findings_json(&mut out, &analysis.budgeted);
-    out.push(',');
-    push_kv(&mut out, "suppressed", &analysis.suppressed.to_string());
-    out.push_str(",\"ratchet_errors\":[");
-    for (i, e) in analysis.ratchet_errors.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_string(&mut out, e);
-    }
-    out.push_str("]}");
-    out
-}
-
-fn findings_json(out: &mut String, findings: &[Finding]) {
-    out.push('[');
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"rule\":");
-        push_json_string(out, &f.rule);
-        out.push_str(",\"file\":");
-        push_json_string(out, &f.file);
-        out.push_str(",\"line\":");
-        out.push_str(&f.line.to_string());
-        out.push_str(",\"message\":");
-        push_json_string(out, &f.message);
-        out.push_str(",\"hint\":");
-        push_json_string(out, &f.hint);
-        out.push('}');
-    }
-    out.push(']');
-}
-
-fn push_kv(out: &mut String, key: &str, raw_value: &str) {
-    push_json_string(out, key);
-    out.push(':');
-    out.push_str(raw_value);
-}
-
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u");
-                let code = c as u32;
-                for shift in [12u32, 8, 4, 0] {
-                    let digit = (code >> shift) & 0xf;
-                    out.push(char::from_digit(digit, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -445,33 +349,5 @@ mod tests {
         reconcile(&mut a, crate_debt, &baseline);
         assert_eq!(a.ratchet_errors.len(), 1, "{:?}", a.ratchet_errors);
         assert!(a.ratchet_errors[0].contains("panic-budget-files"));
-    }
-
-    #[test]
-    fn grandfathered_and_stale_entries() {
-        let mut baseline = Baseline::default();
-        baseline
-            .grandfathered
-            .insert("DET002:crates/x/src/y.rs".to_string(), 1);
-        let mut a = Analysis::default();
-        reconcile(
-            &mut a,
-            vec![finding("DET002", "crates/x/src/y.rs")],
-            &baseline,
-        );
-        assert!(!a.is_failure());
-
-        // Entry with zero remaining findings must be removed.
-        let mut a = Analysis::default();
-        reconcile(&mut a, Vec::new(), &baseline);
-        assert_eq!(a.ratchet_errors.len(), 1);
-    }
-
-    #[test]
-    fn json_escapes() {
-        let mut a = Analysis::default();
-        a.failures.push(finding("DET001", "a\"b\\c.rs"));
-        let json = to_json(&a);
-        assert!(json.contains("a\\\"b\\\\c.rs"), "{json}");
     }
 }

@@ -1,11 +1,12 @@
 //! `tml-lint` — CLI for the workspace determinism & soundness analyzer.
 //!
 //! ```text
-//! tml-lint [--check] [--json] [--format sarif] [--baseline PATH] [--root PATH]
+//! tml-lint [--check] [--format sarif] [--baseline PATH] [--root PATH]
 //!          [--list-rules] [--explain RULE:file:line] [--prune-baseline]
 //! ```
 //!
-//! Default mode prints a human report and always exits 0 (informational).
+//! Default mode prints a human report and always exits 0 (informational);
+//! `--format sarif` prints the machine-readable report instead.
 //! `--check` is the CI gate: exit 1 on any unsuppressed finding or any
 //! baseline ratchet violation, 2 on usage/IO errors. `--explain` prints
 //! the call-chain evidence behind a reachability verdict at a site.
@@ -13,12 +14,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use treadmill_lint::{analyze_workspace, baseline, rules, sarif, to_json};
+use treadmill_lint::{analyze_workspace, baseline, rules, sarif};
 
 #[derive(PartialEq)]
 enum Format {
     Human,
-    Json,
     Sarif,
 }
 
@@ -130,7 +130,6 @@ fn main() -> ExitCode {
     }
 
     match opts.format {
-        Format::Json => println!("{}", to_json(&analysis)),
         Format::Sarif => println!("{}", sarif::to_sarif(&analysis)),
         Format::Human => {
             for f in &analysis.failures {
@@ -158,11 +157,10 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-usage: tml-lint [--check] [--json] [--format FMT] [--baseline PATH] [--root PATH]
+usage: tml-lint [--check] [--format FMT] [--baseline PATH] [--root PATH]
                 [--list-rules] [--explain RULE:file:line] [--prune-baseline]
   --check                  CI gate: exit 1 on unsuppressed findings or ratchet violations
-  --json                   machine-readable output (alias for --format json)
-  --format FMT             output format: human (default), json, sarif
+  --format FMT             output format: human (default), sarif
   --baseline PATH          baseline file (default: <root>/lint-baseline.toml when present)
   --root PATH              workspace root (default: nearest ancestor with [workspace])
   --list-rules             print the rule registry and exit
@@ -183,14 +181,12 @@ fn parse_args() -> Result<Options, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => opts.check = true,
-            "--json" => opts.format = Format::Json,
             "--list-rules" => opts.list_rules = true,
             "--prune-baseline" => opts.prune_baseline = true,
             "--format" => {
                 let fmt = args.next().ok_or("--format requires a value")?;
                 opts.format = match fmt.as_str() {
                     "human" => Format::Human,
-                    "json" => Format::Json,
                     "sarif" => Format::Sarif,
                     other => return Err(format!("unknown format `{other}`")),
                 };

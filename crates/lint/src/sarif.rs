@@ -1,5 +1,6 @@
-//! SARIF 2.1.0 serialisation of an [`Analysis`], hand-rolled like the
-//! JSON reporter (the lint crate stays dependency-free).
+//! SARIF 2.1.0 serialisation of an [`Analysis`], hand-rolled (the lint
+//! crate stays dependency-free). It is tml-lint's one machine-readable
+//! report.
 //!
 //! The output targets GitHub code scanning: uploading it from CI turns
 //! every finding into an inline PR annotation at the offending line.
@@ -7,7 +8,7 @@
 //! debt maps to `note` so it stays visible without blocking merges.
 
 use crate::rules::{Finding, RULES};
-use crate::{push_json_string, Analysis};
+use crate::Analysis;
 
 const SCHEMA: &str =
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json";
@@ -72,6 +73,29 @@ fn squash(s: &str) -> String {
     s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
+fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                out.push_str("\\u");
+                let code = c as u32;
+                for shift in [12u32, 8, 4, 0] {
+                    let digit = (code >> shift) & 0xf;
+                    out.push(char::from_digit(digit, 16).unwrap_or('0'));
+                }
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,5 +133,12 @@ mod tests {
         let sarif = to_sarif(&Analysis::default());
         assert!(sarif.contains("\"results\":[]"));
         assert!(sarif.ends_with("]}]}"));
+    }
+
+    #[test]
+    fn json_escapes() {
+        let mut json = String::new();
+        push_json_string(&mut json, "a\"b\\c.rs\n");
+        assert_eq!(json, r#""a\"b\\c.rs\n""#);
     }
 }

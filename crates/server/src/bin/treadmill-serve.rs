@@ -1,8 +1,7 @@
 //! `treadmill-serve` — the load-testing service daemon.
 //!
 //! ```text
-//! treadmill-serve --state-dir DIR [--addr HOST:PORT] [--resume]
-//!                 [--queue-cap N] [--workers N] [--max-conns N]
+//! treadmill-serve --state-dir DIR [--addr HOST:PORT] [--resume] [--queue-cap N]
 //! ```
 //!
 //! Binds the HTTP service, prints the bound address (also written to
@@ -20,8 +19,7 @@ use treadmill_server::service::{start, ServeOptions};
 use treadmill_server::shutdown;
 
 fn usage() -> &'static str {
-    "usage: treadmill-serve --state-dir DIR [--addr HOST:PORT] [--resume]\n\
-     \x20                   [--queue-cap N] [--workers N] [--max-conns N]\n"
+    "usage: treadmill-serve --state-dir DIR [--addr HOST:PORT] [--resume] [--queue-cap N]\n"
 }
 
 fn parse_args() -> Result<ServeOptions, String> {
@@ -29,8 +27,6 @@ fn parse_args() -> Result<ServeOptions, String> {
     let mut addr = "127.0.0.1:0".to_string();
     let mut resume = false;
     let mut queue_cap: Option<usize> = None;
-    let mut workers: Option<usize> = None;
-    let mut max_conns: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -44,10 +40,6 @@ fn parse_args() -> Result<ServeOptions, String> {
             "--queue-cap" => {
                 queue_cap = Some(parse_count(&take("--queue-cap")?)?);
             }
-            "--workers" => workers = Some(parse_count(&take("--workers")?)?),
-            "--max-conns" => {
-                max_conns = Some(parse_count(&take("--max-conns")?)?);
-            }
             other => return Err(format!("unknown flag: {other}")),
         }
     }
@@ -58,12 +50,6 @@ fn parse_args() -> Result<ServeOptions, String> {
     opts.resume = resume;
     if let Some(cap) = queue_cap {
         opts.queue_cap = cap;
-    }
-    if let Some(n) = workers {
-        opts.http_workers = n;
-    }
-    if let Some(n) = max_conns {
-        opts.max_conns = n;
     }
     Ok(opts)
 }

@@ -3,7 +3,7 @@
 //! Thread layout (all plain `std::thread`, no async runtime):
 //!
 //! ```text
-//! acceptor ──(bounded conn queue)──> N http workers ──> router
+//! acceptor ──(bounded conn queue)──> 4 http workers ──> router
 //!                                        │
 //!                    POST /experiments ──┴──(bounded job queue)──> executor
 //!                                                                     │
@@ -57,12 +57,14 @@ pub struct ServeOptions {
     pub resume: bool,
     /// Admission-queue capacity; submissions beyond it get `503`.
     pub queue_cap: usize,
-    /// HTTP worker threads.
-    pub http_workers: usize,
-    /// Connection cap (queued + in-flight); accepts beyond it get an
-    /// immediate `503`.
-    pub max_conns: usize,
 }
+
+/// HTTP worker threads.
+const HTTP_WORKERS: usize = 4;
+
+/// Connection cap (queued + in-flight); accepts beyond it get an
+/// immediate `503`.
+const MAX_CONNS: usize = 32;
 
 /// Per-socket read and write timeout.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(2);
@@ -79,8 +81,6 @@ impl ServeOptions {
             state_dir: state_dir.into(),
             resume: false,
             queue_cap: 8,
-            http_workers: 4,
-            max_conns: 32,
         }
     }
 }
@@ -281,7 +281,7 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
 
     let shared = Arc::new(Shared {
         jobs: BoundedQueue::new(opts.queue_cap),
-        conns: BoundedQueue::new(opts.max_conns),
+        conns: BoundedQueue::new(MAX_CONNS),
         audit,
         draining: AtomicBool::new(false),
         progress: Mutex::new(BTreeMap::new()),
@@ -312,7 +312,7 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
                 .spawn(move || acceptor_loop(&shared, &listener))?,
         );
     }
-    for i in 0..shared.opts.http_workers.max(1) {
+    for i in 0..HTTP_WORKERS {
         let shared = Arc::clone(&shared);
         threads.push(
             thread::Builder::new()
@@ -725,6 +725,10 @@ fn render_event(event: &SweepEvent) -> String {
             } else {
                 format!("cell {cell}: started (seed {seed})")
             }
+        }
+        // A checkpoint sealed before the warm-up ends has no tail yet.
+        SweepEvent::Checkpointed { cell, events, samples: 0, .. } => {
+            format!("cell {cell}: checkpoint @ {events} events (0 samples, p99 n/a)")
         }
         SweepEvent::Checkpointed { cell, events, samples, p99_us } => format!(
             "cell {cell}: checkpoint @ {events} events ({samples} samples, p99 {p99_us:.1}us)"

@@ -4,6 +4,7 @@
 
 #![allow(clippy::unwrap_used)]
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -261,11 +262,25 @@ fn drained_screened_job_resumes_where_it_stopped() {
             .map(|file| fs::read(state.join("jobs").join(id).join(file)).unwrap())
             .collect()
     };
+    // Each flagged cell's sweep journal, by cell directory.
+    let manifests = |state: &PathBuf, id: &str| -> BTreeMap<String, String> {
+        fs::read_dir(state.join("jobs").join(id))
+            .unwrap()
+            .flatten()
+            .filter(|entry| entry.file_name().to_string_lossy().starts_with("hw_"))
+            .map(|entry| {
+                let text = fs::read_to_string(entry.path().join("manifest.jsonl")).unwrap();
+                (entry.file_name().to_string_lossy().into_owned(), text)
+            })
+            .collect()
+    };
 
     let (handle, addr, golden_state) = server("screened-golden");
     let id = field_str(&post_spec(&addr, spec, None).text(), "id").unwrap();
     wait_done(&addr, &id);
     let golden = artifacts(&golden_state, &id);
+    let golden_manifests = manifests(&golden_state, &id);
+    assert!(!golden_manifests.is_empty(), "the screen flagged no cell");
     shutdown(handle, &golden_state);
 
     let (handle, addr, state) = server("screened-resume");
@@ -302,10 +317,25 @@ fn drained_screened_job_resumes_where_it_stopped() {
     let events = get(&addr, &format!("/experiments/{id}/events")).text();
     assert!(events.contains("skipped (already done)"), "{events}");
     assert!(events.contains("resuming from journal"), "{events}");
+    // Checkpoints sealed before the warm-up ends hold no tail sample.
+    assert!(!events.contains("NaN"), "{events}");
     assert_eq!(
         artifacts(&state, &id),
         golden,
         "resumed factorial.tsv / screen.tsv differ from an uninterrupted job's"
+    );
+    let resumed_manifests = manifests(&state, &id);
+    let differing: Vec<&String> = golden_manifests
+        .iter()
+        .filter(|&(cell, text)| resumed_manifests.get(cell) != Some(text))
+        .map(|(cell, _)| cell)
+        .collect();
+    assert!(
+        differing.is_empty() && resumed_manifests.len() == golden_manifests.len(),
+        "resumed manifests differ from an uninterrupted job's in {differing:?} \
+         ({} cells resumed, {} golden)",
+        resumed_manifests.len(),
+        golden_manifests.len()
     );
     shutdown(handle, &state);
 }

@@ -7,8 +7,10 @@
 //!   | word-folded FNV-1a-64 checksum of payload (u64 LE) | payload bytes
 //! ```
 //!
-//! The payload itself is written with [`SnapshotWriter`] and read back
-//! with [`SnapshotReader`] — fixed-width little-endian primitives only,
+//! [`SnapshotWriter`] is the only way in: it appends the payload behind
+//! a reserved header and [`SnapshotWriter::into_sealed`] fills the
+//! header in place. [`open`] plus [`SnapshotReader`] is the only way
+//! out. The payload holds fixed-width little-endian primitives only,
 //! floats as raw bit patterns, so encode/decode round-trips are
 //! bit-exact and independent of locale, platform or formatting. Every
 //! layer of the simulation (engine clock, event heap, RNG streams,
@@ -198,17 +200,6 @@ impl Checksum64 {
     }
 }
 
-/// Wraps a payload in the versioned, checksummed snapshot envelope.
-pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Verifies an envelope (magic, version, length, checksum) and returns
 /// the payload slice.
 ///
@@ -243,66 +234,30 @@ pub fn open(data: &[u8]) -> Result<&[u8], SnapshotError> {
 /// Byte length of the envelope header (`magic | version | len | checksum`).
 pub const ENVELOPE_BYTES: usize = 24;
 
-/// Appends fixed-width little-endian primitives to a payload buffer.
-#[derive(Debug, Default)]
+/// Appends fixed-width little-endian primitives to a payload, behind a
+/// reserved envelope header that [`Self::into_sealed`] fills in place.
+#[derive(Debug)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
-    /// Offset where the payload starts: 0 for plain writers,
-    /// [`ENVELOPE_BYTES`] for writers created with [`Self::sealing`].
-    base: usize,
+}
+
+impl Default for SnapshotWriter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SnapshotWriter {
-    /// Creates an empty writer.
+    /// Creates a writer holding an empty payload.
     pub fn new() -> Self {
         SnapshotWriter {
-            buf: Vec::new(),
-            base: 0,
+            buf: vec![0; ENVELOPE_BYTES],
         }
     }
 
-    /// Creates a writer that reserves room for the envelope header up
-    /// front (and `capacity` payload bytes), so [`Self::into_sealed`]
-    /// can fill the header in place — the envelope is sealed without
-    /// the extra allocation and copy that [`seal`] pays on an
-    /// already-built payload.
-    pub fn sealing(capacity: usize) -> Self {
-        let mut buf = Vec::with_capacity(capacity + ENVELOPE_BYTES);
-        buf.extend_from_slice(&[0u8; ENVELOPE_BYTES]);
-        SnapshotWriter {
-            buf,
-            base: ENVELOPE_BYTES,
-        }
-    }
-
-    /// Consumes the writer, returning the raw payload bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a writer created with [`Self::sealing`] — its buffer
-    /// carries the envelope header, so it must use [`Self::into_sealed`].
-    pub fn into_bytes(self) -> Vec<u8> {
-        // tml-lint: allow(PANIC002, the only service chain is a name-collision edge from String::into_bytes in job.rs; the documented misuse assert is unreachable there)
-        assert_eq!(
-            self.base, 0,
-            "a sealing writer must be consumed with into_sealed"
-        );
-        self.buf
-    }
-
-    /// Consumes a [`Self::sealing`] writer, filling the reserved
-    /// envelope header in place and returning the complete sealed
-    /// snapshot (readable with [`open`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a writer not created with [`Self::sealing`] — a plain
-    /// writer has no header reservation to fill.
+    /// Consumes the writer, filling the reserved envelope header in
+    /// place, and returns the sealed snapshot (readable with [`open`]).
     pub fn into_sealed(mut self) -> Vec<u8> {
-        assert_eq!(
-            self.base, ENVELOPE_BYTES,
-            "into_sealed requires a writer created with SnapshotWriter::sealing"
-        );
         let payload_len = self.buf.len() - ENVELOPE_BYTES;
         let checksum = checksum64(&self.buf[ENVELOPE_BYTES..]);
         self.buf[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
@@ -310,16 +265,6 @@ impl SnapshotWriter {
         self.buf[8..16].copy_from_slice(&(payload_len as u64).to_le_bytes());
         self.buf[16..24].copy_from_slice(&checksum.to_le_bytes());
         self.buf
-    }
-
-    /// Payload length so far (excluding any reserved envelope header).
-    pub fn len(&self) -> usize {
-        self.buf.len() - self.base
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Writes one byte.
@@ -529,6 +474,12 @@ impl<'a> SnapshotReader<'a> {
 mod tests {
     use super::*;
 
+    fn seal(payload: &[u8]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_raw(payload);
+        w.into_sealed()
+    }
+
     #[test]
     fn primitives_round_trip_bit_exact() {
         let mut w = SnapshotWriter::new();
@@ -542,9 +493,9 @@ mod tests {
         w.put_f64(f64::from_bits(0x7ff8_dead_beef_0001)); // NaN payload
         w.put_time(SimTime::from_nanos(42));
         w.put_duration(SimDuration::from_micros(7));
-        let bytes = w.into_bytes();
+        let sealed = w.into_sealed();
 
-        let mut r = SnapshotReader::new(&bytes);
+        let mut r = SnapshotReader::new(open(&sealed).unwrap());
         assert_eq!(r.get_u8().unwrap(), 0xAB);
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
@@ -590,10 +541,11 @@ mod tests {
         let mut w = SnapshotWriter::new();
         w.put_u8(7);
         w.put_u8(0);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
+        let sealed = w.into_sealed();
+        let bytes = open(&sealed).unwrap();
+        let mut r = SnapshotReader::new(bytes);
         assert!(matches!(r.get_bool(), Err(SnapshotError::Malformed(_))));
-        let mut r2 = SnapshotReader::new(&bytes);
+        let mut r2 = SnapshotReader::new(bytes);
         let _ = r2.get_u8().unwrap();
         assert!(matches!(r2.finish(), Err(SnapshotError::Malformed(_))));
     }

@@ -139,6 +139,46 @@ fn checkpoint_resume_reproduces_the_golden_bits() {
     assert!(report.run.audit_findings.is_empty());
 }
 
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    use treadmill::core::ResumableRun;
+    use treadmill::sim::snapshot::fnv1a64;
+    // The on-disk bytes of a checkpoint, not just what it restores to:
+    // a writer or codec refactor that keeps resume working but moves a
+    // byte of the envelope or the record segment fails here.
+    let mut segment = Vec::new();
+    let mut run = ResumableRun::new(golden_test(), 0);
+    run.step(100_000);
+    run.checkpoint(&mut segment).unwrap();
+    run.step(100_000);
+    let envelope = run.checkpoint(&mut segment).unwrap();
+    let counts: &[(&str, u64, u64)] = &[
+        count!(envelope.len(), 4_399),
+        count!(fnv1a64(&envelope), 0x63ab_c56e_c221_3128),
+        count!(segment.len(), 1_358_784),
+        count!(fnv1a64(&segment), 0xc4aa_aa4c_05e9_4c48),
+    ];
+    let drifted: Vec<String> = counts
+        .iter()
+        .filter(|&&(_, value, pinned)| value != pinned)
+        .map(|&(observed, value, pinned)| {
+            if observed.starts_with("fnv1a64") {
+                format!("        count!({observed}, 0x{value:016x}), // was 0x{pinned:016x}")
+            } else {
+                format!("        count!({observed}, {value}), // was {pinned}")
+            }
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "{} checkpoint constant(s) drifted; if the format change is intended, \
+         bump SNAPSHOT_VERSION, paste these lines over their old ones and say why \
+         in the commit:\n{}",
+        drifted.len(),
+        drifted.join("\n")
+    );
+}
+
 fn sharded_golden_test(threads: u32) -> LoadTest {
     LoadTest::new(Arc::new(Memcached::default()), 150_000.0)
         .clients(2)

@@ -11,9 +11,18 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use treadmill::core::{LoadTest, ResumableRun};
-use treadmill::sim::snapshot::{open, seal, SnapshotError, ENVELOPE_BYTES, SNAPSHOT_VERSION};
+use treadmill::sim::snapshot::{
+    open, SnapshotError, SnapshotWriter, ENVELOPE_BYTES, SNAPSHOT_VERSION,
+};
 use treadmill::sim::SimDuration;
 use treadmill::workloads::Memcached;
+
+/// `payload` sealed in an envelope, as the one snapshot writer seals it.
+fn seal(payload: &[u8]) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.put_raw(payload);
+    w.into_sealed()
+}
 
 fn tiny_test() -> LoadTest {
     LoadTest::new(Arc::new(Memcached::default()), 20_000.0)
