@@ -47,14 +47,14 @@ fn main() {
         }
         let result = builder.run();
         let warmup_at = treadmill_sim_core::SimTime::ZERO + args.warmup();
-        let per_client = latencies_per_client(&result.client_records, warmup_at);
+        let mut per_client = latencies_per_client(&result.client_records, warmup_at);
         let summaries: Vec<LatencySummary> = per_client
             .iter()
             .map(|v| LatencySummary::from_samples(v))
             .collect();
         let correct = aggregate_mean(&summaries);
         let holistic = holistic_summary(&per_client);
-        let composition = treadmill_core::tail_composition(&per_client, &[0.99]);
+        let composition = treadmill_core::tail_composition(&mut per_client, &[0.99]);
         row([
             rack.to_string(),
             cell(correct.p99, 1),

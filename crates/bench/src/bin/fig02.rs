@@ -35,9 +35,9 @@ fn main() {
     }
     let result = builder.run();
     let warmup_at = treadmill_sim_core::SimTime::ZERO + args.warmup();
-    let per_client = latencies_per_client(&result.client_records, warmup_at);
+    let mut per_client = latencies_per_client(&result.client_records, warmup_at);
     let quantiles = [0.50, 0.90, 0.95, 0.99, 0.999];
-    let rows = tail_composition(&per_client, &quantiles);
+    let rows = tail_composition(&mut per_client, &quantiles);
     row(["quantile", "latency_us", "client1", "client2", "client3", "client4"]);
     for entry in &rows {
         let mut fields = vec![cell(entry.quantile, 3), cell(entry.latency_us, 1)];

@@ -34,7 +34,7 @@ fn run_setup(args: &BenchArgs, rps: f64, clients: usize, per_op_ns: f64) -> Deco
     }
     let result = builder.run();
     let warmup = SimTime::ZERO + args.warmup();
-    let records: Vec<&ResponseRecord> = result
+    let records: Vec<ResponseRecord> = result
         .all_records()
         .filter(|r| r.t_generated >= warmup)
         .collect();

@@ -79,7 +79,7 @@ pub fn audit_invariants(engine: &Engine<ClusterWorld>, max_pending: usize) -> Ve
         }
     }
     for (i, client) in world.clients.iter().enumerate() {
-        if let Some(last) = client.records.last() {
+        if let Some(last) = client.records.iter().last() {
             if last.t_delivered > now {
                 findings.push(format!(
                     "client {i} recorded a delivery at {}ns, after the clock at {}ns",

@@ -9,6 +9,8 @@
 //! separate probe — like tcpdump, it observes the same packets the load
 //! tester sends, pinned to an idle core (zero probe effect).
 
+use std::borrow::Borrow;
+
 use treadmill_sim_core::SimTime;
 
 use crate::request::ResponseRecord;
@@ -49,14 +51,17 @@ impl PacketCapture {
 
     /// Captures every record whose request was generated at or after
     /// `warmup` (matching the load tester's own discard window).
-    pub fn from_records<'a>(
-        records: impl IntoIterator<Item = &'a ResponseRecord>,
+    /// `records` yields values (a [`RecordStore`](crate::RecordStore))
+    /// or references (a slice).
+    pub fn from_records(
+        records: impl IntoIterator<Item = impl Borrow<ResponseRecord>>,
         warmup: SimTime,
     ) -> Self {
         let mut sorted_latencies_us: Vec<f64> = records
             .into_iter()
-            .filter(|r| r.t_generated >= warmup)
+            .filter(|r| r.borrow().t_generated >= warmup)
             .map(|r| {
+                let r = r.borrow();
                 CapturedPair {
                     tx: r.t_nic_out,
                     rx: r.t_nic_in,

@@ -89,10 +89,10 @@ pub fn write_chunk<W: Write>(
             .to_le_bytes(),
     )?;
     for (client, cursor) in clients.iter().zip(cursors.iter_mut()) {
-        let records = client.records.get(cursor.records..).unwrap_or_default();
+        let records = client.records.iter().skip(cursor.records);
         out.write_all(&(records.len() as u64).to_le_bytes())?;
         for record in records {
-            out.write_all(&encode_record(record))?;
+            out.write_all(&encode_record(&record))?;
         }
         let failures = client.failures.get(cursor.failures..).unwrap_or_default();
         out.write_all(&(failures.len() as u64).to_le_bytes())?;
@@ -130,7 +130,6 @@ pub fn read_chunk<R: Read>(
     }
     for client in clients.iter_mut() {
         let n = read_count(r)?;
-        client.records.reserve(n.min(RESERVE_CAP));
         let mut buf = [0u8; RECORD_BYTES];
         for _ in 0..n {
             read_bytes(r, &mut buf)?;

@@ -17,7 +17,8 @@ use treadmill_workloads::RequestProfile;
 
 use crate::config::ClientSpec;
 use crate::fault::FailureRecord;
-use crate::request::{RequestId, ResponseRecord};
+use crate::records::RecordStore;
+use crate::request::RequestId;
 use crate::source::TrafficSource;
 
 /// Robust-mode bookkeeping for one logical request awaiting a response.
@@ -47,7 +48,7 @@ pub struct ClientMachine {
     pub rng: SmallRng,
     cpu: RateQueue,
     /// Completed-request records, in delivery order.
-    pub records: Vec<ResponseRecord>,
+    pub records: RecordStore,
     /// Abandoned-request records (timeouts / resets), in failure order.
     pub failures: Vec<FailureRecord>,
     sent: u64,
@@ -63,14 +64,19 @@ pub struct ClientMachine {
 }
 
 impl ClientMachine {
-    /// Creates an idle client machine.
-    pub fn new(spec: ClientSpec, source: Box<dyn TrafficSource>, rng: SmallRng) -> Self {
+    /// Creates idle client machine number `index` of its world.
+    pub fn new(
+        index: u32,
+        spec: ClientSpec,
+        source: Box<dyn TrafficSource>,
+        rng: SmallRng,
+    ) -> Self {
         ClientMachine {
             spec,
             source,
             rng,
             cpu: RateQueue::new("client-cpu"),
-            records: Vec::new(),
+            records: RecordStore::new(index),
             failures: Vec::new(),
             sent: 0,
             in_flight: BTreeMap::new(),
@@ -136,6 +142,7 @@ mod tests {
 
     fn machine(send_ns: f64, recv_ns: f64) -> ClientMachine {
         ClientMachine::new(
+            0,
             ClientSpec {
                 send_cpu_ns: send_ns,
                 recv_cpu_ns: recv_ns,

@@ -52,6 +52,7 @@ mod config;
 mod fault;
 mod hysteresis;
 mod network;
+mod records;
 mod request;
 pub mod server;
 mod shard;
@@ -67,6 +68,7 @@ pub use config::{ClientSpec, HardwareConfig, HysteresisSpec, Level, NetworkSpec,
 pub use fault::{FailureKind, FailureRecord, FaultPlan, FaultSpec, FaultSummary, RetryPolicy};
 pub use hysteresis::{ConnectionState, RunState};
 pub use network::Network;
+pub use records::RecordStore;
 pub use request::{Request, RequestId, ResponseRecord};
 pub use shard::{merge_results, ShardedCluster, INTER_SHARD_PROPAGATION};
 pub use source::{PoissonSource, SendOrder, TrafficSource};

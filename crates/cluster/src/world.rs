@@ -24,6 +24,7 @@ use crate::config::{ClientSpec, HardwareConfig, NetworkSpec, ServerSpec};
 use crate::fault::{FailureKind, FailureRecord, FaultPlan, FaultSpec, FaultSummary, RetryPolicy};
 use crate::hysteresis::RunState;
 use crate::network::Network;
+use crate::records::RecordStore;
 use crate::request::{Request, RequestId, ResponseRecord};
 use crate::server::core::CoreJob;
 use crate::server::Server;
@@ -882,12 +883,10 @@ impl ClusterBuilder {
             &conn_counts,
             &mut hysteresis_rng,
         );
-        let clients: Vec<ClientMachine> = self
-            .clients
-            .into_iter()
-            .enumerate()
+        let clients: Vec<ClientMachine> = (0u32..)
+            .zip(self.clients)
             .map(|(i, (spec, source))| {
-                ClientMachine::new(spec, source, seeds.stream("client", i as u64))
+                ClientMachine::new(i, spec, source, seeds.stream("client", u64::from(i)))
             })
             .collect();
         let racks: Vec<u8> = clients.iter().map(|c| c.spec.rack).collect();
@@ -1034,8 +1033,7 @@ pub fn extract_result(engine: Engine<ClusterWorld>) -> RunResult {
         .as_ref()
         .map(FaultPlan::summary_base)
         .unwrap_or_default();
-    let mut client_records: Vec<Vec<ResponseRecord>> =
-        Vec::with_capacity(world.clients.len());
+    let mut client_records = Vec::with_capacity(world.clients.len());
     let mut client_failures = Vec::with_capacity(world.clients.len());
     for c in world.clients {
         fault_summary.retries += c.retries_sent;
@@ -1075,7 +1073,7 @@ pub fn extract_result(engine: Engine<ClusterWorld>) -> RunResult {
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Completed-request records, per client, in delivery order.
-    pub client_records: Vec<Vec<ResponseRecord>>,
+    pub client_records: Vec<RecordStore>,
     /// Abandoned-request records (timeouts / resets), per client.
     /// Empty when no faults were configured.
     pub client_failures: Vec<Vec<FailureRecord>>,
@@ -1114,14 +1112,14 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Iterates over all clients' records.
-    pub fn all_records(&self) -> impl Iterator<Item = &ResponseRecord> {
+    /// Iterates over all clients' records, client by client.
+    pub fn all_records(&self) -> impl Iterator<Item = ResponseRecord> + '_ {
         self.client_records.iter().flatten()
     }
 
     /// Total responses delivered.
     pub fn total_responses(&self) -> usize {
-        self.client_records.iter().map(Vec::len).sum()
+        self.client_records.iter().map(RecordStore::len).sum()
     }
 
     /// Total logical requests the testers abandoned.
@@ -1145,7 +1143,7 @@ impl RunResult {
     pub fn user_latencies_us(&self, warmup: SimTime) -> Vec<f64> {
         self.all_records()
             .filter(|r| r.t_generated >= warmup)
-            .map(ResponseRecord::user_latency_us)
+            .map(|r| r.user_latency_us())
             .collect()
     }
 
@@ -1370,14 +1368,14 @@ mod tests {
         let m0 = quantile(
             &result.client_records[0]
                 .iter()
-                .map(ResponseRecord::user_latency_us)
+                .map(|r| r.user_latency_us())
                 .collect::<Vec<_>>(),
             0.5,
         );
         let m1 = quantile(
             &result.client_records[1]
                 .iter()
-                .map(ResponseRecord::user_latency_us)
+                .map(|r| r.user_latency_us())
                 .collect::<Vec<_>>(),
             0.5,
         );

@@ -9,6 +9,8 @@
 //! dominates the pooled tail (Figure 2). Both are implemented so the
 //! bias can be measured.
 
+use std::borrow::Borrow;
+
 use treadmill_cluster::ResponseRecord;
 use treadmill_stats::quantile::quantile_of_sorted;
 use treadmill_stats::summary::{aggregate_mean, aggregate_median};
@@ -63,28 +65,22 @@ pub struct TailShareRow {
 
 /// Computes the per-client composition of the pooled tail at each given
 /// quantile — the measurement behind Figure 2's "Client 1 dominates the
-/// high quantiles".
+/// high quantiles". Sorts each client's latencies in place.
 ///
 /// # Panics
 ///
 /// Panics if there are no clients or no samples.
 pub fn tail_composition(
-    per_client_latencies: &[Vec<f64>],
+    per_client_latencies: &mut [Vec<f64>],
     quantiles: &[f64],
 ) -> Vec<TailShareRow> {
     assert!(!per_client_latencies.is_empty(), "no clients");
     let mut pooled: Vec<f64> = per_client_latencies.iter().flatten().copied().collect();
     assert!(!pooled.is_empty(), "no samples");
     pooled.sort_by(f64::total_cmp);
-
-    let sorted_clients: Vec<Vec<f64>> = per_client_latencies
-        .iter()
-        .map(|v| {
-            let mut s = v.clone();
-            s.sort_by(f64::total_cmp);
-            s
-        })
-        .collect();
+    for latencies in per_client_latencies.iter_mut() {
+        latencies.sort_by(f64::total_cmp);
+    }
 
     quantiles
         .iter()
@@ -92,11 +88,12 @@ pub fn tail_composition(
             let cut = quantile_of_sorted(&pooled, q);
             let strictly_above = |s: &Vec<f64>| s.len() - s.partition_point(|&v| v <= cut);
             let at_or_above = |s: &Vec<f64>| s.len() - s.partition_point(|&v| v < cut);
-            let mut above: Vec<usize> = sorted_clients.iter().map(strictly_above).collect();
+            let mut above: Vec<usize> =
+                per_client_latencies.iter().map(strictly_above).collect();
             if above.iter().sum::<usize>() == 0 {
                 // The cut equals the maximum (heavy ties): fall back to
                 // counting the ties so the shares stay meaningful.
-                above = sorted_clients.iter().map(at_or_above).collect();
+                above = per_client_latencies.iter().map(at_or_above).collect();
             }
             let total: usize = above.iter().sum();
             let shares = above
@@ -116,17 +113,19 @@ pub fn tail_composition(
 /// dropping those generated before the `warmup` instant. The cutoff is
 /// exact simulation time — the same boundary every other measurement
 /// view uses — so per-client and pooled sample counts always agree.
+/// Each client's records are a
+/// [`RecordStore`](treadmill_cluster::RecordStore) or a slice.
 pub fn latencies_per_client(
-    client_records: &[Vec<ResponseRecord>],
+    client_records: impl IntoIterator<Item = impl IntoIterator<Item = impl Borrow<ResponseRecord>>>,
     warmup: treadmill_sim_core::SimTime,
 ) -> Vec<Vec<f64>> {
     client_records
-        .iter()
+        .into_iter()
         .map(|records| {
             records
-                .iter()
-                .filter(|r| r.t_generated >= warmup)
-                .map(ResponseRecord::user_latency_us)
+                .into_iter()
+                .filter(|r| r.borrow().t_generated >= warmup)
+                .map(|r| r.borrow().user_latency_us())
                 .collect()
         })
         .collect()
@@ -175,12 +174,12 @@ mod tests {
 
     #[test]
     fn tail_composition_identifies_dominating_client() {
-        let per_client: Vec<Vec<f64>> = vec![
+        let mut per_client: Vec<Vec<f64>> = vec![
             (0..1000).map(|i| 100.0 + (i % 20) as f64).collect(),
             (0..1000).map(|i| 100.0 + (i % 20) as f64).collect(),
             (0..1000).map(|i| 380.0 + (i % 40) as f64).collect(),
         ];
-        let rows = tail_composition(&per_client, &[0.5, 0.9, 0.99]);
+        let rows = tail_composition(&mut per_client, &[0.5, 0.9, 0.99]);
         assert_eq!(rows.len(), 3);
         // At the median, client 2 contributes every sample above the cut
         // only if the cut exceeds clients 0/1's range; with 1/3 of mass
@@ -197,10 +196,10 @@ mod tests {
 
     #[test]
     fn composition_shares_sum_to_one_at_every_quantile() {
-        let per_client: Vec<Vec<f64>> = (0..4)
+        let mut per_client: Vec<Vec<f64>> = (0..4)
             .map(|c| (0..500).map(|i| (c * 37 + i % 100) as f64).collect())
             .collect();
-        for row in tail_composition(&per_client, &[0.1, 0.5, 0.9, 0.95, 0.99]) {
+        for row in tail_composition(&mut per_client, &[0.1, 0.5, 0.9, 0.95, 0.99]) {
             let total: f64 = row.shares.iter().sum();
             assert!((total - 1.0).abs() < 1e-9, "q {}: {total}", row.quantile);
         }
@@ -209,6 +208,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no clients")]
     fn empty_composition_rejected() {
-        tail_composition(&[], &[0.5]);
+        tail_composition(&mut [], &[0.5]);
     }
 }

@@ -1,5 +1,7 @@
 //! A Treadmill instance: per-client online latency aggregation.
 
+use std::borrow::Borrow;
+
 use treadmill_cluster::ResponseRecord;
 use treadmill_sim_core::{SimDuration, SimTime};
 use treadmill_stats::{AdaptiveHistogram, HistogramConfig, LatencySummary};
@@ -62,10 +64,11 @@ impl TreadmillInstance {
         self.histogram.record(record.user_latency_us());
     }
 
-    /// Observes a batch of records.
-    pub fn observe_all<'a>(&mut self, records: impl IntoIterator<Item = &'a ResponseRecord>) {
+    /// Observes a batch of records: a client's
+    /// [`RecordStore`](treadmill_cluster::RecordStore), or a slice.
+    pub fn observe_all(&mut self, records: impl IntoIterator<Item = impl Borrow<ResponseRecord>>) {
         for record in records {
-            self.observe(record);
+            self.observe(record.borrow());
         }
     }
 

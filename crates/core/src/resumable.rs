@@ -172,7 +172,7 @@ fn fold_records(
     clients: &[ClientMachine],
 ) {
     for (consumed, client) in consumed.iter_mut().zip(clients) {
-        for record in &client.records[*consumed..] {
+        for record in client.records.iter().skip(*consumed) {
             if record.t_generated >= warmup {
                 monitor.observe(record.user_latency_us());
             }

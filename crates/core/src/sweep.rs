@@ -497,13 +497,14 @@ const ATTRIBUTION_QUANTILES: [f64; 4] = [0.5, 0.9, 0.99, 0.999];
 /// Renders one cell's tail-attribution artifact: for each quantile,
 /// which instance the pooled tail samples come from (the paper's
 /// Figure 2 decomposition, the "source" in *attributing the source of
-/// tail latency*). Pure function of the report, so killed-and-resumed
-/// sweeps reproduce it byte-for-byte.
+/// tail latency*). Pure function of the per-client latencies (which it
+/// sorts in place), so killed-and-resumed sweeps reproduce it
+/// byte-for-byte.
 fn attribution_tsv(
     cell: u64,
     seed: u64,
     config_hash: &str,
-    per_client: &[Vec<f64>],
+    per_client: &mut [Vec<f64>],
 ) -> String {
     let mut out = String::new();
     out.push_str(&provenance_line(seed, config_hash));
@@ -705,9 +706,13 @@ pub fn run_sweep_controlled(
             &out_dir.join(format!("cell_{cell}.tsv")),
             cell_tsv(cell, seed, &config_hash, &report).as_bytes(),
         )?;
+        // The attribution needs only the latencies: the records go
+        // before its sorts and pooled copy allocate.
+        let mut per_client = test.raw_latencies(&report);
+        drop(report);
         write_atomic(
             &attr_path(out_dir, cell),
-            attribution_tsv(cell, seed, &config_hash, &test.raw_latencies(&report)).as_bytes(),
+            attribution_tsv(cell, seed, &config_hash, &mut per_client).as_bytes(),
         )?;
         journal.append(&ManifestLine {
             cell,

@@ -6,6 +6,8 @@
 //! that a run reached steady state before its measurement window — the
 //! implicit assumption behind the paper's warm-up phase.
 
+use std::borrow::Borrow;
+
 use treadmill_cluster::ResponseRecord;
 use treadmill_sim_core::{SimDuration, SimTime};
 use treadmill_stats::LatencySummary;
@@ -29,7 +31,9 @@ impl TimelineWindow {
     }
 }
 
-/// Builds a latency timeline from completed-request records.
+/// Builds a latency timeline from completed-request records: a
+/// [`RecordStore`](treadmill_cluster::RecordStore) or a slice. The last
+/// window holds the latest `t_generated`.
 ///
 /// # Panics
 ///
@@ -38,29 +42,28 @@ impl TimelineWindow {
 /// # Examples
 ///
 /// ```
+/// use treadmill_cluster::ResponseRecord;
 /// use treadmill_core::timeline::timeline;
 /// use treadmill_sim_core::SimDuration;
 ///
-/// let windows = timeline(&[], SimDuration::from_millis(10));
+/// let windows = timeline(&[] as &[ResponseRecord], SimDuration::from_millis(10));
 /// assert!(windows.is_empty());
 /// ```
 // Window counts (horizon / window width) fit usize on the 64-bit
 // targets the simulator supports.
 #[allow(clippy::cast_possible_truncation)]
-pub fn timeline(records: &[ResponseRecord], window: SimDuration) -> Vec<TimelineWindow> {
+pub fn timeline(
+    records: impl IntoIterator<Item = impl Borrow<ResponseRecord>>,
+    window: SimDuration,
+) -> Vec<TimelineWindow> {
     assert!(!window.is_zero(), "zero-length window");
-    if records.is_empty() {
-        return Vec::new();
-    }
-    let horizon = records
-        .iter()
-        .map(|r| r.t_generated)
-        .max()
-        .expect("nonempty records");
-    let num_windows = horizon.as_nanos() / window.as_nanos() + 1;
-    let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); num_windows as usize];
+    let mut buckets: Vec<Vec<f64>> = Vec::new();
     for record in records {
+        let record = record.borrow();
         let idx = (record.t_generated.as_nanos() / window.as_nanos()) as usize;
+        if idx >= buckets.len() {
+            buckets.resize(idx + 1, Vec::new());
+        }
         buckets[idx].push(record.user_latency_us());
     }
     buckets
@@ -203,6 +206,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero-length")]
     fn zero_window_rejected() {
-        timeline(&[], SimDuration::ZERO);
+        timeline(&[] as &[ResponseRecord], SimDuration::ZERO);
     }
 }

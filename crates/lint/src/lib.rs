@@ -350,4 +350,29 @@ mod tests {
         assert_eq!(a.ratchet_errors.len(), 1, "{:?}", a.ratchet_errors);
         assert!(a.ratchet_errors[0].contains("panic-budget-files"));
     }
+
+    #[test]
+    fn only_panic001_draws_on_a_budget() {
+        // The crate holds PANIC001 budget to spare, yet a semantic
+        // finding in it is never grandfathered: it fails outright.
+        let mut baseline = Baseline::default();
+        baseline
+            .panic_budget
+            .insert("treadmill-cluster".to_string(), 1);
+
+        let mut a = Analysis::default();
+        reconcile(
+            &mut a,
+            vec![
+                finding("PANIC001", "crates/cluster/src/world.rs"),
+                finding("DUR001", "crates/cluster/src/checkpoint.rs"),
+                finding("PANIC002", "crates/cluster/src/shard.rs"),
+            ],
+            &baseline,
+        );
+        let rules = |fs: &[Finding]| fs.iter().map(|f| f.rule.clone()).collect::<Vec<_>>();
+        assert_eq!(rules(&a.budgeted), ["PANIC001"]);
+        assert_eq!(rules(&a.failures), ["DUR001", "PANIC002"]);
+        assert!(a.ratchet_errors.is_empty() && a.is_failure());
+    }
 }

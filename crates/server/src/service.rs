@@ -754,9 +754,9 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
         Ok(spec) => spec,
         Err(e) => {
             let detail = format!("journaled spec no longer validates: {e}");
+            progress.push(format!("job {id}: failed — {detail}"));
             let _ = shared.store.set_status(id, JobStatus::Failed, Some(&detail));
             let _ = shared.audit.record("run-failed", id, 0, "unknown", &detail);
-            progress.push(format!("job {id}: failed — {detail}"));
             progress.finish();
             return;
         }
@@ -853,7 +853,14 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
                 "job {id}: interrupted by drain; restart with --resume"
             ));
         }
+        // Every final line lands before the terminal status is
+        // published, so a client that reads `done` (or sees the
+        // `/events` stream end) has every line to read.
         Ok((_, warnings)) => {
+            for warning in &warnings {
+                progress.push(format!("warning: {warning}"));
+            }
+            progress.push(format!("job {id}: done"));
             let _ = shared.store.set_status(id, JobStatus::Done, None);
             let _ = shared.audit.record(
                 "run-done",
@@ -862,13 +869,10 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
                 &config_hash,
                 "",
             );
-            for warning in &warnings {
-                progress.push(format!("warning: {warning}"));
-            }
-            progress.push(format!("job {id}: done"));
             progress.finish();
         }
         Err(detail) => {
+            progress.push(format!("job {id}: failed — {detail}"));
             let _ = shared.store.set_status(id, JobStatus::Failed, Some(&detail));
             let _ = shared.audit.record(
                 "run-failed",
@@ -877,7 +881,6 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
                 &config_hash,
                 &detail,
             );
-            progress.push(format!("job {id}: failed — {detail}"));
             progress.finish();
         }
     }

@@ -205,6 +205,38 @@ fn submit_runs_to_done_and_serves_artifacts() {
 }
 
 #[test]
+fn done_status_counts_every_final_progress_line() {
+    let (handle, addr, state) = server("done-count");
+    let resp = post_spec(&addr, &small_spec(5), None);
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    let id = field_str(&resp.text(), "id").expect("submit body has id");
+
+    // Poll without pausing, so a read landing between the terminal
+    // status and the job's last progress lines would be seen.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let body = loop {
+        let body = get(&addr, &format!("/experiments/{id}")).text();
+        if field_str(&body, "status").as_deref() == Some("done") {
+            break body;
+        }
+        assert!(Instant::now() < deadline, "job never finished: {body}");
+    };
+    let at = body.find("\"events\":").expect("status body has events") + 9;
+    let digits: String = body[at..].chars().take_while(char::is_ascii_digit).collect();
+
+    let events = get(&addr, &format!("/experiments/{id}/events")).text();
+    let lines: Vec<&str> = events.lines().collect();
+    assert_eq!(lines.last(), Some(&"end"), "{events}");
+    assert_eq!(
+        digits.parse::<usize>().unwrap(),
+        lines.len() - 1,
+        "`done` was published before the last progress line:\n{body}\n{events}"
+    );
+
+    shutdown(handle, &state);
+}
+
+#[test]
 fn screened_spec_runs_two_stage_sweep_and_serves_screen_artifacts() {
     let (handle, addr, state) = server("screened");
 

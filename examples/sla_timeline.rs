@@ -31,8 +31,7 @@ fn main() {
     let result = builder.run();
 
     // Latency over time, in 25ms windows.
-    let records: Vec<_> = result.all_records().cloned().collect();
-    let windows = timeline(&records, SimDuration::from_millis(25));
+    let windows = timeline(result.all_records(), SimDuration::from_millis(25));
     println!("window      requests   p50(us)   p99(us)");
     for w in &windows {
         if let Some(summary) = &w.summary {

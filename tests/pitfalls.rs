@@ -73,14 +73,14 @@ fn pitfall_2_static_histogram_and_holistic_aggregation_bias() {
     assert!(true_p999 >= 900.0, "true p99.9 {true_p999}");
 
     // ... and pooling clients hides which client owns the tail.
-    let per_client = vec![
+    let mut per_client = vec![
         (0..1_000).map(|i| 100.0 + f64::from(i % 10)).collect::<Vec<f64>>(),
         (0..1_000).map(|i| 100.0 + f64::from(i % 10)).collect(),
         (0..1_000).map(|i| 500.0 + f64::from(i % 10)).collect(),
     ];
     let pooled = holistic_summary(&per_client);
     assert!(pooled.p99 > 490.0, "pooled p99 rides the outlier client");
-    let composition = tail_composition(&per_client, &[0.99]);
+    let composition = tail_composition(&mut per_client, &[0.99]);
     assert!(
         composition[0].shares[2] > 0.9,
         "the decomposition identifies the guilty client: {:?}",
