@@ -44,11 +44,6 @@ pub struct PacketCapture {
 }
 
 impl PacketCapture {
-    /// An empty capture.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Captures every record whose request was generated at or after
     /// `warmup` (matching the load tester's own discard window).
     /// `records` yields values (a [`RecordStore`](crate::RecordStore))
@@ -69,7 +64,10 @@ impl PacketCapture {
                 .latency_us()
             })
             .collect();
-        sorted_latencies_us.sort_by(f64::total_cmp);
+        // `total_cmp` ties only identical bits, so the unstable sort
+        // gives the stable one's order without its capture-sized scratch
+        // buffer.
+        sorted_latencies_us.sort_unstable_by(f64::total_cmp);
         PacketCapture { sorted_latencies_us }
     }
 
@@ -176,7 +174,7 @@ mod tests {
 
     #[test]
     fn empty_capture() {
-        let cap = PacketCapture::new();
+        let cap = PacketCapture::default();
         assert!(cap.is_empty());
         assert!(cap.cdf_points(10).is_empty());
     }

@@ -72,5 +72,5 @@ pub use records::RecordStore;
 pub use request::{Request, RequestId, ResponseRecord};
 pub use shard::{merge_results, ShardedCluster, INTER_SHARD_PROPAGATION};
 pub use source::{PoissonSource, SendOrder, TrafficSource};
-pub use trace::{TraceError, TraceSource};
+pub use trace::TraceSource;
 pub use world::{extract_result, ClusterBuilder, ClusterWorld, CoreStats, Event, RunResult};

@@ -8,83 +8,10 @@
 //! configurations, which removes arrival-process noise from A/B
 //! comparisons.
 
-use std::fmt;
-
 use rand::RngCore;
-use serde::Deserialize;
 use treadmill_sim_core::{SimDuration, SimTime};
 
 use crate::source::{SendOrder, TrafficSource};
-
-/// Typed errors from trace construction and parsing — malformed input
-/// surfaces as a readable message instead of a panic.
-#[derive(Debug)]
-pub enum TraceError {
-    /// The trace contains no send instants.
-    Empty,
-    /// `connections` was zero.
-    ZeroConnections,
-    /// An absolute schedule was not strictly increasing at this index.
-    NotIncreasing {
-        /// Index of the first offending entry.
-        index: usize,
-    },
-    /// A gap was negative or not finite.
-    InvalidGap {
-        /// Index of the offending gap.
-        index: usize,
-        /// The value found, microseconds.
-        value_us: f64,
-    },
-    /// The trace JSON did not parse.
-    Json(serde_json::Error),
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::Empty => write!(f, "empty trace: need at least one send"),
-            TraceError::ZeroConnections => write!(f, "need at least one connection"),
-            TraceError::NotIncreasing { index } => {
-                write!(f, "schedule must be strictly increasing (entry {index})")
-            }
-            TraceError::InvalidGap { index, value_us } => {
-                write!(f, "gap {index} must be finite and non-negative, got {value_us} us")
-            }
-            TraceError::Json(e) => write!(f, "invalid trace JSON: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceError::Json(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<serde_json::Error> for TraceError {
-    fn from(e: serde_json::Error) -> Self {
-        TraceError::Json(e)
-    }
-}
-
-/// The on-disk trace format: inter-arrival gaps in microseconds plus
-/// replay options.
-#[derive(Debug, Deserialize)]
-struct TraceFile {
-    gaps_us: Vec<f64>,
-    #[serde(default = "default_trace_connections")]
-    connections: u32,
-    #[serde(default)]
-    looped: bool,
-}
-
-fn default_trace_connections() -> u32 {
-    1
-}
 
 /// Replays a fixed schedule of send instants, optionally looping.
 ///
@@ -119,110 +46,19 @@ impl TraceSource {
     ///
     /// Panics if the trace is empty or `connections` is zero.
     pub fn new(gaps: Vec<SimDuration>, connections: u32, looped: bool) -> Self {
-        match Self::try_new(gaps, connections, looped) {
-            Ok(source) => source,
-            Err(TraceError::Empty) => panic!("empty trace"),
-            Err(TraceError::ZeroConnections) => panic!("need at least one connection"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`TraceSource::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Empty`] or [`TraceError::ZeroConnections`].
-    pub fn try_new(
-        gaps: Vec<SimDuration>,
-        connections: u32,
-        looped: bool,
-    ) -> Result<Self, TraceError> {
         if gaps.is_empty() {
-            return Err(TraceError::Empty);
+            panic!("empty trace: need at least one send");
         }
         if connections == 0 {
-            return Err(TraceError::ZeroConnections);
+            panic!("need at least one connection");
         }
-        Ok(TraceSource {
+        TraceSource {
             gaps,
             connections,
             looped,
             next_index: 0,
             next_conn: 0,
-        })
-    }
-
-    /// Builds a trace from a target schedule of absolute send times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `times` is empty or not strictly increasing.
-    pub fn from_schedule(times: &[SimTime], connections: u32, looped: bool) -> Self {
-        match Self::try_from_schedule(times, connections, looped) {
-            Ok(source) => source,
-            Err(TraceError::Empty) => panic!("empty trace"),
-            Err(TraceError::NotIncreasing { .. }) => {
-                panic!("schedule must be strictly increasing")
-            }
-            Err(e) => panic!("{e}"),
         }
-    }
-
-    /// Fallible form of [`TraceSource::from_schedule`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Empty`], [`TraceError::NotIncreasing`], or
-    /// [`TraceError::ZeroConnections`].
-    pub fn try_from_schedule(
-        times: &[SimTime],
-        connections: u32,
-        looped: bool,
-    ) -> Result<Self, TraceError> {
-        if times.is_empty() {
-            return Err(TraceError::Empty);
-        }
-        let mut gaps = Vec::with_capacity(times.len());
-        let mut prev = SimTime::ZERO;
-        for (index, &t) in times.iter().enumerate() {
-            if t <= prev {
-                return Err(TraceError::NotIncreasing { index });
-            }
-            gaps.push(t.duration_since(prev));
-            prev = t;
-        }
-        Self::try_new(gaps, connections, looped)
-    }
-
-    /// Parses a trace from JSON:
-    /// `{"gaps_us": [10.0, 20.0, ...], "connections": 4, "looped": false}`
-    /// (`connections` defaults to 1, `looped` to false).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Json`] on malformed JSON,
-    /// [`TraceError::InvalidGap`] on negative or non-finite gaps, and
-    /// the construction errors of [`TraceSource::try_new`].
-    pub fn from_json(json: &str) -> Result<Self, TraceError> {
-        let file: TraceFile = serde_json::from_str(json)?;
-        let mut gaps = Vec::with_capacity(file.gaps_us.len());
-        for (index, &value_us) in file.gaps_us.iter().enumerate() {
-            if !value_us.is_finite() || value_us < 0.0 {
-                return Err(TraceError::InvalidGap { index, value_us });
-            }
-            gaps.push(SimDuration::from_micros_f64(value_us));
-        }
-        Self::try_new(gaps, file.connections, file.looped)
-    }
-
-    /// Trace length in sends.
-    pub fn len(&self) -> usize {
-        self.gaps.len()
-    }
-
-    /// True if the trace has no gaps (cannot happen after construction).
-    pub fn is_empty(&self) -> bool {
-        self.gaps.is_empty()
     }
 
     fn next_order(&mut self, now: SimTime) -> Option<SendOrder> {
@@ -305,18 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn from_schedule_computes_gaps() {
-        let times = [
-            SimTime::from_micros(3),
-            SimTime::from_micros(7),
-            SimTime::from_micros(20),
-        ];
-        let src = TraceSource::from_schedule(&times, 1, false);
-        assert_eq!(src.len(), 3);
-        assert!(!src.is_empty());
-    }
-
-    #[test]
     fn replay_is_deterministic_across_hardware_configs() {
         use crate::{ClientSpec, ClusterBuilder, HardwareConfig};
         use std::sync::Arc;
@@ -357,54 +181,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_schedule_rejected() {
-        let times = [SimTime::from_micros(5), SimTime::from_micros(5)];
-        TraceSource::from_schedule(&times, 1, false);
+    #[should_panic(expected = "empty trace")]
+    fn empty_trace_rejected() {
+        TraceSource::new(Vec::new(), 1, false);
     }
 
     #[test]
-    fn try_constructors_return_typed_errors() {
-        assert!(matches!(
-            TraceSource::try_new(vec![], 1, false),
-            Err(TraceError::Empty)
-        ));
-        assert!(matches!(
-            TraceSource::try_new(vec![SimDuration::from_micros(1)], 0, false),
-            Err(TraceError::ZeroConnections)
-        ));
-        let times = [SimTime::from_micros(5), SimTime::from_micros(5)];
-        let err = TraceSource::try_from_schedule(&times, 1, false).unwrap_err();
-        assert!(matches!(err, TraceError::NotIncreasing { index: 1 }));
-        assert!(err.to_string().contains("strictly increasing"));
-    }
-
-    #[test]
-    fn json_trace_round_trips() {
-        let src = TraceSource::from_json(
-            r#"{"gaps_us": [10.0, 20.0], "connections": 4, "looped": true}"#,
-        )
-        .unwrap();
-        assert_eq!(src.len(), 2);
-        let mut r = rng();
-        let mut src = src;
-        assert_eq!(src.start(SimTime::ZERO, &mut r)[0].at, SimTime::from_micros(10));
-    }
-
-    #[test]
-    fn json_trace_defaults_and_errors() {
-        let src = TraceSource::from_json(r#"{"gaps_us": [5.0]}"#).unwrap();
-        assert_eq!(src.len(), 1);
-        assert!(matches!(
-            TraceSource::from_json("{"),
-            Err(TraceError::Json(_))
-        ));
-        let err = TraceSource::from_json(r#"{"gaps_us": [5.0, -1.0]}"#).unwrap_err();
-        assert!(matches!(err, TraceError::InvalidGap { index: 1, .. }));
-        assert!(err.to_string().contains("non-negative"));
-        assert!(matches!(
-            TraceSource::from_json(r#"{"gaps_us": []}"#),
-            Err(TraceError::Empty)
-        ));
+    #[should_panic(expected = "need at least one connection")]
+    fn zero_connections_rejected() {
+        TraceSource::new(vec![SimDuration::from_micros(1)], 0, false);
     }
 }

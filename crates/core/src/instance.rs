@@ -6,7 +6,7 @@ use treadmill_cluster::ResponseRecord;
 use treadmill_sim_core::{SimDuration, SimTime};
 use treadmill_stats::{AdaptiveHistogram, HistogramConfig, LatencySummary};
 
-use crate::phases::{current_phase, Phase, PhaseConfig};
+use crate::phases::PhaseConfig;
 
 /// Configuration for a [`TreadmillInstance`].
 ///
@@ -39,7 +39,6 @@ pub struct TreadmillInstance {
     config: InstanceConfig,
     histogram: AdaptiveHistogram,
     discarded: u64,
-    last_observed: SimTime,
 }
 
 impl TreadmillInstance {
@@ -49,14 +48,12 @@ impl TreadmillInstance {
             histogram: AdaptiveHistogram::with_config(config.histogram.clone()),
             config,
             discarded: 0,
-            last_observed: SimTime::ZERO,
         }
     }
 
     /// Observes one completed request. Samples generated during warm-up
     /// are discarded; the rest feed the adaptive histogram.
     pub fn observe(&mut self, record: &ResponseRecord) {
-        self.last_observed = self.last_observed.max(record.t_delivered);
         if record.t_generated < SimTime::ZERO + self.config.phases.warmup {
             self.discarded += 1;
             return;
@@ -70,15 +67,6 @@ impl TreadmillInstance {
         for record in records {
             self.observe(record.borrow());
         }
-    }
-
-    /// The phase the instance is currently in.
-    pub fn phase(&self) -> Phase {
-        current_phase(
-            self.last_observed,
-            SimTime::ZERO + self.config.phases.warmup,
-            &self.histogram,
-        )
     }
 
     /// Measurement samples aggregated so far (excluding warm-up).
@@ -159,18 +147,6 @@ mod tests {
         inst.observe(&record(1_500, 100));
         assert_eq!(inst.discarded(), 1);
         assert_eq!(inst.samples(), 1);
-    }
-
-    #[test]
-    fn phases_reported() {
-        let mut inst = TreadmillInstance::new(config(1, 5));
-        assert_eq!(inst.phase(), Phase::Warmup);
-        inst.observe(&record(1_200, 50));
-        assert_eq!(inst.phase(), Phase::Calibration);
-        for i in 0..5 {
-            inst.observe(&record(1_300 + i, 50 + i));
-        }
-        assert_eq!(inst.phase(), Phase::Measurement);
     }
 
     #[test]

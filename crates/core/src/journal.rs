@@ -1,9 +1,9 @@
 //! The one crash-tolerant journal, and atomic whole-file writes.
 //!
-//! The sweep manifest (`manifest.jsonl`), the service's job journal
-//! (`jobs.jsonl`) and its audit log (`audit.jsonl`) are the same thing:
-//! an append-only file of one JSON record per line that must survive a
-//! SIGKILL at any instant. [`Journal`] is that file:
+//! The sweep manifest (`manifest.jsonl`) and the service's job journal
+//! (`jobs.jsonl`) are the same thing: an append-only file of one JSON
+//! record per line that must survive a SIGKILL at any instant.
+//! [`Journal`] is that file:
 //!
 //! * **append** — one serialised line, one write, one fsync, so a
 //!   record is on disk once [`Journal::append`] returns;
@@ -20,6 +20,9 @@
 //! binary append-only files (a checkpoint's record segment): a streamed
 //! append made durable before anything refers to it, and the cut that
 //! drops what a crash appended past the last committed byte.
+//! [`remove_synced`] deletes a file for good (a stale checkpoint
+//! envelope) before anything is journaled that a crash could otherwise
+//! pair with it.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
@@ -166,14 +169,36 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
         file.sync_all()?;
     }
     fs::rename(&tmp, path)?;
+    sync_parent(path);
+    Ok(())
+}
+
+/// Removes the file at `path`, if there is one, and fsyncs its
+/// directory so the removal survives a crash.
+///
+/// # Errors
+///
+/// Filesystem errors other than the file not existing; the file may
+/// then still be there.
+pub fn remove_synced(path: &Path) -> io::Result<()> {
+    match fs::remove_file(path) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+    }
+    sync_parent(path);
+    Ok(())
+}
+
+/// Persists a change to `path`'s directory entry (a rename or a
+/// removal); without this a crash can forget it even though the data
+/// blocks are safe.
+fn sync_parent(path: &Path) {
     if let Some(dir) = path.parent() {
-        // Persist the rename itself; without this a crash can forget
-        // the directory entry even though the data blocks are safe.
         if let Ok(dir_handle) = File::open(dir) {
             let _ = dir_handle.sync_all();
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

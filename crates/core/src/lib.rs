@@ -68,7 +68,7 @@ pub use convergence::ConvergenceTracker;
 pub use experiment::{run_until_converged, ExperimentOptions, ExperimentOutcome};
 pub use instance::{InstanceConfig, TreadmillInstance};
 pub use interarrival::InterArrival;
-pub use phases::{Phase, PhaseConfig};
+pub use phases::PhaseConfig;
 pub use report::{health_warnings, render_report};
 pub use resumable::{ResumableRun, TailMonitor};
 pub use runner::{LoadTest, LoadTestReport};

@@ -3,46 +3,7 @@
 //! buffered to choose histogram bounds), measurement (binned
 //! collection).
 
-use treadmill_sim_core::{SimDuration, SimTime};
-use treadmill_stats::AdaptiveHistogram;
-
-/// Which phase an instance is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Samples are being discarded while the system reaches steady
-    /// state.
-    Warmup,
-    /// Raw samples are buffered to calibrate histogram bin bounds.
-    Calibration,
-    /// Samples are aggregated into the calibrated histogram.
-    Measurement,
-}
-
-impl std::fmt::Display for Phase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Phase::Warmup => write!(f, "warm-up"),
-            Phase::Calibration => write!(f, "calibration"),
-            Phase::Measurement => write!(f, "measurement"),
-        }
-    }
-}
-
-/// Classifies the current phase from the warm-up deadline and the
-/// histogram's calibration state.
-pub fn current_phase(
-    now: SimTime,
-    warmup_until: SimTime,
-    histogram: &AdaptiveHistogram,
-) -> Phase {
-    if now < warmup_until {
-        Phase::Warmup
-    } else if !histogram.is_calibrated() {
-        Phase::Calibration
-    } else {
-        Phase::Measurement
-    }
-}
+use treadmill_sim_core::SimDuration;
 
 /// Phase configuration for an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,42 +17,5 @@ impl Default for PhaseConfig {
         PhaseConfig {
             warmup: SimDuration::from_millis(100),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use treadmill_stats::HistogramConfig;
-
-    #[test]
-    fn phases_progress() {
-        let warmup_until = SimTime::from_millis(10);
-        let mut hist = AdaptiveHistogram::with_config(HistogramConfig {
-            calibration_samples: 3,
-            ..Default::default()
-        });
-        assert_eq!(
-            current_phase(SimTime::from_millis(5), warmup_until, &hist),
-            Phase::Warmup
-        );
-        assert_eq!(
-            current_phase(SimTime::from_millis(15), warmup_until, &hist),
-            Phase::Calibration
-        );
-        for v in [1.0, 2.0, 3.0] {
-            hist.record(v);
-        }
-        assert_eq!(
-            current_phase(SimTime::from_millis(15), warmup_until, &hist),
-            Phase::Measurement
-        );
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(Phase::Warmup.to_string(), "warm-up");
-        assert_eq!(Phase::Calibration.to_string(), "calibration");
-        assert_eq!(Phase::Measurement.to_string(), "measurement");
     }
 }

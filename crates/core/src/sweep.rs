@@ -22,13 +22,18 @@
 //!   committed length and checksum (see
 //!   [`crate::resumable::ResumableRun`]). A crash between the two leaves
 //!   the previous envelope in charge and a tail it does not commit.
-//! * **resume** — [`SweepOptions::resume`] replays the journal, skips
-//!   cells already `done` (their artifacts are left untouched),
-//!   resumes the in-flight cell from its checkpoint — reading exactly
-//!   the committed prefix of its segment and cutting off the rest — and
-//!   runs the rest. Because checkpointed resume is bit-identical, the
-//!   final artifacts are byte-for-byte the same as an uninterrupted
-//!   sweep's.
+//! * **recovery** — every sweep replays the journal in its directory
+//!   (there is no fresh-start mode): it skips cells already `done`
+//!   (their artifacts are left untouched), resumes the in-flight cell
+//!   from its checkpoint — reading exactly the committed prefix of its
+//!   segment and cutting off the rest — and runs the rest. Because
+//!   checkpointed resume is bit-identical, the final artifacts are
+//!   byte-for-byte the same as an uninterrupted sweep's. A line
+//!   journaled under another configuration hash means that
+//!   configuration has since rewritten the cell's files, so it undoes
+//!   what earlier lines said about the cell; and only cells below
+//!   `runs` reach `summary.tsv`. A cell that starts from event zero
+//!   clears its checkpoint files before it journals `running`.
 //!
 //! Each cell's quantiles are journaled as exact `f64` bit patterns, so
 //! `summary.tsv` rows for skipped cells reproduce without re-running.
@@ -40,11 +45,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use serde::{Deserialize, Serialize};
+use treadmill_cluster::PacketCapture;
 use treadmill_sim_core::fnv1a64;
 
 use crate::aggregation::tail_composition;
 use crate::config::{ConfigError, LoadTestConfig};
-use crate::journal::{append_synced_with, truncate_synced, write_atomic, Journal, Replay};
+use crate::journal::{
+    append_synced_with, remove_synced, truncate_synced, write_atomic, Journal, Replay,
+};
 use crate::report::health_warnings;
 use crate::resumable::ResumableRun;
 use crate::runner::{LoadTest, LoadTestReport};
@@ -90,7 +98,8 @@ pub enum SweepEvent {
         p99_us: f64,
     },
     /// The sweep stopped early because cancellation was requested. The
-    /// in-flight cell's checkpoint is sealed; `--resume` continues it.
+    /// in-flight cell's checkpoint is sealed; rerunning the sweep
+    /// continues it.
     Interrupted {
         /// The cell that was in flight (if any was running).
         cell: Option<u64>,
@@ -144,9 +153,6 @@ pub struct SweepOptions {
     /// the records completed since the previous one, plus an envelope
     /// of fixed size (the pending events and in-flight state).
     pub ckpt_events: u64,
-    /// Replay the journal and continue a crashed sweep instead of
-    /// starting fresh.
-    pub resume: bool,
 }
 
 /// Event-heap ceiling for the per-checkpoint invariant audit.
@@ -166,7 +172,6 @@ impl Default for SweepOptions {
         SweepOptions {
             runs: 6,
             ckpt_events: DEFAULT_CKPT_EVENTS,
-            resume: false,
         }
     }
 }
@@ -211,10 +216,10 @@ pub struct SweepOutcome {
     pub summary_path: PathBuf,
     /// True if the sweep stopped early on a cancellation request. The
     /// journal and the in-flight cell's checkpoint are sealed; running
-    /// again with [`SweepOptions::resume`] continues where it stopped.
+    /// the sweep again continues where it stopped.
     pub interrupted: bool,
-    /// Every known-done cell's headline numbers (executed this
-    /// invocation or replayed from the journal), in cell order.
+    /// Every known-done cell below `runs` (executed this invocation or
+    /// replayed from the journal), in cell order.
     pub cells: Vec<CellSummary>,
 }
 
@@ -329,23 +334,26 @@ struct Manifest {
     running: std::collections::BTreeSet<u64>,
 }
 
-/// Folds the replayed journal into per-cell knowledge, skipping (with a
-/// warning) lines journaled under another configuration.
+/// Folds the replayed journal into per-cell knowledge. A line journaled
+/// under another configuration means that configuration has since run
+/// the cell and rewritten its files, so it forgets whatever earlier
+/// lines said about the cell; a cell journaled last under another
+/// configuration gets a warning.
 fn read_manifest(
     replay: Replay<ManifestLine>,
     config_hash: &str,
     warnings: &mut Vec<String>,
 ) -> Manifest {
     let mut manifest = Manifest::default();
+    let mut foreign = std::collections::BTreeMap::new();
     for entry in replay.records {
         if entry.config_hash != config_hash {
-            warnings.push(format!(
-                "manifest line for cell {} was journaled under config hash {} \
-                 (current {config_hash}); ignoring it",
-                entry.cell, entry.config_hash
-            ));
+            manifest.done.remove(&entry.cell);
+            manifest.running.remove(&entry.cell);
+            foreign.insert(entry.cell, entry.config_hash);
             continue;
         }
+        foreign.remove(&entry.cell);
         match (entry.status, entry.result) {
             (CellStatus::Done, Some(result)) => {
                 manifest.running.remove(&entry.cell);
@@ -356,6 +364,12 @@ fn read_manifest(
             }
             _ => {}
         }
+    }
+    for (cell, hash) in foreign {
+        warnings.push(format!(
+            "cell {cell} was journaled last under config hash {hash} \
+             (current {config_hash}); its files are that configuration's, so it is not done"
+        ));
     }
     // A SIGKILL can tear the final line mid-write; the journal skips
     // anything that does not parse rather than refusing to resume.
@@ -471,9 +485,13 @@ fn resume_cell(
     }
 }
 
-/// Starts `cell` from event zero on an empty record segment, whatever
-/// an earlier attempt left in it.
+/// Starts `cell` from event zero. Whatever an earlier attempt (or
+/// another configuration) left goes first: the envelope is removed and
+/// the removal made durable, and the record segment is emptied. The
+/// sweep journals `running` only after this, so no crash can leave a
+/// `running` line beside an envelope this attempt did not write.
 fn fresh_cell(test: &LoadTest, out_dir: &Path, cell: u64) -> io::Result<ResumableRun> {
+    remove_synced(&ckpt_path(out_dir, cell))?;
     truncate_synced(&records_path(out_dir, cell), 0)?;
     Ok(ResumableRun::new(test.clone(), cell))
 }
@@ -568,9 +586,10 @@ fn aggregate_attribution(
     out
 }
 
-/// Executes (or resumes) a sweep of `opts.runs` cells into `out_dir`,
-/// with cooperative cancellation and progress reporting through `ctrl`
-/// (`SweepControl::default()` for neither).
+/// Executes a sweep of `opts.runs` cells into `out_dir`, continuing
+/// whatever the journal there records (an empty directory starts from
+/// scratch), with cooperative cancellation and progress reporting
+/// through `ctrl` (`SweepControl::default()` for neither).
 ///
 /// # Errors
 ///
@@ -596,27 +615,14 @@ pub fn run_sweep_controlled(
         ..SweepOutcome::default()
     };
 
-    if !opts.resume {
-        // Fresh start: drop any previous journal and checkpoints so a
-        // stale `done` line cannot shadow the new configuration.
-        if manifest_path.exists() {
-            fs::remove_file(&manifest_path)?;
-        }
-        for cell in 0..opts.runs {
-            let _ = fs::remove_file(ckpt_path(out_dir, cell));
-            let _ = fs::remove_file(records_path(out_dir, cell));
-        }
-    }
     let (journal, replay) = Journal::open(&manifest_path)?;
-    let manifest = if opts.resume {
-        read_manifest(replay, &config_hash, &mut outcome.warnings)
-    } else {
-        Manifest::default()
-    };
+    let manifest = read_manifest(replay, &config_hash, &mut outcome.warnings);
 
+    // Cells a longer sweep left done past `runs` stay on disk but out of
+    // this sweep's summary, as they are out of its attribution.
     let mut summary_cells: std::collections::BTreeMap<u64, (u64, CellResult)> = manifest
         .done
-        .iter()
+        .range(..opts.runs)
         .map(|(&cell, result)| (cell, (test.derive_run_seed(cell), result.clone())))
         .collect();
 
@@ -633,7 +639,7 @@ pub fn run_sweep_controlled(
             break 'cells;
         }
 
-        let resumed = if opts.resume && manifest.running.contains(&cell) {
+        let resumed = if manifest.running.contains(&cell) {
             resume_cell(&test, out_dir, cell, &mut outcome.warnings)?
         } else {
             None
@@ -644,6 +650,7 @@ pub fn run_sweep_controlled(
                 run
             }
             None => {
+                let run = fresh_cell(&test, out_dir, cell)?;
                 journal.append(&ManifestLine {
                     cell,
                     status: CellStatus::Running,
@@ -651,7 +658,7 @@ pub fn run_sweep_controlled(
                     config_hash: config_hash.clone(),
                     result: None,
                 })?;
-                fresh_cell(&test, out_dir, cell)?
+                run
             }
         };
         ctrl.emit(SweepEvent::CellStarted {
@@ -684,7 +691,7 @@ pub fn run_sweep_controlled(
                 outcome.interrupted = true;
                 outcome.warnings.push(format!(
                     "cell {cell}: interrupted at {} events; checkpoint sealed — \
-                     resume with --resume",
+                     rerun the sweep to continue",
                     run.events_executed()
                 ));
                 ctrl.emit(SweepEvent::Interrupted { cell: Some(cell) });
@@ -692,7 +699,7 @@ pub fn run_sweep_controlled(
             }
         }
 
-        let report = run.finish();
+        let mut report = run.finish();
         for finding in &report.run.audit_findings {
             outcome
                 .warnings
@@ -706,8 +713,10 @@ pub fn run_sweep_controlled(
             &out_dir.join(format!("cell_{cell}.tsv")),
             cell_tsv(cell, seed, &config_hash, &report).as_bytes(),
         )?;
-        // The attribution needs only the latencies: the records go
-        // before its sorts and pooled copy allocate.
+        // The attribution needs only the latencies: the capture goes
+        // before they are extracted, the records before its sorts and
+        // pooled copy allocate.
+        report.ground_truth = PacketCapture::default();
         let mut per_client = test.raw_latencies(&report);
         drop(report);
         write_atomic(
@@ -862,8 +871,8 @@ pub struct FactorialOutcome {
     /// Path of the `screen.tsv` prediction artifact (screened sweeps
     /// only).
     pub screen_path: Option<PathBuf>,
-    /// True if an inner sweep was interrupted; re-run with
-    /// [`SweepOptions::resume`] to continue.
+    /// True if an inner sweep was interrupted; rerunning the sweep
+    /// continues it.
     pub interrupted: bool,
 }
 
@@ -1103,7 +1112,6 @@ mod tests {
         SweepOptions {
             runs,
             ckpt_events: 20_000,
-            ..SweepOptions::default()
         }
     }
 
@@ -1158,11 +1166,7 @@ mod tests {
         assert!(lines[1].contains(r#""status":"done""#), "{manifest}");
         let pending = lines[0].replace(r#""status":"running""#, r#""status":"pending""#);
         fs::write(&manifest_path, format!("{pending}\n{manifest}")).expect("old manifest");
-        let resumed_opts = SweepOptions {
-            resume: true,
-            ..opts(3)
-        };
-        let outcome = sweep(&small_config(), &dir, &resumed_opts).expect("resumed sweep");
+        let outcome = sweep(&small_config(), &dir, &opts(3)).expect("resumed sweep");
         assert_eq!(outcome.skipped, vec![0]);
         assert_eq!(outcome.executed, vec![1, 2]);
         assert!(
@@ -1215,12 +1219,8 @@ mod tests {
         assert!(outcome.executed.is_empty());
         assert!(dir.join("cell_0.ckpt").exists(), "checkpoint must be sealed");
 
-        // Resume without cancellation: byte-identical to the golden.
-        let resumed_opts = SweepOptions {
-            resume: true,
-            ..opts(2)
-        };
-        let outcome = sweep(&small_config(), &dir, &resumed_opts).expect("resume");
+        // Rerun without cancellation: byte-identical to the golden.
+        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("resume");
         assert_eq!(outcome.resumed_cell, Some(0));
         assert!(!outcome.interrupted);
         for artifact in ["cell_0.tsv", "cell_1.tsv", "summary.tsv", "attribution.tsv"] {
@@ -1271,11 +1271,7 @@ mod tests {
         run.step(30_000);
         checkpoint_cell(&mut run, &dir, 0).expect("checkpoint");
 
-        let resumed_opts = SweepOptions {
-            resume: true,
-            ..opts(1)
-        };
-        let outcome = sweep(&config, &dir, &resumed_opts).expect("resumed sweep");
+        let outcome = sweep(&config, &dir, &opts(1)).expect("resumed sweep");
         assert_eq!(outcome.resumed_cell, Some(0));
         for artifact in ["cell_0.tsv", "summary.tsv"] {
             let golden = fs::read(golden_dir.join(artifact)).expect("golden artifact");
@@ -1307,10 +1303,6 @@ mod tests {
         // Resume, and stop again at cell 1's first checkpoint: the
         // `running` line journaled after the torn tail must survive
         // replay, or the second resume throws the checkpoint away.
-        let resumed_opts = SweepOptions {
-            resume: true,
-            ..opts(2)
-        };
         let cancel = AtomicBool::new(false);
         let mut flip = |event: SweepEvent| {
             if matches!(event, SweepEvent::Checkpointed { cell: 1, .. }) {
@@ -1322,7 +1314,7 @@ mod tests {
             progress: Some(&mut flip),
         };
         let outcome =
-            run_sweep_controlled(&small_config(), &dir, &resumed_opts, &mut ctrl).expect("resumed");
+            run_sweep_controlled(&small_config(), &dir, &opts(2), &mut ctrl).expect("resumed");
         assert_eq!(outcome.skipped, vec![0]);
         assert!(outcome.interrupted);
         assert!(outcome
@@ -1330,7 +1322,7 @@ mod tests {
             .iter()
             .any(|w| w.contains("torn/unparseable")));
 
-        let outcome = sweep(&small_config(), &dir, &resumed_opts).expect("resumed again");
+        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("resumed again");
         assert_eq!(outcome.resumed_cell, Some(1));
         assert_eq!(outcome.executed, vec![1]);
         for artifact in ["cell_0.tsv", "cell_1.tsv", "summary.tsv", "attribution.tsv"] {
@@ -1354,11 +1346,7 @@ mod tests {
         let dir = crashed_dir("corrupt", &config);
         fs::write(ckpt_path(&dir, 0), b"not a checkpoint").expect("corrupt ckpt");
 
-        let resumed_opts = SweepOptions {
-            resume: true,
-            ..opts(1)
-        };
-        let outcome = sweep(&config, &dir, &resumed_opts).expect("resumed");
+        let outcome = sweep(&config, &dir, &opts(1)).expect("resumed");
         assert_eq!(outcome.resumed_cell, None);
         assert!(outcome.warnings.iter().any(|w| w.contains("unusable")));
         assert_eq!(
@@ -1376,14 +1364,159 @@ mod tests {
         sweep(&small_config(), &dir, &opts(1)).expect("sweep");
         let mut changed = small_config();
         changed.target_rps = 90_000.0;
-        let resumed_opts = SweepOptions {
-            resume: true,
-            ..opts(1)
-        };
-        let outcome = sweep(&changed, &dir, &resumed_opts).expect("resumed");
+        let outcome = sweep(&changed, &dir, &opts(1)).expect("resumed");
         // The old done line is for a different config hash: re-run.
         assert_eq!(outcome.executed, vec![0]);
         assert!(outcome.skipped.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every `.tsv` artifact in `dir`, by file name.
+    fn tsv_artifacts(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir)
+            .expect("read sweep dir")
+            .flatten()
+            .filter(|entry| entry.file_name().to_string_lossy().ends_with(".tsv"))
+            .map(|entry| {
+                let bytes = fs::read(entry.path()).expect("artifact");
+                (entry.file_name().to_string_lossy().into_owned(), bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rerunning_a_finished_sweep_executes_nothing_and_rewrites_the_same_bytes() {
+        let dir = tempdir("rerun");
+        sweep(&small_config(), &dir, &opts(2)).expect("sweep");
+        let summary = fs::read(dir.join("summary.tsv")).expect("summary");
+        let attribution = fs::read(dir.join("attribution.tsv")).expect("attribution");
+        // Removed, so only the rerun can bring them back.
+        fs::remove_file(dir.join("summary.tsv")).expect("remove summary");
+        fs::remove_file(dir.join("attribution.tsv")).expect("remove attribution");
+
+        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("rerun");
+        assert!(outcome.executed.is_empty(), "{:?}", outcome.executed);
+        assert_eq!(outcome.skipped, vec![0, 1]);
+        assert_eq!(fs::read(dir.join("summary.tsv")).expect("summary"), summary);
+        assert_eq!(
+            fs::read(dir.join("attribution.tsv")).expect("attribution"),
+            attribution
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rerun_with_fewer_runs_summarises_only_those_runs() {
+        let golden_dir = tempdir("golden-fewer");
+        sweep(&small_config(), &golden_dir, &opts(2)).expect("golden sweep");
+
+        let dir = tempdir("fewer");
+        sweep(&small_config(), &dir, &opts(3)).expect("3-run sweep");
+        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("2-run rerun");
+        assert!(outcome.executed.is_empty(), "{:?}", outcome.executed);
+        let cells: Vec<u64> = outcome.cells.iter().map(|c| c.cell).collect();
+        assert_eq!(cells, vec![0, 1]);
+        for artifact in ["summary.tsv", "attribution.tsv"] {
+            assert_eq!(
+                fs::read(golden_dir.join(artifact)).expect("golden artifact"),
+                fs::read(dir.join(artifact)).expect("rerun artifact"),
+                "{artifact} differs from a fresh 2-run sweep's"
+            );
+        }
+        let _ = fs::remove_dir_all(&golden_dir);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Config A, then B, then A again in one directory: B rewrote cell
+    /// 0's files, so A must run the cell again rather than trust its own
+    /// older `done` line.
+    #[test]
+    fn returning_to_an_earlier_configuration_runs_the_cell_again() {
+        let config_a = small_config();
+        let mut config_b = small_config();
+        config_b.target_rps = 80_000.0;
+        let golden_dir = tempdir("golden-aba");
+        sweep(&config_a, &golden_dir, &opts(1)).expect("golden sweep");
+
+        let dir = tempdir("aba");
+        sweep(&config_a, &dir, &opts(1)).expect("sweep A");
+        let outcome = sweep(&config_b, &dir, &opts(1)).expect("sweep B");
+        assert_eq!(outcome.executed, vec![0]);
+        let outcome = sweep(&config_a, &dir, &opts(1)).expect("sweep A again");
+        assert_eq!(outcome.executed, vec![0], "cell 0 held B's files");
+        assert!(
+            outcome.warnings.iter().any(|w| w.contains("journaled last under")),
+            "{:?}",
+            outcome.warnings
+        );
+        assert_eq!(tsv_artifacts(&dir), tsv_artifacts(&golden_dir));
+        // Journaled last under A again: done, and no warning about B.
+        let outcome = sweep(&config_a, &dir, &opts(1)).expect("sweep A a third time");
+        assert_eq!(outcome.skipped, vec![0]);
+        assert!(outcome.warnings.is_empty(), "{:?}", outcome.warnings);
+        let _ = fs::remove_dir_all(&golden_dir);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A cell that starts from event zero clears the checkpoint an
+    /// earlier attempt left before it journals `running`: a crash right
+    /// after that line finds no envelope it did not write.
+    #[test]
+    fn a_fresh_cell_clears_an_earlier_checkpoint_before_journaling_running() {
+        let config = tiny_config();
+        let test = config.build().expect("build");
+        let every = test.run(0).run.events_executed / 3 + 1;
+        let every_opts = SweepOptions {
+            ckpt_events: every,
+            ..opts(1)
+        };
+        let golden_dir = tempdir("golden-stale");
+        sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
+
+        // Another configuration's in-flight cell 0: its checkpoint
+        // files, and its `running` line.
+        let mut other = tiny_config();
+        other.target_rps = 8_000.0;
+        let dir = tempdir("stale-envelope");
+        checkpoints_on_disk(&other.build().expect("build"), &dir, every);
+        let (journal, _) = Journal::open(&dir.join("manifest.jsonl")).expect("open journal");
+        journal
+            .append(&ManifestLine {
+                cell: 0,
+                status: CellStatus::Running,
+                seed: 0,
+                config_hash: format!("{:016x}", fnv1a64(other.to_json().as_bytes())),
+                result: None,
+            })
+            .expect("journal");
+        assert!(ckpt_path(&dir, 0).exists());
+
+        // What a crash right after this attempt's `running` line leaves.
+        let mut at_start = None;
+        let mut look = |event: SweepEvent| {
+            if let SweepEvent::CellStarted { cell: 0, .. } = event {
+                let manifest = fs::read_to_string(dir.join("manifest.jsonl")).expect("manifest");
+                let last = manifest.lines().last().unwrap_or_default().to_string();
+                let segment = fs::metadata(records_path(&dir, 0)).map_or(0, |m| m.len());
+                at_start = Some((last, ckpt_path(&dir, 0).exists(), segment));
+            }
+        };
+        let mut ctrl = SweepControl {
+            cancel: None,
+            progress: Some(&mut look),
+        };
+        let outcome = run_sweep_controlled(&config, &dir, &every_opts, &mut ctrl).expect("sweep");
+        assert_eq!(outcome.resumed_cell, None);
+        let (last, envelope, segment) = at_start.expect("cell 0 started");
+        let hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
+        assert!(
+            last.contains(r#""status":"running""#) && last.contains(&hash),
+            "{last}"
+        );
+        assert!(!envelope, "an earlier attempt's envelope outlived `running`");
+        assert_eq!(segment, 0, "an earlier attempt's records outlived `running`");
+        assert_eq!(tsv_artifacts(&dir), tsv_artifacts(&golden_dir));
+        let _ = fs::remove_dir_all(&golden_dir);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1606,10 +1739,6 @@ mod tests {
             ..opts(1)
         };
         sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
-        let resume_opts = SweepOptions {
-            resume: true,
-            ..every_opts
-        };
         let envelope = Some(first.envelope.as_slice());
         let cases = [
             ("unpublished", envelope, second.segment.as_slice(), Some(0)),
@@ -1628,7 +1757,7 @@ mod tests {
                 fs::write(dir.join("cell_0.ckpt.tmp"), &second.envelope[..40]).expect("tmp");
             }
             fs::write(records_path(&dir, 0), segment).expect("segment");
-            let outcome = sweep(&config, &dir, &resume_opts).expect("resumed sweep");
+            let outcome = sweep(&config, &dir, &every_opts).expect("resumed sweep");
             assert_eq!(outcome.resumed_cell, resumed, "{tag}");
             for artifact in [
                 "cell_0.tsv",
@@ -1686,15 +1815,7 @@ mod tests {
             let dir = crashed_dir(tag, &config);
             fs::write(ckpt_path(&dir, 0), envelope).expect("envelope");
             fs::write(records_path(&dir, 0), segment).expect("segment");
-            let outcome = sweep(
-                &config,
-                &dir,
-                &SweepOptions {
-                    resume: true,
-                    ..every_opts
-                },
-            )
-            .expect("resumed sweep");
+            let outcome = sweep(&config, &dir, &every_opts).expect("resumed sweep");
             assert_eq!(outcome.resumed_cell, None, "{tag}");
             assert!(
                 outcome

@@ -1,15 +1,16 @@
 //! `treadmill-serve` — the load-testing service daemon.
 //!
 //! ```text
-//! treadmill-serve --state-dir DIR [--addr HOST:PORT] [--resume] [--queue-cap N]
+//! treadmill-serve --state-dir DIR [--addr HOST:PORT] [--queue-cap N]
 //! ```
 //!
 //! Binds the HTTP service, prints the bound address (also written to
 //! `DIR/addr.txt`), and runs until SIGTERM/SIGINT, at which point it
 //! drains gracefully: stops accepting, seals the in-flight sweep's
-//! checkpoint, exits 0 (journal appends are fsynced one by one). A
-//! SIGKILL'd instance restarted with `--resume` replays the journal
-//! and continues.
+//! checkpoint, exits 0 (journal appends are fsynced one by one). Every
+//! start replays `DIR/jobs.jsonl` and re-admits the jobs it left
+//! pending, so restarting a drained or SIGKILL'd instance on the same
+//! `DIR` finishes them; an empty `DIR` starts from scratch.
 
 use std::process::ExitCode;
 use std::thread;
@@ -19,13 +20,12 @@ use treadmill_server::service::{start, ServeOptions};
 use treadmill_server::shutdown;
 
 fn usage() -> &'static str {
-    "usage: treadmill-serve --state-dir DIR [--addr HOST:PORT] [--resume] [--queue-cap N]\n"
+    "usage: treadmill-serve --state-dir DIR [--addr HOST:PORT] [--queue-cap N]\n"
 }
 
 fn parse_args() -> Result<ServeOptions, String> {
     let mut state_dir: Option<String> = None;
     let mut addr = "127.0.0.1:0".to_string();
-    let mut resume = false;
     let mut queue_cap: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
@@ -36,7 +36,6 @@ fn parse_args() -> Result<ServeOptions, String> {
         match arg.as_str() {
             "--state-dir" => state_dir = Some(take("--state-dir")?),
             "--addr" => addr = take("--addr")?,
-            "--resume" => resume = true,
             "--queue-cap" => {
                 queue_cap = Some(parse_count(&take("--queue-cap")?)?);
             }
@@ -47,7 +46,6 @@ fn parse_args() -> Result<ServeOptions, String> {
 
     let mut opts = ServeOptions::new(state_dir);
     opts.addr = addr;
-    opts.resume = resume;
     if let Some(cap) = queue_cap {
         opts.queue_cap = cap;
     }
@@ -74,7 +72,7 @@ fn main() -> ExitCode {
     let handle = match start(opts) {
         Ok(handle) => handle,
         Err(e) => {
-            eprintln!("treadmill-serve: {e}");
+            eprintln!("treadmill-serve: cannot start service: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -12,7 +12,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 use treadmill_core::sweep::DEFAULT_CKPT_EVENTS;
 use treadmill_core::{ConfigError, LoadTestConfig};
-use treadmill_sim_core::fnv1a64;
 
 /// Ceiling on the repeated-run count of one submission.
 pub const MAX_RUNS_PER_JOB: u64 = 64;
@@ -164,15 +163,6 @@ impl ExperimentSpec {
     pub fn canonical_json(&self) -> String {
         serde_json::to_string(self).unwrap_or_default()
     }
-
-    /// The configuration hash journaled by the sweep — FNV-1a of the
-    /// same pretty JSON as [`LoadTestConfig::to_json`], so the audit log
-    /// and the sweep manifest agree. Rendered here because HTTP handlers
-    /// call this and must not reach `to_json`'s `expect`.
-    pub fn config_hash(&self) -> String {
-        let json = serde_json::to_string_pretty(&self.config).unwrap_or_default();
-        format!("{:016x}", fnv1a64(json.as_bytes()))
-    }
 }
 
 /// Job lifecycle states, journaled on every transition.
@@ -183,8 +173,9 @@ impl ExperimentSpec {
 ///               └──────> failed
 /// ```
 ///
-/// A drain or crash leaves a job `running`; restart with `--resume`
-/// re-enqueues it and the sweep continues from its checkpoint.
+/// A drain or crash leaves a job `running`; a restart on the same state
+/// directory re-enqueues it, journals `running` again, and the sweep
+/// continues from its checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "lowercase")]
 pub enum JobStatus {
@@ -238,14 +229,6 @@ mod tests {
         let spec = ExperimentSpec::from_json(&spec_json("50000")).unwrap();
         assert_eq!(spec.runs, 2);
         assert_eq!(spec.ckpt_events, DEFAULT_CKPT_EVENTS);
-        assert_eq!(spec.config_hash().len(), 16);
-    }
-
-    #[test]
-    fn config_hash_matches_the_sweep_manifest() {
-        let spec = ExperimentSpec::from_json(&spec_json("50000")).unwrap();
-        let sweep_hash = format!("{:016x}", fnv1a64(spec.config.to_json().as_bytes()));
-        assert_eq!(spec.config_hash(), sweep_hash);
     }
 
     #[test]

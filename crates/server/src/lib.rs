@@ -11,10 +11,14 @@
 //! * **Journaled jobs** ([`store`]): the [`store::JobStore`] appends
 //!   every job state transition to an fsynced `jobs.jsonl` journal
 //!   (the same [`treadmill_core::journal::Journal`] as the sweep
-//!   manifest, so torn lines are sealed and skipped on replay).
-//!   A SIGKILL'd server restarted with `--resume` replays the journal
+//!   manifest, so torn lines are sealed and skipped on replay). Each
+//!   line is stamped with its wall-clock `unix_ms`, and a submission
+//!   line holds the spec, so the journal is also the provenance trail.
+//!   A server restarted on the same state directory, after a SIGKILL or
+//!   a drain, replays the journal, re-admits the jobs it left pending
 //!   and continues in-flight experiments from their checkpoints,
-//!   producing byte-identical artifacts.
+//!   producing byte-identical artifacts. There is no flag for this:
+//!   recovery is the only way a server starts.
 //! * **Admission control** ([`queue`]): a bounded job queue sheds
 //!   excess submissions with `503` + `Retry-After` instead of growing
 //!   without bound; a connection cap and per-request socket timeouts
@@ -24,8 +28,6 @@
 //!   boundary (sealing it to disk), and exits — every journal append
 //!   is already fsynced, so the state on disk is a SIGKILL's, minus
 //!   the lost batch.
-//! * **Audit trail** ([`audit`]): an append-only `audit.jsonl` records
-//!   seed, config hash, and snapshot version for every run.
 //!
 //! The HTTP layer ([`http`]) is dependency-free: a hand-rolled
 //! HTTP/1.1 parser over `std::net::TcpListener` with a fixed
@@ -41,7 +43,6 @@
     allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_possible_truncation)
 )]
 
-pub mod audit;
 pub mod client;
 pub mod http;
 pub mod job;
@@ -50,8 +51,7 @@ pub mod service;
 pub mod shutdown;
 pub mod store;
 
-pub use audit::{AuditEntry, AuditLog};
 pub use job::{ExperimentSpec, JobStatus, SpecError};
 pub use queue::{BoundedQueue, Pop, Push};
-pub use service::{start, ServeOptions, ServerHandle, StartError};
+pub use service::{start, ServeOptions, ServerHandle};
 pub use store::{JobStore, ReplayReport, StoredJob, SubmitOutcome};

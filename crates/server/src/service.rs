@@ -19,7 +19,6 @@
 //! at its next checkpoint (sealing it), exit. There is no journal to
 //! flush: every append is fsynced on its own.
 
-use std::fmt;
 use std::fs;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -38,7 +37,6 @@ use treadmill_core::{
     SweepOptions,
 };
 
-use crate::audit::AuditLog;
 use crate::http::{self, HttpError, Request};
 use crate::job::{ExperimentSpec, JobStatus};
 use crate::queue::{BoundedQueue, Pop, Push};
@@ -50,11 +48,8 @@ pub struct ServeOptions {
     /// Bind address; port 0 picks a free port (written to
     /// `state_dir/addr.txt` for discovery).
     pub addr: String,
-    /// Root for the journal, audit log, and per-job artifact dirs.
+    /// Root for the job journal and the per-job artifact dirs.
     pub state_dir: PathBuf,
-    /// Replay the journal and resume pending jobs instead of refusing
-    /// to start over them.
-    pub resume: bool,
     /// Admission-queue capacity; submissions beyond it get `503`.
     pub queue_cap: usize,
 }
@@ -79,40 +74,8 @@ impl ServeOptions {
         ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             state_dir: state_dir.into(),
-            resume: false,
             queue_cap: 8,
         }
-    }
-}
-
-/// Why the service refused to start.
-#[derive(Debug)]
-pub enum StartError {
-    /// Filesystem or socket trouble.
-    Io(io::Error),
-    /// The journal holds pending (queued/running) jobs and `--resume`
-    /// was not given — starting fresh would orphan checkpointed work.
-    PendingWithoutResume(usize),
-}
-
-impl fmt::Display for StartError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StartError::Io(e) => write!(f, "cannot start service: {e}"),
-            StartError::PendingWithoutResume(n) => write!(
-                f,
-                "journal holds {n} pending job(s); start with --resume to \
-                 continue them (or point --state-dir somewhere fresh)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StartError {}
-
-impl From<io::Error> for StartError {
-    fn from(e: io::Error) -> Self {
-        StartError::Io(e)
     }
 }
 
@@ -178,7 +141,6 @@ struct Shared {
     store: JobStore,
     jobs: BoundedQueue<String>,
     conns: BoundedQueue<TcpStream>,
-    audit: AuditLog,
     draining: AtomicBool,
     progress: Mutex<BTreeMap<String, Arc<Progress>>>,
 }
@@ -261,16 +223,15 @@ impl ServerHandle {
 }
 
 /// Starts the service: opens the store (replaying its journal), binds
-/// the listener, writes `addr.txt`, re-enqueues pending jobs under
-/// `--resume`, and spawns the thread pool.
-pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
-    fs::create_dir_all(&opts.state_dir)?;
-    let audit = AuditLog::open(&opts.state_dir)?;
-
+/// the listener, writes `addr.txt`, re-enqueues the jobs the journal
+/// left pending, and spawns the thread pool.
+///
+/// # Errors
+///
+/// Filesystem or socket trouble: the state directory, the journal, the
+/// listener or a thread.
+pub fn start(opts: ServeOptions) -> io::Result<ServerHandle> {
     let (store, report) = JobStore::open(&opts.state_dir)?;
-    if !report.pending.is_empty() && !opts.resume {
-        return Err(StartError::PendingWithoutResume(report.pending.len()));
-    }
 
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
@@ -282,7 +243,6 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
     let shared = Arc::new(Shared {
         jobs: BoundedQueue::new(opts.queue_cap),
         conns: BoundedQueue::new(MAX_CONNS),
-        audit,
         draining: AtomicBool::new(false),
         progress: Mutex::new(BTreeMap::new()),
         store,
@@ -290,11 +250,10 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
     });
 
     // Re-admit journaled pending jobs (recovery bypasses the cap:
-    // they were admitted under it originally).
+    // they were admitted under it originally). The job's next `running`
+    // line journals the recovery.
     for id in report.pending {
         if let Some(job) = shared.store.get(&id) {
-            let (seed, hash) = spec_provenance(&job.spec_json);
-            let _ = shared.audit.record("recovered", &id, seed, &hash, "");
             shared.progress_for(&id).push(format!(
                 "job {id}: recovered from journal ({})",
                 job.status
@@ -330,15 +289,6 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
     }
 
     Ok(ServerHandle { addr, shared, threads })
-}
-
-/// Best-effort seed + config-hash extraction for audit lines when the
-/// spec predates this process (recovery path).
-fn spec_provenance(spec_json: &str) -> (u64, String) {
-    match ExperimentSpec::from_json(spec_json) {
-        Ok(spec) => (spec.config.seed, spec.config_hash()),
-        Err(_) => (0, "unknown".to_string()),
-    }
 }
 
 fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
@@ -578,13 +528,6 @@ fn handle_submit(
                 "job {}: queued ({} cells)",
                 job.id, spec.runs
             ));
-            let _ = shared.audit.record(
-                "submitted",
-                &job.id,
-                spec.config.seed,
-                &spec.config_hash(),
-                key.unwrap_or(""),
-            );
             match shared.jobs.push(job.id.clone()) {
                 Push::Accepted { depth } => {
                     let body = SubmitBody {
@@ -698,6 +641,14 @@ fn handle_artifact(
             &bytes,
             &[],
         ),
+        // A repeated-run job writes no screen or factorial table, and a
+        // screened job no summary or attribution.
+        Err(e) if e.kind() == io::ErrorKind::NotFound => error_response(
+            stream,
+            404,
+            "not-found",
+            &format!("experiment {id} has no {name}"),
+        ),
         Err(e) => error_response(stream, 500, "artifact", &e.to_string()),
     }
 }
@@ -756,35 +707,25 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
             let detail = format!("journaled spec no longer validates: {e}");
             progress.push(format!("job {id}: failed — {detail}"));
             let _ = shared.store.set_status(id, JobStatus::Failed, Some(&detail));
-            let _ = shared.audit.record("run-failed", id, 0, "unknown", &detail);
             progress.finish();
             return;
         }
     };
-    let config_hash = spec.config_hash();
     let out_dir = shared.job_dir(id);
     // A job that already has a directory ran before this attempt (a
-    // SIGKILL or a drain stopped it): resume it. Where a sweep keeps its
-    // journals is the sweep's business; only the job directory is ours.
-    let resume = out_dir.exists();
+    // SIGKILL or a drain stopped it); the sweep replays whatever it
+    // journaled there.
+    let resumed = out_dir.exists();
     let _ = shared.store.set_status(id, JobStatus::Running, None);
-    let _ = shared.audit.record(
-        "run-started",
-        id,
-        spec.config.seed,
-        &config_hash,
-        if resume { "resume" } else { "fresh" },
-    );
     progress.push(format!(
         "job {id}: running {} cell(s){}",
         spec.runs,
-        if resume { ", resuming from journal" } else { "" }
+        if resumed { ", resuming from journal" } else { "" }
     ));
 
     let opts = SweepOptions {
         runs: spec.runs,
         ckpt_events: spec.ckpt_events,
-        resume,
     };
     let mut on_event = |event: SweepEvent| progress.push(render_event(&event));
     let mut ctrl = SweepControl {
@@ -841,16 +782,9 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
     match result {
         Ok((interrupted, _)) if interrupted => {
             // Deliberately left `running`: the journal + sealed
-            // checkpoint are exactly what `--resume` picks up.
-            let _ = shared.audit.record(
-                "run-interrupted",
-                id,
-                spec.config.seed,
-                &config_hash,
-                "drain: checkpoint sealed",
-            );
+            // checkpoint are exactly what a restart picks up.
             progress.push(format!(
-                "job {id}: interrupted by drain; restart with --resume"
+                "job {id}: interrupted by drain; a restart continues it"
             ));
         }
         // Every final line lands before the terminal status is
@@ -862,25 +796,11 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
             }
             progress.push(format!("job {id}: done"));
             let _ = shared.store.set_status(id, JobStatus::Done, None);
-            let _ = shared.audit.record(
-                "run-done",
-                id,
-                spec.config.seed,
-                &config_hash,
-                "",
-            );
             progress.finish();
         }
         Err(detail) => {
             progress.push(format!("job {id}: failed — {detail}"));
             let _ = shared.store.set_status(id, JobStatus::Failed, Some(&detail));
-            let _ = shared.audit.record(
-                "run-failed",
-                id,
-                spec.config.seed,
-                &config_hash,
-                &detail,
-            );
             progress.finish();
         }
     }

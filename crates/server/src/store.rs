@@ -3,12 +3,21 @@
 //! sweep manifest: one fsynced JSON line per transition, torn tails
 //! sealed and skipped on replay). Duplicate journal lines are
 //! idempotent.
+//!
+//! The journal is also the service's provenance trail. Each line is
+//! stamped with the wall-clock `unix_ms` of its append; a job's
+//! submission line holds its spec (seed and configuration included),
+//! and every later line is a transition: `running` each time an
+//! executor picks the job up (a second one is a recovery after a crash
+//! or a drain), then `done` or `failed`. A job whose last line is
+//! `running` when the server starts was interrupted.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
 use treadmill_core::journal::Journal;
@@ -52,6 +61,11 @@ pub enum SubmitOutcome {
 #[derive(Debug, Serialize, Deserialize)]
 struct JournalLine {
     seq: u64,
+    /// Wall-clock milliseconds since the Unix epoch at the append.
+    /// Provenance only: replay never reads it, and lines written before
+    /// it existed replay as 0.
+    #[serde(default)]
+    unix_ms: u64,
     id: String,
     status: JobStatus,
     #[serde(default)]
@@ -167,10 +181,14 @@ impl JobStore {
         Ok((store, report))
     }
 
-    /// Journals `line` under the next sequence number.
+    /// Journals `line` under the next sequence number, stamped with the
+    /// wall clock.
     fn append(&self, state: &mut State, mut line: JournalLine) -> io::Result<()> {
         line.seq = state.next_seq;
         state.next_seq += 1;
+        line.unix_ms = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
         self.journal.append(&line)
     }
 
@@ -198,6 +216,7 @@ impl JobStore {
         state.jobs.insert(id.clone(), job.clone());
         let line = JournalLine {
             seq: 0,
+            unix_ms: 0,
             id,
             status: job.status,
             key: job.key.clone(),
@@ -221,6 +240,7 @@ impl JobStore {
         }
         let line = JournalLine {
             seq: 0,
+            unix_ms: 0,
             id: id.to_string(),
             status,
             key: None,
@@ -295,6 +315,50 @@ mod tests {
             panic!("expected creation");
         };
         assert_eq!(next.id, "exp-000001");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_line_is_stamped_and_an_unstamped_journal_replays_the_same() {
+        let dir = tmp_dir("stamped");
+        let (store, _) = JobStore::open(&dir).unwrap();
+        for (key, status) in [
+            ("a", Some(JobStatus::Done)),
+            ("b", Some(JobStatus::Running)),
+            ("c", None),
+            ("d", Some(JobStatus::Failed)),
+        ] {
+            let SubmitOutcome::Created(job) = store.submit(Some(key), "{}").unwrap() else {
+                panic!("expected creation");
+            };
+            if let Some(status) = status {
+                store.set_status(&job.id, JobStatus::Running, None).unwrap();
+                store.set_status(&job.id, status, Some("why")).unwrap();
+            }
+        }
+        let journal = dir.join("jobs.jsonl");
+        let text = fs::read_to_string(&journal).unwrap();
+        let mut unstamped = String::new();
+        for line in text.lines() {
+            let value: serde_json::Value = serde_json::from_str(line).unwrap();
+            assert!(value["unix_ms"].as_u64().unwrap() > 0, "{line}");
+            // `"unix_ms":N,` cut out of the line.
+            let at = line.find("\"unix_ms\":").unwrap();
+            let end = at + line[at..].find(',').unwrap() + 1;
+            unstamped.push_str(&format!("{}{}\n", &line[..at], &line[end..]));
+        }
+        let (stamped, stamped_report) = JobStore::open(&dir).unwrap();
+
+        // The same journal as a build before the stamp wrote it.
+        fs::write(&journal, unstamped).unwrap();
+        let (parent, parent_report) = JobStore::open(&dir).unwrap();
+        assert_eq!(parent.jobs(), stamped.jobs());
+        assert_eq!(parent_report.pending, stamped_report.pending);
+        assert_eq!(
+            parent_report.pending,
+            vec!["exp-000001".to_string(), "exp-000002".to_string()]
+        );
+        assert_eq!(parent_report.torn_lines, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

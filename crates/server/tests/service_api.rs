@@ -189,6 +189,26 @@ fn submit_runs_to_done_and_serves_artifacts() {
         let on_disk = fs::read(state.join("jobs").join(&id).join(file)).unwrap();
         assert_eq!(resp.body, on_disk, "{route} differs from {file} on disk");
     }
+    // A repeated-run job writes no screen or factorial table.
+    for (route, file) in [("screen", "screen.tsv"), ("factorial", "factorial.tsv")] {
+        let resp = get(&addr, &format!("/experiments/{id}/{route}"));
+        assert_eq!(resp.status, 404, "{route}: {}", resp.text());
+        assert!(resp.text().contains("not-found"), "{}", resp.text());
+        assert!(resp.text().contains(&format!("{id} has no {file}")), "{}", resp.text());
+    }
+
+    // One journal, one line per transition, each stamped: queued,
+    // running, done.
+    let journal = fs::read_to_string(state.join("jobs.jsonl")).unwrap();
+    let statuses: Vec<String> = journal
+        .lines()
+        .map(|line| {
+            assert!(line.contains("\"unix_ms\":"), "{line}");
+            field_str(line, "status").unwrap()
+        })
+        .collect();
+    assert_eq!(statuses, ["queued", "running", "done"], "{journal}");
+    assert!(!state.join("audit.jsonl").exists());
 
     // The events stream is chunked and terminates with the sentinel.
     let resp = get(&addr, &format!("/experiments/{id}/events"));
@@ -257,6 +277,10 @@ fn screened_spec_runs_two_stage_sweep_and_serves_screen_artifacts() {
         let on_disk = fs::read(state.join("jobs").join(&id).join(file)).unwrap();
         assert_eq!(resp.body, on_disk, "{route} differs from {file} on disk");
     }
+    // A screened job writes no summary.
+    let resp = get(&addr, &format!("/experiments/{id}/summary"));
+    assert_eq!(resp.status, 404, "{}", resp.text());
+    assert!(resp.text().contains("has no summary.tsv"), "{}", resp.text());
     let screen = get(&addr, &format!("/experiments/{id}/screen")).text();
     assert!(screen.contains("# threshold=0.200000"), "{screen}");
     assert!(screen.contains("flagged"), "{screen}");
@@ -341,9 +365,7 @@ fn drained_screened_job_resumes_where_it_stopped() {
         "the job finished before the drain; nothing left to resume:\n{jobs}"
     );
 
-    let mut opts = ServeOptions::new(&state);
-    opts.resume = true;
-    let handle = start(opts).expect("restart service");
+    let handle = start(ServeOptions::new(&state)).expect("restart service");
     let addr = handle.addr().to_string();
     wait_done(&addr, &id);
     let events = get(&addr, &format!("/experiments/{id}/events")).text();

@@ -1,7 +1,8 @@
 //! Chaos tests against the real `treadmill-serve` binary: SIGKILL
-//! mid-experiment and demand byte-identical artifacts after
-//! `--resume`; SIGTERM and demand a clean drain; overload bursts and
-//! demand shed-with-503 plus bounded memory.
+//! mid-experiment and demand byte-identical artifacts after a restart
+//! on the same state directory (no flag asks for recovery); SIGTERM and
+//! demand a clean drain; overload bursts and demand shed-with-503 plus
+//! bounded memory.
 
 #![allow(clippy::unwrap_used)]
 
@@ -29,13 +30,10 @@ fn temp_root(tag: &str) -> PathBuf {
 /// answers `/healthz`. The stale address file is removed first so a
 /// restart cannot be confused with the previous incarnation.
 #[allow(clippy::zombie_processes)] // every caller waits via wait_exit or kill+wait
-fn spawn_server(state: &Path, resume: bool, extra: &[&str]) -> (Child, String) {
+fn spawn_server(state: &Path, extra: &[&str]) -> (Child, String) {
     let _ = fs::remove_file(state.join("addr.txt"));
     let mut cmd = Command::new(serve_bin());
     cmd.arg("--state-dir").arg(state);
-    if resume {
-        cmd.arg("--resume");
-    }
     cmd.args(extra);
     // Detach stdio: a server leaked by a failing assertion must not
     // hold the test harness's output pipe open.
@@ -163,9 +161,9 @@ fn sigkilled_server_resumes_to_byte_identical_artifacts() {
     assert!(!golden.is_empty(), "golden attribution artifact is empty");
 
     // Chaos: SIGKILL the real binary mid-experiment, twice, with
-    // seeded delays; every restart carries --resume.
+    // seeded delays; every restart is the same command.
     let chaos_state = root.join("chaos");
-    let (mut child, addr) = spawn_server(&chaos_state, false, &[]);
+    let (mut child, addr) = spawn_server(&chaos_state, &[]);
     let id = submit_id(&addr, chaos_spec());
 
     let mut kills = 0;
@@ -177,7 +175,7 @@ fn sigkilled_server_resumes_to_byte_identical_artifacts() {
         }
         child.kill().expect("SIGKILL server");
         let _ = child.wait();
-        let (next, next_addr) = spawn_server(&chaos_state, true, &[]);
+        let (next, next_addr) = spawn_server(&chaos_state, &[]);
         child = next;
         addr = next_addr;
         kills += 1;
@@ -205,14 +203,25 @@ fn sigkilled_server_resumes_to_byte_identical_artifacts() {
         fs::read(chaos_state.join("jobs").join(&id).join("attribution.tsv")).unwrap();
     assert_eq!(resp.body, on_disk);
 
-    // The audit log survived every incarnation: submission, at least
-    // one recovery, and the final completion.
-    let audit = fs::read_to_string(chaos_state.join("audit.jsonl")).unwrap();
-    assert!(audit.contains("\"event\":\"submitted\""), "{audit}");
-    assert!(audit.contains("\"event\":\"run-done\""), "{audit}");
+    // The job journal survived every incarnation: the submission (with
+    // its spec), a `running` line per incarnation that picked the job
+    // up, and the final completion, each stamped with the wall clock.
+    let journal = fs::read_to_string(chaos_state.join("jobs.jsonl")).unwrap();
+    let lines: Vec<serde_json::Value> = journal
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .filter(|line: &serde_json::Value| line["id"] == id.as_str())
+        .collect();
+    assert!(lines.iter().all(|line| line["unix_ms"].as_u64() > Some(0)), "{journal}");
+    let spec = treadmill_server::ExperimentSpec::from_json(lines[0]["spec"].as_str().unwrap())
+        .unwrap();
+    assert_eq!((lines[0]["status"].as_str(), spec.config.seed), (Some("queued"), 7));
+    assert_eq!(lines.last().unwrap()["status"], "done", "{journal}");
+    let running = lines.iter().filter(|line| line["status"] == "running").count();
     if kills > 0 {
-        assert!(audit.contains("\"event\":\"recovered\""), "{audit}");
+        assert!(running >= 2, "{kills} kills but {running} running lines:\n{journal}");
     }
+    assert!(!chaos_state.join("audit.jsonl").exists());
 
     sigterm(&child);
     let status = wait_exit(&mut child, Duration::from_secs(30));
@@ -223,7 +232,7 @@ fn sigkilled_server_resumes_to_byte_identical_artifacts() {
 #[test]
 fn sigterm_drains_cleanly() {
     let root = temp_root("drain");
-    let (mut child, addr) = spawn_server(&root.join("state"), false, &[]);
+    let (mut child, addr) = spawn_server(&root.join("state"), &[]);
     assert_eq!(
         client::request(&addr, "GET", "/readyz", &[], b"", TIMEOUT).unwrap().status,
         200
@@ -237,11 +246,11 @@ fn sigterm_drains_cleanly() {
 #[test]
 fn sigterm_mid_experiment_seals_checkpoint_for_resume() {
     // Drain, not crash: SIGTERM while a job runs must exit 0, leave
-    // the job journaled as pending, and a --resume restart must finish
-    // it to the same bytes as the golden run above would.
+    // the job journaled as pending, and a restart must finish it to the
+    // same bytes as the golden run above would.
     let root = temp_root("drain-mid");
     let state = root.join("state");
-    let (mut child, addr) = spawn_server(&state, false, &[]);
+    let (mut child, addr) = spawn_server(&state, &[]);
     let id = submit_id(&addr, chaos_spec());
     std::thread::sleep(Duration::from_millis(120));
 
@@ -249,7 +258,7 @@ fn sigterm_mid_experiment_seals_checkpoint_for_resume() {
     let status = wait_exit(&mut child, Duration::from_secs(60));
     assert!(status.success(), "mid-experiment drain exited {status}");
 
-    let (mut child, addr) = spawn_server(&state, true, &[]);
+    let (mut child, addr) = spawn_server(&state, &[]);
     wait_done(&addr, &id);
     let resp = client::request(
         &addr,
@@ -284,7 +293,7 @@ fn rss_kb(pid: u32) -> Option<u64> {
 fn overload_burst_sheds_and_memory_stays_bounded() {
     let root = temp_root("overload");
     let state = root.join("state");
-    let (mut child, addr) = spawn_server(&state, false, &["--queue-cap", "1"]);
+    let (mut child, addr) = spawn_server(&state, &["--queue-cap", "1"]);
 
     // Occupy the executor with a long job, then burst 10× the cap.
     let long_spec = r#"{"config":{"workload":{"workload":"memcached"},

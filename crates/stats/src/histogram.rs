@@ -335,34 +335,6 @@ impl AdaptiveHistogram {
         }
         points
     }
-
-    /// Merges another histogram's samples into this one.
-    ///
-    /// This is the **holistic** aggregation the paper warns against for
-    /// cross-client metrics (§II-B, Fig. 2); it exists so the bias can be
-    /// demonstrated, and for intra-client shard merging where it is
-    /// legitimate.
-    pub fn merge(&mut self, other: &AdaptiveHistogram) {
-        if !other.calibrated {
-            for &v in &other.calibration {
-                self.record(v);
-            }
-            return;
-        }
-        let width = (other.upper - other.lower) / other.counts.len() as f64;
-        for (i, &count) in other.counts.iter().enumerate() {
-            let center = other.lower + (i as f64 + 0.5) * width;
-            for _ in 0..count {
-                self.record(center);
-            }
-        }
-        for &v in &other.overflow_values {
-            self.record(v);
-        }
-        for _ in 0..other.underflow {
-            self.record(other.lower);
-        }
-    }
 }
 
 /// A histogram with **statically configured** bounds — the pitfall design
@@ -551,24 +523,6 @@ mod tests {
             assert!(pair[0].1 <= pair[1].1 + 1e-12);
         }
         assert!((points.last().unwrap().1 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_approximates_combined_distribution() {
-        let a = uniform_samples(20_000, 0.0, 100.0, 3);
-        let b = uniform_samples(20_000, 100.0, 200.0, 4);
-        let mut ha = AdaptiveHistogram::new();
-        let mut hb = AdaptiveHistogram::new();
-        for v in &a {
-            ha.record(*v);
-        }
-        for v in &b {
-            hb.record(*v);
-        }
-        ha.merge(&hb);
-        assert_eq!(ha.count(), 40_000);
-        let p50 = ha.quantile(0.5);
-        assert!((p50 - 100.0).abs() < 5.0, "merged p50 {p50}");
     }
 
     #[test]

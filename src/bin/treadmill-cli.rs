@@ -5,12 +5,13 @@
 //!     Run a JSON-configured load test with the repeated-run procedure
 //!     and print per-run and aggregated summaries.
 //!
-//! treadmill-cli sweep <config.json> --out DIR [--runs N] [--seed S] [--resume] [--ckpt-events K]
+//! treadmill-cli sweep <config.json> --out DIR [--runs N] [--seed S] [--ckpt-events K]
 //!     Crash-tolerant repeated-run sweep: journals per-cell status to
 //!     DIR/manifest.jsonl, checkpoints the running cell every K events,
-//!     and writes atomic TSV artifacts. --resume skips done cells and
-//!     resumes the in-flight one from its checkpoint, producing
-//!     byte-identical artifacts to an uninterrupted sweep.
+//!     and writes atomic TSV artifacts. Rerunning the same command
+//!     skips done cells and resumes the in-flight one from its
+//!     checkpoint, producing byte-identical artifacts to an
+//!     uninterrupted sweep; an empty DIR computes from scratch.
 //!
 //! treadmill-cli attribute <memcached|mcrouter> [--rps R] [--runs N] [--seed S]
 //!     Run the 2^4 factorial campaign, print the Table IV-style
@@ -24,7 +25,8 @@
 //!     Analytic two-stage screening: rank all 16 hardware cells with
 //!     the closed-form M/G/k estimator, flag the ones whose predicted
 //!     tail effect exceeds T, and (with --out) spend DES only on the
-//!     flagged cells, writing screen.tsv + factorial.tsv.
+//!     flagged cells, writing screen.tsv + factorial.tsv. Like sweep,
+//!     a rerun into the same DIR continues what it finds there.
 //!
 //! treadmill-cli screen <memcached|mcrouter> [--rps R] [--runs N] [--seed S]
 //!     Randomised factor screening (§IV-B): which factors measurably
@@ -44,8 +46,8 @@
 //!
 //! `sweep` installs SIGINT/SIGTERM handlers: an interrupted sweep
 //! seals the in-flight checkpoint before exiting (its journal appends
-//! are fsynced one by one), so `--resume` continues it exactly like a
-//! crashed one.
+//! are fsynced one by one), so rerunning it continues exactly like
+//! after a crash.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -69,7 +71,6 @@ struct Flags {
     rps: f64,
     seed: u64,
     out: Option<String>,
-    resume: bool,
     ckpt_events: Option<u64>,
     addr: Option<String>,
     key: Option<String>,
@@ -84,7 +85,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         rps: 700_000.0,
         seed: 2016,
         out: None,
-        resume: false,
         ckpt_events: None,
         addr: None,
         key: None,
@@ -117,9 +117,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--out" => {
                 flags.out = Some(iter.next().ok_or("--out needs a directory")?.clone());
-            }
-            "--resume" => {
-                flags.resume = true;
             }
             "--ckpt-events" => {
                 flags.ckpt_events = Some(
@@ -160,7 +157,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 
 fn usage() -> &'static str {
     "usage:\n  treadmill-cli run <config.json> [--runs N] [--seed S]\n  \
-     treadmill-cli sweep <config.json> --out DIR [--runs N] [--seed S] [--resume] [--ckpt-events K]\n  \
+     treadmill-cli sweep <config.json> --out DIR [--runs N] [--seed S] [--ckpt-events K]\n  \
      treadmill-cli attribute <memcached|mcrouter> [--rps R] [--runs N] [--seed S]\n  \
      treadmill-cli compare <config.json> <cfgA 0-15> <cfgB 0-15> [--runs N]\n  \
      treadmill-cli screen <config.json> [--threshold T] [--out DIR] [--runs N] [--seed S]\n  \
@@ -263,7 +260,6 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     config.seed = flags.seed;
     let mut opts = SweepOptions {
         runs: flags.runs as u64,
-        resume: flags.resume,
         ..SweepOptions::default()
     };
     if let Some(k) = flags.ckpt_events {
@@ -271,14 +267,14 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     }
     println!(
         "{} sweep of {} cells at {} RPS into {out} (checkpoint every {} events) ...",
-        if flags.resume { "resuming" } else { "starting" },
+        if std::path::Path::new(out).exists() { "resuming" } else { "starting" },
         opts.runs,
         config.target_rps,
         opts.ckpt_events
     );
     // Ctrl-C / SIGTERM cancels at the next checkpoint boundary: the
-    // checkpoint is sealed (the journal is fsynced per append), so `--resume`
-    // continues exactly like a SIGKILL'd sweep — same plumbing the
+    // checkpoint is sealed (the journal is fsynced per append), so a
+    // rerun continues exactly like after a SIGKILL — same plumbing the
     // server's drain path uses.
     treadmill::server::shutdown::install();
     let mut on_event = |event: SweepEvent| {
@@ -305,7 +301,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     if outcome.interrupted {
         println!(
             "interrupted: checkpoint sealed and journal flushed; \
-             rerun with --resume to continue"
+             rerun the same command to continue"
         );
     }
     println!("summary: {}", outcome.summary_path.display());
@@ -548,7 +544,6 @@ fn cmd_screen_analytic(flags: &Flags, path: &str) -> Result<(), String> {
     };
     let mut opts = SweepOptions {
         runs: flags.runs as u64,
-        resume: flags.resume,
         ..SweepOptions::default()
     };
     if let Some(k) = flags.ckpt_events {

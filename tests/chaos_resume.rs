@@ -1,11 +1,12 @@
-//! Chaos soak: SIGKILL a sweep at randomized (seeded) points, resume,
-//! and demand byte-identical artifacts.
+//! Chaos soak: SIGKILL a sweep at randomized (seeded) points, rerun
+//! the same command, and demand byte-identical artifacts.
 //!
 //! The crash-tolerance claim is end-to-end: a `treadmill-cli sweep`
 //! process killed at *any* instant — mid-cell, mid-checkpoint,
-//! mid-journal-append — must, after `--resume`, produce `cell_*.tsv`
-//! and `summary.tsv` files byte-for-byte identical to a sweep that was
-//! never interrupted. This test runs the real binary as a child
+//! mid-journal-append — must, once the same command is run again,
+//! produce `cell_*.tsv` and `summary.tsv` files byte-for-byte identical
+//! to a sweep that was never interrupted. No flag asks for recovery:
+//! every sweep replays the journal in its output directory. This test runs the real binary as a child
 //! process and kills it with SIGKILL (no chance to clean up), so every
 //! durability mechanism is exercised for real: fsynced journal
 //! appends, atomic tmp-then-rename artifact writes, checkpoint
@@ -62,8 +63,8 @@ fn write_config(dir: &Path) -> PathBuf {
     path
 }
 
-fn sweep_args(config: &Path, out: &Path, resume: bool) -> Vec<String> {
-    let mut args = vec![
+fn sweep_args(config: &Path, out: &Path) -> Vec<String> {
+    vec![
         "sweep".to_string(),
         config.display().to_string(),
         "--out".to_string(),
@@ -74,11 +75,7 @@ fn sweep_args(config: &Path, out: &Path, resume: bool) -> Vec<String> {
         "7".to_string(),
         "--ckpt-events".to_string(),
         "25000".to_string(),
-    ];
-    if resume {
-        args.push("--resume".to_string());
-    }
-    args
+    ]
 }
 
 fn kill_budget() -> u32 {
@@ -89,18 +86,16 @@ fn kill_budget() -> u32 {
 }
 
 /// Kills a sweep over `config` at seeded delays until the kill budget
-/// is spent, then lets the final resume finish. Returns the number of
+/// is spent, then lets the final rerun finish. Returns the number of
 /// kills actually landed.
 fn chaos_loop(config: &Path, chaos_dir: &Path, budget: u32, lcg_seed: u64) -> u32 {
     let mut rng = Lcg(lcg_seed);
     let mut kills = 0;
-    let mut resume = false;
     loop {
         let mut child = Command::new(cli())
-            .args(sweep_args(config, chaos_dir, resume))
+            .args(sweep_args(config, chaos_dir))
             .spawn()
             .expect("spawn chaos sweep");
-        resume = true;
         if kills >= budget {
             let status = child.wait().expect("wait for final sweep");
             assert!(status.success(), "final resumed sweep failed: {status}");
@@ -132,13 +127,13 @@ fn sigkilled_sweep_resumes_to_byte_identical_artifacts() {
     // Golden: one uninterrupted sweep.
     let golden_dir = root.join("golden");
     let status = Command::new(cli())
-        .args(sweep_args(&config, &golden_dir, false))
+        .args(sweep_args(&config, &golden_dir))
         .status()
         .expect("spawn golden sweep");
     assert!(status.success(), "golden sweep failed: {status}");
 
-    // Chaos: kill the sweep at seeded delays, resume, repeat. After the
-    // kill budget is spent, let the final resume run to completion.
+    // Chaos: kill the sweep at seeded delays, rerun, repeat. After the
+    // kill budget is spent, let the final rerun run to completion.
     let chaos_dir = root.join("chaos");
     let kills = chaos_loop(&config, &chaos_dir, kill_budget(), 0x5EED_CAFE);
 
@@ -205,7 +200,7 @@ fn sigkilled_sharded_multithreaded_sweep_resumes_byte_identical() {
 
     let golden_dir = root.join("golden");
     let status = Command::new(cli())
-        .args(sweep_args(&config, &golden_dir, false))
+        .args(sweep_args(&config, &golden_dir))
         .status()
         .expect("spawn golden sharded sweep");
     assert!(status.success(), "golden sharded sweep failed: {status}");
@@ -239,22 +234,22 @@ fn sigkilled_sharded_multithreaded_sweep_resumes_byte_identical() {
 fn sigterm_interrupts_gracefully_and_resume_is_byte_identical() {
     // The CLI installs SIGTERM/SIGINT handlers: an interrupted sweep
     // seals the in-flight checkpoint and flushes the journal, exits 0,
-    // and `--resume` continues onto the exact bytes an uninterrupted
-    // sweep would have produced — the same drain plumbing
+    // and rerunning the command continues onto the exact bytes an
+    // uninterrupted sweep would have produced — the same drain plumbing
     // treadmill-serve uses.
     let root = temp_root("sigterm");
     let config = write_config(&root);
 
     let golden_dir = root.join("golden");
     let status = Command::new(cli())
-        .args(sweep_args(&config, &golden_dir, false))
+        .args(sweep_args(&config, &golden_dir))
         .status()
         .expect("spawn golden sweep");
     assert!(status.success(), "golden sweep failed: {status}");
 
     let out = root.join("interrupted");
     let mut child = Command::new(cli())
-        .args(sweep_args(&config, &out, false))
+        .args(sweep_args(&config, &out))
         .spawn()
         .expect("spawn sweep to interrupt");
     std::thread::sleep(Duration::from_millis(120));
@@ -279,7 +274,7 @@ fn sigterm_interrupts_gracefully_and_resume_is_byte_identical() {
 
     if !finished_early {
         let status = Command::new(cli())
-            .args(sweep_args(&config, &out, true))
+            .args(sweep_args(&config, &out))
             .status()
             .expect("spawn resume after SIGTERM");
         assert!(status.success(), "resume after SIGTERM failed: {status}");
@@ -302,17 +297,19 @@ fn resume_of_a_finished_sweep_is_a_no_op() {
     let config = write_config(&root);
     let out = root.join("out");
     let status = Command::new(cli())
-        .args(sweep_args(&config, &out, false))
+        .args(sweep_args(&config, &out))
         .status()
         .expect("spawn sweep");
     assert!(status.success());
     let before = fs::read(out.join("summary.tsv")).unwrap();
 
-    let status = Command::new(cli())
-        .args(sweep_args(&config, &out, true))
-        .status()
+    let rerun = Command::new(cli())
+        .args(sweep_args(&config, &out))
+        .output()
         .expect("spawn resume");
-    assert!(status.success(), "resume of finished sweep failed");
+    assert!(rerun.status.success(), "rerun of finished sweep failed");
+    let stdout = String::from_utf8_lossy(&rerun.stdout);
+    assert!(stdout.contains("executed 0 cells"), "{stdout}");
     let after = fs::read(out.join("summary.tsv")).unwrap();
     assert_eq!(before, after, "no-op resume rewrote the summary differently");
     let _ = fs::remove_dir_all(&root);
