@@ -1,6 +1,7 @@
-//! The four baseline load testers the paper surveys (§II, Table I),
-//! each reproducing the design of the original tool as the paper
-//! describes it.
+//! The baseline load testers the comparison experiments run (§II,
+//! §III-C), each reproducing the design of the original tool as the
+//! paper describes it. Faban, the fourth tester of Table I, is a row of
+//! [`feature_table`](crate::feature_table) only: no experiment runs it.
 
 use crate::common::{ControlLoop, MeasurementStyle, TesterProfile};
 
@@ -20,25 +21,6 @@ pub fn ycsb() -> TesterProfile {
         measurement: MeasurementStyle::StaticHistogram {
             lower_us: 0.0,
             upper_us: 1_000.0,
-            bins: 1_000,
-        },
-    }
-}
-
-/// Faban-like tester: **multi-client** agents but a **closed-loop**
-/// driver model, moderate per-op cost, statically binned response-time
-/// histograms.
-pub fn faban() -> TesterProfile {
-    TesterProfile {
-        name: "Faban",
-        clients: 4,
-        connections_per_client: 16,
-        send_cpu_ns: 2_000.0,
-        recv_cpu_ns: 2_000.0,
-        control: ControlLoop::Closed,
-        measurement: MeasurementStyle::StaticHistogram {
-            lower_us: 0.0,
-            upper_us: 2_000.0,
             bins: 1_000,
         },
     }

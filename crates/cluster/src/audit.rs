@@ -138,7 +138,7 @@ pub fn audit_sharded(cluster: &ShardedCluster, max_pending: usize) -> Vec<String
 mod tests {
     use super::*;
     use crate::config::ClientSpec;
-    use crate::source::PoissonSource;
+    use crate::source::{InterArrival, OpenLoopSource};
     use crate::world::ClusterBuilder;
     use std::sync::Arc;
     use treadmill_sim_core::SimDuration;
@@ -149,7 +149,10 @@ mod tests {
             .seed(21)
             .client(
                 ClientSpec::default(),
-                Box::new(PoissonSource::new(150_000.0, 16)),
+                Box::new(OpenLoopSource::new(
+                    InterArrival::Exponential { rate_rps: 150_000.0 },
+                    16,
+                )),
             )
             .duration(SimDuration::from_millis(30))
     }

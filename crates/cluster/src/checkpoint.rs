@@ -861,7 +861,7 @@ fn get_event(r: &mut SnapshotReader<'_>) -> Result<Event, SnapshotError> {
 pub(crate) mod tests {
     use super::*;
     use crate::config::ClientSpec;
-    use crate::source::PoissonSource;
+    use crate::source::{InterArrival, OpenLoopSource};
     use crate::world::{extract_result, ClusterBuilder, RunResult};
     use crate::{FaultSpec, RetryPolicy};
     use std::sync::Arc;
@@ -900,14 +900,20 @@ pub(crate) mod tests {
             .seed(77)
             .client(
                 ClientSpec::default(),
-                Box::new(PoissonSource::new(120_000.0, 16)),
+                Box::new(OpenLoopSource::new(
+                    InterArrival::Exponential { rate_rps: 120_000.0 },
+                    16,
+                )),
             )
             .client(
                 ClientSpec {
                     rack: 1,
                     ..Default::default()
                 },
-                Box::new(PoissonSource::new(120_000.0, 16)),
+                Box::new(OpenLoopSource::new(
+                    InterArrival::Exponential { rate_rps: 120_000.0 },
+                    16,
+                )),
             )
             .duration(SimDuration::from_millis(40))
             .sample_outstanding(true)
@@ -1122,7 +1128,10 @@ pub(crate) mod tests {
             .seed(77)
             .client(
                 ClientSpec::default(),
-                Box::new(PoissonSource::new(120_000.0, 16)),
+                Box::new(OpenLoopSource::new(
+                    InterArrival::Exponential { rate_rps: 120_000.0 },
+                    16,
+                )),
             )
             .duration(SimDuration::from_millis(40))
             .build();

@@ -137,7 +137,7 @@ impl ClientMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::PoissonSource;
+    use crate::source::{InterArrival, OpenLoopSource};
     use rand::SeedableRng;
 
     fn machine(send_ns: f64, recv_ns: f64) -> ClientMachine {
@@ -148,7 +148,7 @@ mod tests {
                 recv_cpu_ns: recv_ns,
                 ..Default::default()
             },
-            Box::new(PoissonSource::new(1000.0, 1)),
+            Box::new(OpenLoopSource::new(InterArrival::Exponential { rate_rps: 1000.0 }, 1)),
             SmallRng::seed_from_u64(1),
         )
     }

@@ -13,6 +13,8 @@
 //! * [`Network`] — rate-limited links with rack-distance propagation;
 //! * [`ClientMachine`] — load-tester hosts whose own CPU queueing is
 //!   part of the model (pitfall §II-C);
+//! * [`TrafficSource`] — when a client sends, and [`OpenLoopSource`],
+//!   Treadmill's open-loop controller (pitfall §II-A);
 //! * [`RunState`] — per-run placement state, the cause of performance
 //!   hysteresis (pitfall §II-D);
 //! * [`PacketCapture`] — the tcpdump-equivalent NIC-level ground truth;
@@ -22,13 +24,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use treadmill_cluster::{ClusterBuilder, ClientSpec, PoissonSource};
+//! use treadmill_cluster::{ClusterBuilder, ClientSpec, InterArrival, OpenLoopSource};
 //! use treadmill_sim_core::SimDuration;
 //! use treadmill_workloads::Memcached;
 //!
+//! let source = OpenLoopSource::new(InterArrival::Exponential { rate_rps: 100_000.0 }, 16);
 //! let result = ClusterBuilder::new(Arc::new(Memcached::default()))
 //!     .seed(1)
-//!     .client(ClientSpec::default(), Box::new(PoissonSource::new(100_000.0, 16)))
+//!     .client(ClientSpec::default(), Box::new(source))
 //!     .duration(SimDuration::from_millis(20))
 //!     .run();
 //! assert!(result.total_responses() > 0);
@@ -71,6 +74,6 @@ pub use network::Network;
 pub use records::RecordStore;
 pub use request::{Request, RequestId, ResponseRecord};
 pub use shard::{merge_results, ShardedCluster, INTER_SHARD_PROPAGATION};
-pub use source::{PoissonSource, SendOrder, TrafficSource};
+pub use source::{InterArrival, OpenLoopSource, SendOrder, TrafficSource};
 pub use trace::TraceSource;
 pub use world::{extract_result, ClusterBuilder, ClusterWorld, CoreStats, Event, RunResult};

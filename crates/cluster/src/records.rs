@@ -375,7 +375,9 @@ mod tests {
 
     #[test]
     fn records_of_a_faulty_retrying_run_all_pack() {
-        use crate::{ClientSpec, ClusterBuilder, FaultSpec, PoissonSource, RetryPolicy};
+        use crate::{
+            ClientSpec, ClusterBuilder, FaultSpec, InterArrival, OpenLoopSource, RetryPolicy,
+        };
         use std::sync::Arc;
         use treadmill_workloads::Memcached;
 
@@ -394,7 +396,7 @@ mod tests {
         for _ in 0..2 {
             builder = builder.client(
                 ClientSpec::default(),
-                Box::new(PoissonSource::new(200_000.0, 8)),
+                Box::new(OpenLoopSource::new(InterArrival::Exponential { rate_rps: 200_000.0 }, 8)),
             );
         }
         let result = builder.run();

@@ -445,7 +445,7 @@ mod tests {
     /// p99 user latency (µs) after a 25 ms warm-up of a 100 ms
     /// Memcached run at 650k rps from 8 clients × 4 connections.
     fn loaded_p99(seed: u64, balance_threshold: usize) -> f64 {
-        use crate::{ClientSpec, ClusterBuilder, PoissonSource};
+        use crate::{ClientSpec, ClusterBuilder, InterArrival, OpenLoopSource};
         let mut builder = ClusterBuilder::new(std::sync::Arc::new(
             treadmill_workloads::Memcached::default(),
         ))
@@ -461,7 +461,10 @@ mod tests {
                     connections: 4,
                     ..Default::default()
                 },
-                Box::new(PoissonSource::new(650_000.0 / 8.0, 4)),
+                Box::new(OpenLoopSource::new(
+                    InterArrival::Exponential { rate_rps: 650_000.0 / 8.0 },
+                    4,
+                )),
             );
         }
         let latencies = builder.run().user_latencies_us(SimTime::from_millis(25));

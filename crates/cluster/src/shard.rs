@@ -372,7 +372,7 @@ fn add_fault_summaries(into: &mut FaultSummary, from: &FaultSummary) {
 mod tests {
     use super::*;
     use crate::config::ClientSpec;
-    use crate::source::PoissonSource;
+    use crate::source::{InterArrival, OpenLoopSource};
     use crate::world::ClusterBuilder;
     use std::sync::Arc;
     use treadmill_sim_core::{SeedStream, SimDuration};
@@ -392,7 +392,10 @@ mod tests {
                     .seed(shard_seed)
                     .client(
                         ClientSpec::default(),
-                        Box::new(PoissonSource::new(150_000.0, 16)),
+                        Box::new(OpenLoopSource::new(
+                            InterArrival::Exponential { rate_rps: 150_000.0 },
+                            16,
+                        )),
                     )
                     .duration(SimDuration::from_millis(25))
                     .shard(i, n, remote_every)
@@ -431,7 +434,10 @@ mod tests {
             .seed(7)
             .client(
                 ClientSpec::default(),
-                Box::new(PoissonSource::new(150_000.0, 16)),
+                Box::new(OpenLoopSource::new(
+                    InterArrival::Exponential { rate_rps: 150_000.0 },
+                    16,
+                )),
             )
             .duration(SimDuration::from_millis(25))
             .run();

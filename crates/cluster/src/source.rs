@@ -1,16 +1,17 @@
 //! The traffic-source abstraction: how a load tester decides *when* to
-//! send requests.
+//! send requests, and Treadmill's open-loop controller.
 //!
 //! The paper's first pitfall (§II-A) is exactly this interface: a
 //! **closed-loop** source only sends after the previous response on the
 //! same connection returns, capping the number of outstanding requests;
 //! an **open-loop** source fires at scheduled times regardless of
-//! responses. The concrete open/closed controllers live in
-//! `treadmill-core` (they are part of the load tester's contribution);
-//! this module defines the trait the simulated client machine drives,
-//! plus a minimal Poisson source for the simulator's own tests.
+//! responses. This module defines the trait the simulated client
+//! machine drives and the one open-loop controller, [`OpenLoopSource`],
+//! with its inter-arrival processes ([`InterArrival`]). The closed-loop
+//! comparators live in `treadmill-core`.
 
 use rand::RngCore;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use treadmill_sim_core::{SimDuration, SimTime};
 use treadmill_stats::distribution::sample_exponential;
@@ -55,62 +56,117 @@ pub trait TrafficSource: fmt::Debug + Send {
     fn restore_checkpoint_word(&mut self, _word: u64) {}
 }
 
-/// A minimal open-loop Poisson source: exponential inter-arrivals at a
-/// fixed rate, connections chosen round-robin.
+/// An inter-arrival process at a given mean rate.
 ///
-/// `treadmill-core` provides the fully featured controllers; this one
-/// exists so the simulator can be tested stand-alone.
+/// Treadmill's control loop "is precisely timed to generate requests at
+/// an exponentially distributed inter-arrival rate, which is consistent
+/// with the measurements obtained from Google production clusters"
+/// (§III-A). The other processes serve sensitivity studies
+/// (deterministic pacing underestimates queueing; uniform sits between).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "process", rename_all = "lowercase")]
+pub enum InterArrival {
+    /// Poisson arrivals: exponential gaps (the paper's choice).
+    Exponential {
+        /// Mean requests per second.
+        rate_rps: f64,
+    },
+    /// Perfectly paced arrivals: constant gaps.
+    Deterministic {
+        /// Requests per second.
+        rate_rps: f64,
+    },
+    /// Uniform gaps on `[0, 2/rate]` (same mean, lower variance than
+    /// exponential).
+    Uniform {
+        /// Mean requests per second.
+        rate_rps: f64,
+    },
+}
+
+impl InterArrival {
+    /// The process's mean rate in requests per second.
+    pub fn rate_rps(&self) -> f64 {
+        match *self {
+            InterArrival::Exponential { rate_rps }
+            | InterArrival::Deterministic { rate_rps }
+            | InterArrival::Uniform { rate_rps } => rate_rps,
+        }
+    }
+
+    /// Draws the gap to the next request. Always at least 1 ns: the
+    /// controller timestamps at nanosecond resolution and never issues
+    /// two sends at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rate is not positive.
+    pub fn sample_gap(&self, rng: &mut dyn RngCore) -> SimDuration {
+        let rate = self.rate_rps();
+        assert!(rate > 0.0, "inter-arrival rate must be positive");
+        let mean_ns = 1e9 / rate;
+        let gap_ns = match self {
+            InterArrival::Exponential { .. } => sample_exponential(rng, mean_ns),
+            InterArrival::Deterministic { .. } => mean_ns,
+            InterArrival::Uniform { .. } => {
+                use rand::Rng;
+                rng.gen_range(0.0..2.0 * mean_ns)
+            }
+        };
+        SimDuration::from_nanos_f64(gap_ns.max(1.0))
+    }
+}
+
+/// Treadmill's precisely-timed open-loop controller: sends fire at
+/// instants drawn from an inter-arrival process, regardless of response
+/// status, so the number of outstanding requests is unbounded and the
+/// server's queueing behaviour is properly exercised. Connections are
+/// chosen round-robin.
 ///
 /// # Examples
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use treadmill_cluster::{PoissonSource, TrafficSource};
+/// use treadmill_cluster::{InterArrival, OpenLoopSource, TrafficSource};
 /// use treadmill_sim_core::SimTime;
 ///
-/// let mut source = PoissonSource::new(100_000.0, 8);
+/// let mut source =
+///     OpenLoopSource::new(InterArrival::Exponential { rate_rps: 100_000.0 }, 8);
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
 /// let first = source.start(SimTime::ZERO, &mut rng);
 /// assert_eq!(first.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct PoissonSource {
-    mean_gap_ns: f64,
+pub struct OpenLoopSource {
+    process: InterArrival,
     connections: u32,
     next_conn: u32,
 }
 
-impl PoissonSource {
-    /// Creates a source emitting `rate_rps` requests per second across
-    /// `connections` connections.
+impl OpenLoopSource {
+    /// Creates a controller emitting on `connections` connections.
     ///
     /// # Panics
     ///
-    /// Panics if `rate_rps` is not positive or `connections` is zero.
-    pub fn new(rate_rps: f64, connections: u32) -> Self {
-        assert!(rate_rps > 0.0, "rate must be positive");
+    /// Panics if `connections` is zero.
+    pub fn new(process: InterArrival, connections: u32) -> Self {
         assert!(connections > 0, "need at least one connection");
-        PoissonSource {
-            mean_gap_ns: 1e9 / rate_rps,
+        OpenLoopSource {
+            process,
             connections,
             next_conn: 0,
         }
     }
 
     fn next_order(&mut self, now: SimTime, rng: &mut dyn RngCore) -> SendOrder {
-        // At least 1 ns between sends: the controller timestamps at
-        // nanosecond resolution and never issues two sends at once.
-        let gap = sample_exponential(rng, self.mean_gap_ns).max(1.0);
+        let at = now + self.process.sample_gap(rng);
         let conn = self.next_conn;
         self.next_conn = (self.next_conn + 1) % self.connections;
-        SendOrder {
-            at: now + SimDuration::from_nanos_f64(gap),
-            conn,
-        }
+        SendOrder { at, conn }
     }
 }
 
-impl TrafficSource for PoissonSource {
+impl TrafficSource for OpenLoopSource {
     fn start(&mut self, now: SimTime, rng: &mut dyn RngCore) -> Vec<SendOrder> {
         vec![self.next_order(now, rng)]
     }
@@ -125,7 +181,7 @@ impl TrafficSource for PoissonSource {
         _now: SimTime,
         _rng: &mut dyn RngCore,
     ) -> Option<SendOrder> {
-        None
+        None // open loop: responses never gate sends
     }
 
     fn checkpoint_word(&self) -> u64 {
@@ -133,8 +189,7 @@ impl TrafficSource for PoissonSource {
     }
 
     fn restore_checkpoint_word(&mut self, word: u64) {
-        self.next_conn = u32::try_from(word % u64::from(self.connections))
-            .unwrap_or(0);
+        self.next_conn = u32::try_from(word % u64::from(self.connections)).unwrap_or(0);
     }
 }
 
@@ -143,34 +198,79 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use treadmill_stats::StreamingStats;
 
-    #[test]
-    fn poisson_rate_converges() {
-        let mut source = PoissonSource::new(1_000_000.0, 4);
+    fn gaps(process: InterArrival, n: usize) -> StreamingStats {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut now = SimTime::ZERO;
-        let n = 50_000;
-        let orders = source.start(now, &mut rng);
-        now = orders[0].at;
-        for _ in 0..n {
-            let next = source.on_sent(now, &mut rng).unwrap();
-            assert!(next.at > now);
-            now = next.at;
-        }
-        let elapsed_s = now.as_secs_f64();
-        let rate = n as f64 / elapsed_s;
-        assert!((rate / 1_000_000.0 - 1.0).abs() < 0.03, "rate {rate}");
+        (0..n)
+            .map(|_| process.sample_gap(&mut rng).as_micros_f64())
+            .collect()
     }
 
     #[test]
-    fn connections_round_robin() {
-        let mut source = PoissonSource::new(1000.0, 3);
+    fn exponential_mean_and_cv() {
+        let stats = gaps(InterArrival::Exponential { rate_rps: 100_000.0 }, 100_000);
+        // Mean gap = 10us; exponential CV = 1.
+        assert!((stats.mean() - 10.0).abs() < 0.15, "mean {}", stats.mean());
+        let cv = stats.sample_stddev() / stats.mean();
+        assert!((cv - 1.0).abs() < 0.05, "cv {cv}");
+    }
+
+    #[test]
+    fn deterministic_has_zero_variance() {
+        let stats = gaps(InterArrival::Deterministic { rate_rps: 100_000.0 }, 1_000);
+        assert!((stats.mean() - 10.0).abs() < 1e-9);
+        assert!(stats.sample_stddev() < 1e-9);
+    }
+
+    #[test]
+    fn uniform_mean_matches_with_lower_cv() {
+        let stats = gaps(InterArrival::Uniform { rate_rps: 100_000.0 }, 100_000);
+        assert!((stats.mean() - 10.0).abs() < 0.15);
+        let cv = stats.sample_stddev() / stats.mean();
+        assert!(cv < 0.7, "uniform cv {cv} should be < exponential's 1.0");
+    }
+
+    #[test]
+    fn gap_never_zero() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut conns = Vec::new();
+        let process = InterArrival::Exponential { rate_rps: 1e9 };
+        for _ in 0..10_000 {
+            assert!(process.sample_gap(&mut rng).as_nanos() >= 1);
+        }
+    }
+
+    #[test]
+    fn json_round_trip() {
+        let p = InterArrival::Exponential { rate_rps: 12_345.0 };
+        let json = serde_json::to_string(&p).unwrap();
+        let back: InterArrival = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, p);
+    }
+
+    #[test]
+    fn open_loop_fires_regardless_of_responses() {
+        let mut src = OpenLoopSource::new(
+            InterArrival::Exponential { rate_rps: 100_000.0 },
+            4,
+        );
+        let mut rng = SmallRng::seed_from_u64(1);
+        let start = src.start(SimTime::ZERO, &mut rng);
+        assert_eq!(start.len(), 1);
+        let next = src.on_sent(start[0].at, &mut rng).unwrap();
+        assert!(next.at > start[0].at);
+        assert!(src.on_response(0, next.at, &mut rng).is_none());
+    }
+
+    #[test]
+    fn open_loop_round_robins_connections() {
+        let mut src =
+            OpenLoopSource::new(InterArrival::Deterministic { rate_rps: 1000.0 }, 3);
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut conns = vec![src.start(SimTime::ZERO, &mut rng)[0].conn];
         let mut now = SimTime::ZERO;
-        conns.push(source.start(now, &mut rng)[0].conn);
         for _ in 0..5 {
-            let o = source.on_sent(now, &mut rng).unwrap();
+            let o = src.on_sent(now, &mut rng).unwrap();
             conns.push(o.conn);
             now = o.at;
         }
@@ -178,17 +278,27 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_ignores_responses() {
-        let mut source = PoissonSource::new(1000.0, 1);
+    fn open_loop_rate_is_precise() {
+        let mut src = OpenLoopSource::new(
+            InterArrival::Exponential { rate_rps: 500_000.0 },
+            8,
+        );
         let mut rng = SmallRng::seed_from_u64(3);
-        assert!(source
-            .on_response(0, SimTime::from_micros(1), &mut rng)
-            .is_none());
+        let mut now = src.start(SimTime::ZERO, &mut rng)[0].at;
+        let n = 100_000;
+        for _ in 0..n {
+            let next = src.on_sent(now, &mut rng).unwrap().at;
+            assert!(next > now);
+            now = next;
+        }
+        let rate = f64::from(n) / now.as_secs_f64();
+        assert!((rate / 500_000.0 - 1.0).abs() < 0.02, "rate {rate}");
     }
 
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_rejected() {
-        PoissonSource::new(0.0, 1);
+        let mut src = OpenLoopSource::new(InterArrival::Exponential { rate_rps: 0.0 }, 1);
+        src.start(SimTime::ZERO, &mut SmallRng::seed_from_u64(4));
     }
 }

@@ -745,13 +745,14 @@ impl World for ClusterWorld {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use treadmill_cluster::{ClusterBuilder, ClientSpec, PoissonSource};
+/// use treadmill_cluster::{ClusterBuilder, ClientSpec, InterArrival, OpenLoopSource};
 /// use treadmill_sim_core::SimDuration;
 /// use treadmill_workloads::Memcached;
 ///
+/// let source = OpenLoopSource::new(InterArrival::Exponential { rate_rps: 50_000.0 }, 16);
 /// let result = ClusterBuilder::new(Arc::new(Memcached::default()))
 ///     .seed(42)
-///     .client(ClientSpec::default(), Box::new(PoissonSource::new(50_000.0, 16)))
+///     .client(ClientSpec::default(), Box::new(source))
 ///     .duration(SimDuration::from_millis(50))
 ///     .run();
 /// assert!(result.total_responses() > 1_000);
@@ -1175,7 +1176,7 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::PoissonSource;
+    use crate::source::{InterArrival, OpenLoopSource};
     use rand::RngCore;
     use treadmill_stats::quantile::quantile;
     use treadmill_workloads::Memcached;
@@ -1185,7 +1186,7 @@ mod tests {
             .seed(seed)
             .client(
                 ClientSpec::default(),
-                Box::new(PoissonSource::new(rate, 16)),
+                Box::new(OpenLoopSource::new(InterArrival::Exponential { rate_rps: rate }, 16)),
             )
             .duration(SimDuration::from_millis(60))
             .run()
@@ -1276,7 +1277,10 @@ mod tests {
             .seed(13)
             .client(
                 ClientSpec::default(),
-                Box::new(PoissonSource::new(100_000.0, 16)),
+                Box::new(OpenLoopSource::new(
+                    InterArrival::Exponential { rate_rps: 100_000.0 },
+                    16,
+                )),
             )
             .duration(SimDuration::from_millis(60))
             .trace_frequencies(true)
@@ -1335,7 +1339,10 @@ mod tests {
             .seed(5)
             .client(
                 ClientSpec::default(),
-                Box::new(PoissonSource::new(100_000.0, 16)),
+                Box::new(OpenLoopSource::new(
+                    InterArrival::Exponential { rate_rps: 100_000.0 },
+                    16,
+                )),
             )
             .duration(SimDuration::from_millis(20))
             .sample_outstanding(true)
@@ -1350,14 +1357,14 @@ mod tests {
             .seed(6)
             .client(
                 ClientSpec::default(),
-                Box::new(PoissonSource::new(50_000.0, 8)),
+                Box::new(OpenLoopSource::new(InterArrival::Exponential { rate_rps: 50_000.0 }, 8)),
             )
             .client(
                 ClientSpec {
                     rack: 1,
                     ..Default::default()
                 },
-                Box::new(PoissonSource::new(50_000.0, 8)),
+                Box::new(OpenLoopSource::new(InterArrival::Exponential { rate_rps: 50_000.0 }, 8)),
             )
             .duration(SimDuration::from_millis(40))
             .run();
@@ -1437,7 +1444,7 @@ mod tests {
                     connections: 4,
                     ..Default::default()
                 },
-                Box::new(PoissonSource::new(50_000.0, 8)),
+                Box::new(OpenLoopSource::new(InterArrival::Exponential { rate_rps: 50_000.0 }, 8)),
             )
             .duration(SimDuration::from_millis(5))
             .run();

@@ -9,7 +9,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use treadmill_cluster::{
-    ClientSpec, ClusterBuilder, FailureKind, FaultSpec, PoissonSource, RetryPolicy, RunResult,
+    ClientSpec, ClusterBuilder, FailureKind, FaultSpec, InterArrival, OpenLoopSource,
+    RetryPolicy, RunResult,
 };
 use treadmill_sim_core::SimDuration;
 use treadmill_workloads::Memcached;
@@ -19,7 +20,7 @@ fn run(seed: u64, faults: Option<FaultSpec>, policy: RetryPolicy) -> RunResult {
         .seed(seed)
         .client(
             ClientSpec::default(),
-            Box::new(PoissonSource::new(80_000.0, 16)),
+            Box::new(OpenLoopSource::new(InterArrival::Exponential { rate_rps: 80_000.0 }, 16)),
         )
         .duration(SimDuration::from_millis(30))
         .retry_policy(policy);

@@ -1,118 +1,34 @@
-//! Open-loop and closed-loop load controllers (§II-A).
+//! The closed-loop load controllers of prior testers (§II-A).
 //!
-//! [`OpenLoopSource`] is Treadmill's controller: sends fire at
-//! precisely scheduled instants drawn from an inter-arrival process,
-//! regardless of response status, so the number of outstanding requests
-//! is unbounded and the server's queueing behaviour is properly
-//! exercised. [`ClosedLoopSource`] is the pitfall: each worker
-//! (connection) only sends after its previous response returns, so at
-//! most `N` requests are ever outstanding — "each thread represents
-//! exactly one potentially outstanding request".
+//! Treadmill's own controller, [`OpenLoopSource`](crate::OpenLoopSource),
+//! lives in `treadmill-cluster` next to the trait it implements: sends
+//! fire at precisely scheduled instants regardless of response status.
+//! [`ClosedLoopSource`] is the pitfall: each worker (connection) only
+//! sends after its previous response returns, so at most `N` requests
+//! are ever outstanding — "each thread represents exactly one
+//! potentially outstanding request".
 
 use rand::RngCore;
-use treadmill_cluster::{SendOrder, TrafficSource};
+use treadmill_cluster::{InterArrival, SendOrder, TrafficSource};
 use treadmill_sim_core::{SimDuration, SimTime};
 
-use crate::interarrival::InterArrival;
-
-/// Treadmill's precisely-timed open-loop controller.
-#[derive(Debug, Clone)]
-pub struct OpenLoopSource {
-    process: InterArrival,
-    connections: u32,
-    next_conn: u32,
-}
-
-impl OpenLoopSource {
-    /// Creates a controller emitting on `connections` connections.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `connections` is zero.
-    pub fn new(process: InterArrival, connections: u32) -> Self {
-        assert!(connections > 0, "need at least one connection");
-        OpenLoopSource {
-            process,
-            connections,
-            next_conn: 0,
-        }
-    }
-
-    /// The configured inter-arrival process.
-    pub fn process(&self) -> InterArrival {
-        self.process
-    }
-
-    fn next_order(&mut self, now: SimTime, rng: &mut dyn RngCore) -> SendOrder {
-        let at = now + self.process.sample_gap(rng);
-        let conn = self.next_conn;
-        self.next_conn = (self.next_conn + 1) % self.connections;
-        SendOrder { at, conn }
-    }
-}
-
-impl TrafficSource for OpenLoopSource {
-    fn start(&mut self, now: SimTime, rng: &mut dyn RngCore) -> Vec<SendOrder> {
-        vec![self.next_order(now, rng)]
-    }
-
-    fn on_sent(&mut self, now: SimTime, rng: &mut dyn RngCore) -> Option<SendOrder> {
-        Some(self.next_order(now, rng))
-    }
-
-    fn on_response(
-        &mut self,
-        _conn: u32,
-        _now: SimTime,
-        _rng: &mut dyn RngCore,
-    ) -> Option<SendOrder> {
-        None // open loop: responses never gate sends
-    }
-
-    fn checkpoint_word(&self) -> u64 {
-        u64::from(self.next_conn)
-    }
-
-    fn restore_checkpoint_word(&mut self, word: u64) {
-        self.next_conn = u32::try_from(word % u64::from(self.connections)).unwrap_or(0);
-    }
-}
-
 /// The closed-loop controller of prior load testers (YCSB, Faban,
-/// Mutilate): one outstanding request per connection, next send fires
-/// `think_time` after the response.
+/// Mutilate): one outstanding request per connection, and the next send
+/// fires as soon as the response returns.
 #[derive(Debug, Clone)]
 pub struct ClosedLoopSource {
     connections: u32,
-    think_time: SimDuration,
 }
 
 impl ClosedLoopSource {
-    /// Creates a closed-loop controller with zero think time.
+    /// Creates a closed-loop controller on `connections` workers.
     ///
     /// # Panics
     ///
     /// Panics if `connections` is zero.
     pub fn new(connections: u32) -> Self {
-        Self::with_think_time(connections, SimDuration::ZERO)
-    }
-
-    /// Creates a closed-loop controller with the given think time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `connections` is zero.
-    pub fn with_think_time(connections: u32, think_time: SimDuration) -> Self {
         assert!(connections > 0, "need at least one connection");
-        ClosedLoopSource {
-            connections,
-            think_time,
-        }
-    }
-
-    /// Number of worker connections (the outstanding-request cap).
-    pub fn connections(&self) -> u32 {
-        self.connections
+        ClosedLoopSource { connections }
     }
 }
 
@@ -139,10 +55,7 @@ impl TrafficSource for ClosedLoopSource {
         now: SimTime,
         _rng: &mut dyn RngCore,
     ) -> Option<SendOrder> {
-        Some(SendOrder {
-            at: now + self.think_time,
-            conn,
-        })
+        Some(SendOrder { at: now, conn })
     }
 }
 
@@ -174,11 +87,6 @@ impl RateLimitedClosedLoopSource {
             connections,
             schedule_head: SimTime::ZERO,
         }
-    }
-
-    /// The outstanding-request cap.
-    pub fn connections(&self) -> u32 {
-        self.connections
     }
 
     fn take_slot(&mut self, rng: &mut dyn RngCore) -> SimTime {
@@ -269,51 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_fires_regardless_of_responses() {
-        let mut src = OpenLoopSource::new(
-            InterArrival::Exponential { rate_rps: 100_000.0 },
-            4,
-        );
-        let mut rng = SmallRng::seed_from_u64(1);
-        let start = src.start(SimTime::ZERO, &mut rng);
-        assert_eq!(start.len(), 1);
-        let next = src.on_sent(start[0].at, &mut rng).unwrap();
-        assert!(next.at > start[0].at);
-        assert!(src.on_response(0, next.at, &mut rng).is_none());
-    }
-
-    #[test]
-    fn open_loop_round_robins_connections() {
-        let mut src =
-            OpenLoopSource::new(InterArrival::Deterministic { rate_rps: 1000.0 }, 3);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let mut conns = vec![src.start(SimTime::ZERO, &mut rng)[0].conn];
-        let mut now = SimTime::ZERO;
-        for _ in 0..5 {
-            let o = src.on_sent(now, &mut rng).unwrap();
-            conns.push(o.conn);
-            now = o.at;
-        }
-        assert_eq!(conns, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn open_loop_rate_is_precise() {
-        let mut src = OpenLoopSource::new(
-            InterArrival::Exponential { rate_rps: 500_000.0 },
-            8,
-        );
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut now = src.start(SimTime::ZERO, &mut rng)[0].at;
-        let n = 100_000;
-        for _ in 0..n {
-            now = src.on_sent(now, &mut rng).unwrap().at;
-        }
-        let rate = f64::from(n) / now.as_secs_f64();
-        assert!((rate / 500_000.0 - 1.0).abs() < 0.02, "rate {rate}");
-    }
-
-    #[test]
     fn closed_loop_starts_one_per_connection() {
         let mut src = ClosedLoopSource::new(12);
         let mut rng = SmallRng::seed_from_u64(4);
@@ -335,17 +198,6 @@ mod tests {
             .unwrap();
         assert_eq!(next.conn, 1);
         assert_eq!(next.at, SimTime::from_micros(50));
-    }
-
-    #[test]
-    fn think_time_delays_resend() {
-        let mut src =
-            ClosedLoopSource::with_think_time(1, SimDuration::from_micros(100));
-        let mut rng = SmallRng::seed_from_u64(6);
-        let next = src
-            .on_response(0, SimTime::from_micros(10), &mut rng)
-            .unwrap();
-        assert_eq!(next.at, SimTime::from_micros(110));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use std::borrow::Borrow;
 
 use treadmill_cluster::ResponseRecord;
-use treadmill_sim_core::{SimDuration, SimTime};
-use treadmill_stats::{AdaptiveHistogram, HistogramConfig, LatencySummary};
+use treadmill_sim_core::SimTime;
+use treadmill_stats::{AdaptiveHistogram, LatencySummary};
 
 use crate::phases::PhaseConfig;
 
@@ -17,8 +17,6 @@ use crate::phases::PhaseConfig;
 pub struct InstanceConfig {
     /// Phase (warm-up) configuration.
     pub phases: PhaseConfig,
-    /// Histogram configuration.
-    pub histogram: HistogramConfig,
 }
 
 /// One Treadmill instance's measurement pipeline: discards warm-up
@@ -38,16 +36,14 @@ pub struct InstanceConfig {
 pub struct TreadmillInstance {
     config: InstanceConfig,
     histogram: AdaptiveHistogram,
-    discarded: u64,
 }
 
 impl TreadmillInstance {
     /// Creates an empty instance.
     pub fn new(config: InstanceConfig) -> Self {
         TreadmillInstance {
-            histogram: AdaptiveHistogram::with_config(config.histogram.clone()),
+            histogram: AdaptiveHistogram::new(),
             config,
-            discarded: 0,
         }
     }
 
@@ -55,7 +51,6 @@ impl TreadmillInstance {
     /// are discarded; the rest feed the adaptive histogram.
     pub fn observe(&mut self, record: &ResponseRecord) {
         if record.t_generated < SimTime::ZERO + self.config.phases.warmup {
-            self.discarded += 1;
             return;
         }
         self.histogram.record(record.user_latency_us());
@@ -74,21 +69,6 @@ impl TreadmillInstance {
         self.histogram.count()
     }
 
-    /// Warm-up samples discarded.
-    pub fn discarded(&self) -> u64 {
-        self.discarded
-    }
-
-    /// The configured warm-up window.
-    pub fn warmup(&self) -> SimDuration {
-        self.config.phases.warmup
-    }
-
-    /// The underlying histogram (e.g. for CDF plots).
-    pub fn histogram(&self) -> &AdaptiveHistogram {
-        &self.histogram
-    }
-
     /// This instance's latency summary — the per-client metrics that
     /// the multi-instance procedure aggregates.
     ///
@@ -104,6 +84,7 @@ impl TreadmillInstance {
 mod tests {
     use super::*;
     use treadmill_cluster::{Request, RequestId};
+    use treadmill_sim_core::SimDuration;
     use treadmill_workloads::{OpClass, RequestProfile};
 
     fn record(gen_us: u64, latency_us: u64) -> ResponseRecord {
@@ -128,30 +109,25 @@ mod tests {
         ResponseRecord::from_request(&req)
     }
 
-    fn config(warmup_ms: u64, calibration: usize) -> InstanceConfig {
+    fn config(warmup_ms: u64) -> InstanceConfig {
         InstanceConfig {
             phases: PhaseConfig {
                 warmup: SimDuration::from_millis(warmup_ms),
-            },
-            histogram: HistogramConfig {
-                calibration_samples: calibration,
-                ..Default::default()
             },
         }
     }
 
     #[test]
     fn warmup_samples_discarded() {
-        let mut inst = TreadmillInstance::new(config(1, 10));
+        let mut inst = TreadmillInstance::new(config(1));
         inst.observe(&record(500, 100)); // 0.5ms < 1ms warm-up
         inst.observe(&record(1_500, 100));
-        assert_eq!(inst.discarded(), 1);
         assert_eq!(inst.samples(), 1);
     }
 
     #[test]
     fn summary_reflects_observations() {
-        let mut inst = TreadmillInstance::new(config(0, 100));
+        let mut inst = TreadmillInstance::new(config(0));
         for i in 0..1_000 {
             inst.observe(&record(i * 10, 100 + (i % 100)));
         }

@@ -6,7 +6,7 @@
 //!
 //! | Pitfall (§II) | This crate's answer |
 //! |---|---|
-//! | Query inter-arrival generation | [`OpenLoopSource`]: precisely-timed open-loop control with exponential inter-arrivals ([`InterArrival`]); [`ClosedLoopSource`] exists to demonstrate the flaw. |
+//! | Query inter-arrival generation | [`OpenLoopSource`]: precisely-timed open-loop control with exponential inter-arrivals ([`InterArrival`]), re-exported from `treadmill-cluster`, where the simulator's own tests drive it too; [`ClosedLoopSource`] and [`RateLimitedClosedLoopSource`] exist to demonstrate the flaw. |
 //! | Statistical aggregation | [`TreadmillInstance`]: warm-up / calibration / measurement phases over an adaptive, re-binnable histogram; per-instance metric extraction then cross-instance aggregation ([`aggregation`]). |
 //! | Client-side queueing bias | [`LoadTest`]: multiple lightly-utilised instances split the target throughput (§III-B). |
 //! | Performance hysteresis | [`experiment::run_until_converged`]: repeat the whole experiment until the mean of per-run metrics converges ([`ConvergenceTracker`]). |
@@ -48,7 +48,6 @@ mod controller;
 mod convergence;
 pub mod experiment;
 mod instance;
-mod interarrival;
 pub mod journal;
 pub mod omission;
 mod phases;
@@ -63,11 +62,10 @@ pub use aggregation::{
     TailShareRow,
 };
 pub use config::{ConfigError, LoadTestConfig, ScreenSpec};
-pub use controller::{ClosedLoopSource, OpenLoopSource, RateLimitedClosedLoopSource};
+pub use controller::{ClosedLoopSource, RateLimitedClosedLoopSource};
 pub use convergence::ConvergenceTracker;
 pub use experiment::{run_until_converged, ExperimentOptions, ExperimentOutcome};
 pub use instance::{InstanceConfig, TreadmillInstance};
-pub use interarrival::InterArrival;
 pub use phases::PhaseConfig;
 pub use report::{health_warnings, render_report};
 pub use resumable::{ResumableRun, TailMonitor};
@@ -77,3 +75,4 @@ pub use sweep::{
     FactorialOutcome, ScreenedCell, ScreenedSweepPlan, SweepControl, SweepError, SweepEvent,
     SweepOptions, SweepOutcome, FACTORIAL_CELLS,
 };
+pub use treadmill_cluster::{InterArrival, OpenLoopSource};

@@ -9,17 +9,15 @@
 use std::sync::Arc;
 
 use treadmill_cluster::{
-    merge_results, ClientSpec, ClusterBuilder, FaultSpec, HardwareConfig, PacketCapture,
-    RetryPolicy, RunResult, ServerSpec, ShardedCluster,
+    merge_results, ClientSpec, ClusterBuilder, FaultSpec, HardwareConfig, InterArrival,
+    OpenLoopSource, PacketCapture, RetryPolicy, RunResult, ServerSpec, ShardedCluster,
 };
 use treadmill_sim_core::{SeedStream, SimDuration, SimTime};
 use treadmill_stats::LatencySummary;
 use treadmill_workloads::Workload;
 
 use crate::aggregation::{aggregate, latencies_per_client, AggregationMethod};
-use crate::controller::OpenLoopSource;
 use crate::instance::{InstanceConfig, TreadmillInstance};
-use crate::interarrival::InterArrival;
 
 /// A configured Treadmill load test against the simulated cluster.
 ///
@@ -266,7 +264,6 @@ impl LoadTest {
     pub(crate) fn report_from_result(&self, result: RunResult) -> LoadTestReport {
         let instance_config = InstanceConfig {
             phases: crate::phases::PhaseConfig { warmup: self.warmup },
-            ..Default::default()
         };
         let per_instance: Vec<LatencySummary> = result
             .client_records

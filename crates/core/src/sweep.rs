@@ -106,6 +106,42 @@ pub enum SweepEvent {
     },
 }
 
+/// One progress line per event: the text of the service's `/events`
+/// stream and of `treadmill-cli sweep`'s per-cell lines.
+impl fmt::Display for SweepEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SweepEvent::CellSkipped { cell } => {
+                write!(f, "cell {cell}: skipped (already done)")
+            }
+            SweepEvent::CellStarted { cell, seed, resumed_at_events: 0 } => {
+                write!(f, "cell {cell}: started (seed {seed})")
+            }
+            SweepEvent::CellStarted { cell, seed, resumed_at_events } => write!(
+                f,
+                "cell {cell}: resumed at {resumed_at_events} events (seed {seed})"
+            ),
+            // A checkpoint sealed before the warm-up ends has no tail yet.
+            SweepEvent::Checkpointed { cell, events, samples: 0, .. } => write!(
+                f,
+                "cell {cell}: checkpoint @ {events} events (0 samples, p99 n/a)"
+            ),
+            SweepEvent::Checkpointed { cell, events, samples, p99_us } => write!(
+                f,
+                "cell {cell}: checkpoint @ {events} events ({samples} samples, p99 {p99_us:.1}us)"
+            ),
+            SweepEvent::CellDone { cell, samples, p99_us } => {
+                write!(f, "cell {cell}: done ({samples} samples, p99 {p99_us:.1}us)")
+            }
+            SweepEvent::Interrupted { cell: Some(cell) } => write!(
+                f,
+                "interrupted in cell {cell}: checkpoint sealed; resume continues it"
+            ),
+            SweepEvent::Interrupted { cell: None } => f.write_str("interrupted between cells"),
+        }
+    }
+}
+
 /// Cooperative control handles for [`run_sweep_controlled`].
 ///
 /// `cancel` is polled at every checkpoint boundary and between cells;
@@ -1097,6 +1133,48 @@ mod tests {
         opts: &SweepOptions,
     ) -> Result<SweepOutcome, SweepError> {
         run_sweep_controlled(config, dir, opts, &mut SweepControl::default())
+    }
+
+    /// The service's `/events` lines and the CLI's per-cell lines are
+    /// these strings byte for byte.
+    #[test]
+    fn every_event_renders_its_progress_line() {
+        let lines = [
+            (SweepEvent::CellSkipped { cell: 2 }, "cell 2: skipped (already done)"),
+            (
+                SweepEvent::CellStarted { cell: 0, seed: 7, resumed_at_events: 0 },
+                "cell 0: started (seed 7)",
+            ),
+            (
+                SweepEvent::CellStarted { cell: 1, seed: 7, resumed_at_events: 50_000 },
+                "cell 1: resumed at 50000 events (seed 7)",
+            ),
+            (
+                SweepEvent::Checkpointed { cell: 0, events: 25_000, samples: 0, p99_us: 0.0 },
+                "cell 0: checkpoint @ 25000 events (0 samples, p99 n/a)",
+            ),
+            (
+                SweepEvent::Checkpointed {
+                    cell: 0,
+                    events: 100_000,
+                    samples: 883,
+                    p99_us: 170.66,
+                },
+                "cell 0: checkpoint @ 100000 events (883 samples, p99 170.7us)",
+            ),
+            (
+                SweepEvent::CellDone { cell: 3, samples: 36_091, p99_us: 173.31 },
+                "cell 3: done (36091 samples, p99 173.3us)",
+            ),
+            (
+                SweepEvent::Interrupted { cell: Some(1) },
+                "interrupted in cell 1: checkpoint sealed; resume continues it",
+            ),
+            (SweepEvent::Interrupted { cell: None }, "interrupted between cells"),
+        ];
+        for (event, line) in lines {
+            assert_eq!(event.to_string(), line);
+        }
     }
 
     fn screened_sweep(

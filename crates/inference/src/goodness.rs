@@ -1,4 +1,4 @@
-//! Goodness-of-fit: the paper's pseudo-R² sweep (Figure 11, Eq. 2).
+//! Goodness-of-fit: the paper's pseudo-R² (Figure 11, Eq. 2).
 
 use crate::attribution::AttributionResult;
 use crate::dataset::Dataset;
@@ -32,34 +32,6 @@ pub fn model_pseudo_r_squared(dataset: &Dataset, result: &AttributionResult) -> 
     }
     assert!(!observed.is_empty(), "empty dataset");
     pseudo_r_squared(result.tau, &observed, &predicted)
-}
-
-/// One point of Figure 11.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GoodnessPoint {
-    /// Load label (e.g. "low", "high").
-    pub load: String,
-    /// Percentile.
-    pub tau: f64,
-    /// The pseudo-R² value.
-    pub pseudo_r_squared: f64,
-}
-
-/// Evaluates pseudo-R² for a set of fitted models over their dataset,
-/// labelled by load level.
-pub fn goodness_sweep(
-    load_label: &str,
-    dataset: &Dataset,
-    results: &[AttributionResult],
-) -> Vec<GoodnessPoint> {
-    results
-        .iter()
-        .map(|result| GoodnessPoint {
-            load: load_label.to_string(),
-            tau: result.tau,
-            pseudo_r_squared: model_pseudo_r_squared(dataset, result),
-        })
-        .collect()
 }
 
 /// Sanity helper used by tests and the Figure 11 binary: the index a
@@ -121,19 +93,6 @@ mod tests {
         let result = attribute(&dataset, 0.95, 10, 2);
         let r2 = model_pseudo_r_squared(&dataset, &result);
         assert!(r2.abs() < 0.15, "r2 = {r2}");
-    }
-
-    #[test]
-    fn sweep_produces_labelled_points() {
-        let dataset = dataset_with_effect(30.0, 2.0, 4);
-        let results = vec![
-            attribute(&dataset, 0.5, 10, 3),
-            attribute(&dataset, 0.99, 10, 3),
-        ];
-        let points = goodness_sweep("high", &dataset, &results);
-        assert_eq!(points.len(), 2);
-        assert!(points.iter().all(|p| p.load == "high"));
-        assert!(points.iter().all(|p| p.pseudo_r_squared > 0.5));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use attribution::{
 };
 pub use dataset::{collect, CollectionPlan, Dataset};
 pub use factors::{factor_names, factor_table, Factor};
-pub use goodness::{goodness_sweep, model_pseudo_r_squared, GoodnessPoint};
+pub use goodness::model_pseudo_r_squared;
 pub use impact::{average_factor_impacts, FactorImpact};
 pub use reduced::{fit_reduced, model_comparison, ModelComparisonRow, ReducedModel};
 pub use screening::{

@@ -52,6 +52,6 @@ pub mod shutdown;
 pub mod store;
 
 pub use job::{ExperimentSpec, JobStatus, SpecError};
-pub use queue::{BoundedQueue, Pop, Push};
+pub use queue::{BoundedQueue, Push};
 pub use service::{start, ServeOptions, ServerHandle};
 pub use store::{JobStore, ReplayReport, StoredJob, SubmitOutcome};

@@ -2,12 +2,12 @@
 //!
 //! The queue never blocks a producer and never grows past its cap:
 //! [`BoundedQueue::push`] returns [`Push::Shed`] when full, which the
-//! HTTP layer maps to `503` + `Retry-After`. Consumers block with a
-//! timeout so they can poll shutdown flags between items.
+//! HTTP layer maps to `503` + `Retry-After`. Consumers block in
+//! [`BoundedQueue::pop`] until an item arrives or the queue is closed;
+//! [`BoundedQueue::close`] wakes every waiter.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// What a push did.
 #[derive(Debug)]
@@ -21,17 +21,6 @@ pub enum Push<T> {
     Shed(T),
     /// The queue is closed; the item is handed back.
     Closed(T),
-}
-
-/// What a pop returned.
-#[derive(Debug)]
-pub enum Pop<T> {
-    /// An item.
-    Item(T),
-    /// Timed out with the queue still open.
-    Empty,
-    /// The queue is closed and (for non-draining closes) cleared.
-    Closed,
 }
 
 struct State<T> {
@@ -97,25 +86,18 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Blocking dequeue with a timeout, so consumers can interleave
-    /// shutdown checks.
-    pub fn pop(&self, timeout: Duration) -> Pop<T> {
+    /// Blocking dequeue: waits until an item arrives (`Some`) or the
+    /// queue is closed with nothing left to hand out (`None`).
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.lock();
         loop {
             if let Some(item) = state.items.pop_front() {
-                return Pop::Item(item);
+                return Some(item);
             }
             if state.closed {
-                return Pop::Closed;
+                return None;
             }
-            let (next, wait) = self
-                .cond
-                .wait_timeout(state, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = next;
-            if wait.timed_out() && state.items.is_empty() && !state.closed {
-                return Pop::Empty;
-            }
+            state = self.cond.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -139,6 +121,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn sheds_at_cap_and_reports_depth() {
@@ -147,7 +130,7 @@ mod tests {
         assert!(matches!(q.push(2), Push::Accepted { depth: 2 }));
         assert!(matches!(q.push(3), Push::Shed(3)));
         assert_eq!(q.depth(), 2);
-        assert!(matches!(q.pop(Duration::from_millis(1)), Pop::Item(1)));
+        assert_eq!(q.pop(), Some(1));
     }
 
     #[test]
@@ -155,7 +138,7 @@ mod tests {
         let q = BoundedQueue::new(4);
         let _ = q.push(1);
         q.close(false);
-        assert!(matches!(q.pop(Duration::from_millis(1)), Pop::Closed));
+        assert_eq!(q.pop(), None);
         assert!(matches!(q.push(2), Push::Closed(2)));
     }
 
@@ -165,9 +148,9 @@ mod tests {
         let _ = q.push(1);
         let _ = q.push(2);
         q.close(true);
-        assert!(matches!(q.pop(Duration::from_millis(1)), Pop::Item(1)));
-        assert!(matches!(q.pop(Duration::from_millis(1)), Pop::Item(2)));
-        assert!(matches!(q.pop(Duration::from_millis(1)), Pop::Closed));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -175,10 +158,27 @@ mod tests {
         let q = Arc::new(BoundedQueue::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.pop(Duration::from_secs(5)))
+            thread::spawn(move || q.pop())
         };
         thread::sleep(Duration::from_millis(20));
         let _ = q.push(7u32);
-        assert!(matches!(consumer.join().unwrap(), Pop::Item(7)));
+        assert_eq!(consumer.join().unwrap(), Some(7));
+    }
+
+    #[test]
+    fn blocked_pop_returns_none_when_another_thread_closes() {
+        let q = Arc::new(BoundedQueue::<u32>::new(4));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || tx.send(q.pop()).unwrap())
+        };
+        // Give the consumer time to block on the empty queue; a pop
+        // that starts after the close returns `None` just the same.
+        thread::sleep(Duration::from_millis(20));
+        q.close(true);
+        // A close that woke nobody fails here instead of hanging.
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), None);
+        consumer.join().unwrap();
     }
 }

@@ -39,7 +39,7 @@ use treadmill_core::{
 
 use crate::http::{self, HttpError, Request};
 use crate::job::{ExperimentSpec, JobStatus};
-use crate::queue::{BoundedQueue, Pop, Push};
+use crate::queue::{BoundedQueue, Push};
 use crate::store::{JobStore, SubmitOutcome};
 
 /// Service configuration.
@@ -323,12 +323,8 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        match shared.conns.pop(Duration::from_millis(50)) {
-            Pop::Item(mut stream) => handle_conn(shared, &mut stream),
-            Pop::Empty => {}
-            Pop::Closed => break,
-        }
+    while let Some(mut stream) = shared.conns.pop() {
+        handle_conn(shared, &mut stream);
     }
 }
 
@@ -654,45 +650,8 @@ fn handle_artifact(
 }
 
 fn executor_loop(shared: &Arc<Shared>) {
-    loop {
-        match shared.jobs.pop(Duration::from_millis(50)) {
-            Pop::Item(id) => execute_job(shared, &id),
-            Pop::Empty => {}
-            Pop::Closed => break,
-        }
-    }
-}
-
-fn render_event(event: &SweepEvent) -> String {
-    match event {
-        SweepEvent::CellSkipped { cell } => {
-            format!("cell {cell}: skipped (already done)")
-        }
-        SweepEvent::CellStarted { cell, seed, resumed_at_events } => {
-            if *resumed_at_events > 0 {
-                format!(
-                    "cell {cell}: resumed at {resumed_at_events} events (seed {seed})"
-                )
-            } else {
-                format!("cell {cell}: started (seed {seed})")
-            }
-        }
-        // A checkpoint sealed before the warm-up ends has no tail yet.
-        SweepEvent::Checkpointed { cell, events, samples: 0, .. } => {
-            format!("cell {cell}: checkpoint @ {events} events (0 samples, p99 n/a)")
-        }
-        SweepEvent::Checkpointed { cell, events, samples, p99_us } => format!(
-            "cell {cell}: checkpoint @ {events} events ({samples} samples, p99 {p99_us:.1}us)"
-        ),
-        SweepEvent::CellDone { cell, samples, p99_us } => {
-            format!("cell {cell}: done ({samples} samples, p99 {p99_us:.1}us)")
-        }
-        SweepEvent::Interrupted { cell } => match cell {
-            Some(cell) => format!(
-                "interrupted in cell {cell}: checkpoint sealed; resume continues it"
-            ),
-            None => "interrupted between cells".to_string(),
-        },
+    while let Some(id) = shared.jobs.pop() {
+        execute_job(shared, &id);
     }
 }
 
@@ -727,7 +686,7 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
         runs: spec.runs,
         ckpt_events: spec.ckpt_events,
     };
-    let mut on_event = |event: SweepEvent| progress.push(render_event(&event));
+    let mut on_event = |event: SweepEvent| progress.push(event.to_string());
     let mut ctrl = SweepControl {
         cancel: Some(&shared.draining),
         progress: Some(&mut on_event),

@@ -78,6 +78,25 @@ fn assert_recovers(tag: &str, text: &[u8]) {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Workload specs for the no-panic property: the default, one valid
+/// override, and hostile ones that `WorkloadSpec::build` must reject
+/// (crossed uniform bounds, empty and zero- or NaN-weighted mixtures,
+/// fractions out of range, negative costs).
+const WORKLOADS: &[&str] = &[
+    r#"{"workload":"memcached"}"#,
+    r#"{"workload":"mcrouter","config":{"message_size":{"kind":"uniform","low":64,"high":96}}}"#,
+    r#"{"workload":"memcached","config":{"key_size":{"kind":"uniform","low":40,"high":16}}}"#,
+    r#"{"workload":"mcrouter","config":{"message_size":{"kind":"uniform","low":512,"high":64}}}"#,
+    r#"{"workload":"memcached","config":{"value_size":{"kind":"mixture","components":[]}}}"#,
+    r#"{"workload":"memcached","config":{"value_size":{"kind":"mixture","components":[[0.0,{"kind":"fixed","bytes":64}]]}}}"#,
+    r#"{"workload":"memcached","config":{"value_size":{"kind":"mixture","components":[[NaN,{"kind":"fixed","bytes":64}]]}}}"#,
+    r#"{"workload":"memcached","config":{"hit_rate":1.5}}"#,
+    r#"{"workload":"memcached","config":{"slow_fraction":-0.25}}"#,
+    r#"{"workload":"mcrouter","config":{"slow_fraction":3.0}}"#,
+    r#"{"workload":"memcached","config":{"base_cpu_ns":-6600.0}}"#,
+    r#"{"workload":"mcrouter","config":{"cpu_ns_per_byte":-6.0}}"#,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -171,11 +190,20 @@ proptest! {
         }
     }
 
+}
+
+proptest! {
+    // About one draw in eighteen passes validation, so 256 cases put a
+    // dozen or so accepted specs, a few with hostile workloads, through
+    // the engine per run.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     /// No HTTP-reachable configuration panics the engine: any spec the
     /// validator accepts from this hostile generator (which straddles
-    /// every validation boundary) must build and run to completion.
-    /// Ranges are chosen so accepted worlds stay small enough to
-    /// execute for real rather than merely type-check.
+    /// every validation boundary, the workload's fields included) must
+    /// build and run to completion. Ranges are chosen so accepted
+    /// worlds stay small enough to execute for real rather than merely
+    /// type-check.
     #[test]
     fn accepted_specs_run_without_panicking(
         rps_case in 0usize..8,
@@ -191,6 +219,7 @@ proptest! {
         runs in 0u64..4,
         ckpt_case in 0usize..4,
         ckpt_events in 0u64..10,
+        workload_case in 0usize..WORKLOADS.len(),
     ) {
         // Poor man's prop_oneof: a selector steers some draws onto the
         // hostile special cases the validator must reject.
@@ -206,8 +235,9 @@ proptest! {
             1 => 1_000,
             _ => 25_000,
         };
+        let workload = WORKLOADS[workload_case];
         let body = format!(
-            r#"{{"config":{{"workload":{{"workload":"memcached"}},
+            r#"{{"config":{{"workload":{workload},
                 "target_rps":{target_rps},"clients":{clients},
                 "connections_per_client":{connections},
                 "duration_ms":{duration_ms},"warmup_ms":{warmup_ms},

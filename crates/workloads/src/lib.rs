@@ -14,7 +14,8 @@
 //!   paper evaluates,
 //! * [`SizeDistribution`] — composable request/value size distributions,
 //! * [`WorkloadSpec`] — the serde/JSON configuration layer that builds a
-//!   workload from a config file.
+//!   workload from a config file, rejecting by name every field value a
+//!   draw cannot use, so a workload it builds samples without panicking.
 //!
 //! # Examples
 //!
@@ -40,14 +41,12 @@
 
 mod mcrouter;
 mod memcached;
-mod popularity;
 mod profile;
 mod sizes;
 mod spec;
 mod synthetic;
 
 pub use mcrouter::Mcrouter;
-pub use popularity::ZipfSampler;
 pub use memcached::{Memcached, MemcachedOp};
 pub use profile::{OpClass, RequestProfile, ServiceMoments, Workload};
 pub use sizes::SizeDistribution;

@@ -17,6 +17,9 @@ use treadmill_stats::distribution::sample_lognormal;
 use crate::profile::{OpClass, RequestProfile, Workload};
 use crate::sizes::SizeDistribution;
 
+/// Protocol overhead per routed message, in bytes.
+pub(crate) const HEADER_BYTES: u32 = 64;
+
 /// A configurable mcrouter service model.
 ///
 /// # Examples
@@ -91,11 +94,10 @@ impl Workload for Mcrouter {
                 noise *= self.slow_multiplier;
             }
         }
-        const OVERHEAD: u32 = 64;
         RequestProfile {
             class: OpClass::Route,
-            request_bytes: OVERHEAD + message,
-            response_bytes: OVERHEAD + message / 4,
+            request_bytes: HEADER_BYTES + message,
+            response_bytes: HEADER_BYTES + message / 4,
             cpu_ns: (self.base_cpu_ns + self.cpu_ns_per_byte * f64::from(message)) * noise,
             mem_ns: self.base_mem_ns * noise,
         }

@@ -14,6 +14,9 @@ use treadmill_stats::distribution::sample_lognormal;
 use crate::profile::{OpClass, RequestProfile, ServiceMoments, Workload};
 use crate::sizes::SizeDistribution;
 
+/// Protocol overhead per message: ≈ 48 bytes of headers and framing.
+pub(crate) const HEADER_BYTES: u32 = 48;
+
 /// Memcached operation kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemcachedOp {
@@ -62,9 +65,9 @@ pub struct Memcached {
     pub slow_fraction: f64,
     /// Service-time multiplier on the slow path.
     pub slow_multiplier: f64,
-    /// Fraction of GETs that hit the cache. Misses skip the value copy
-    /// (cheap response) but still pay the lookup. Derive it from a key
-    /// popularity distribution with [`Memcached::with_popularity`].
+    /// Fraction of GETs that hit the cache, a plain number in `[0, 1]`
+    /// (no key-popularity model derives it). Misses skip the value copy
+    /// (cheap response) but still pay the lookup.
     pub hit_rate: f64,
 }
 
@@ -101,21 +104,6 @@ impl Default for Memcached {
 }
 
 impl Memcached {
-    /// Derives the hit rate from a Zipf key-popularity model: `keys`
-    /// distinct keys with skew `exponent`, of which the hottest
-    /// `cached_keys` fit in memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` is zero or `exponent` is negative.
-    pub fn with_popularity(keys: u64, exponent: f64, cached_keys: u64) -> Self {
-        let zipf = crate::popularity::ZipfSampler::new(keys, exponent);
-        Memcached {
-            hit_rate: zipf.hit_rate(cached_keys),
-            ..Default::default()
-        }
-    }
-
     fn sample_op(&self, rng: &mut dyn RngCore) -> MemcachedOp {
         use rand::Rng;
         if rng.gen::<f64>() < self.get_fraction {
@@ -149,8 +137,6 @@ impl Workload for Memcached {
         }
         let cpu_ns = (self.base_cpu_ns + self.cpu_ns_per_byte * payload) * noise;
         let mem_ns = (self.base_mem_ns + self.mem_ns_per_byte * payload) * noise;
-        // Protocol overhead per message ≈ 48 bytes of headers + framing.
-        const OVERHEAD: u32 = 48;
         match op {
             MemcachedOp::Get => {
                 use rand::Rng;
@@ -158,8 +144,8 @@ impl Workload for Memcached {
                 if hit {
                     RequestProfile {
                         class: OpClass::Read,
-                        request_bytes: OVERHEAD + key,
-                        response_bytes: OVERHEAD + value,
+                        request_bytes: HEADER_BYTES + key,
+                        response_bytes: HEADER_BYTES + value,
                         cpu_ns,
                         mem_ns,
                     }
@@ -167,8 +153,8 @@ impl Workload for Memcached {
                     // Miss: hash walk but no item copy, tiny response.
                     RequestProfile {
                         class: OpClass::Read,
-                        request_bytes: OVERHEAD + key,
-                        response_bytes: OVERHEAD,
+                        request_bytes: HEADER_BYTES + key,
+                        response_bytes: HEADER_BYTES,
                         cpu_ns: cpu_ns * 0.6,
                         mem_ns: mem_ns * 0.4,
                     }
@@ -176,8 +162,8 @@ impl Workload for Memcached {
             }
             MemcachedOp::Set => RequestProfile {
                 class: OpClass::Write,
-                request_bytes: OVERHEAD + key + value,
-                response_bytes: OVERHEAD,
+                request_bytes: HEADER_BYTES + key + value,
+                response_bytes: HEADER_BYTES,
                 cpu_ns: cpu_ns * 1.15, // item allocation on the write path
                 mem_ns: mem_ns * 1.25,
             },
@@ -426,15 +412,5 @@ mod tests {
         }
         assert!((req / f64::from(n) / m.request_bytes - 1.0).abs() < 0.05);
         assert!((resp / f64::from(n) / m.response_bytes - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn popularity_derived_hit_rate() {
-        // A tiny cache over a skewed key space still catches most
-        // traffic; a huge cache catches ~all of it.
-        let small = Memcached::with_popularity(1_000_000, 1.0, 10_000);
-        let large = Memcached::with_popularity(1_000_000, 1.0, 1_000_000);
-        assert!(small.hit_rate > 0.5 && small.hit_rate < 0.95, "{}", small.hit_rate);
-        assert!(large.hit_rate > 0.99);
     }
 }

@@ -103,6 +103,60 @@ impl SizeDistribution {
         }
     }
 
+    /// The largest size a draw can return, once the distribution is
+    /// checked to be one [`SizeDistribution::sample`] draws from without
+    /// panicking: uniform bounds in order, a positive finite Pareto
+    /// shape, finite lognormal parameters, and a mixture with at least
+    /// one component and finite, non-negative weights of positive sum.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule, in words.
+    pub(crate) fn checked_max(&self) -> Result<u32, String> {
+        match self {
+            SizeDistribution::Fixed { bytes } => Ok(*bytes),
+            SizeDistribution::Uniform { low, high } if low > high => {
+                Err(format!("uniform low {low} exceeds high {high}"))
+            }
+            SizeDistribution::Uniform { high, .. } => Ok(*high),
+            SizeDistribution::Pareto { minimum, shape, cap } => {
+                if shape.is_finite() && *shape > 0.0 {
+                    Ok((*cap).max(*minimum))
+                } else {
+                    Err(format!("pareto shape must be positive and finite, got {shape}"))
+                }
+            }
+            SizeDistribution::Lognormal { mu, sigma, cap } => {
+                if mu.is_finite() && sigma.is_finite() {
+                    Ok((*cap).max(1))
+                } else {
+                    Err(format!("lognormal mu and sigma must be finite, got {mu} and {sigma}"))
+                }
+            }
+            SizeDistribution::Mixture { components } => {
+                if components.is_empty() {
+                    return Err("empty mixture".to_string());
+                }
+                let mut total = 0.0_f64;
+                let mut largest = 0;
+                for (weight, dist) in components {
+                    if !weight.is_finite() || *weight < 0.0 {
+                        return Err(format!(
+                            "mixture weights must be finite and non-negative, got {weight}"
+                        ));
+                    }
+                    total += weight;
+                    largest = largest.max(dist.checked_max()?);
+                }
+                if total > 0.0 && total.is_finite() {
+                    Ok(largest)
+                } else {
+                    Err(format!("mixture weights must have a positive finite sum, got {total}"))
+                }
+            }
+        }
+    }
+
     /// The exact or approximate mean of the distribution, in bytes.
     pub fn mean(&self) -> f64 {
         match self {

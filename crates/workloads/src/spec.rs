@@ -7,9 +7,10 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::mcrouter::Mcrouter;
-use crate::memcached::Memcached;
+use crate::mcrouter::{self, Mcrouter};
+use crate::memcached::{self, Memcached};
 use crate::profile::Workload;
+use crate::sizes::SizeDistribution;
 
 /// Errors from parsing a workload specification.
 #[derive(Debug)]
@@ -77,22 +78,28 @@ impl WorkloadSpec {
         Ok(serde_json::from_str(json)?)
     }
 
-    /// Builds the configured workload.
+    /// Builds the configured workload. A workload this returns samples
+    /// requests without panicking: every field a draw reads is checked.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for unknown workload names and
-    /// [`SpecError::Json`] for config fields that don't match the
-    /// workload's schema.
+    /// Returns [`SpecError::Invalid`] for unknown workload names and for
+    /// field values a draw cannot use, naming the field: a size
+    /// distribution [`SizeDistribution::sample`] would panic on, sizes
+    /// that overflow `u32` once the protocol header is added, a fraction
+    /// outside `[0, 1]`, or a cost that is negative or not finite.
+    /// Returns [`SpecError::Json`] for config fields that don't match
+    /// the workload's schema.
     pub fn build(&self) -> Result<Arc<dyn Workload>, SpecError> {
         match self.workload.as_str() {
             "memcached" => {
                 let w: Memcached = merge_over_default(&self.config, &Memcached::default())?;
-                validate_fraction("get_fraction", w.get_fraction)?;
+                validate_memcached(&w)?;
                 Ok(Arc::new(w))
             }
             "mcrouter" => {
                 let w: Mcrouter = merge_over_default(&self.config, &Mcrouter::default())?;
+                validate_mcrouter(&w)?;
                 Ok(Arc::new(w))
             }
             other => Err(SpecError::Invalid(format!(
@@ -119,6 +126,48 @@ where
     Ok(serde_json::from_value(base)?)
 }
 
+fn validate_memcached(w: &Memcached) -> Result<(), SpecError> {
+    validate_fraction("get_fraction", w.get_fraction)?;
+    validate_fraction("hit_rate", w.hit_rate)?;
+    validate_fraction("slow_fraction", w.slow_fraction)?;
+    for (name, cost) in [
+        ("base_cpu_ns", w.base_cpu_ns),
+        ("cpu_ns_per_byte", w.cpu_ns_per_byte),
+        ("base_mem_ns", w.base_mem_ns),
+        ("mem_ns_per_byte", w.mem_ns_per_byte),
+        ("service_noise_sigma", w.service_noise_sigma),
+        ("slow_multiplier", w.slow_multiplier),
+    ] {
+        validate_cost(name, cost)?;
+    }
+    let header = memcached::HEADER_BYTES;
+    let key = validate_sizes("key_size", &w.key_size, header)?;
+    let value = validate_sizes("value_size", &w.value_size, header)?;
+    // A SET carries the header, the key and the value in one message.
+    if header.checked_add(key).and_then(|b| b.checked_add(value)).is_none() {
+        return Err(SpecError::Invalid(format!(
+            "key_size plus value_size: a {key}-byte key and a {value}-byte value \
+             overflow u32 with the {header}-byte header"
+        )));
+    }
+    Ok(())
+}
+
+fn validate_mcrouter(w: &Mcrouter) -> Result<(), SpecError> {
+    validate_fraction("slow_fraction", w.slow_fraction)?;
+    for (name, cost) in [
+        ("base_cpu_ns", w.base_cpu_ns),
+        ("cpu_ns_per_byte", w.cpu_ns_per_byte),
+        ("base_mem_ns", w.base_mem_ns),
+        ("service_noise_sigma", w.service_noise_sigma),
+        ("slow_multiplier", w.slow_multiplier),
+    ] {
+        validate_cost(name, cost)?;
+    }
+    validate_sizes("message_size", &w.message_size, mcrouter::HEADER_BYTES)?;
+    Ok(())
+}
+
 fn validate_fraction(name: &str, value: f64) -> Result<(), SpecError> {
     if (0.0..=1.0).contains(&value) {
         Ok(())
@@ -127,6 +176,30 @@ fn validate_fraction(name: &str, value: f64) -> Result<(), SpecError> {
             "{name} must lie in [0, 1], got {value}"
         )))
     }
+}
+
+fn validate_cost(name: &str, value: f64) -> Result<(), SpecError> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(SpecError::Invalid(format!(
+            "{name} must be finite and non-negative, got {value}"
+        )))
+    }
+}
+
+/// Checks a size distribution and that its largest draw plus `header`
+/// fits a `u32`; returns the largest draw.
+fn validate_sizes(name: &str, dist: &SizeDistribution, header: u32) -> Result<u32, SpecError> {
+    let largest = dist
+        .checked_max()
+        .map_err(|e| SpecError::Invalid(format!("{name}: {e}")))?;
+    if largest.checked_add(header).is_none() {
+        return Err(SpecError::Invalid(format!(
+            "{name}: a {largest}-byte draw overflows u32 with the {header}-byte header"
+        )));
+    }
+    Ok(largest)
 }
 
 #[cfg(test)]
@@ -192,6 +265,100 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(spec.build(), Err(SpecError::Invalid(_))));
+    }
+
+    /// Every rule `build` enforces, one rejected config each: the error
+    /// names the field, and the config would otherwise panic or
+    /// mis-size the engine's draws.
+    #[test]
+    fn hostile_workload_fields_are_rejected_by_name() {
+        let rejected = |workload: &str, config: &str, field: &str| {
+            let spec = WorkloadSpec::from_json(&format!(
+                r#"{{ "workload": "{workload}", "config": {config} }}"#
+            ))
+            .unwrap();
+            match spec.build() {
+                Err(SpecError::Invalid(msg)) => {
+                    assert!(msg.contains(field), "{config}: {msg} does not name {field}");
+                }
+                Err(e) => panic!("{config}: expected a field error, got {e}"),
+                Ok(_) => panic!("{config}: accepted"),
+            }
+        };
+        let mixture = |weights: [&str; 2]| {
+            let fixed = r#"{ "kind": "fixed", "bytes": 64 }"#;
+            let components: Vec<String> = weights
+                .iter()
+                .filter(|w| !w.is_empty())
+                .map(|w| format!("[{w}, {fixed}]"))
+                .collect();
+            format!(
+                r#"{{ "value_size": {{ "kind": "mixture", "components": [{}] }} }}"#,
+                components.join(", ")
+            )
+        };
+        // Size distributions `sample` panics on.
+        rejected(
+            "memcached",
+            r#"{ "key_size": { "kind": "uniform", "low": 40, "high": 16 } }"#,
+            "key_size",
+        );
+        rejected("memcached", &mixture(["", ""]), "value_size");
+        rejected("memcached", &mixture(["-1.0", "2.0"]), "value_size");
+        rejected("memcached", &mixture(["0.0", ""]), "value_size");
+        rejected("memcached", &mixture(["1e308", "1e308"]), "value_size");
+        rejected(
+            "mcrouter",
+            r#"{ "message_size": { "kind": "pareto", "minimum": 64, "shape": 0.0, "cap": 512 } }"#,
+            "message_size",
+        );
+        // Sizes that overflow u32 once the header is added.
+        rejected(
+            "mcrouter",
+            r#"{ "message_size": { "kind": "fixed", "bytes": 4294967295 } }"#,
+            "message_size",
+        );
+        rejected(
+            "memcached",
+            r#"{ "key_size": { "kind": "fixed", "bytes": 2147483648 },
+                 "value_size": { "kind": "fixed", "bytes": 2147483648 } }"#,
+            "key_size plus value_size",
+        );
+        // Fractions outside [0, 1].
+        rejected("memcached", r#"{ "hit_rate": 1.5 }"#, "hit_rate");
+        rejected("memcached", r#"{ "slow_fraction": -0.1 }"#, "slow_fraction");
+        rejected("mcrouter", r#"{ "slow_fraction": 2.0 }"#, "slow_fraction");
+        // Negative costs.
+        rejected("memcached", r#"{ "mem_ns_per_byte": -1.0 }"#, "mem_ns_per_byte");
+        rejected("mcrouter", r#"{ "base_cpu_ns": -8000.0 }"#, "base_cpu_ns");
+
+        // JSON has no literal for a value that is not finite; a config
+        // built in code can still carry one.
+        let nan_shape = Memcached {
+            value_size: SizeDistribution::Pareto { minimum: 512, shape: f64::NAN, cap: 4096 },
+            ..Memcached::default()
+        };
+        assert!(validate_memcached(&nan_shape).unwrap_err().to_string().contains("value_size"));
+        let infinite_sigma = Mcrouter {
+            message_size: SizeDistribution::Lognormal { mu: 5.0, sigma: f64::INFINITY, cap: 4096 },
+            ..Mcrouter::default()
+        };
+        assert!(validate_mcrouter(&infinite_sigma)
+            .unwrap_err()
+            .to_string()
+            .contains("message_size"));
+        let nan_weight = Memcached {
+            key_size: SizeDistribution::Mixture {
+                components: vec![(f64::NAN, SizeDistribution::Fixed { bytes: 16 })],
+            },
+            ..Memcached::default()
+        };
+        assert!(validate_memcached(&nan_weight).unwrap_err().to_string().contains("key_size"));
+        let infinite_cost = Memcached { base_mem_ns: f64::INFINITY, ..Memcached::default() };
+        assert!(validate_memcached(&infinite_cost)
+            .unwrap_err()
+            .to_string()
+            .contains("base_mem_ns"));
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //!     and print per-run and aggregated summaries.
 //!
 //! treadmill-cli sweep <config.json> --out DIR [--runs N] [--seed S] [--ckpt-events K]
-//!     Crash-tolerant repeated-run sweep: journals per-cell status to
-//!     DIR/manifest.jsonl, checkpoints the running cell every K events,
-//!     and writes atomic TSV artifacts. Rerunning the same command
-//!     skips done cells and resumes the in-flight one from its
+//!     Crash-tolerant sweep of the config, run as treadmill-serve runs
+//!     it: with a `screen` block, the screened 16-cell factorial
+//!     (screen.tsv, factorial.tsv and one N-run sweep per simulated
+//!     cell in DIR/hw_NN/); without one, N repeated runs of the config
+//!     (cell_N.tsv, summary.tsv, attribution.tsv). Journals per-cell
+//!     status to manifest.jsonl, checkpoints the running cell every K
+//!     events, and writes atomic TSV artifacts. Rerunning the same
+//!     command skips done cells and resumes the in-flight one from its
 //!     checkpoint, producing byte-identical artifacts to an
 //!     uninterrupted sweep; an empty DIR computes from scratch.
 //!
@@ -22,11 +26,12 @@
 //!     and compare their per-run p99s with Welch's t-test.
 //!
 //! treadmill-cli screen <config.json> [--threshold T] [--out DIR] [--runs N] [--seed S]
+//!                      [--ckpt-events K]
 //!     Analytic two-stage screening: rank all 16 hardware cells with
-//!     the closed-form M/G/k estimator, flag the ones whose predicted
-//!     tail effect exceeds T, and (with --out) spend DES only on the
-//!     flagged cells, writing screen.tsv + factorial.tsv. Like sweep,
-//!     a rerun into the same DIR continues what it finds there.
+//!     the closed-form M/G/k estimator and flag the ones whose predicted
+//!     tail effect exceeds T (default: the config's `screen` threshold).
+//!     With --out, run `sweep` on the config screened at T: DES only on
+//!     the flagged cells, writing screen.tsv + factorial.tsv.
 //!
 //! treadmill-cli screen <memcached|mcrouter> [--rps R] [--runs N] [--seed S]
 //!     Randomised factor screening (§IV-B): which factors measurably
@@ -44,21 +49,26 @@
 //!     to stdout or FILE.
 //! ```
 //!
-//! `sweep` installs SIGINT/SIGTERM handlers: an interrupted sweep
-//! seals the in-flight checkpoint before exiting (its journal appends
-//! are fsynced one by one), so rerunning it continues exactly like
-//! after a crash.
+//! `sweep` and `screen --out` install SIGINT/SIGTERM handlers: an
+//! interrupted sweep seals the in-flight checkpoint before exiting (its
+//! journal appends are fsynced one by one), so rerunning it continues
+//! exactly like after a crash.
+//!
+//! A `--runs` that a command's procedure cannot use (below 2 for `run`
+//! and `compare`, 0 for the others that simulate) is rejected before
+//! anything is simulated.
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use treadmill::cluster::HardwareConfig;
 use treadmill::core::{
     run_factorial_sweep_controlled, run_sweep_controlled, run_until_converged,
-    ExperimentOptions, LoadTestConfig, SweepControl, SweepEvent, SweepOptions,
+    ExperimentOptions, LoadTestConfig, ScreenSpec, SweepControl, SweepEvent, SweepOptions,
 };
 use treadmill::inference::{
-    attribute, collect, screen_factors, CollectionPlan, ScreeningOptions,
+    attribute, collect, screen_factors, screen_hardware, CollectionPlan, ScreeningOptions,
     TABLE_IV_PERCENTILES,
 };
 use treadmill::sim::SimDuration;
@@ -160,7 +170,8 @@ fn usage() -> &'static str {
      treadmill-cli sweep <config.json> --out DIR [--runs N] [--seed S] [--ckpt-events K]\n  \
      treadmill-cli attribute <memcached|mcrouter> [--rps R] [--runs N] [--seed S]\n  \
      treadmill-cli compare <config.json> <cfgA 0-15> <cfgB 0-15> [--runs N]\n  \
-     treadmill-cli screen <config.json> [--threshold T] [--out DIR] [--runs N] [--seed S]\n  \
+     treadmill-cli screen <config.json> [--threshold T] [--out DIR] [--runs N] [--seed S]\n    \
+         [--ckpt-events K]\n  \
      treadmill-cli screen <memcached|mcrouter> [--rps R] [--runs N] [--seed S]\n  \
      treadmill-cli submit <spec.json> --addr HOST:PORT [--key K]\n  \
      treadmill-cli status <job-id> --addr HOST:PORT\n  \
@@ -201,6 +212,15 @@ fn main() -> ExitCode {
     }
 }
 
+/// Rejects a `--runs` below `min`, the fewest runs the command's
+/// procedure can use, before anything is simulated.
+fn require_runs(flags: &Flags, min: usize, why: &str) -> Result<(), String> {
+    if flags.runs < min {
+        return Err(format!("--runs must be at least {min} ({why}), got {}", flags.runs));
+    }
+    Ok(())
+}
+
 fn load_config(path: &str) -> Result<LoadTestConfig, String> {
     let json = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -212,6 +232,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         .positional
         .first()
         .ok_or("run needs a config file path")?;
+    require_runs(flags, 2, "the repeated-run procedure needs two runs to converge")?;
     let mut config = load_config(path)?;
     config.seed = flags.seed;
     let test = config.build().map_err(|e| e.to_string())?;
@@ -256,8 +277,19 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         .first()
         .ok_or("sweep needs a config file path")?;
     let out = flags.out.as_ref().ok_or("sweep needs --out DIR")?;
+    require_runs(flags, 1, SWEEP_RUNS)?;
     let mut config = load_config(path)?;
     config.seed = flags.seed;
+    durable_sweep(&config, out, flags)
+}
+
+/// Why a sweep rejects `--runs 0`, as `treadmill-serve` does.
+const SWEEP_RUNS: &str = "a sweep runs each cell at least once";
+
+/// Runs `config` into `out` as `treadmill-serve` runs a job: with a
+/// `screen` block, the screened 16-cell factorial; without one, the
+/// repeated-run sweep.
+fn durable_sweep(config: &LoadTestConfig, out: &str, flags: &Flags) -> Result<(), String> {
     let mut opts = SweepOptions {
         runs: flags.runs as u64,
         ..SweepOptions::default()
@@ -265,46 +297,89 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     if let Some(k) = flags.ckpt_events {
         opts.ckpt_events = k;
     }
-    println!(
-        "{} sweep of {} cells at {} RPS into {out} (checkpoint every {} events) ...",
-        if std::path::Path::new(out).exists() { "resuming" } else { "starting" },
-        opts.runs,
-        config.target_rps,
-        opts.ckpt_events
-    );
+    let dir = Path::new(out);
+    let verb = if dir.exists() { "resuming" } else { "starting" };
     // Ctrl-C / SIGTERM cancels at the next checkpoint boundary: the
     // checkpoint is sealed (the journal is fsynced per append), so a
     // rerun continues exactly like after a SIGKILL — same plumbing the
     // server's drain path uses.
     treadmill::server::shutdown::install();
+    // A screened sweep's runs restart at cell 0 in every hardware
+    // cell, so only the repeated-run sweep prints its runs' events.
+    let screened = config.screen.is_some();
     let mut on_event = |event: SweepEvent| {
-        if let SweepEvent::CellDone { cell, samples, p99_us } = event {
-            println!("  cell {cell}: done ({samples} samples, p99 {p99_us:.1}us)");
+        if !screened && matches!(event, SweepEvent::CellDone { .. }) {
+            println!("  {event}");
         }
     };
     let mut ctrl = SweepControl {
         cancel: Some(treadmill::server::shutdown::flag()),
         progress: Some(&mut on_event),
     };
-    let outcome = run_sweep_controlled(&config, std::path::Path::new(out), &opts, &mut ctrl)
-        .map_err(|e| e.to_string())?;
-    if let Some(cell) = outcome.resumed_cell {
-        println!("  resumed cell {cell} from its checkpoint");
-    }
-    if !outcome.skipped.is_empty() {
-        println!("  skipped {} already-done cells", outcome.skipped.len());
-    }
-    println!("  executed {} cells", outcome.executed.len());
-    for warning in &outcome.warnings {
+    let (warnings, interrupted, last_lines) = match config.screen {
+        None => {
+            println!(
+                "{verb} sweep of {} cells at {} RPS into {out} (checkpoint every {} events) ...",
+                opts.runs, config.target_rps, opts.ckpt_events
+            );
+            let outcome = run_sweep_controlled(config, dir, &opts, &mut ctrl)
+                .map_err(|e| e.to_string())?;
+            if let Some(cell) = outcome.resumed_cell {
+                println!("  resumed cell {cell} from its checkpoint");
+            }
+            if !outcome.skipped.is_empty() {
+                println!("  skipped {} already-done cells", outcome.skipped.len());
+            }
+            println!("  executed {} cells", outcome.executed.len());
+            let last_lines = vec![format!("summary: {}", outcome.summary_path.display())];
+            (outcome.warnings, outcome.interrupted, last_lines)
+        }
+        Some(screen) => {
+            let plan = screen_hardware(config, screen.threshold)
+                .map_err(|e| e.to_string())?
+                .to_sweep_plan();
+            println!(
+                "{verb} screened sweep of {} of 16 hardware cells at {} RPS into {out} \
+                 (threshold {:.3}, {} runs per cell, checkpoint every {} events) ...",
+                plan.cells.iter().filter(|c| c.flagged).count(),
+                config.target_rps,
+                screen.threshold,
+                opts.runs,
+                opts.ckpt_events
+            );
+            let outcome =
+                run_factorial_sweep_controlled(config, dir, &opts, Some(&plan), &mut ctrl)
+                    .map_err(|e| e.to_string())?;
+            for cell in &outcome.cells {
+                println!(
+                    "  cell {:2}: p99 {:8.1}us ({} samples over {} runs)",
+                    cell.index, cell.p99_us, cell.samples, cell.runs
+                );
+            }
+            let mut last_lines = vec![format!(
+                "simulated {} of 16 cells ({} screened out)",
+                outcome.simulated.len(),
+                outcome.screened_out.len()
+            )];
+            if let Some(screen_path) = &outcome.screen_path {
+                last_lines.push(format!("screen: {}", screen_path.display()));
+            }
+            last_lines.push(format!("factorial: {}", outcome.factorial_path.display()));
+            (outcome.warnings, outcome.interrupted, last_lines)
+        }
+    };
+    for warning in &warnings {
         println!("  note: {warning}");
     }
-    if outcome.interrupted {
+    if interrupted {
         println!(
             "interrupted: checkpoint sealed and journal flushed; \
              rerun the same command to continue"
         );
     }
-    println!("summary: {}", outcome.summary_path.display());
+    for line in &last_lines {
+        println!("{line}");
+    }
     Ok(())
 }
 
@@ -405,6 +480,7 @@ fn cmd_attribute(flags: &Flags) -> Result<(), String> {
         .positional
         .first()
         .ok_or("attribute needs a workload name")?;
+    require_runs(flags, 1, "every hardware configuration needs a run")?;
     let workload = workload_by_name(name)?;
     let plan = CollectionPlan {
         runs_per_config: flags.runs,
@@ -500,16 +576,19 @@ fn cmd_screen(flags: &Flags) -> Result<(), String> {
 
 /// Two-stage analytic screening over a JSON-configured load test: the
 /// closed-form M/G/k estimator ranks all 16 hardware cells, and (with
-/// `--out`) the DES stage is spent only on the flagged ones.
+/// `--out`) [`durable_sweep`] runs the config screened at the same
+/// threshold, spending DES only on the flagged cells.
 fn cmd_screen_analytic(flags: &Flags, path: &str) -> Result<(), String> {
+    if flags.out.is_some() {
+        require_runs(flags, 1, SWEEP_RUNS)?;
+    }
     let mut config = load_config(path)?;
     config.seed = flags.seed;
     let threshold = flags
         .threshold
         .or(config.screen.map(|s| s.threshold))
-        .unwrap_or_else(|| treadmill::core::ScreenSpec::default().threshold);
-    let plan = treadmill::inference::screen_hardware(&config, threshold)
-        .map_err(|e| e.to_string())?;
+        .unwrap_or_else(|| ScreenSpec::default().threshold);
+    let plan = screen_hardware(&config, threshold).map_err(|e| e.to_string())?;
     println!(
         "analytic screen of 16 hardware cells at {} RPS (threshold {:.3}):",
         config.target_rps, threshold
@@ -542,50 +621,15 @@ fn cmd_screen_analytic(flags: &Flags, path: &str) -> Result<(), String> {
         println!("(pass --out DIR to DES-simulate the flagged cells)");
         return Ok(());
     };
-    let mut opts = SweepOptions {
-        runs: flags.runs as u64,
-        ..SweepOptions::default()
-    };
-    if let Some(k) = flags.ckpt_events {
-        opts.ckpt_events = k;
-    }
-    println!(
-        "DES stage: simulating {} flagged cells into {out} ...",
-        plan.flagged.len()
-    );
-    let outcome = run_factorial_sweep_controlled(
-        &config,
-        std::path::Path::new(out),
-        &opts,
-        Some(&plan.to_sweep_plan()),
-        &mut SweepControl::default(),
-    )
-    .map_err(|e| e.to_string())?;
-    for cell in &outcome.cells {
-        println!(
-            "  cell {:2}: p99 {:8.1}us ({} samples over {} runs)",
-            cell.index, cell.p99_us, cell.samples, cell.runs
-        );
-    }
-    for warning in &outcome.warnings {
-        println!("  note: {warning}");
-    }
-    println!(
-        "simulated {} of 16 cells ({} screened out)",
-        outcome.simulated.len(),
-        outcome.screened_out.len()
-    );
-    if let Some(screen_path) = &outcome.screen_path {
-        println!("screen: {}", screen_path.display());
-    }
-    println!("factorial: {}", outcome.factorial_path.display());
-    Ok(())
+    config.screen = Some(ScreenSpec { threshold });
+    durable_sweep(&config, out, flags)
 }
 
 fn cmd_compare(flags: &Flags) -> Result<(), String> {
     if flags.positional.len() < 3 {
         return Err("compare needs <config.json> <cfgA> <cfgB>".to_string());
     }
+    require_runs(flags, 2, "Welch's t-test needs two runs per configuration")?;
     let mut config = load_config(&flags.positional[0])?;
     config.seed = flags.seed;
     let a_index: usize = flags.positional[1]

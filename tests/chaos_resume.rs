@@ -18,6 +18,7 @@
 
 #![allow(clippy::unwrap_used)]
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -230,62 +231,106 @@ fn sigkilled_sharded_multithreaded_sweep_resumes_byte_identical() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// `screen --out` over the same config, DES-simulating the 8 cells the
+/// analytic screen flags at threshold 0.15 (one run each).
+fn screen_args(config: &Path, out: &Path) -> Vec<String> {
+    let mut args = sweep_args(config, out);
+    args[0] = "screen".to_string();
+    args[5] = "1".to_string(); // --runs
+    args.extend(["--threshold".to_string(), "0.15".to_string()]);
+    args
+}
+
+/// Every `.tsv` under `dir`, keyed by its path relative to `dir`.
+fn tsv_files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<PathBuf, Vec<u8>>) {
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else if path.extension().is_some_and(|e| e == "tsv") {
+                let rel = path.strip_prefix(root).unwrap().to_path_buf();
+                out.insert(rel, fs::read(&path).unwrap());
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(dir, dir, &mut out);
+    out
+}
+
 #[test]
 fn sigterm_interrupts_gracefully_and_resume_is_byte_identical() {
-    // The CLI installs SIGTERM/SIGINT handlers: an interrupted sweep
-    // seals the in-flight checkpoint and flushes the journal, exits 0,
-    // and rerunning the command continues onto the exact bytes an
-    // uninterrupted sweep would have produced — the same drain plumbing
-    // treadmill-serve uses.
+    // The CLI installs SIGTERM/SIGINT handlers for `sweep` and for
+    // `screen --out`: an interrupted sweep seals the in-flight
+    // checkpoint and flushes the journal, exits 0, and rerunning the
+    // command continues onto the exact bytes an uninterrupted sweep
+    // would have produced — the same drain plumbing treadmill-serve
+    // uses.
     let root = temp_root("sigterm");
     let config = write_config(&root);
-
-    let golden_dir = root.join("golden");
-    let status = Command::new(cli())
-        .args(sweep_args(&config, &golden_dir))
-        .status()
-        .expect("spawn golden sweep");
-    assert!(status.success(), "golden sweep failed: {status}");
-
-    let out = root.join("interrupted");
-    let mut child = Command::new(cli())
-        .args(sweep_args(&config, &out))
-        .spawn()
-        .expect("spawn sweep to interrupt");
-    std::thread::sleep(Duration::from_millis(120));
-    let finished_early = match child.try_wait().expect("poll child") {
-        Some(status) => {
-            assert!(status.success(), "sweep failed before SIGTERM: {status}");
-            true
-        }
-        None => {
-            let term = Command::new("kill")
-                .arg("-TERM")
-                .arg(child.id().to_string())
-                .status()
-                .expect("send SIGTERM");
-            assert!(term.success(), "kill -TERM failed");
-            let status = child.wait().expect("wait for interrupted sweep");
-            // Graceful interruption is a clean exit, not a crash.
-            assert!(status.success(), "SIGTERM'd sweep exited {status}");
-            false
-        }
-    };
-
-    if !finished_early {
+    type Args = fn(&Path, &Path) -> Vec<String>;
+    let inputs: [(&str, Args, &[&str]); 2] = [
+        (
+            "sweep",
+            sweep_args,
+            &["cell_0.tsv", "cell_1.tsv", "cell_2.tsv", "summary.tsv", "attribution.tsv"],
+        ),
+        ("screen", screen_args, &["screen.tsv", "factorial.tsv", "hw_00/summary.tsv"]),
+    ];
+    for (name, args, artifacts) in inputs {
+        let golden_dir = root.join(format!("{name}-golden"));
         let status = Command::new(cli())
-            .args(sweep_args(&config, &out))
+            .args(args(&config, &golden_dir))
             .status()
-            .expect("spawn resume after SIGTERM");
-        assert!(status.success(), "resume after SIGTERM failed: {status}");
-    }
+            .expect("spawn golden sweep");
+        assert!(status.success(), "golden {name} failed: {status}");
 
-    for artifact in ["cell_0.tsv", "cell_1.tsv", "cell_2.tsv", "summary.tsv", "attribution.tsv"] {
-        let golden = fs::read(golden_dir.join(artifact)).unwrap();
-        let interrupted = fs::read(out.join(artifact)).unwrap();
+        let out = root.join(format!("{name}-interrupted"));
+        let mut child = Command::new(cli())
+            .args(args(&config, &out))
+            .spawn()
+            .expect("spawn sweep to interrupt");
+        std::thread::sleep(Duration::from_millis(120));
+        let finished_early = match child.try_wait().expect("poll child") {
+            Some(status) => {
+                assert!(status.success(), "{name} failed before SIGTERM: {status}");
+                true
+            }
+            None => {
+                let term = Command::new("kill")
+                    .arg("-TERM")
+                    .arg(child.id().to_string())
+                    .status()
+                    .expect("send SIGTERM");
+                assert!(term.success(), "kill -TERM failed");
+                let status = child.wait().expect("wait for interrupted sweep");
+                // Graceful interruption is a clean exit, not a crash.
+                assert!(status.success(), "SIGTERM'd {name} exited {status}");
+                false
+            }
+        };
+
+        if !finished_early {
+            let status = Command::new(cli())
+                .args(args(&config, &out))
+                .status()
+                .expect("spawn resume after SIGTERM");
+            assert!(status.success(), "resume of {name} after SIGTERM failed: {status}");
+        }
+
+        for artifact in artifacts {
+            let golden = fs::read(golden_dir.join(artifact)).unwrap();
+            let interrupted = fs::read(out.join(artifact)).unwrap();
+            assert_eq!(
+                golden, interrupted,
+                "{artifact} differs between uninterrupted and SIGTERM'd-then-resumed {name}"
+            );
+        }
         assert_eq!(
-            golden, interrupted,
-            "{artifact} differs between uninterrupted and SIGTERM'd-then-resumed sweeps"
+            tsv_files(&golden_dir),
+            tsv_files(&out),
+            "the .tsv files differ between uninterrupted and SIGTERM'd-then-resumed {name}"
         );
     }
     let _ = fs::remove_dir_all(&root);

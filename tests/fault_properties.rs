@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use treadmill::cluster::{
-    ClientSpec, ClusterBuilder, FaultSpec, PoissonSource, RetryPolicy, RunResult,
+    ClientSpec, ClusterBuilder, FaultSpec, InterArrival, OpenLoopSource, RetryPolicy, RunResult,
 };
 use treadmill::sim::SimDuration;
 use treadmill::workloads::Memcached;
@@ -21,7 +21,7 @@ fn base(seed: u64, rate: f64) -> ClusterBuilder {
         .seed(seed)
         .client(
             ClientSpec::default(),
-            Box::new(PoissonSource::new(rate, 16)),
+            Box::new(OpenLoopSource::new(InterArrival::Exponential { rate_rps: rate }, 16)),
         )
         .duration(SimDuration::from_millis(25))
 }

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use treadmill::cluster::{ClientSpec, ClusterBuilder, HardwareConfig, PoissonSource};
+use treadmill::cluster::{ClientSpec, ClusterBuilder, HardwareConfig, InterArrival, OpenLoopSource};
 use treadmill::sim::{SimDuration, SimTime};
 use treadmill::workloads::Memcached;
 
@@ -19,7 +19,7 @@ fn run_cluster(config_index: usize, seed: u64, rate: f64) -> treadmill::cluster:
         .hardware(HardwareConfig::from_index(config_index))
         .client(
             ClientSpec::default(),
-            Box::new(PoissonSource::new(rate, 16)),
+            Box::new(OpenLoopSource::new(InterArrival::Exponential { rate_rps: rate }, 16)),
         )
         .duration(SimDuration::from_millis(25))
         .run()
