@@ -163,17 +163,11 @@ pub fn run_profile(
     };
     let measured = LatencySummary::from_samples(&measured_latencies_us);
     let ground_truth = PacketCapture::from_records(run.all_records(), warmup_time);
-    let window_s = duration.as_secs_f64() - warmup.as_secs_f64();
     // Throughput the tester actually sustained: responses delivered
     // within the sending window (a backlogged client delivers the rest
     // long after the test ends, which must not count).
-    let stop = run.sending_stopped_at;
-    let delivered_in_window = run
-        .all_records()
-        .filter(|r| r.t_delivered <= stop)
-        .count();
-    let _ = window_s;
-    let achieved_rps = delivered_in_window as f64 / stop.as_secs_f64();
+    let achieved_rps =
+        run.delivered_in_window as f64 / run.sending_stopped_at.as_secs_f64();
     BaselineReport {
         name: profile.name,
         measured,

@@ -344,6 +344,17 @@ impl Default for ClientSpec {
 mod tests {
     use super::*;
 
+    /// `treadmill_workloads` bounds a request's worst case with a
+    /// slowdown it cannot read from this crate; the default server must
+    /// stay within it.
+    #[test]
+    fn workload_bound_covers_the_slowest_server() {
+        let spec = ServerSpec::default();
+        let jitter = 1.0 + spec.hysteresis.service_jitter;
+        let slowest = (spec.base_ghz / spec.min_ghz).max(spec.numa_remote_penalty) * jitter;
+        assert!(slowest <= treadmill_workloads::SERVER_SLOWDOWN, "{slowest}");
+    }
+
     #[test]
     fn level_coding() {
         assert_eq!(Level::Low.code(), 0.0);

@@ -401,6 +401,12 @@ mod tests {
         assert_eq!(config.build().unwrap_err().field(), Some("servers"));
     }
 
+    /// No request a validated workload draws outlasts the longest run.
+    #[test]
+    fn service_bound_is_the_longest_run() {
+        assert_eq!(MAX_DURATION_MS as f64 * 1e6, treadmill_workloads::MAX_SERVICE_NS);
+    }
+
     #[test]
     fn json_round_trip() {
         let config = LoadTestConfig::from_json(minimal_json()).unwrap();

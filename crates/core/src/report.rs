@@ -7,8 +7,6 @@
 
 use std::fmt::Write as _;
 
-use treadmill_sim_core::SimTime;
-
 use crate::runner::LoadTestReport;
 
 /// Renders a complete text report for one run.
@@ -86,12 +84,7 @@ pub fn health_warnings(report: &LoadTestReport, target_rps: f64) -> Vec<String> 
             }
         }
     }
-    let warmup = SimTime::ZERO + report.warmup;
-    let measured = report
-        .run
-        .all_records()
-        .filter(|r| r.t_generated >= warmup)
-        .count();
+    let measured = report.aggregated.count;
     if measured < 10_000 {
         warnings.push(format!(
             "only {measured} measurement samples — tail estimates above p99 are \
@@ -219,9 +212,31 @@ mod tests {
             .seed(5)
             .run(0);
         let warnings = health_warnings(&report, rps);
+        // The count is the measurement window's records, warm-up cut at
+        // its exact boundary.
+        let warmup = treadmill_sim_core::SimTime::ZERO + SimDuration::from_millis(30);
+        let measured = report
+            .run
+            .all_records()
+            .filter(|r| r.t_generated >= warmup)
+            .count();
+        let expected = format!("only {measured} measurement samples");
         assert!(
-            warnings.iter().any(|w| w.contains("measurement samples")),
-            "expected a sample-count warning, got {warnings:?}"
+            warnings.iter().any(|w| w.starts_with(&expected)),
+            "expected {expected:?}, got {warnings:?}"
+        );
+    }
+
+    #[test]
+    fn each_audit_finding_is_reported_once() {
+        let (mut report, rps) = healthy_report();
+        let finding = "core 3 busy with an empty queue".to_string();
+        report.run.audit_findings.push(finding);
+        let warnings = health_warnings(&report, rps);
+        assert_eq!(
+            warnings,
+            ["invariant auditor: core 3 busy with an empty queue — treat this run's numbers \
+              as corrupt"]
         );
     }
 }

@@ -736,11 +736,7 @@ pub fn run_sweep_controlled(
         }
 
         let mut report = run.finish();
-        for finding in &report.run.audit_findings {
-            outcome
-                .warnings
-                .push(format!("cell {cell}: auditor: {finding}"));
-        }
+        // End-of-run audit findings arrive through `health_warnings`.
         for warning in health_warnings(&report, config.target_rps) {
             outcome.warnings.push(format!("cell {cell}: {warning}"));
         }

@@ -8,21 +8,28 @@
 //! loses work to a crash) is self-defeating — so every layer degrades
 //! gracefully:
 //!
-//! * **Journaled jobs** ([`store`]): the [`store::JobStore`] appends
-//!   every job state transition to an fsynced `jobs.jsonl` journal
-//!   (the same [`treadmill_core::journal::Journal`] as the sweep
-//!   manifest, so torn lines are sealed and skipped on replay). Each
-//!   line is stamped with its wall-clock `unix_ms`, and a submission
-//!   line holds the spec, so the journal is also the provenance trail.
-//!   A server restarted on the same state directory, after a SIGKILL or
-//!   a drain, replays the journal, re-admits the jobs it left pending
+//! * **One record per job** ([`store`]): the [`store::JobStore`] holds
+//!   each job's spec, status, failure detail and progress lines, and
+//!   the queue of ids waiting for the executor, under one lock. It
+//!   appends every admitted job and every state transition to an
+//!   fsynced `jobs.jsonl` journal before changing memory (the same
+//!   [`treadmill_core::journal::Journal`] as the sweep manifest, so
+//!   torn lines are sealed and skipped on replay). Each line is
+//!   stamped with its wall-clock `unix_ms`, and a submission line holds
+//!   the spec, so the journal is also the provenance trail. A server
+//!   restarted on the same state directory, after a SIGKILL or a
+//!   drain, replays the journal, re-admits the jobs it left pending
 //!   and continues in-flight experiments from their checkpoints,
 //!   producing byte-identical artifacts. There is no flag for this:
-//!   recovery is the only way a server starts.
-//! * **Admission control** ([`queue`]): a bounded job queue sheds
-//!   excess submissions with `503` + `Retry-After` instead of growing
-//!   without bound; a connection cap and per-request socket timeouts
-//!   bound HTTP-side memory and latency.
+//!   recovery is the only way a server starts. `/events` streams a
+//!   job's progress lines and ends with `end` once its status is
+//!   terminal, a job finished before a restart included.
+//! * **Admission control** ([`store`], [`service`]): admission sheds a
+//!   submission past the job queue's cap with `503` + `Retry-After`
+//!   instead of growing without bound, and journals nothing for it, so
+//!   a keyed retry is admitted once the queue drains; a connection cap
+//!   and per-request socket timeouts bound HTTP-side memory and
+//!   latency.
 //! * **Graceful drain** ([`shutdown`], [`service`]): SIGTERM stops the
 //!   acceptor, cancels the in-flight sweep at the next checkpoint
 //!   boundary (sealing it to disk), and exits — every journal append
@@ -46,12 +53,10 @@
 pub mod client;
 pub mod http;
 pub mod job;
-pub mod queue;
 pub mod service;
 pub mod shutdown;
 pub mod store;
 
 pub use job::{ExperimentSpec, JobStatus, SpecError};
-pub use queue::{BoundedQueue, Push};
 pub use service::{start, ServeOptions, ServerHandle};
 pub use store::{JobStore, ReplayReport, StoredJob, SubmitOutcome};

@@ -3,32 +3,39 @@
 //! Thread layout (all plain `std::thread`, no async runtime):
 //!
 //! ```text
-//! acceptor ──(bounded conn queue)──> 4 http workers ──> router
-//!                                        │
-//!                    POST /experiments ──┴──(bounded job queue)──> executor
-//!                                                                     │
-//!                                                     run_sweep_controlled
+//! acceptor ──(bounded channel)──> 4 http workers ──> router
+//!                                     │
+//!                 POST /experiments ──┴──(JobStore's queue)──> executor
+//!                                                                  │
+//!                                                  run_sweep_controlled
 //! ```
 //!
+//! Every handler and the executor read and write one record per job,
+//! the [`JobStore`]: status, detail and progress lines change under
+//! its lock, so `GET /experiments/{id}` and `/events` see them in one
+//! snapshot, and an `/events` stream ends with `end` once the status
+//! it reads is terminal.
+//!
 //! Overload behavior is explicit at every hop: the acceptor sheds
-//! connections past the cap with an immediate `503`, the job queue
-//! sheds submissions with `503` + `Retry-After`, and every socket
-//! carries read/write timeouts so no worker blocks past its budget.
-//! [`ServerHandle::drain`] runs the graceful-shutdown sequence: stop
-//! accepting, answer queued connections, cancel the in-flight sweep
-//! at its next checkpoint (sealing it), exit. There is no journal to
-//! flush: every append is fsynced on its own.
+//! connections past the cap with an immediate `503`, admission sheds
+//! submissions past the job queue's cap with `503` + `Retry-After`
+//! (journaling nothing, so a keyed retry is admitted later), and every
+//! socket carries read/write timeouts so no worker blocks past its
+//! budget. [`ServerHandle::drain`] runs the graceful-shutdown
+//! sequence: stop accepting, answer queued connections, cancel the
+//! in-flight sweep at its next checkpoint (sealing it), exit. There is
+//! no journal to flush: every append is fsynced on its own.
 
 use std::fs;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::TrySendError::{Disconnected, Full};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-use std::collections::BTreeMap;
 
 use serde::Serialize;
 use treadmill_core::journal::write_atomic;
@@ -39,7 +46,6 @@ use treadmill_core::{
 
 use crate::http::{self, HttpError, Request};
 use crate::job::{ExperimentSpec, JobStatus};
-use crate::queue::{BoundedQueue, Push};
 use crate::store::{JobStore, SubmitOutcome};
 
 /// Service configuration.
@@ -57,7 +63,7 @@ pub struct ServeOptions {
 /// HTTP worker threads.
 const HTTP_WORKERS: usize = 4;
 
-/// Connection cap (queued + in-flight); accepts beyond it get an
+/// Connections queued for the HTTP workers; accepts beyond it get an
 /// immediate `503`.
 const MAX_CONNS: usize = 32;
 
@@ -79,92 +85,15 @@ impl ServeOptions {
     }
 }
 
-/// In-memory progress buffer for one job, streamed by `/events`.
-/// Bounded: past [`MAX_PROGRESS_LINES`] lines, older detail is
-/// dropped in favor of a truncation marker (memory stays bounded no
-/// matter how long a job runs).
-struct Progress {
-    lines: Mutex<Vec<String>>,
-    dropped: AtomicBool,
-    done: AtomicBool,
-}
-
-const MAX_PROGRESS_LINES: usize = 4096;
-
-impl Progress {
-    fn new() -> Self {
-        Progress {
-            lines: Mutex::new(Vec::new()),
-            dropped: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-        }
-    }
-
-    fn push(&self, line: String) {
-        let mut lines =
-            self.lines.lock().unwrap_or_else(PoisonError::into_inner);
-        if lines.len() >= MAX_PROGRESS_LINES {
-            if !self.dropped.swap(true, Ordering::Relaxed) {
-                lines.push("… further progress truncated".to_string());
-            }
-            return;
-        }
-        lines.push(line);
-    }
-
-    /// Lines from `from` onward, plus whether the job is finished.
-    fn snapshot(&self, from: usize) -> (Vec<String>, bool) {
-        let lines =
-            self.lines.lock().unwrap_or_else(PoisonError::into_inner);
-        let tail = if from < lines.len() {
-            lines[from..].to_vec()
-        } else {
-            Vec::new()
-        };
-        (tail, self.done.load(Ordering::SeqCst))
-    }
-
-    fn count(&self) -> usize {
-        self.lines
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    fn finish(&self) {
-        self.done.store(true, Ordering::SeqCst);
-    }
-}
-
 struct Shared {
     opts: ServeOptions,
     store: JobStore,
-    jobs: BoundedQueue<String>,
-    conns: BoundedQueue<TcpStream>,
     draining: AtomicBool,
-    progress: Mutex<BTreeMap<String, Arc<Progress>>>,
 }
 
 impl Shared {
     fn job_dir(&self, id: &str) -> PathBuf {
         self.opts.state_dir.join("jobs").join(id)
-    }
-
-    fn progress_for(&self, id: &str) -> Arc<Progress> {
-        let mut map =
-            self.progress.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            map.entry(id.to_string())
-                .or_insert_with(|| Arc::new(Progress::new())),
-        )
-    }
-
-    fn find_progress(&self, id: &str) -> Option<Arc<Progress>> {
-        self.progress
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(id)
-            .map(Arc::clone)
     }
 
     fn draining(&self) -> bool {
@@ -191,10 +120,10 @@ impl ServerHandle {
     /// checkpoint boundary.
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.jobs.close(false);
+        self.shared.store.close();
         // The acceptor blocks in `accept`: one connection to its own
-        // address wakes it to observe the flag, close the connection
-        // queue (draining queued connections) and exit.
+        // address wakes it to observe the flag and exit, closing the
+        // connection channel behind the connections already queued.
         let mut addr = self.addr;
         if addr.ip().is_unspecified() {
             addr.set_ip(match addr {
@@ -222,16 +151,17 @@ impl ServerHandle {
     }
 }
 
-/// Starts the service: opens the store (replaying its journal), binds
-/// the listener, writes `addr.txt`, re-enqueues the jobs the journal
-/// left pending, and spawns the thread pool.
+/// Starts the service: opens the store (replaying its journal and
+/// queueing the jobs it left pending), binds the listener, writes
+/// `addr.txt`, and spawns the thread pool.
 ///
 /// # Errors
 ///
 /// Filesystem or socket trouble: the state directory, the journal, the
 /// listener or a thread.
 pub fn start(opts: ServeOptions) -> io::Result<ServerHandle> {
-    let (store, report) = JobStore::open(&opts.state_dir)?;
+    // A pending job's next `running` line journals its recovery.
+    let (store, _) = JobStore::open(&opts.state_dir, opts.queue_cap)?;
 
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
@@ -241,26 +171,12 @@ pub fn start(opts: ServeOptions) -> io::Result<ServerHandle> {
     )?;
 
     let shared = Arc::new(Shared {
-        jobs: BoundedQueue::new(opts.queue_cap),
-        conns: BoundedQueue::new(MAX_CONNS),
         draining: AtomicBool::new(false),
-        progress: Mutex::new(BTreeMap::new()),
         store,
         opts,
     });
-
-    // Re-admit journaled pending jobs (recovery bypasses the cap:
-    // they were admitted under it originally). The job's next `running`
-    // line journals the recovery.
-    for id in report.pending {
-        if let Some(job) = shared.store.get(&id) {
-            shared.progress_for(&id).push(format!(
-                "job {id}: recovered from journal ({})",
-                job.status
-            ));
-            shared.jobs.push_unchecked(id);
-        }
-    }
+    let (conns, queued) = mpsc::sync_channel(MAX_CONNS);
+    let queued = Arc::new(Mutex::new(queued));
 
     let mut threads = Vec::new();
     {
@@ -268,15 +184,16 @@ pub fn start(opts: ServeOptions) -> io::Result<ServerHandle> {
         threads.push(
             thread::Builder::new()
                 .name("tml-acceptor".to_string())
-                .spawn(move || acceptor_loop(&shared, &listener))?,
+                .spawn(move || acceptor_loop(&shared, &listener, conns))?,
         );
     }
     for i in 0..HTTP_WORKERS {
         let shared = Arc::clone(&shared);
+        let queued = Arc::clone(&queued);
         threads.push(
             thread::Builder::new()
                 .name(format!("tml-http-{i}"))
-                .spawn(move || worker_loop(&shared))?,
+                .spawn(move || worker_loop(&shared, &queued))?,
         );
     }
     {
@@ -291,7 +208,10 @@ pub fn start(opts: ServeOptions) -> io::Result<ServerHandle> {
     Ok(ServerHandle { addr, shared, threads })
 }
 
-fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+/// Accepts until a drain, queueing each connection for the workers.
+/// Returning drops `conns`: the workers answer the connections already
+/// queued, then find the channel closed and exit.
+fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener, conns: SyncSender<TcpStream>) {
     // `accept` blocks until a connection arrives, so a waiting client
     // is served at once; `ServerHandle::drain` connects once to wake it.
     loop {
@@ -303,13 +223,10 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             Ok((stream, _peer)) => {
                 let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
                 let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-                match shared.conns.push(stream) {
-                    Push::Accepted { .. } => {}
-                    Push::Shed(mut stream) | Push::Closed(mut stream) => {
-                        // Connection cap reached: shed at the door with
-                        // an explicit 503 instead of queueing unboundedly.
-                        let _ = shed_response(&mut stream, "connection cap reached");
-                    }
+                if let Err(Full(mut stream) | Disconnected(mut stream)) = conns.try_send(stream) {
+                    // Connection cap reached: shed at the door with an
+                    // explicit 503 instead of queueing unboundedly.
+                    let _ = shed_response(&mut stream, "connection cap reached");
                 }
             }
             // A failed accept (a peer that reset first, a full file
@@ -318,12 +235,16 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
-    // Stop taking new connections but answer the ones already queued.
-    shared.conns.close(true);
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(mut stream) = shared.conns.pop() {
+fn worker_loop(shared: &Arc<Shared>, queued: &Mutex<Receiver<TcpStream>>) {
+    loop {
+        // One worker at a time waits in `recv`; the lock is released at
+        // the end of this statement, before the request is handled.
+        let next = queued.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(mut stream) = next else {
+            return;
+        };
         handle_conn(shared, &mut stream);
     }
 }
@@ -464,8 +385,8 @@ fn handle_readyz(shared: &Arc<Shared>, stream: &mut TcpStream) -> io::Result<()>
     }
     let body = ReadyBody {
         status: "ready".to_string(),
-        queue_depth: Some(shared.jobs.depth()),
-        queue_cap: Some(shared.jobs.cap()),
+        queue_depth: Some(shared.store.depth()),
+        queue_cap: Some(shared.store.cap()),
     };
     json_response(stream, 200, &body, &[])
 }
@@ -503,14 +424,18 @@ fn handle_submit(
         }
     };
     let key = req.header("idempotency-key");
-    let outcome = match shared.store.submit(key, &spec.canonical_json()) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            return error_response(stream, 500, "store", &e.to_string());
+    let note = format!("queued ({} cells)", spec.runs);
+    match shared.store.submit(key, &spec.canonical_json(), &note) {
+        Ok(SubmitOutcome::Created { job, depth }) => {
+            let body = SubmitBody {
+                id: job.id,
+                status: job.status,
+                deduplicated: None,
+                queue_depth: Some(depth),
+            };
+            json_response(stream, 201, &body, &[])
         }
-    };
-    match outcome {
-        SubmitOutcome::Deduplicated(job) => {
+        Ok(SubmitOutcome::Deduplicated(job)) => {
             let body = SubmitBody {
                 id: job.id,
                 status: job.status,
@@ -519,33 +444,9 @@ fn handle_submit(
             };
             json_response(stream, 200, &body, &[])
         }
-        SubmitOutcome::Created(job) => {
-            shared.progress_for(&job.id).push(format!(
-                "job {}: queued ({} cells)",
-                job.id, spec.runs
-            ));
-            match shared.jobs.push(job.id.clone()) {
-                Push::Accepted { depth } => {
-                    let body = SubmitBody {
-                        id: job.id,
-                        status: JobStatus::Queued,
-                        deduplicated: None,
-                        queue_depth: Some(depth),
-                    };
-                    json_response(stream, 201, &body, &[])
-                }
-                Push::Shed(_) | Push::Closed(_) => {
-                    // Journal the shed so the job is not silently lost,
-                    // then tell the client to retry.
-                    let _ = shared.store.set_status(
-                        &job.id,
-                        JobStatus::Failed,
-                        Some("shed at admission: queue full"),
-                    );
-                    shed_response(stream, "admission queue full")
-                }
-            }
-        }
+        Ok(SubmitOutcome::Shed) => shed_response(stream, "admission queue full"),
+        Ok(SubmitOutcome::Closed) => shed_response(stream, "server is draining"),
+        Err(e) => error_response(stream, 500, "store", &e.to_string()),
     }
 }
 
@@ -561,7 +462,7 @@ fn handle_status(
         id: job.id,
         status: job.status,
         detail: job.detail,
-        events: shared.find_progress(id).map_or(0, |p| p.count()),
+        events: job.events,
     };
     json_response(stream, 200, &body, &[])
 }
@@ -571,20 +472,22 @@ fn handle_events(
     id: &str,
     stream: &mut TcpStream,
 ) -> io::Result<()> {
-    if shared.store.get(id).is_none() {
+    // Lines and status come from one read of the store, and a job's
+    // last lines land before its terminal status: a stream that sees
+    // `done` or `failed` has already sent every line.
+    let Some(mut read) = shared.store.progress(id, 0) else {
         return error_response(stream, 404, "not-found", "no such experiment");
-    }
-    let progress = shared.progress_for(id);
+    };
     let deadline = Instant::now() + EVENTS_WINDOW;
     let mut cursor = 0usize;
     http::start_chunked(stream, 200, "text/plain; charset=utf-8")?;
     loop {
-        let (lines, done) = progress.snapshot(cursor);
+        let (lines, status) = read;
         cursor += lines.len();
         for line in &lines {
             http::write_chunk(stream, format!("{line}\n").as_bytes())?;
         }
-        if done {
+        if status.is_terminal() {
             http::write_chunk(stream, b"end\n")?;
             break;
         }
@@ -597,6 +500,11 @@ fn handle_events(
             break;
         }
         thread::sleep(Duration::from_millis(25));
+        // Jobs are never removed, so a job read once reads again.
+        let Some(next) = shared.store.progress(id, cursor) else {
+            break;
+        };
+        read = next;
     }
     http::end_chunked(stream)
 }
@@ -650,7 +558,7 @@ fn handle_artifact(
 }
 
 fn executor_loop(shared: &Arc<Shared>) {
-    while let Some(id) = shared.jobs.pop() {
+    while let Some(id) = shared.store.next() {
         execute_job(shared, &id);
     }
 }
@@ -659,14 +567,13 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
     let Some(job) = shared.store.get(id) else {
         return;
     };
-    let progress = shared.progress_for(id);
+    let say = |line: String| shared.store.push_progress(id, line);
     let spec = match ExperimentSpec::from_json(&job.spec_json) {
         Ok(spec) => spec,
         Err(e) => {
             let detail = format!("journaled spec no longer validates: {e}");
-            progress.push(format!("job {id}: failed — {detail}"));
+            say(format!("job {id}: failed — {detail}"));
             let _ = shared.store.set_status(id, JobStatus::Failed, Some(&detail));
-            progress.finish();
             return;
         }
     };
@@ -676,7 +583,7 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
     // journaled there.
     let resumed = out_dir.exists();
     let _ = shared.store.set_status(id, JobStatus::Running, None);
-    progress.push(format!(
+    say(format!(
         "job {id}: running {} cell(s){}",
         spec.runs,
         if resumed { ", resuming from journal" } else { "" }
@@ -686,7 +593,7 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
         runs: spec.runs,
         ckpt_events: spec.ckpt_events,
     };
-    let mut on_event = |event: SweepEvent| progress.push(event.to_string());
+    let mut on_event = |event: SweepEvent| say(event.to_string());
     let mut ctrl = SweepControl {
         cancel: Some(&shared.draining),
         progress: Some(&mut on_event),
@@ -701,14 +608,14 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || {
             if let Some(screen) = spec.config.screen {
-                progress.push(format!(
+                say(format!(
                     "job {id}: analytic screen over 16 hardware cells (threshold {:.3})",
                     screen.threshold
                 ));
                 match treadmill_inference::screen_hardware(&spec.config, screen.threshold) {
                     Ok(plan) => {
                         let sweep_plan = plan.to_sweep_plan();
-                        progress.push(format!(
+                        say(format!(
                             "job {id}: screen flagged {} of 16 cells for simulation",
                             sweep_plan.cells.iter().filter(|c| c.flagged).count()
                         ));
@@ -742,25 +649,21 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
         Ok((interrupted, _)) if interrupted => {
             // Deliberately left `running`: the journal + sealed
             // checkpoint are exactly what a restart picks up.
-            progress.push(format!(
-                "job {id}: interrupted by drain; a restart continues it"
-            ));
+            say(format!("job {id}: interrupted by drain; a restart continues it"));
         }
         // Every final line lands before the terminal status is
         // published, so a client that reads `done` (or sees the
         // `/events` stream end) has every line to read.
         Ok((_, warnings)) => {
             for warning in &warnings {
-                progress.push(format!("warning: {warning}"));
+                say(format!("warning: {warning}"));
             }
-            progress.push(format!("job {id}: done"));
+            say(format!("job {id}: done"));
             let _ = shared.store.set_status(id, JobStatus::Done, None);
-            progress.finish();
         }
         Err(detail) => {
-            progress.push(format!("job {id}: failed — {detail}"));
+            say(format!("job {id}: failed — {detail}"));
             let _ = shared.store.set_status(id, JobStatus::Failed, Some(&detail));
-            progress.finish();
         }
     }
 }

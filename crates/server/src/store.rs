@@ -1,8 +1,16 @@
-//! Job persistence: one [`JobStore`], journaled to `jobs.jsonl` through
-//! [`treadmill_core::journal::Journal`] (the crash-safety recipe of the
-//! sweep manifest: one fsynced JSON line per transition, torn tails
-//! sealed and skipped on replay). Duplicate journal lines are
-//! idempotent.
+//! The one record of every job: one [`JobStore`] holds each job's
+//! spec, status, failure detail and progress lines, and the queue of
+//! ids waiting for the executor, under one lock, so a reader that sees
+//! a terminal status also sees every line pushed before it. Progress
+//! lines live in memory only, at most 4096 per job plus a truncation
+//! marker.
+//!
+//! Each admitted job and each transition is one line of `jobs.jsonl`
+//! ([`treadmill_core::journal::Journal`]: fsynced, torn tails sealed
+//! and skipped on replay), appended first and then applied to memory
+//! exactly as replay applies it, so a failed append changes nothing.
+//! Duplicate lines are idempotent. A shed submission is not journaled
+//! and takes no id.
 //!
 //! The journal is also the service's provenance trail. Each line is
 //! stamped with the wall-clock `unix_ms` of its append; a job's
@@ -10,13 +18,13 @@
 //! and every later line is a transition: `running` each time an
 //! executor picks the job up (a second one is a recovery after a crash
 //! or a drain), then `done` or `failed`. A job whose last line is
-//! `running` when the server starts was interrupted.
+//! `queued` or `running` when the server starts is queued again.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
@@ -24,12 +32,10 @@ use treadmill_core::journal::Journal;
 
 use crate::job::JobStatus;
 
-/// Recovers a poisoned mutex: the protected state is a plain map with
-/// no invariants that a panicking writer could half-apply, so the
-/// service degrades gracefully instead of cascading the panic.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// Progress lines kept per job; past it one truncation marker is
+/// appended and later lines are dropped, so memory stays bounded no
+/// matter how long a job runs.
+const MAX_PROGRESS_LINES: usize = 4096;
 
 /// One stored job.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,16 +50,28 @@ pub struct StoredJob {
     pub status: JobStatus,
     /// Failure detail, for `failed` jobs.
     pub detail: Option<String>,
+    /// Progress lines recorded so far (what `/events` streams).
+    pub events: usize,
 }
 
 /// What a submission did.
 #[derive(Debug)]
 pub enum SubmitOutcome {
-    /// A new job was created.
-    Created(StoredJob),
+    /// A new job was journaled and queued.
+    Created {
+        /// The new job.
+        job: StoredJob,
+        /// Queue depth after the push.
+        depth: usize,
+    },
     /// The idempotency key matched an existing job; nothing was
     /// created and the original is returned.
     Deduplicated(StoredJob),
+    /// The queue is full. Nothing was journaled and no id was taken.
+    Shed,
+    /// The store is closed (the service is draining). Nothing was
+    /// journaled and no id was taken.
+    Closed,
 }
 
 /// One journal line: a job state transition. Submission lines carry
@@ -76,6 +94,22 @@ struct JournalLine {
     detail: Option<String>,
 }
 
+impl JournalLine {
+    /// A line moving `id` to `status`; the append stamps `seq` and
+    /// `unix_ms`.
+    fn new(id: &str, status: JobStatus) -> Self {
+        JournalLine {
+            seq: 0,
+            unix_ms: 0,
+            id: id.to_string(),
+            status,
+            key: None,
+            spec: None,
+            detail: None,
+        }
+    }
+}
+
 /// What journal replay found.
 #[derive(Debug, Default, Clone)]
 pub struct ReplayReport {
@@ -86,55 +120,72 @@ pub struct ReplayReport {
     /// Status lines referencing ids with no submission line (a torn
     /// submission followed by later appends); ignored.
     pub orphan_lines: usize,
-    /// Ids of jobs left `queued` or `running` — work to re-enqueue.
+    /// Ids of jobs left `queued` or `running`, queued again in id order.
     pub pending: Vec<String>,
 }
 
-/// The job table. Every transition is one fsynced journal line and
-/// [`JobStore::open`] replays it, so a SIGKILL'd server reconstructs
-/// exactly the admitted state.
+/// The job table and the queue of ids the executor has yet to run.
+/// Every transition is one fsynced journal line and [`JobStore::open`]
+/// replays it, so a SIGKILL'd server reconstructs exactly the admitted
+/// state.
 pub struct JobStore {
     journal: Journal<JournalLine>,
+    /// Submissions beyond this many queued ids are shed.
+    cap: usize,
     state: Mutex<State>,
+    /// Signalled when an id is queued or the store closes.
+    ready: Condvar,
 }
 
 #[derive(Default)]
 struct State {
     next_job: u64,
     next_seq: u64,
-    jobs: BTreeMap<String, StoredJob>,
+    jobs: BTreeMap<String, Entry>,
     by_key: BTreeMap<String, String>,
+    queue: VecDeque<String>,
+    closed: bool,
+}
+
+/// A job and its progress lines.
+struct Entry {
+    job: StoredJob,
+    lines: Vec<String>,
+}
+
+impl Entry {
+    fn push(&mut self, line: String) {
+        if self.lines.len() < MAX_PROGRESS_LINES {
+            self.lines.push(line);
+        } else if self.lines.len() == MAX_PROGRESS_LINES {
+            self.lines.push("… further progress truncated".to_string());
+        }
+        self.job.events = self.lines.len();
+    }
 }
 
 impl State {
-    fn set_status(&mut self, id: &str, status: JobStatus, detail: Option<&str>) -> bool {
-        match self.jobs.get_mut(id) {
-            Some(job) => {
-                job.status = status;
-                job.detail = detail.map(str::to_string);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Replays one journal line. Duplicate submissions are idempotent:
-    /// the first wins (a re-sent line cannot change the spec).
-    fn apply(&mut self, entry: JournalLine, report: &mut ReplayReport) {
-        self.next_seq = self.next_seq.max(entry.seq.saturating_add(1));
-        let Some(spec) = entry.spec else {
-            if !self.set_status(&entry.id, entry.status, entry.detail.as_deref()) {
-                report.orphan_lines += 1;
-            }
-            return;
+    /// Applies one journal line, at replay and after each append; false
+    /// for a status line naming an unknown id. Duplicate submissions
+    /// are idempotent: the first wins (a re-sent line cannot change the
+    /// spec).
+    fn apply(&mut self, line: JournalLine) -> bool {
+        self.next_seq = self.next_seq.max(line.seq.saturating_add(1));
+        let Some(spec) = line.spec else {
+            let Some(entry) = self.jobs.get_mut(&line.id) else {
+                return false;
+            };
+            entry.job.status = line.status;
+            entry.job.detail = line.detail;
+            return true;
         };
-        if self.jobs.contains_key(&entry.id) {
-            return;
+        if self.jobs.contains_key(&line.id) {
+            return true;
         }
-        if let Some(key) = &entry.key {
-            self.by_key.insert(key.clone(), entry.id.clone());
+        if let Some(key) = &line.key {
+            self.by_key.insert(key.clone(), line.id.clone());
         }
-        if let Some(n) = entry
+        if let Some(n) = line
             .id
             .strip_prefix("exp-")
             .and_then(|n| n.parse::<u64>().ok())
@@ -142,21 +193,26 @@ impl State {
             self.next_job = self.next_job.max(n + 1);
         }
         let job = StoredJob {
-            id: entry.id.clone(),
-            key: entry.key,
+            id: line.id.clone(),
+            key: line.key,
             spec_json: spec,
-            status: entry.status,
-            detail: entry.detail,
+            status: line.status,
+            detail: line.detail,
+            events: 0,
         };
-        self.jobs.insert(entry.id, job);
+        self.jobs.insert(line.id, Entry { job, lines: Vec::new() });
+        true
     }
 }
 
 impl JobStore {
     /// Opens (or creates) the journal under `state_dir` and replays
     /// it. Torn lines (unparseable JSON) and status lines for unknown
-    /// ids are counted and skipped.
-    pub fn open(state_dir: &Path) -> io::Result<(JobStore, ReplayReport)> {
+    /// ids are counted and skipped. Jobs the journal left `queued` or
+    /// `running` are queued again, past `cap` if need be (they were
+    /// admitted under it), each with its first progress line.
+    /// Submissions beyond `cap` queued ids are shed.
+    pub fn open(state_dir: &Path, cap: usize) -> io::Result<(JobStore, ReplayReport)> {
         fs::create_dir_all(state_dir)?;
         let (journal, replay) = Journal::open(&state_dir.join("jobs.jsonl"))?;
         let mut state = State::default();
@@ -164,67 +220,121 @@ impl JobStore {
             torn_lines: replay.unparseable,
             ..ReplayReport::default()
         };
-        for entry in replay.records {
-            state.apply(entry, &mut report);
+        for line in replay.records {
+            if !state.apply(line) {
+                report.orphan_lines += 1;
+            }
         }
         report.jobs = state.jobs.len();
-        report.pending = state
-            .jobs
-            .values()
-            .filter(|j| !j.status.is_terminal())
-            .map(|j| j.id.clone())
-            .collect();
+        for (id, entry) in &mut state.jobs {
+            if !entry.job.status.is_terminal() {
+                entry.push(format!(
+                    "job {id}: recovered from journal ({})",
+                    entry.job.status
+                ));
+                report.pending.push(id.clone());
+            }
+        }
+        state.queue.extend(report.pending.iter().cloned());
         let store = JobStore {
             journal,
+            cap,
             state: Mutex::new(state),
+            ready: Condvar::new(),
         };
         Ok((store, report))
     }
 
+    /// Recovers a poisoned lock: memory changes only by applying a
+    /// journaled line, in steps that cannot panic, so the service
+    /// degrades gracefully instead of cascading a holder's panic.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Journals `line` under the next sequence number, stamped with the
-    /// wall clock.
+    /// wall clock, then applies it to memory.
     fn append(&self, state: &mut State, mut line: JournalLine) -> io::Result<()> {
         line.seq = state.next_seq;
         state.next_seq += 1;
         line.unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
-        self.journal.append(&line)
+        self.journal.append(&line)?;
+        state.apply(line);
+        Ok(())
     }
 
-    /// Admits a job (or dedups it by idempotency `key`).
-    pub fn submit(&self, key: Option<&str>, spec_json: &str) -> io::Result<SubmitOutcome> {
-        let mut state = lock(&self.state);
-        if let Some(job) = key
+    /// Admits a job in one step: a known idempotency `key` returns its
+    /// job whatever the queue holds; a closed store or a full queue
+    /// sheds, journaling nothing and taking no id; otherwise the
+    /// submission is journaled, then recorded with its first progress
+    /// line, `job {id}: {note}`, and queued. An id whose append fails
+    /// is not used again: the line may still have reached the disk.
+    pub fn submit(
+        &self,
+        key: Option<&str>,
+        spec_json: &str,
+        note: &str,
+    ) -> io::Result<SubmitOutcome> {
+        let mut state = self.lock();
+        if let Some(entry) = key
             .and_then(|key| state.by_key.get(key))
             .and_then(|id| state.jobs.get(id))
         {
-            return Ok(SubmitOutcome::Deduplicated(job.clone()));
+            return Ok(SubmitOutcome::Deduplicated(entry.job.clone()));
+        }
+        if state.closed {
+            return Ok(SubmitOutcome::Closed);
+        }
+        if state.queue.len() >= self.cap {
+            return Ok(SubmitOutcome::Shed);
         }
         let id = format!("exp-{:06}", state.next_job);
         state.next_job += 1;
-        let job = StoredJob {
-            id: id.clone(),
-            key: key.map(str::to_string),
-            spec_json: spec_json.to_string(),
-            status: JobStatus::Queued,
-            detail: None,
-        };
-        if let Some(key) = key {
-            state.by_key.insert(key.to_string(), id.clone());
-        }
-        state.jobs.insert(id.clone(), job.clone());
         let line = JournalLine {
-            seq: 0,
-            unix_ms: 0,
-            id,
-            status: job.status,
-            key: job.key.clone(),
-            spec: Some(job.spec_json.clone()),
-            detail: None,
+            key: key.map(str::to_string),
+            spec: Some(spec_json.to_string()),
+            ..JournalLine::new(&id, JobStatus::Queued)
         };
         self.append(&mut state, line)?;
-        Ok(SubmitOutcome::Created(job))
+        let Some(entry) = state.jobs.get_mut(&id) else {
+            return Err(io::Error::other(format!("{id} vanished after its append")));
+        };
+        entry.push(format!("job {id}: {note}"));
+        let job = entry.job.clone();
+        state.queue.push_back(id);
+        let depth = state.queue.len();
+        drop(state);
+        self.ready.notify_one();
+        Ok(SubmitOutcome::Created { job, depth })
+    }
+
+    /// Blocks until a queued id is ready (`Some`) or the store is
+    /// closed (`None`).
+    pub fn next(&self) -> Option<String> {
+        let mut state = self.lock();
+        loop {
+            if state.closed {
+                return None;
+            }
+            if let Some(id) = state.queue.pop_front() {
+                return Some(id);
+            }
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Closes the store for a drain: queued ids are dropped (they stay
+    /// journaled and are queued again at the next start), later
+    /// submissions get [`SubmitOutcome::Closed`], and [`JobStore::next`]
+    /// returns `None`.
+    pub fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        state.queue.clear();
+        drop(state);
+        self.ready.notify_all();
     }
 
     /// Records a lifecycle transition; unknown ids are ignored.
@@ -234,30 +344,46 @@ impl JobStore {
         status: JobStatus,
         detail: Option<&str>,
     ) -> io::Result<()> {
-        let mut state = lock(&self.state);
-        if !state.set_status(id, status, detail) {
+        let mut state = self.lock();
+        if !state.jobs.contains_key(id) {
             return Ok(());
         }
         let line = JournalLine {
-            seq: 0,
-            unix_ms: 0,
-            id: id.to_string(),
-            status,
-            key: None,
-            spec: None,
             detail: detail.map(str::to_string),
+            ..JournalLine::new(id, status)
         };
         self.append(&mut state, line)
     }
 
-    /// Fetches one job.
-    pub fn get(&self, id: &str) -> Option<StoredJob> {
-        lock(&self.state).jobs.get(id).cloned()
+    /// Appends one progress line to a job; unknown ids are ignored.
+    pub fn push_progress(&self, id: &str, line: String) {
+        if let Some(entry) = self.lock().jobs.get_mut(id) {
+            entry.push(line);
+        }
     }
 
-    /// All jobs in id order.
-    pub fn jobs(&self) -> Vec<StoredJob> {
-        lock(&self.state).jobs.values().cloned().collect()
+    /// Fetches one job.
+    pub fn get(&self, id: &str) -> Option<StoredJob> {
+        self.lock().jobs.get(id).map(|entry| entry.job.clone())
+    }
+
+    /// A job's progress lines from index `from` on, and its status, in
+    /// one read.
+    pub fn progress(&self, id: &str, from: usize) -> Option<(Vec<String>, JobStatus)> {
+        let state = self.lock();
+        let entry = state.jobs.get(id)?;
+        let lines = entry.lines.get(from..).unwrap_or_default().to_vec();
+        Some((lines, entry.job.status))
+    }
+
+    /// Ids queued for the executor.
+    pub fn depth(&self) -> usize {
+        self.lock().queue.len()
+    }
+
+    /// The queue depth beyond which submissions are shed.
+    pub fn cap(&self) -> usize {
+        self.cap
     }
 }
 
@@ -265,6 +391,8 @@ impl JobStore {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+
+    const CAP: usize = 8;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -277,17 +405,17 @@ mod tests {
     #[test]
     fn submit_dedup_and_status_roundtrip_through_reopen() {
         let dir = tmp_dir("roundtrip");
-        let (store, report) = JobStore::open(&dir).unwrap();
+        let (store, report) = JobStore::open(&dir, CAP).unwrap();
         assert_eq!(report.jobs, 0);
 
-        let SubmitOutcome::Created(job) =
-            store.submit(Some("k1"), "{\"spec\":1}").unwrap()
+        let SubmitOutcome::Created { job, .. } =
+            store.submit(Some("k1"), "{\"spec\":1}", "queued").unwrap()
         else {
             panic!("expected creation");
         };
         assert_eq!(job.id, "exp-000000");
         let SubmitOutcome::Deduplicated(dup) =
-            store.submit(Some("k1"), "{\"spec\":1}").unwrap()
+            store.submit(Some("k1"), "{\"spec\":1}", "queued").unwrap()
         else {
             panic!("expected dedup");
         };
@@ -296,7 +424,7 @@ mod tests {
             .set_status(&job.id, JobStatus::Running, None)
             .unwrap();
 
-        let (reopened, report) = JobStore::open(&dir).unwrap();
+        let (reopened, report) = JobStore::open(&dir, CAP).unwrap();
         assert_eq!(report.jobs, 1);
         assert_eq!(report.pending, vec!["exp-000000".to_string()]);
         let job = reopened.get("exp-000000").unwrap();
@@ -305,12 +433,12 @@ mod tests {
 
         // Dedup and id allocation both survive the reopen.
         let SubmitOutcome::Deduplicated(_) =
-            reopened.submit(Some("k1"), "{}").unwrap()
+            reopened.submit(Some("k1"), "{}", "queued").unwrap()
         else {
             panic!("dedup lost across reopen");
         };
-        let SubmitOutcome::Created(next) =
-            reopened.submit(None, "{}").unwrap()
+        let SubmitOutcome::Created { job: next, .. } =
+            reopened.submit(None, "{}", "queued").unwrap()
         else {
             panic!("expected creation");
         };
@@ -321,14 +449,16 @@ mod tests {
     #[test]
     fn every_line_is_stamped_and_an_unstamped_journal_replays_the_same() {
         let dir = tmp_dir("stamped");
-        let (store, _) = JobStore::open(&dir).unwrap();
+        let (store, _) = JobStore::open(&dir, CAP).unwrap();
         for (key, status) in [
             ("a", Some(JobStatus::Done)),
             ("b", Some(JobStatus::Running)),
             ("c", None),
             ("d", Some(JobStatus::Failed)),
         ] {
-            let SubmitOutcome::Created(job) = store.submit(Some(key), "{}").unwrap() else {
+            let SubmitOutcome::Created { job, .. } =
+                store.submit(Some(key), "{}", "queued").unwrap()
+            else {
                 panic!("expected creation");
             };
             if let Some(status) = status {
@@ -347,12 +477,16 @@ mod tests {
             let end = at + line[at..].find(',').unwrap() + 1;
             unstamped.push_str(&format!("{}{}\n", &line[..at], &line[end..]));
         }
-        let (stamped, stamped_report) = JobStore::open(&dir).unwrap();
+        let (stamped, stamped_report) = JobStore::open(&dir, CAP).unwrap();
 
         // The same journal as a build before the stamp wrote it.
         fs::write(&journal, unstamped).unwrap();
-        let (parent, parent_report) = JobStore::open(&dir).unwrap();
-        assert_eq!(parent.jobs(), stamped.jobs());
+        let (parent, parent_report) = JobStore::open(&dir, CAP).unwrap();
+        assert_eq!((parent_report.jobs, stamped_report.jobs), (4, 4));
+        for n in 0..4 {
+            let id = format!("exp-{n:06}");
+            assert_eq!(parent.get(&id), stamped.get(&id), "{id}");
+        }
         assert_eq!(parent_report.pending, stamped_report.pending);
         assert_eq!(
             parent_report.pending,
@@ -365,14 +499,14 @@ mod tests {
     #[test]
     fn torn_trailing_line_is_ignored() {
         let dir = tmp_dir("torn");
-        let (store, _) = JobStore::open(&dir).unwrap();
-        store.submit(None, "{}").unwrap();
+        let (store, _) = JobStore::open(&dir, CAP).unwrap();
+        store.submit(None, "{}", "queued").unwrap();
         let journal = dir.join("jobs.jsonl");
         let mut text = fs::read_to_string(&journal).unwrap();
         text.push_str("{\"seq\":99,\"id\":\"exp-0000"); // torn mid-write
         fs::write(&journal, text).unwrap();
 
-        let (_, report) = JobStore::open(&dir).unwrap();
+        let (_, report) = JobStore::open(&dir, CAP).unwrap();
         assert_eq!(report.jobs, 1);
         assert_eq!(report.torn_lines, 1);
         let _ = fs::remove_dir_all(&dir);
@@ -386,9 +520,125 @@ mod tests {
             "{\"seq\":0,\"id\":\"exp-000007\",\"status\":\"done\"}\n",
         )
         .unwrap();
-        let (store, report) = JobStore::open(&dir).unwrap();
+        let (store, report) = JobStore::open(&dir, CAP).unwrap();
         assert_eq!(report.orphan_lines, 1);
-        assert!(store.jobs().is_empty());
+        assert_eq!(report.jobs, 0);
+        assert_eq!(store.get("exp-000007"), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shed_and_closed_submissions_journal_nothing_and_take_no_id() {
+        let dir = tmp_dir("shed");
+        let (store, _) = JobStore::open(&dir, 1).unwrap();
+        let SubmitOutcome::Created { job, depth } =
+            store.submit(Some("a"), "{}", "queued").unwrap()
+        else {
+            panic!("expected creation");
+        };
+        assert_eq!((job.id.as_str(), depth), ("exp-000000", 1));
+        let journal = dir.join("jobs.jsonl");
+        let admitted = fs::read_to_string(&journal).unwrap();
+
+        // Full: shed, and the key stays free.
+        assert!(matches!(
+            store.submit(Some("b"), "{}", "queued").unwrap(),
+            SubmitOutcome::Shed
+        ));
+        assert_eq!(fs::read_to_string(&journal).unwrap(), admitted);
+        assert_eq!(store.next().as_deref(), Some("exp-000000"));
+        let SubmitOutcome::Created { job, .. } =
+            store.submit(Some("b"), "{}", "queued").unwrap()
+        else {
+            panic!("a key shed at a full queue was burned");
+        };
+        assert_eq!(job.id, "exp-000001", "the shed submission took an id");
+
+        // Closed: a known key still answers, a new one is turned away.
+        store.close();
+        assert!(matches!(
+            store.submit(Some("a"), "{}", "queued").unwrap(),
+            SubmitOutcome::Deduplicated(_)
+        ));
+        let before = fs::read_to_string(&journal).unwrap();
+        assert!(matches!(
+            store.submit(Some("c"), "{}", "queued").unwrap(),
+            SubmitOutcome::Closed
+        ));
+        assert_eq!(fs::read_to_string(&journal).unwrap(), before);
+        assert_eq!(store.next(), None);
+        assert_eq!(store.depth(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn progress_sits_beside_the_status_and_stays_bounded() {
+        let dir = tmp_dir("progress");
+        let (store, _) = JobStore::open(&dir, CAP).unwrap();
+        let SubmitOutcome::Created { job, .. } =
+            store.submit(None, "{}", "queued (2 cells)").unwrap()
+        else {
+            panic!("expected creation");
+        };
+        assert_eq!(job.events, 1);
+        assert_eq!(
+            store.progress(&job.id, 0),
+            Some((
+                vec!["job exp-000000: queued (2 cells)".to_string()],
+                JobStatus::Queued
+            ))
+        );
+        for i in 0..2 * MAX_PROGRESS_LINES {
+            store.push_progress(&job.id, format!("line {i}"));
+        }
+        store.set_status(&job.id, JobStatus::Done, None).unwrap();
+        let (lines, status) = store.progress(&job.id, MAX_PROGRESS_LINES - 1).unwrap();
+        assert_eq!(status, JobStatus::Done);
+        let truncated = "… further progress truncated".to_string();
+        assert_eq!(lines, [format!("line {}", MAX_PROGRESS_LINES - 2), truncated]);
+        assert_eq!(store.get(&job.id).unwrap().events, MAX_PROGRESS_LINES + 1);
+        assert_eq!(store.progress(&job.id, usize::MAX).unwrap().0, Vec::<String>::new());
+
+        // Reading or pushing to an unknown id creates nothing.
+        store.push_progress("exp-999999", "stray".to_string());
+        assert_eq!(store.progress("exp-999999", 0), None);
+        assert_eq!(store.get("exp-999999"), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pending_jobs_are_queued_again_with_their_first_line() {
+        let dir = tmp_dir("recover");
+        let (store, _) = JobStore::open(&dir, 1).unwrap();
+        for key in ["a", "b"] {
+            store.submit(Some(key), "{}", "queued").unwrap();
+            let id = store.next().unwrap();
+            store.set_status(&id, JobStatus::Running, None).unwrap();
+            if key == "a" {
+                store.set_status(&id, JobStatus::Done, None).unwrap();
+            }
+        }
+        store.submit(Some("c"), "{}", "queued").unwrap();
+        drop(store);
+
+        // Recovery bypasses the cap: both pending jobs are queued.
+        let (store, report) = JobStore::open(&dir, 1).unwrap();
+        assert_eq!(report.pending, ["exp-000001", "exp-000002"]);
+        assert_eq!(store.depth(), 2);
+        assert_eq!(
+            store.progress("exp-000001", 0).unwrap(),
+            (
+                vec!["job exp-000001: recovered from journal (running)".to_string()],
+                JobStatus::Running
+            )
+        );
+        assert_eq!(store.get("exp-000000").unwrap().events, 0);
+        assert!(matches!(
+            store.submit(None, "{}", "queued").unwrap(),
+            SubmitOutcome::Shed
+        ));
+        assert_eq!(store.next().as_deref(), Some("exp-000001"));
+        assert_eq!(store.next().as_deref(), Some("exp-000002"));
         let _ = fs::remove_dir_all(&dir);
     }
 }

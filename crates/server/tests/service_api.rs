@@ -463,3 +463,129 @@ fn admission_queue_sheds_with_503_and_retry_after() {
     handle.join().expect("service threads panicked");
     let _ = fs::remove_dir_all(&state);
 }
+
+/// Three cells of ~45k requests: long enough to hold the executor
+/// while a test fills the queue behind it.
+const LONG_SPEC: &str = r#"{"config":{"workload":{"workload":"memcached"},
+    "target_rps":300000,"clients":2,"duration_ms":150,"warmup_ms":30,
+    "seed":7},"runs":3,"ckpt_events":25000}"#;
+
+fn status_of(addr: &str, id: &str) -> String {
+    field_str(&get(addr, &format!("/experiments/{id}")).text(), "status").unwrap()
+}
+
+fn queue_depth(addr: &str) -> usize {
+    let body = get(addr, "/readyz").text();
+    let at = body.find("\"queue_depth\":").expect("readyz has queue_depth") + 14;
+    body[at..].chars().take_while(char::is_ascii_digit).collect::<String>().parse().unwrap()
+}
+
+/// A cap-1 server whose executor runs [`LONG_SPEC`] and whose queue
+/// holds one job, submitted under `key`; returns that job's id.
+fn full_queue(tag: &str, key: &str) -> (ServerHandle, String, PathBuf, String) {
+    let state = temp_state(tag);
+    let mut opts = ServeOptions::new(&state);
+    opts.queue_cap = 1;
+    let handle = start(opts).expect("start service");
+    let addr = handle.addr().to_string();
+    let running = field_str(&post_spec(&addr, LONG_SPEC, None).text(), "id").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while status_of(&addr, &running) != "running" {
+        assert!(Instant::now() < deadline, "the long job never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let resp = post_spec(&addr, &small_spec(21), Some(key));
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    assert!(resp.text().contains("\"queue_depth\":1"), "{}", resp.text());
+    let queued = field_str(&resp.text(), "id").unwrap();
+    (handle, addr, state, queued)
+}
+
+#[test]
+fn keyed_retry_while_the_queue_is_full_returns_the_original_job() {
+    let (handle, addr, state, queued) = full_queue("dedup-full", "k-queued");
+    let resp = post_spec(&addr, &small_spec(21), Some("k-queued"));
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let body = resp.text();
+    assert!(body.contains("\"deduplicated\":true"), "{body}");
+    assert_eq!(field_str(&body, "id").unwrap(), queued);
+    assert_eq!(field_str(&body, "status").as_deref(), Some("queued"), "{body}");
+    shutdown(handle, &state);
+}
+
+#[test]
+fn keyed_submission_shed_at_a_full_queue_is_admitted_on_retry() {
+    let (handle, addr, state, _) = full_queue("shed-retry", "k-queued");
+    let resp = post_spec(&addr, &small_spec(22), Some("k-shed"));
+    assert_eq!(resp.status, 503, "{}", resp.text());
+    assert!(resp.header("retry-after").is_some(), "{}", resp.text());
+
+    // Once the queued job starts, the queue has room: the same key is
+    // a new submission, not the shed one.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while queue_depth(&addr) > 0 {
+        assert!(Instant::now() < deadline, "the queue never drained");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let resp = post_spec(&addr, &small_spec(22), Some("k-shed"));
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    let id = field_str(&resp.text(), "id").expect("retry admitted with an id");
+    wait_done(&addr, &id);
+    shutdown(handle, &state);
+}
+
+#[test]
+fn shed_submissions_leave_no_journal_line() {
+    let state = temp_state("shed-journal");
+    let mut opts = ServeOptions::new(&state);
+    opts.queue_cap = 1;
+    let handle = start(opts).expect("start service");
+    let addr = handle.addr().to_string();
+    assert_eq!(post_spec(&addr, LONG_SPEC, None).status, 201);
+
+    let mut shed = Vec::new();
+    let mut admitted = 1;
+    for seed in 100..112u64 {
+        let key = format!("burst-{seed}");
+        match post_spec(&addr, &small_spec(seed), Some(&key)).status {
+            201 => admitted += 1,
+            503 => shed.push(key),
+            other => panic!("unexpected status {other}"),
+        }
+    }
+    assert!(!shed.is_empty(), "burst of 12 over cap 1 shed nothing");
+    handle.drain();
+    handle.join().expect("service threads panicked");
+
+    let journal = fs::read_to_string(state.join("jobs.jsonl")).unwrap();
+    for key in &shed {
+        assert!(!journal.contains(&format!("\"{key}\"")), "shed {key} was journaled:\n{journal}");
+    }
+    let submissions = journal.lines().filter(|line| line.contains("\"status\":\"queued\"")).count();
+    assert_eq!(submissions, admitted, "{journal}");
+    assert!(!journal.contains("\"failed\""), "{journal}");
+    let _ = fs::remove_dir_all(&state);
+}
+
+#[test]
+fn events_of_a_job_finished_before_a_restart_end() {
+    let (handle, addr, state) = server("events-restart");
+    let id = field_str(&post_spec(&addr, &small_spec(8), None).text(), "id").unwrap();
+    wait_done(&addr, &id);
+    handle.drain();
+    handle.join().expect("service threads panicked");
+
+    let handle = start(ServeOptions::new(&state)).expect("restart service");
+    let addr = handle.addr().to_string();
+    // The client waits past the stream's 10 s window, so a stream that
+    // never ends shows its closing line instead of a client timeout.
+    let asked = Instant::now();
+    let path = format!("/experiments/{id}/events");
+    let events = client::request(&addr, "GET", &path, &[], b"", Duration::from_secs(15))
+        .expect("GET /events")
+        .text();
+    let took = asked.elapsed();
+    assert_eq!(events, "end\n");
+    assert!(took < Duration::from_secs(1), "/events took {took:?}");
+    shutdown(handle, &state);
+}

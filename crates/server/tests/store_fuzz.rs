@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use treadmill_server::store::JobStore;
-use treadmill_server::{ExperimentSpec, JobStatus};
+use treadmill_server::{ExperimentSpec, JobStatus, StoredJob, SubmitOutcome};
 
 fn temp_state(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -31,17 +31,26 @@ fn temp_state(tag: &str) -> PathBuf {
     dir
 }
 
+/// Queue capacity of every store here: far beyond what any journal
+/// below leaves pending, so no submission is shed.
+const CAP: usize = usize::MAX;
+
+/// The job a submission created or found.
+fn admitted(outcome: SubmitOutcome) -> StoredJob {
+    match outcome {
+        SubmitOutcome::Created { job, .. } | SubmitOutcome::Deduplicated(job) => job,
+        other => panic!("submission not admitted: {other:?}"),
+    }
+}
+
 /// Builds a realistic journal by driving a real store, then returns
 /// its raw text for mutation.
 fn seed_journal(dir: &Path, jobs: usize) -> String {
-    let (store, _) = JobStore::open(dir).unwrap();
+    let (store, _) = JobStore::open(dir, CAP).unwrap();
     for i in 0..jobs {
         let key = format!("key-{i}");
         let spec = format!("{{\"seed\":{i}}}");
-        let job = match store.submit(Some(&key), &spec).unwrap() {
-            treadmill_server::SubmitOutcome::Created(job)
-            | treadmill_server::SubmitOutcome::Deduplicated(job) => job,
-        };
+        let job = admitted(store.submit(Some(&key), &spec, "queued").unwrap());
         store.set_status(&job.id, JobStatus::Running, None).unwrap();
         if i % 2 == 0 {
             store.set_status(&job.id, JobStatus::Done, None).unwrap();
@@ -57,16 +66,12 @@ fn seed_journal(dir: &Path, jobs: usize) -> String {
 fn assert_recovers(tag: &str, text: &[u8]) {
     let dir = temp_state(tag);
     fs::write(dir.join("jobs.jsonl"), text).unwrap();
-    let (store, report) = JobStore::open(&dir).unwrap();
+    let (store, report) = JobStore::open(&dir, CAP).unwrap();
 
     // A recovered store is a working store.
-    let outcome = store.submit(Some("post-recovery"), "{}").unwrap();
-    let id = match outcome {
-        treadmill_server::SubmitOutcome::Created(job)
-        | treadmill_server::SubmitOutcome::Deduplicated(job) => job.id,
-    };
+    let id = admitted(store.submit(Some("post-recovery"), "{}", "queued").unwrap()).id;
     drop(store);
-    let (store, reread) = JobStore::open(&dir).unwrap();
+    let (store, reread) = JobStore::open(&dir, CAP).unwrap();
     let job = store.get(&id).expect("post-recovery submission persisted");
     assert_eq!(job.status, JobStatus::Queued);
     assert!(
@@ -81,7 +86,8 @@ fn assert_recovers(tag: &str, text: &[u8]) {
 /// Workload specs for the no-panic property: the default, one valid
 /// override, and hostile ones that `WorkloadSpec::build` must reject
 /// (crossed uniform bounds, empty and zero- or NaN-weighted mixtures,
-/// fractions out of range, negative costs).
+/// fractions out of range, negative costs, and a finite cost and a
+/// slow path whose worst case overflows the simulation clock).
 const WORKLOADS: &[&str] = &[
     r#"{"workload":"memcached"}"#,
     r#"{"workload":"mcrouter","config":{"message_size":{"kind":"uniform","low":64,"high":96}}}"#,
@@ -95,6 +101,8 @@ const WORKLOADS: &[&str] = &[
     r#"{"workload":"mcrouter","config":{"slow_fraction":3.0}}"#,
     r#"{"workload":"memcached","config":{"base_cpu_ns":-6600.0}}"#,
     r#"{"workload":"mcrouter","config":{"cpu_ns_per_byte":-6.0}}"#,
+    r#"{"workload":"memcached","config":{"base_cpu_ns":1e25}}"#,
+    r#"{"workload":"mcrouter","config":{"slow_fraction":1.0,"slow_multiplier":1e30}}"#,
 ];
 
 proptest! {

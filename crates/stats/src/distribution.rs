@@ -146,6 +146,12 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
+/// The largest draw [`sample_standard_normal`] can return: Box–Muller
+/// at its smallest uniform, `f64::EPSILON` (about 8.49).
+pub fn max_standard_normal() -> f64 {
+    (-2.0 * f64::EPSILON.ln()).sqrt()
+}
+
 /// Draws from a Pareto distribution with scale `x_min` and shape `alpha`.
 ///
 /// Used for the heavy-tailed component of value-size distributions

@@ -50,5 +50,5 @@ pub use mcrouter::Mcrouter;
 pub use memcached::{Memcached, MemcachedOp};
 pub use profile::{OpClass, RequestProfile, ServiceMoments, Workload};
 pub use sizes::SizeDistribution;
-pub use spec::{SpecError, WorkloadSpec};
+pub use spec::{SpecError, WorkloadSpec, MAX_SERVICE_NS, SERVER_SLOWDOWN};
 pub use synthetic::Synthetic;

@@ -6,6 +6,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
+use treadmill_stats::distribution::max_standard_normal;
 
 use crate::mcrouter::{self, Mcrouter};
 use crate::memcached::{self, Memcached};
@@ -44,6 +45,19 @@ impl From<serde_json::Error> for SpecError {
         SpecError::Json(e)
     }
 }
+
+/// Ceiling on one request's worst-case service time on the simulated
+/// server, in ns: 24 hours, the longest run `treadmill_core` accepts
+/// (its `MAX_DURATION_MS`), so no request outlasts a run and no finite
+/// cost reaches the simulation clock's `u64`-nanosecond limit alone.
+pub const MAX_SERVICE_NS: f64 = 86_400_000.0 * 1e6;
+
+/// The most the simulated server (`treadmill_cluster`'s default
+/// `ServerSpec`) stretches a request's drawn demand, rounded up: CPU
+/// work at the slowest DVFS step (2.2 GHz base over 1.2 GHz, ×1.83) or
+/// memory work under the remote-NUMA penalty (×1.8), either under the
+/// run's ±3% service jitter.
+pub const SERVER_SLOWDOWN: f64 = 2.0;
 
 /// A declarative workload description, loadable from JSON.
 ///
@@ -87,7 +101,9 @@ impl WorkloadSpec {
     /// field values a draw cannot use, naming the field: a size
     /// distribution [`SizeDistribution::sample`] would panic on, sizes
     /// that overflow `u32` once the protocol header is added, a fraction
-    /// outside `[0, 1]`, or a cost that is negative or not finite.
+    /// outside `[0, 1]`, a cost that is negative or not finite, or costs,
+    /// noise and slow path whose worst case on the simulated server
+    /// passes [`MAX_SERVICE_NS`].
     /// Returns [`SpecError::Json`] for config fields that don't match
     /// the workload's schema.
     pub fn build(&self) -> Result<Arc<dyn Workload>, SpecError> {
@@ -150,7 +166,16 @@ fn validate_memcached(w: &Memcached) -> Result<(), SpecError> {
              overflow u32 with the {header}-byte header"
         )));
     }
-    Ok(())
+    // The costliest request is a SET of the largest value: its CPU work
+    // costs 1.15×, its memory work 1.25×.
+    let value = f64::from(value);
+    let demand = [
+        ("base_cpu_ns", w.base_cpu_ns * 1.15),
+        ("cpu_ns_per_byte", w.cpu_ns_per_byte * value * 1.15),
+        ("base_mem_ns", w.base_mem_ns * 1.25),
+        ("mem_ns_per_byte", w.mem_ns_per_byte * value * 1.25),
+    ];
+    validate_worst_case(&demand, w.service_noise_sigma, w.slow_multiplier)
 }
 
 fn validate_mcrouter(w: &Mcrouter) -> Result<(), SpecError> {
@@ -164,7 +189,63 @@ fn validate_mcrouter(w: &Mcrouter) -> Result<(), SpecError> {
     ] {
         validate_cost(name, cost)?;
     }
-    validate_sizes("message_size", &w.message_size, mcrouter::HEADER_BYTES)?;
+    let message = validate_sizes("message_size", &w.message_size, mcrouter::HEADER_BYTES)?;
+    let message = f64::from(message);
+    let demand = [
+        ("base_cpu_ns", w.base_cpu_ns),
+        ("cpu_ns_per_byte", w.cpu_ns_per_byte * message),
+        ("base_mem_ns", w.base_mem_ns),
+    ];
+    validate_worst_case(&demand, w.service_noise_sigma, w.slow_multiplier)
+}
+
+/// Checks one request's worst-case service time against
+/// [`MAX_SERVICE_NS`]: the `demand` terms at the largest payload
+/// (already checked finite and non-negative), stretched by
+/// [`SERVER_SLOWDOWN`], then by the largest noise factor the lognormal
+/// sampler returns at `sigma`, then by the slow path. The error names
+/// the largest demand term and each factor applied by the stage that
+/// carried it past the bound.
+fn validate_worst_case(
+    demand: &[(&str, f64)],
+    sigma: f64,
+    slow_multiplier: f64,
+) -> Result<(), SpecError> {
+    // Past the largest normal draw, the noise's largest factor shrinks
+    // again while its mean correction swamps it.
+    let z = max_standard_normal();
+    if sigma > z {
+        return Err(SpecError::Invalid(format!(
+            "service_noise_sigma must be at most {z:.3} (the largest normal draw), got {sigma}"
+        )));
+    }
+    let (field, _) = demand
+        .iter()
+        .copied()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .unwrap_or(("demand", 0.0));
+    let mut cause = field.to_string();
+    let mut worst: f64 = demand.iter().map(|&(_, ns)| ns).sum();
+    for (factor, applied) in [
+        (SERVER_SLOWDOWN, String::new()),
+        (
+            (sigma * (z - sigma / 2.0)).exp(),
+            format!(" under service_noise_sigma {sigma:?}"),
+        ),
+        (
+            slow_multiplier.max(1.0),
+            format!(" and slow_multiplier {slow_multiplier:?}"),
+        ),
+    ] {
+        worst *= factor;
+        cause.push_str(&applied);
+        if worst > MAX_SERVICE_NS {
+            return Err(SpecError::Invalid(format!(
+                "{cause}: one request's worst-case service time of {worst:.3e} ns \
+                 passes the {MAX_SERVICE_NS:.3e} ns (24 h) bound"
+            )));
+        }
+    }
     Ok(())
 }
 
@@ -331,6 +412,22 @@ mod tests {
         // Negative costs.
         rejected("memcached", r#"{ "mem_ns_per_byte": -1.0 }"#, "mem_ns_per_byte");
         rejected("mcrouter", r#"{ "base_cpu_ns": -8000.0 }"#, "base_cpu_ns");
+        // Finite costs, noise and slow paths whose worst case on the
+        // simulated server passes 24 hours: each names its field.
+        rejected("memcached", r#"{ "base_cpu_ns": 1e25 }"#, "base_cpu_ns");
+        rejected("memcached", r#"{ "cpu_ns_per_byte": 1e10 }"#, "cpu_ns_per_byte");
+        rejected("memcached", r#"{ "base_mem_ns": 1e13 }"#, "base_mem_ns");
+        rejected("memcached", r#"{ "mem_ns_per_byte": 1e300 }"#, "mem_ns_per_byte");
+        rejected("mcrouter", r#"{ "base_cpu_ns": 1e13 }"#, "base_cpu_ns");
+        rejected("mcrouter", r#"{ "cpu_ns_per_byte": 1e10 }"#, "cpu_ns_per_byte");
+        rejected("mcrouter", r#"{ "base_mem_ns": 1e13 }"#, "base_mem_ns");
+        rejected("memcached", r#"{ "service_noise_sigma": 3.0 }"#, "service_noise_sigma");
+        rejected("mcrouter", r#"{ "service_noise_sigma": 1e300 }"#, "service_noise_sigma");
+        let slow = |fraction: f64, multiplier: f64| {
+            format!(r#"{{ "slow_fraction": {fraction}, "slow_multiplier": {multiplier:e} }}"#)
+        };
+        rejected("mcrouter", &slow(1.0, 1e30), "slow_multiplier");
+        rejected("memcached", &slow(0.0, 1e9), "slow_multiplier");
 
         // JSON has no literal for a value that is not finite; a config
         // built in code can still carry one.
@@ -359,6 +456,33 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("base_mem_ns"));
+    }
+
+    /// The bound rejects only what passes 24 hours: a request whose
+    /// worst case sits just under it builds, and the same costs a
+    /// little higher do not.
+    #[test]
+    fn worst_case_bound_is_tight_and_spares_realistic_costs() {
+        let fixed = r#"{ "kind": "fixed", "bytes": 1000 }"#;
+        let mcrouter = |base_cpu_ns: f64| {
+            WorkloadSpec::from_json(&format!(
+                r#"{{ "workload": "mcrouter", "config": {{ "message_size": {fixed},
+                    "base_cpu_ns": {base_cpu_ns}, "cpu_ns_per_byte": 0.0, "base_mem_ns": 0.0,
+                    "service_noise_sigma": 0.0, "slow_multiplier": 1.0 }} }}"#
+            ))
+            .unwrap()
+            .build()
+        };
+        let at_bound = MAX_SERVICE_NS / SERVER_SLOWDOWN;
+        assert!(mcrouter(at_bound).is_ok());
+        assert!(mcrouter(at_bound * 1.001).is_err());
+        // Heavy but plausible settings still build.
+        let heavy = WorkloadSpec::from_json(
+            r#"{ "workload": "memcached", "config": { "base_cpu_ns": 1e6,
+                 "service_noise_sigma": 1.5, "slow_fraction": 0.5, "slow_multiplier": 100.0 } }"#,
+        )
+        .unwrap();
+        assert!(heavy.build().is_ok());
     }
 
     #[test]

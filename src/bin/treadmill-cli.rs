@@ -63,9 +63,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use treadmill::cluster::HardwareConfig;
+use treadmill::core::experiment::run_until_converged_with;
 use treadmill::core::{
-    run_factorial_sweep_controlled, run_sweep_controlled, run_until_converged,
-    ExperimentOptions, LoadTestConfig, ScreenSpec, SweepControl, SweepEvent, SweepOptions,
+    run_factorial_sweep_controlled, run_sweep_controlled, ExperimentOptions, LoadTestConfig,
+    ScreenSpec, SweepControl, SweepEvent, SweepOptions,
 };
 use treadmill::inference::{
     attribute, collect, screen_factors, screen_hardware, CollectionPlan, ScreeningOptions,
@@ -240,16 +241,22 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         "running up to {} restarts of {} at {} RPS ...",
         flags.runs, config.workload.workload, config.target_rps
     );
-    let outcome = run_until_converged(
-        &test,
-        ExperimentOptions {
-            min_runs: 2.max(flags.runs / 3),
-            max_runs: flags.runs,
-            relative_tolerance: 0.05,
-            confidence: 0.95,
-        },
-        0,
-    );
+    // The last run's full report is kept for the health checks below,
+    // one report alive at a time.
+    let mut last = None;
+    let options = ExperimentOptions {
+        min_runs: 2.max(flags.runs / 3),
+        max_runs: flags.runs,
+        relative_tolerance: 0.05,
+        confidence: 0.95,
+    };
+    let outcome = run_until_converged_with(options, |i| {
+        last = None;
+        let report = test.run(i);
+        let summary = report.aggregated;
+        last = Some(report);
+        summary
+    });
     for (i, run) in outcome.runs.iter().enumerate() {
         println!(
             "  run {i}: p50 {:7.1}us  p95 {:7.1}us  p99 {:7.1}us  ({} samples)",
@@ -266,8 +273,9 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         outcome.mean_p50, outcome.mean_p99, outcome.stddev_p99
     );
     // Full report (incl. pitfall health checks) for the last run.
-    let last = test.run(outcome.num_runs() as u64 - 1);
-    print!("{}", treadmill::core::render_report(&last, config.target_rps));
+    if let Some(last) = &last {
+        print!("{}", treadmill::core::render_report(last, config.target_rps));
+    }
     Ok(())
 }
 

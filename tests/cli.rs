@@ -153,3 +153,33 @@ fn too_few_runs_are_rejected_before_anything_runs() {
     }
     let _ = fs::remove_dir_all(&root);
 }
+
+#[test]
+fn costs_that_overflow_the_clock_are_rejected_by_name() {
+    let root = temp_root("costs");
+    let cases = [
+        ("memcached", r#"{ "base_cpu_ns": 1e25 }"#, "base_cpu_ns"),
+        (
+            "mcrouter",
+            r#"{ "slow_fraction": 1.0, "slow_multiplier": 1e30 }"#,
+            "slow_multiplier",
+        ),
+    ];
+    for (workload, overrides, field) in cases {
+        let path = root.join(format!("{workload}.json"));
+        fs::write(
+            &path,
+            format!(
+                r#"{{ "workload": {{ "workload": "{workload}", "config": {overrides} }},
+                      "target_rps": 100000, "clients": 2, "duration_ms": 50, "warmup_ms": 10 }}"#
+            ),
+        )
+        .unwrap();
+        let result = cli(&["run", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{overrides}: {stderr}");
+        assert!(stderr.contains(field), "{overrides}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{overrides}: {stderr}");
+    }
+    let _ = fs::remove_dir_all(&root);
+}
