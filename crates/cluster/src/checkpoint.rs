@@ -8,13 +8,18 @@
 //!   advances the cursor. A run appends one chunk per checkpoint to an
 //!   append-only segment, so a checkpoint costs its *new* records only;
 //!   [`read_chunk`] appends a chunk's records back onto the clients.
-//! * **state** — [`write_state`] serialises everything else: clock,
-//!   event heap (verbatim slot order, so FIFO tie-breaks survive), every
-//!   RNG stream position, client bookkeeping and in-flight requests,
-//!   fault-plan cursors, link queues, core run queues, the thermal state,
-//!   and each client's record and failure counts (the cursor the
-//!   segment must reach). Its size follows what is pending, not how long
-//!   the run has been going.
+//! * **state** — [`write_state`] serialises everything else, in
+//!   sections: the world counters; each component's own section (the
+//!   client machines' RNG streams, bookkeeping, in-flight requests and
+//!   record and failure counts, the cursor the segment must reach; the
+//!   fault plan's cursors; the link queues; the server's cores, run
+//!   queues and thermal state); then the clock, the event heap (verbatim
+//!   slot order, so FIFO tie-breaks survive) and the shard counters. A
+//!   component writes its section with a `save` beside its fields and
+//!   reads it back with a `load`; this module keeps the section order
+//!   and the value codecs the sections share (profiles, requests, core
+//!   jobs, events, records, failures). The state's size follows what is
+//!   pending, not how long the run has been going.
 //!
 //! A checkpoint is one or more chunks on a record segment plus one
 //! state sealed in an envelope (see [`treadmill_sim_core::snapshot`]);
@@ -30,25 +35,26 @@
 //! resumed from its last checkpoint executes the exact same remaining
 //! event sequence — bit-identical records, quantiles, and diagnostics.
 //!
-//! The decoder never trusts length fields blindly: element counts are
-//! validated against the rebuilt world's structure (client count, core
-//! count, link count, restored records), and the envelope's checksum
-//! rejects torn or corrupted files before any field is read.
+//! The decoder never trusts length fields blindly. Each section is
+//! checked against the rebuilt world as it is read: client, link, core
+//! and busy-baseline counts, a fault plan and a frequency trace present
+//! on both sides or on neither, each client's record counts against the
+//! records it holds. The envelope's checksum rejects torn or corrupted
+//! files before any field is read. A section is applied as soon as it
+//! is read, so an engine a restore fails on holds part of the state and
+//! must be discarded, as after a failed [`read_chunk`].
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
+use rand::rngs::SmallRng;
 use treadmill_sim_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-use treadmill_sim_core::{Engine, RateQueueState, SimDuration, SimTime, UtilizationState};
+use treadmill_sim_core::{Engine, SimDuration, SimTime};
 use treadmill_workloads::{OpClass, RequestProfile};
 
-use crate::client::InFlight;
-use crate::fault::FaultPlanState;
 use crate::request::{Request, RequestId, ResponseRecord};
 use crate::server::core::CoreJob;
-use crate::server::FrequencyEvent;
 use crate::world::{ClusterWorld, Event};
-use crate::{FailureKind, FailureRecord};
+use crate::{FailureKind, FailureRecord, FaultPlan};
 
 /// How far one client's records have been written to a segment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -176,8 +182,6 @@ fn fixed<const N: usize>(slice: &[u8]) -> [u8; N] {
 /// that the chunks it read reach exactly this far.
 pub fn write_state(engine: &Engine<ClusterWorld>, w: &mut SnapshotWriter) {
     let world = engine.world();
-
-    // World-level counters.
     w.put_u64(world.next_id);
     w.put_u32(world.outstanding);
     w.put_u64(world.outstanding_samples.len() as u64);
@@ -185,95 +189,13 @@ pub fn write_state(engine: &Engine<ClusterWorld>, w: &mut SnapshotWriter) {
         w.put_time(at);
         w.put_u32(n);
     }
-
-    // Clients.
     w.put_u64(world.clients.len() as u64);
     for client in &world.clients {
-        for word in client.rng.state() {
-            w.put_u64(word);
-        }
-        put_rate_queue(w, client.cpu_state());
-        w.put_u64(client.sent());
-        w.put_usize(client.records.len());
-        w.put_usize(client.failures.len());
-        w.put_u64(client.in_flight.len() as u64);
-        for (&id, entry) in &client.in_flight {
-            w.put_u64(id.0);
-            w.put_u32(entry.conn);
-            put_profile(w, &entry.profile);
-            w.put_time(entry.t_first);
-            w.put_u32(entry.attempt);
-            w.put_bool(entry.hedged);
-        }
-        w.put_u64(client.retries_sent);
-        w.put_u64(client.hedges_sent);
-        w.put_u64(client.timeouts);
-        w.put_u64(client.resets);
-        w.put_u64(client.source.checkpoint_word());
+        client.save(w);
     }
-
-    // Fault plan (mutable part only; windows regenerate from the seed).
-    match &world.faults {
-        Some(plan) => {
-            w.put_bool(true);
-            let state = plan.checkpoint_state();
-            for word in state.rng {
-                w.put_u64(word);
-            }
-            w.put_u64(state.crash_cursor);
-            w.put_time(state.last_crash_at);
-            w.put_u64(state.uplink_drops);
-            w.put_u64(state.downlink_drops);
-            w.put_u64(state.nic_drops);
-            w.put_u64(state.crash_drops);
-            w.put_u64(state.crashes);
-            w.put_u64(state.stalls);
-        }
-        None => w.put_bool(false),
-    }
-
-    // Network link queues.
-    let links = world.network.checkpoint_state();
-    w.put_u64(links.len() as u64);
-    for link in links {
-        put_rate_queue(w, link);
-    }
-
-    // Server cores.
-    w.put_u64(world.server.cores.len() as u64);
-    for core in &world.server.cores {
-        let jobs: Vec<&CoreJob> = core.queued_jobs().collect();
-        w.put_u64(jobs.len() as u64);
-        for job in jobs {
-            put_job(w, job);
-        }
-        w.put_bool(core.is_busy());
-        w.put_f64(core.freq_ghz());
-        put_util(w, core.util.state());
-        w.put_u64(core.jobs_done());
-        w.put_u64(core.transitions());
-    }
-
-    // Server-level thermal / tick state.
-    let (heat, prev_busy, last_thermal, trace) = world.server.checkpoint_state();
-    w.put_f64(heat);
-    w.put_u64(prev_busy.len() as u64);
-    for &busy in prev_busy {
-        w.put_duration(busy);
-    }
-    w.put_time(last_thermal);
-    match trace {
-        Some(events) => {
-            w.put_bool(true);
-            w.put_u64(events.len() as u64);
-            for event in events {
-                w.put_time(event.at);
-                w.put_u8(event.core);
-                w.put_f64(event.ghz);
-            }
-        }
-        None => w.put_bool(false),
-    }
+    FaultPlan::save(world.faults.as_ref(), w);
+    world.network.save(w);
+    world.server.save(w);
 
     // Engine clock and event heap (raw slot order: restoring verbatim
     // preserves FIFO tie-breaks among simultaneous events).
@@ -304,191 +226,42 @@ pub fn write_state(engine: &Engine<ClusterWorld>, w: &mut SnapshotWriter) {
     w.put_u64(world.shard.received);
 }
 
-/// Decodes a state written by [`write_state`] from `r` and applies it
-/// to `engine`, whose clients must already hold the records the state
-/// counts (restored through [`read_chunk`]). Fields are decoded and
-/// structurally validated in full before any engine state is
-/// overwritten; on `Err` the engine may nevertheless be partially stale
-/// and must be discarded.
+/// Reads a state written by [`write_state`] from `r` into `engine`,
+/// whose clients must already hold the records the state counts
+/// (restored through [`read_chunk`]). Each section is checked against
+/// the rebuilt engine as it is read and applied, so on `Err` the engine
+/// holds part of the state and must be discarded, as after a failed
+/// [`read_chunk`].
 ///
 /// # Errors
 ///
 /// Returns a [`SnapshotError`] if the state disagrees structurally with
-/// the rebuilt engine (wrong client/core/link count, unknown tag) or a
-/// client's record counts differ from the records it holds.
+/// the rebuilt engine (wrong client/core/link count, a fault plan or
+/// frequency trace on one side only, unknown tag) or a client's record
+/// counts differ from the records it holds.
 pub fn read_state(
     engine: &mut Engine<ClusterWorld>,
     r: &mut SnapshotReader<'_>,
 ) -> Result<(), SnapshotError> {
-    let next_id = r.get_u64()?;
-    let outstanding = r.get_u32()?;
+    let world = engine.world_mut();
+    world.next_id = r.get_u64()?;
+    world.outstanding = r.get_u32()?;
     let n_samples = r.get_u64()?;
-    let mut outstanding_samples = Vec::with_capacity(checked_len(n_samples)?);
+    world.outstanding_samples = Vec::with_capacity(checked_len(n_samples)?);
     for _ in 0..n_samples {
-        let at = r.get_time()?;
-        let n = r.get_u32()?;
-        outstanding_samples.push((at, n));
+        world
+            .outstanding_samples
+            .push((r.get_time()?, r.get_u32()?));
     }
-
-    let n_clients = r.get_u64()?;
-    if n_clients != engine.world().clients.len() as u64 {
+    if r.get_u64()? != world.clients.len() as u64 {
         return Err(SnapshotError::Malformed("client count mismatch"));
     }
-    struct ClientState {
-        rng: [u64; 4],
-        cpu: RateQueueState,
-        sent: u64,
-        in_flight: Vec<(RequestId, InFlight)>,
-        retries_sent: u64,
-        hedges_sent: u64,
-        timeouts: u64,
-        resets: u64,
-        source_word: u64,
+    for client in &mut world.clients {
+        client.load(r)?;
     }
-    let mut clients = Vec::with_capacity(checked_len(n_clients)?);
-    for machine in &engine.world().clients {
-        let mut rng = [0u64; 4];
-        for word in &mut rng {
-            *word = r.get_u64()?;
-        }
-        let cpu = get_rate_queue(r)?;
-        let sent = r.get_u64()?;
-        let cursor = RecordCursor {
-            records: r.get_usize()?,
-            failures: r.get_usize()?,
-        };
-        let restored = RecordCursor {
-            records: machine.records.len(),
-            failures: machine.failures.len(),
-        };
-        if cursor != restored {
-            return Err(SnapshotError::Malformed(
-                "record counts disagree with the restored records",
-            ));
-        }
-        let n_in_flight = r.get_u64()?;
-        let mut in_flight = Vec::with_capacity(checked_len(n_in_flight)?);
-        for _ in 0..n_in_flight {
-            let id = RequestId(r.get_u64()?);
-            let conn = r.get_u32()?;
-            let profile = get_profile(r)?;
-            let t_first = r.get_time()?;
-            let attempt = r.get_u32()?;
-            let hedged = r.get_bool()?;
-            in_flight.push((
-                id,
-                InFlight {
-                    conn,
-                    profile,
-                    t_first,
-                    attempt,
-                    hedged,
-                },
-            ));
-        }
-        clients.push(ClientState {
-            rng,
-            cpu,
-            sent,
-            in_flight,
-            retries_sent: r.get_u64()?,
-            hedges_sent: r.get_u64()?,
-            timeouts: r.get_u64()?,
-            resets: r.get_u64()?,
-            source_word: r.get_u64()?,
-        });
-    }
-
-    let faults_present = r.get_bool()?;
-    if faults_present != engine.world().faults.is_some() {
-        return Err(SnapshotError::Malformed("fault-plan presence mismatch"));
-    }
-    let fault_state = if faults_present {
-        let mut rng = [0u64; 4];
-        for word in &mut rng {
-            *word = r.get_u64()?;
-        }
-        Some(FaultPlanState {
-            rng,
-            crash_cursor: r.get_u64()?,
-            last_crash_at: r.get_time()?,
-            uplink_drops: r.get_u64()?,
-            downlink_drops: r.get_u64()?,
-            nic_drops: r.get_u64()?,
-            crash_drops: r.get_u64()?,
-            crashes: r.get_u64()?,
-            stalls: r.get_u64()?,
-        })
-    } else {
-        None
-    };
-
-    let n_links = r.get_u64()?;
-    if n_links != 2 * n_clients + 2 {
-        return Err(SnapshotError::Malformed("link count mismatch"));
-    }
-    let mut links = Vec::with_capacity(checked_len(n_links)?);
-    for _ in 0..n_links {
-        links.push(get_rate_queue(r)?);
-    }
-
-    let n_cores = r.get_u64()?;
-    if n_cores != engine.world().server.cores.len() as u64 {
-        return Err(SnapshotError::Malformed("core count mismatch"));
-    }
-    struct CoreState {
-        queue: VecDeque<CoreJob>,
-        busy: bool,
-        freq_ghz: f64,
-        util: UtilizationState,
-        jobs_done: u64,
-        transitions: u64,
-    }
-    let mut cores = Vec::with_capacity(checked_len(n_cores)?);
-    for _ in 0..n_cores {
-        let n_jobs = r.get_u64()?;
-        let mut queue = VecDeque::with_capacity(checked_len(n_jobs)?);
-        for _ in 0..n_jobs {
-            queue.push_back(get_job(r)?);
-        }
-        cores.push(CoreState {
-            queue,
-            busy: r.get_bool()?,
-            freq_ghz: r.get_f64()?,
-            util: get_util(r)?,
-            jobs_done: r.get_u64()?,
-            transitions: r.get_u64()?,
-        });
-    }
-
-    let heat = r.get_f64()?;
-    let n_busy = r.get_u64()?;
-    if n_busy != n_cores {
-        return Err(SnapshotError::Malformed("busy-baseline count mismatch"));
-    }
-    let mut prev_busy = Vec::with_capacity(checked_len(n_busy)?);
-    for _ in 0..n_busy {
-        prev_busy.push(r.get_duration()?);
-    }
-    let last_thermal = r.get_time()?;
-    let trace_present = r.get_bool()?;
-    if trace_present != engine.world().server.frequency_trace().is_some() {
-        return Err(SnapshotError::Malformed("frequency-trace presence mismatch"));
-    }
-    let freq_trace = if trace_present {
-        let n_events = r.get_u64()?;
-        let mut events = Vec::with_capacity(checked_len(n_events)?);
-        for _ in 0..n_events {
-            events.push(FrequencyEvent {
-                at: r.get_time()?,
-                core: r.get_u8()?,
-                ghz: r.get_f64()?,
-            });
-        }
-        Some(events)
-    } else {
-        None
-    };
+    FaultPlan::load(world.faults.as_mut(), r)?;
+    world.network.load(r)?;
+    world.server.load(r)?;
 
     let now = r.get_time()?;
     let executed = r.get_u64()?;
@@ -502,91 +275,37 @@ pub fn read_state(
     for _ in 0..n_events {
         events.push(get_event(r)?);
     }
-
-    let shard_sent = r.get_u64()?;
-    let shard_received = r.get_u64()?;
-
-    // All fields decoded and validated — now overwrite the engine.
-    {
-        let world = engine.world_mut();
-        world.next_id = next_id;
-        world.outstanding = outstanding;
-        world.outstanding_samples = outstanding_samples;
-        for (machine, state) in world.clients.iter_mut().zip(clients) {
-            machine.rng = rand::rngs::SmallRng::from_state(state.rng);
-            machine.restore_cpu_state(state.cpu, state.sent);
-            machine.in_flight = state.in_flight.into_iter().collect();
-            machine.retries_sent = state.retries_sent;
-            machine.hedges_sent = state.hedges_sent;
-            machine.timeouts = state.timeouts;
-            machine.resets = state.resets;
-            machine.source.restore_checkpoint_word(state.source_word);
-        }
-        if let (Some(plan), Some(state)) = (&mut world.faults, fault_state) {
-            plan.restore_checkpoint_state(&state);
-        }
-        world.network.restore_checkpoint_state(&links);
-        for (core, state) in world.server.cores.iter_mut().zip(cores) {
-            core.restore_runtime_state(
-                state.queue,
-                state.busy,
-                state.freq_ghz,
-                state.jobs_done,
-                state.transitions,
-            );
-            core.util.restore_state(state.util);
-        }
-        world
-            .server
-            .restore_checkpoint_state(heat, prev_busy, last_thermal, freq_trace);
-        world.shard.sent = shard_sent;
-        world.shard.received = shard_received;
-        world.shard.outbox.clear();
-    }
     engine.restore_clock_state(now, executed);
     engine.queue_mut().restore_slots(keys, events, next_seq);
+
+    let shard = &mut engine.world_mut().shard;
+    shard.sent = r.get_u64()?;
+    shard.received = r.get_u64()?;
+    shard.outbox.clear();
     Ok(())
 }
 
 // The snapshot framing uses u64 lengths; reject anything that cannot be
 // a length on this platform before reserving memory for it.
-fn checked_len(n: u64) -> Result<usize, SnapshotError> {
+pub(crate) fn checked_len(n: u64) -> Result<usize, SnapshotError> {
     usize::try_from(n).map_err(|_| SnapshotError::Malformed("length overflows usize"))
 }
 
-fn put_rate_queue(w: &mut SnapshotWriter, state: RateQueueState) {
-    w.put_time(state.free_at);
-    w.put_duration(state.busy);
-    w.put_u64(state.jobs);
-    w.put_duration(state.total_queueing);
-    w.put_time(state.last_arrival);
+pub(crate) fn put_rng(w: &mut SnapshotWriter, rng: &SmallRng) {
+    for word in rng.state() {
+        w.put_u64(word);
+    }
 }
 
-fn get_rate_queue(r: &mut SnapshotReader<'_>) -> Result<RateQueueState, SnapshotError> {
-    Ok(RateQueueState {
-        free_at: r.get_time()?,
-        busy: r.get_duration()?,
-        jobs: r.get_u64()?,
-        total_queueing: r.get_duration()?,
-        last_arrival: r.get_time()?,
-    })
+pub(crate) fn get_rng(r: &mut SnapshotReader<'_>) -> Result<SmallRng, SnapshotError> {
+    let mut state = [0u64; 4];
+    for word in &mut state {
+        *word = r.get_u64()?;
+    }
+    Ok(SmallRng::from_state(state))
 }
 
-fn put_util(w: &mut SnapshotWriter, state: UtilizationState) {
-    w.put_duration(state.busy_total);
-    w.put_time(state.window_start);
-    w.put_duration(state.window_busy);
-}
-
-fn get_util(r: &mut SnapshotReader<'_>) -> Result<UtilizationState, SnapshotError> {
-    Ok(UtilizationState {
-        busy_total: r.get_duration()?,
-        window_start: r.get_time()?,
-        window_busy: r.get_duration()?,
-    })
-}
-
-fn put_profile(w: &mut SnapshotWriter, profile: &RequestProfile) {
+pub(crate) fn put_profile(w: &mut SnapshotWriter, profile: &RequestProfile) {
     w.put_u8(match profile.class {
         OpClass::Read => 0,
         OpClass::Write => 1,
@@ -598,7 +317,7 @@ fn put_profile(w: &mut SnapshotWriter, profile: &RequestProfile) {
     w.put_f64(profile.mem_ns);
 }
 
-fn get_profile(r: &mut SnapshotReader<'_>) -> Result<RequestProfile, SnapshotError> {
+pub(crate) fn get_profile(r: &mut SnapshotReader<'_>) -> Result<RequestProfile, SnapshotError> {
     let class = match r.get_u8()? {
         0 => OpClass::Read,
         1 => OpClass::Write,
@@ -724,7 +443,7 @@ fn decode_failure(buf: &[u8; FAILURE_BYTES]) -> Result<FailureRecord, SnapshotEr
     })
 }
 
-fn put_job(w: &mut SnapshotWriter, job: &CoreJob) {
+pub(crate) fn put_job(w: &mut SnapshotWriter, job: &CoreJob) {
     match job {
         CoreJob::Irq(req) => {
             w.put_u8(0);
@@ -741,7 +460,7 @@ fn put_job(w: &mut SnapshotWriter, job: &CoreJob) {
     }
 }
 
-fn get_job(r: &mut SnapshotReader<'_>) -> Result<CoreJob, SnapshotError> {
+pub(crate) fn get_job(r: &mut SnapshotReader<'_>) -> Result<CoreJob, SnapshotError> {
     Ok(match r.get_u8()? {
         0 => CoreJob::Irq(get_request(r)?),
         1 => CoreJob::Work(get_request(r)?),
@@ -860,7 +579,7 @@ fn get_event(r: &mut SnapshotReader<'_>) -> Result<Event, SnapshotError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::config::ClientSpec;
+    use crate::config::{ClientSpec, ServerSpec};
     use crate::source::{InterArrival, OpenLoopSource};
     use crate::world::{extract_result, ClusterBuilder, RunResult};
     use crate::{FaultSpec, RetryPolicy};
@@ -1115,6 +834,38 @@ pub(crate) mod tests {
             restore(&mut fresh, &bytes),
             Err(SnapshotError::ChecksumMismatch)
         ));
+    }
+
+    #[test]
+    fn each_structural_check_rejects_its_mismatch() {
+        // The engine restored onto differs from the one the snapshot
+        // was taken of in one respect; the check for it names it.
+        let fewer_cores = ServerSpec {
+            cores_per_socket: 4,
+            ..ServerSpec::default()
+        };
+        let cases = [
+            (true, builder(false), "fault-plan presence mismatch"),
+            (
+                false,
+                builder(false).server_spec(fewer_cores),
+                "core count mismatch",
+            ),
+            (
+                false,
+                builder(false).trace_frequencies(false),
+                "frequency-trace presence mismatch",
+            ),
+        ];
+        for (faulty, other, message) in cases {
+            let mut engine = builder(faulty).build();
+            engine.run_events(5_000);
+            let bytes = snapshot(&engine);
+            assert_eq!(
+                restore(&mut other.build(), &bytes),
+                Err(SnapshotError::Malformed(message))
+            );
+        }
     }
 
     #[test]

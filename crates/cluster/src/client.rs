@@ -12,9 +12,11 @@ use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 
+use treadmill_sim_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use treadmill_sim_core::{RateQueue, SimDuration, SimTime};
 use treadmill_workloads::RequestProfile;
 
+use crate::checkpoint;
 use crate::config::ClientSpec;
 use crate::fault::FailureRecord;
 use crate::records::RecordStore;
@@ -118,19 +120,67 @@ impl ClientMachine {
         self.cpu.utilization(now)
     }
 
-    /// The client-CPU queue state, captured for checkpointing.
-    pub(crate) fn cpu_state(&self) -> treadmill_sim_core::RateQueueState {
-        self.cpu.state()
+    /// Writes the client's mutable state to a checkpoint: RNG, CPU
+    /// queue, counters, in-flight requests and the source's word. The
+    /// records stand in as their counts; they travel in record chunks.
+    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
+        checkpoint::put_rng(w, &self.rng);
+        self.cpu.save(w);
+        w.put_u64(self.sent);
+        w.put_usize(self.records.len());
+        w.put_usize(self.failures.len());
+        w.put_u64(self.in_flight.len() as u64);
+        for (&id, entry) in &self.in_flight {
+            w.put_u64(id.0);
+            w.put_u32(entry.conn);
+            checkpoint::put_profile(w, &entry.profile);
+            w.put_time(entry.t_first);
+            w.put_u32(entry.attempt);
+            w.put_bool(entry.hedged);
+        }
+        w.put_u64(self.retries_sent);
+        w.put_u64(self.hedges_sent);
+        w.put_u64(self.timeouts);
+        w.put_u64(self.resets);
+        w.put_u64(self.source.checkpoint_word());
     }
 
-    /// Restores CPU-queue state and the sent counter from a checkpoint.
-    pub(crate) fn restore_cpu_state(
-        &mut self,
-        cpu: treadmill_sim_core::RateQueueState,
-        sent: u64,
-    ) {
-        self.cpu.restore_state(cpu);
-        self.sent = sent;
+    /// Overwrites the client with what [`Self::save`] wrote. The client
+    /// must already hold the records the checkpoint counts.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] if the record or failure count
+    /// differs from what the client holds, or on an unknown tag;
+    /// [`SnapshotError::Truncated`] if the checkpoint ends early.
+    pub(crate) fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.rng = checkpoint::get_rng(r)?;
+        self.cpu.load(r)?;
+        self.sent = r.get_u64()?;
+        let counts = (r.get_usize()?, r.get_usize()?);
+        if counts != (self.records.len(), self.failures.len()) {
+            return Err(SnapshotError::Malformed(
+                "record counts disagree with the restored records",
+            ));
+        }
+        self.in_flight.clear();
+        for _ in 0..r.get_u64()? {
+            let id = RequestId(r.get_u64()?);
+            let entry = InFlight {
+                conn: r.get_u32()?,
+                profile: checkpoint::get_profile(r)?,
+                t_first: r.get_time()?,
+                attempt: r.get_u32()?,
+                hedged: r.get_bool()?,
+            };
+            self.in_flight.insert(id, entry);
+        }
+        self.retries_sent = r.get_u64()?;
+        self.hedges_sent = r.get_u64()?;
+        self.timeouts = r.get_u64()?;
+        self.resets = r.get_u64()?;
+        self.source.restore_checkpoint_word(r.get_u64()?);
+        Ok(())
     }
 }
 

@@ -27,8 +27,10 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use treadmill_sim_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use treadmill_sim_core::{splitmix64, SimDuration, SimTime};
 
+use crate::checkpoint;
 use crate::request::RequestId;
 
 /// Declarative fault configuration for one simulated run.
@@ -318,20 +320,6 @@ pub struct FaultPlan {
     stalls: u64,
 }
 
-/// A [`FaultPlan`]'s mutable state, captured for checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FaultPlanState {
-    pub rng: [u64; 4],
-    pub crash_cursor: u64,
-    pub last_crash_at: SimTime,
-    pub uplink_drops: u64,
-    pub downlink_drops: u64,
-    pub nic_drops: u64,
-    pub crash_drops: u64,
-    pub crashes: u64,
-    pub stalls: u64,
-}
-
 fn exp_gap(rng: &mut SmallRng, rate_hz: f64) -> SimDuration {
     let u: f64 = rng.gen::<f64>();
     let secs = -(1.0 - u).ln() / rate_hz;
@@ -469,40 +457,60 @@ impl FaultPlan {
         exp_gap(&mut self.rng, self.spec.stall_rate_hz)
     }
 
-    /// Captures the plan's mutable state for checkpointing. The
-    /// pre-drawn crash windows and first-stall instant are *not*
-    /// included: they are a pure function of the spec and the seed
-    /// stream, so a resumed run regenerates them via
-    /// [`FaultPlan::generate`] and then overwrites the mutable state
-    /// with [`FaultPlan::restore_checkpoint_state`].
-    pub(crate) fn checkpoint_state(&self) -> FaultPlanState {
-        FaultPlanState {
-            rng: self.rng.state(),
-            crash_cursor: self.crash_cursor as u64,
-            last_crash_at: self.last_crash_at,
-            uplink_drops: self.uplink_drops,
-            downlink_drops: self.downlink_drops,
-            nic_drops: self.nic_drops,
-            crash_drops: self.crash_drops,
-            crashes: self.crashes,
-            stalls: self.stalls,
+    /// Writes a world's optional plan to a checkpoint: a presence byte,
+    /// then the plan's mutable state. The pre-drawn crash windows and
+    /// first-stall instant are not written: they are a pure function of
+    /// the spec and the seed stream, so a rebuilt world regenerates them
+    /// through [`FaultPlan::generate`].
+    pub(crate) fn save(plan: Option<&Self>, w: &mut SnapshotWriter) {
+        w.put_bool(plan.is_some());
+        let Some(plan) = plan else { return };
+        checkpoint::put_rng(w, &plan.rng);
+        w.put_u64(plan.crash_cursor as u64);
+        w.put_time(plan.last_crash_at);
+        for count in [
+            plan.uplink_drops,
+            plan.downlink_drops,
+            plan.nic_drops,
+            plan.crash_drops,
+            plan.crashes,
+            plan.stalls,
+        ] {
+            w.put_u64(count);
         }
     }
 
-    /// Overwrites the plan's mutable state with a checkpointed
-    /// [`FaultPlanState`]. The plan must have been regenerated from the
-    /// same spec and seed stream.
-    pub(crate) fn restore_checkpoint_state(&mut self, state: &FaultPlanState) {
-        self.rng = SmallRng::from_state(state.rng);
-        self.crash_cursor =
-            usize::try_from(state.crash_cursor).unwrap_or(self.crash_windows.len());
-        self.last_crash_at = state.last_crash_at;
-        self.uplink_drops = state.uplink_drops;
-        self.downlink_drops = state.downlink_drops;
-        self.nic_drops = state.nic_drops;
-        self.crash_drops = state.crash_drops;
-        self.crashes = state.crashes;
-        self.stalls = state.stalls;
+    /// Overwrites a world's optional plan with what [`Self::save`]
+    /// wrote. The plan must have been regenerated from the same spec and
+    /// seed stream.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] if the checkpoint has a plan and the
+    /// world none, or the other way round; [`SnapshotError::Truncated`]
+    /// if the checkpoint ends early.
+    pub(crate) fn load(
+        plan: Option<&mut Self>,
+        r: &mut SnapshotReader<'_>,
+    ) -> Result<(), SnapshotError> {
+        if r.get_bool()? != plan.is_some() {
+            return Err(SnapshotError::Malformed("fault-plan presence mismatch"));
+        }
+        let Some(plan) = plan else { return Ok(()) };
+        plan.rng = checkpoint::get_rng(r)?;
+        plan.crash_cursor = usize::try_from(r.get_u64()?).unwrap_or(plan.crash_windows.len());
+        plan.last_crash_at = r.get_time()?;
+        for count in [
+            &mut plan.uplink_drops,
+            &mut plan.downlink_drops,
+            &mut plan.nic_drops,
+            &mut plan.crash_drops,
+            &mut plan.crashes,
+            &mut plan.stalls,
+        ] {
+            *count = r.get_u64()?;
+        }
+        Ok(())
     }
 
     /// The fabric/server-side counter snapshot (client-side counters

@@ -11,6 +11,7 @@
 //! (the world schedules an event per hop), which keeps every queue's
 //! arrival sequence monotone.
 
+use treadmill_sim_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use treadmill_sim_core::{RateQueue, SimDuration, SimTime};
 
 use crate::config::NetworkSpec;
@@ -94,42 +95,43 @@ impl Network {
         backlog.as_nanos() as f64 * self.spec.bytes_per_ns
     }
 
-    /// All link-queue states in a fixed order (uplinks, downlinks,
-    /// server ingress, server egress), captured for checkpointing.
-    pub(crate) fn checkpoint_state(&self) -> Vec<treadmill_sim_core::RateQueueState> {
-        self.client_uplinks
+    /// Writes every link queue to a checkpoint, in a fixed order:
+    /// uplinks, downlinks, server ingress, server egress.
+    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
+        w.put_u64(2 * self.client_uplinks.len() as u64 + 2);
+        let server = [&self.server_ingress, &self.server_egress];
+        for link in self
+            .client_uplinks
             .iter()
             .chain(&self.client_downlinks)
-            .chain(std::iter::once(&self.server_ingress))
-            .chain(std::iter::once(&self.server_egress))
-            .map(RateQueue::state)
-            .collect()
+            .chain(server)
+        {
+            link.save(w);
+        }
     }
 
-    /// Restores the link-queue states captured by
-    /// [`Network::checkpoint_state`]. The fabric must have been rebuilt
-    /// with the same client set.
+    /// Overwrites the link queues with what [`Self::save`] wrote. The
+    /// fabric must have been rebuilt with the same client set.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the state count does not match this fabric's link
-    /// count.
-    pub(crate) fn restore_checkpoint_state(
-        &mut self,
-        states: &[treadmill_sim_core::RateQueueState],
-    ) {
-        let n = self.client_uplinks.len();
-        assert_eq!(states.len(), 2 * n + 2, "link-state count mismatch");
-        for (queue, state) in self
+    /// [`SnapshotError::Malformed`] if the link count differs from this
+    /// fabric's; [`SnapshotError::Truncated`] if the checkpoint ends
+    /// early.
+    pub(crate) fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        if r.get_u64()? != 2 * self.client_uplinks.len() as u64 + 2 {
+            return Err(SnapshotError::Malformed("link count mismatch"));
+        }
+        let server = [&mut self.server_ingress, &mut self.server_egress];
+        for link in self
             .client_uplinks
             .iter_mut()
             .chain(&mut self.client_downlinks)
-            .chain(std::iter::once(&mut self.server_ingress))
-            .chain(std::iter::once(&mut self.server_egress))
-            .zip(states)
+            .chain(server)
         {
-            queue.restore_state(*state);
+            link.load(r)?;
         }
+        Ok(())
     }
 }
 

@@ -3,8 +3,10 @@
 
 use std::collections::VecDeque;
 
+use treadmill_sim_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use treadmill_sim_core::{SimDuration, SimTime, UtilizationTracker};
 
+use crate::checkpoint;
 use crate::request::Request;
 
 /// A unit of work on a core's run queue.
@@ -139,28 +141,40 @@ impl Core {
         self.transitions
     }
 
-    /// The queued jobs in run-queue order, for checkpointing.
-    pub(crate) fn queued_jobs(&self) -> impl Iterator<Item = &CoreJob> {
-        self.queue.iter()
+    /// Writes the core's runtime state to a checkpoint: run queue,
+    /// busy flag, frequency, busy-time accounting and counters.
+    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
+        w.put_u64(self.queue.len() as u64);
+        for job in &self.queue {
+            checkpoint::put_job(w, job);
+        }
+        w.put_bool(self.busy);
+        w.put_f64(self.freq_ghz);
+        self.util.save(w);
+        w.put_u64(self.jobs_done);
+        w.put_u64(self.transitions);
     }
 
-    /// Overwrites the core's runtime state from a checkpoint. Unlike
-    /// [`Core::set_freq`], restoring the frequency does not count a
-    /// transition — the transition was counted when it originally
-    /// happened and is part of `transitions`.
-    pub(crate) fn restore_runtime_state(
-        &mut self,
-        queue: VecDeque<CoreJob>,
-        busy: bool,
-        freq_ghz: f64,
-        jobs_done: u64,
-        transitions: u64,
-    ) {
-        self.queue = queue;
-        self.busy = busy;
-        self.freq_ghz = freq_ghz;
-        self.jobs_done = jobs_done;
-        self.transitions = transitions;
+    /// Overwrites the core's runtime state with what [`Self::save`]
+    /// wrote. Unlike [`Core::set_freq`], restoring the frequency does
+    /// not count a transition: `transitions` already holds it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] on an unknown job tag;
+    /// [`SnapshotError::Truncated`] if the checkpoint ends early.
+    pub(crate) fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let n_jobs = r.get_u64()?;
+        self.queue = VecDeque::with_capacity(checkpoint::checked_len(n_jobs)?);
+        for _ in 0..n_jobs {
+            self.queue.push_back(checkpoint::get_job(r)?);
+        }
+        self.busy = r.get_bool()?;
+        self.freq_ghz = r.get_f64()?;
+        self.util.load(r)?;
+        self.jobs_done = r.get_u64()?;
+        self.transitions = r.get_u64()?;
+        Ok(())
     }
 }
 

@@ -5,9 +5,11 @@ pub mod core;
 pub mod dvfs;
 pub mod turbo;
 
+use treadmill_sim_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use treadmill_sim_core::{SimDuration, SimTime};
 use treadmill_workloads::RequestProfile;
 
+use crate::checkpoint;
 use crate::config::{HardwareConfig, Level, ServerSpec};
 use core::Core;
 use turbo::ThermalModel;
@@ -254,39 +256,71 @@ impl Server {
         global
     }
 
-    /// The server-level mutable state outside the cores (thermal model,
-    /// per-core busy baselines, tick bookkeeping, optional frequency
-    /// trace), captured for checkpointing.
-    pub(crate) fn checkpoint_state(
-        &self,
-    ) -> (f64, &[SimDuration], SimTime, Option<&[FrequencyEvent]>) {
-        (
-            self.thermal.heat(),
-            &self.prev_busy,
-            self.last_thermal,
-            self.freq_trace.as_deref(),
-        )
+    /// Writes the server's mutable state to a checkpoint: every core,
+    /// then the thermal heat, per-core busy baselines, tick bookkeeping
+    /// and the frequency trace when one is kept.
+    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
+        w.put_u64(self.cores.len() as u64);
+        for core in &self.cores {
+            core.save(w);
+        }
+        w.put_f64(self.thermal.heat());
+        w.put_u64(self.prev_busy.len() as u64);
+        for &busy in &self.prev_busy {
+            w.put_duration(busy);
+        }
+        w.put_time(self.last_thermal);
+        w.put_bool(self.freq_trace.is_some());
+        if let Some(events) = &self.freq_trace {
+            w.put_u64(events.len() as u64);
+            for event in events {
+                w.put_time(event.at);
+                w.put_u8(event.core);
+                w.put_f64(event.ghz);
+            }
+        }
     }
 
-    /// Restores the state captured by [`Server::checkpoint_state`].
-    /// The server must have been rebuilt with the same spec and
-    /// hardware configuration.
+    /// Overwrites the server's mutable state with what [`Self::save`]
+    /// wrote. The server must have been rebuilt with the same spec,
+    /// hardware configuration and tracing choice.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the busy-baseline count does not match the core count.
-    pub(crate) fn restore_checkpoint_state(
-        &mut self,
-        heat: f64,
-        prev_busy: Vec<SimDuration>,
-        last_thermal: SimTime,
-        freq_trace: Option<Vec<FrequencyEvent>>,
-    ) {
-        assert_eq!(prev_busy.len(), self.cores.len(), "busy-baseline count mismatch");
-        self.thermal.restore_heat(heat);
-        self.prev_busy = prev_busy;
-        self.last_thermal = last_thermal;
-        self.freq_trace = freq_trace;
+    /// [`SnapshotError::Malformed`] if the core or busy-baseline count
+    /// or the frequency trace's presence differs from this server's, or
+    /// on an unknown job tag; [`SnapshotError::Truncated`] if the
+    /// checkpoint ends early.
+    pub(crate) fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        if r.get_u64()? != self.cores.len() as u64 {
+            return Err(SnapshotError::Malformed("core count mismatch"));
+        }
+        for core in &mut self.cores {
+            core.load(r)?;
+        }
+        self.thermal.restore_heat(r.get_f64()?);
+        if r.get_u64()? != self.prev_busy.len() as u64 {
+            return Err(SnapshotError::Malformed("busy-baseline count mismatch"));
+        }
+        for busy in &mut self.prev_busy {
+            *busy = r.get_duration()?;
+        }
+        self.last_thermal = r.get_time()?;
+        if r.get_bool()? != self.freq_trace.is_some() {
+            return Err(SnapshotError::Malformed("frequency-trace presence mismatch"));
+        }
+        if let Some(events) = &mut self.freq_trace {
+            let n_events = r.get_u64()?;
+            *events = Vec::with_capacity(checkpoint::checked_len(n_events)?);
+            for _ in 0..n_events {
+                events.push(FrequencyEvent {
+                    at: r.get_time()?,
+                    core: r.get_u8()?,
+                    ghz: r.get_f64()?,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Mean utilisation across cores over `[0, now]`.

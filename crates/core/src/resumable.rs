@@ -13,9 +13,11 @@
 //!   streaming tail estimator — comes back as one small sealed
 //!   *envelope*. A checkpoint therefore costs its new records in bytes
 //!   and time and a constant in memory, however long the run.
-//!   [`ResumableRun::resume`] restores both, so a run killed at any
-//!   event and resumed from its last checkpoint finishes with a
-//!   bit-identical [`LoadTestReport`];
+//!   [`ResumableRun::resume`] restores both into a freshly built
+//!   cluster, so a run killed at any event and resumed from its last
+//!   checkpoint finishes with a bit-identical [`LoadTestReport`]. Each
+//!   section is checked as it is applied; a resume that fails drops its
+//!   half-restored cluster and returns the error;
 //! * **live tail monitoring** — a constant-memory P² p99 estimate
 //!   over the post-warm-up user latencies, available mid-run without
 //!   touching the record vectors;

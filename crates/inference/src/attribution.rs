@@ -2,16 +2,13 @@
 
 use rand::{Rng, SeedableRng};
 use treadmill_cluster::HardwareConfig;
-use treadmill_stats::distribution::two_sided_p_value;
 use treadmill_stats::linalg::{Matrix, SolveError};
 use treadmill_stats::regression::{
-    bootstrap_saturated, per_run_quantiles, quantile_regression_irls, BootstrapOptions,
-    Cell, CoefficientEstimate, FactorialDesign, IrlsOptions,
+    bootstrap_coefficients, bootstrap_saturated, per_run_quantiles, quantile_regression_irls,
+    BootstrapOptions, Cell, CoefficientEstimate, FactorialDesign, IrlsOptions,
 };
-use treadmill_stats::StreamingStats;
 
 use crate::dataset::Dataset;
-use crate::factors::factor_names;
 
 /// The percentiles the paper reports in Table IV.
 pub const TABLE_IV_PERCENTILES: [f64; 3] = [0.50, 0.95, 0.99];
@@ -85,7 +82,7 @@ pub fn attribute(
     seed: u64,
 ) -> AttributionResult {
     assert_eq!(dataset.cells.len(), 16, "dataset must cover all 16 cells");
-    let design = FactorialDesign::full(&factor_names());
+    let design = FactorialDesign::full(&HardwareConfig::factor_names());
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let coefficients = bootstrap_saturated(
         &design,
@@ -148,7 +145,7 @@ pub fn attribute_graceful(
         };
     }
     assert!(!dataset.cells.is_empty(), "dataset has no cells at all");
-    let names = factor_names();
+    let names = HardwareConfig::factor_names();
     let available = dataset.cells.len();
     let mut warnings = vec![format!(
         "dataset is missing {} of 16 cells (indices {:?}); falling back from the \
@@ -259,43 +256,15 @@ fn fit_irls_with_bootstrap(
     let point = jittered_irls(&matrix, &run_quantiles.concat(), tau)?;
 
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-    let mut per_coef: Vec<StreamingStats> =
-        (0..design.num_terms()).map(|_| StreamingStats::new()).collect();
     let mut resampled = run_quantiles.clone();
-    for _ in 0..replicates.max(1) {
+    bootstrap_coefficients(design, point, replicates.max(1), || {
         for (dst, src) in resampled.iter_mut().zip(&run_quantiles) {
             for slot in dst.iter_mut() {
                 *slot = src[rng.gen_range(0..src.len())];
             }
         }
-        let beta = jittered_irls(&matrix, &resampled.concat(), tau)?;
-        for (stat, value) in per_coef.iter_mut().zip(&beta) {
-            stat.record(*value);
-        }
-    }
-
-    Ok(design
-        .term_labels()
-        .into_iter()
-        .zip(point)
-        .zip(per_coef)
-        .map(|((term, estimate), stats)| {
-            let std_error = stats.sample_stddev();
-            let p_value = if std_error > 0.0 {
-                two_sided_p_value(estimate / std_error)
-            } else if estimate == 0.0 {
-                1.0
-            } else {
-                0.0
-            };
-            CoefficientEstimate {
-                term,
-                estimate,
-                std_error,
-                p_value,
-            }
-        })
-        .collect())
+        jittered_irls(&matrix, &resampled.concat(), tau)
+    })
 }
 
 /// Fits the model at each of the paper's Table IV percentiles.

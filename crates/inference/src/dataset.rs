@@ -7,7 +7,7 @@
 //! window. We reproduce the same structure; independence between
 //! experiments comes from disjoint seed streams rather than from run
 //! order, so experiments run in index order, in parallel across OS
-//! threads ([`run_grid`]).
+//! threads (`run_grid`).
 
 // tml-lint: allow(DET001, subsample() uses the map for keyed displaced-index lookups only; see justification at the construction site)
 use std::collections::HashMap;

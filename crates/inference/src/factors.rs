@@ -1,7 +1,5 @@
 //! The hardware factors under study (Table III).
 
-use treadmill_cluster::HardwareConfig;
-
 /// One factor of the 2-level factorial design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Factor {
@@ -45,20 +43,15 @@ pub fn factor_table() -> [Factor; 4] {
     ]
 }
 
-/// Factor names in design order, matching
-/// [`HardwareConfig::levels`].
-pub fn factor_names() -> [&'static str; 4] {
-    HardwareConfig::factor_names()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmill_cluster::HardwareConfig;
 
     #[test]
     fn table_matches_design_order() {
         let table = factor_table();
-        let names = factor_names();
+        let names = HardwareConfig::factor_names();
         for (factor, name) in table.iter().zip(names.iter()) {
             assert_eq!(factor.name, *name);
         }

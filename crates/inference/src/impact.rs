@@ -9,7 +9,6 @@
 use treadmill_cluster::HardwareConfig;
 
 use crate::attribution::AttributionResult;
-use crate::factors::factor_names;
 
 /// One bar of Figure 8/10: the average latency change (µs) of raising
 /// one factor to its high level.
@@ -25,7 +24,7 @@ pub struct FactorImpact {
 /// the mean over all 8 settings of the other factors of
 /// `predict(factor=high) − predict(factor=low)`.
 pub fn average_factor_impacts(result: &AttributionResult) -> Vec<FactorImpact> {
-    factor_names()
+    HardwareConfig::factor_names()
         .iter()
         .enumerate()
         .map(|(fi, name)| {

@@ -57,7 +57,7 @@ pub use attribution::{
     AttributionResult, TABLE_IV_PERCENTILES,
 };
 pub use dataset::{collect, CollectionPlan, Dataset};
-pub use factors::{factor_names, factor_table, Factor};
+pub use factors::{factor_table, Factor};
 pub use goodness::model_pseudo_r_squared;
 pub use impact::{average_factor_impacts, FactorImpact};
 pub use reduced::{fit_reduced, model_comparison, ModelComparisonRow, ReducedModel};

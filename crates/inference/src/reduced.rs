@@ -10,12 +10,12 @@
 //! pseudo-R² against the saturated model's. If interactions matter, the
 //! truncated models must explain visibly less.
 
+use treadmill_cluster::HardwareConfig;
 use treadmill_stats::regression::fit::pseudo_r_squared;
 use treadmill_stats::regression::{per_run_quantiles, FactorialDesign};
 
 use crate::attribution::{jittered_irls, run_quantile_matrix};
 use crate::dataset::Dataset;
-use crate::factors::factor_names;
 
 /// A fitted reduced-order model.
 #[derive(Debug, Clone)]
@@ -36,7 +36,8 @@ pub struct ReducedModel {
 impl ReducedModel {
     /// Predicts the τ-quantile for a configuration's levels.
     pub fn predict(&self, levels: &[f64]) -> f64 {
-        let design = FactorialDesign::with_interactions(&factor_names(), self.max_order);
+        let design =
+            FactorialDesign::with_interactions(&HardwareConfig::factor_names(), self.max_order);
         design.predict(&self.coefficients, levels)
     }
 }
@@ -50,7 +51,7 @@ impl ReducedModel {
 pub fn fit_reduced(dataset: &Dataset, tau: f64, max_order: usize) -> ReducedModel {
     assert!((1..=4).contains(&max_order), "interaction order must be 1..=4");
     assert_eq!(dataset.cells.len(), 16, "dataset must cover all 16 cells");
-    let design = FactorialDesign::with_interactions(&factor_names(), max_order);
+    let design = FactorialDesign::with_interactions(&HardwareConfig::factor_names(), max_order);
 
     // Observations: one per experiment — its measured τ-quantile.
     let quantiles: Vec<Vec<f64>> = dataset

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github", "results", "fixtures"];
 
 /// Returns every `.rs` file under `root` (workspace-relative paths,
-/// unix separators, sorted), skipping [`SKIP_DIRS`] and any nested
+/// unix separators, sorted), skipping `SKIP_DIRS` and any nested
 /// directory whose `Cargo.toml` declares a `[workspace]` of its own:
 /// that is a separate workspace, outside this one's package graph.
 pub fn rust_files(root: &Path) -> io::Result<Vec<String>> {

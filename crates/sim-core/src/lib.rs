@@ -66,8 +66,8 @@ mod util;
 
 pub use engine::{Engine, World};
 pub use event::{EventQueue, ScheduledEvent};
-pub use queue::{QueueOutcome, RateQueue, RateQueueState};
+pub use queue::{QueueOutcome, RateQueue};
 pub use rng::{splitmix64, SeedStream};
 pub use snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use time::{SimDuration, SimTime};
-pub use util::{UtilizationState, UtilizationTracker};
+pub use util::UtilizationTracker;

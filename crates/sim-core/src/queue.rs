@@ -12,6 +12,7 @@
 //!
 //! which is exact for FIFO order and halves the event count.
 
+use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::{SimDuration, SimTime};
 
 /// The result of offering one job to a [`RateQueue`].
@@ -141,42 +142,29 @@ impl RateQueue {
         (self.busy.as_nanos() as f64 / elapsed as f64).min(1.0)
     }
 
-    /// The mutable state a checkpoint must capture (the name is
+    /// Writes the mutable state to a checkpoint (the name is
     /// configuration and survives a rebuild).
-    pub fn state(&self) -> RateQueueState {
-        RateQueueState {
-            free_at: self.free_at,
-            busy: self.busy,
-            jobs: self.jobs,
-            total_queueing: self.total_queueing,
-            last_arrival: self.last_arrival,
-        }
+    pub fn save(&self, w: &mut SnapshotWriter) {
+        w.put_time(self.free_at);
+        w.put_duration(self.busy);
+        w.put_u64(self.jobs);
+        w.put_duration(self.total_queueing);
+        w.put_time(self.last_arrival);
     }
 
-    /// Overwrites the mutable state with a checkpointed
-    /// [`RateQueueState`].
-    pub fn restore_state(&mut self, state: RateQueueState) {
-        self.free_at = state.free_at;
-        self.busy = state.busy;
-        self.jobs = state.jobs;
-        self.total_queueing = state.total_queueing;
-        self.last_arrival = state.last_arrival;
+    /// Overwrites the mutable state with what [`Self::save`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] if the checkpoint ends early.
+    pub fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.free_at = r.get_time()?;
+        self.busy = r.get_duration()?;
+        self.jobs = r.get_u64()?;
+        self.total_queueing = r.get_duration()?;
+        self.last_arrival = r.get_time()?;
+        Ok(())
     }
-}
-
-/// A [`RateQueue`]'s mutable state, captured for checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RateQueueState {
-    /// When the server next becomes idle.
-    pub free_at: SimTime,
-    /// Cumulative busy time.
-    pub busy: SimDuration,
-    /// Jobs served.
-    pub jobs: u64,
-    /// Cumulative queueing time.
-    pub total_queueing: SimDuration,
-    /// Most recent arrival instant (monotonicity guard).
-    pub last_arrival: SimTime,
 }
 
 #[cfg(test)]
@@ -230,5 +218,24 @@ mod tests {
         q.offer(SimTime::ZERO, SimDuration::from_micros(100));
         assert_eq!(q.utilization(SimTime::from_micros(10)), 1.0);
         assert_eq!(RateQueue::new("idle").utilization(SimTime::ZERO), 0.0);
+    }
+
+    #[test]
+    fn load_continues_where_save_left_off() {
+        let mut q = RateQueue::new("q");
+        q.offer(SimTime::from_micros(1), SimDuration::from_micros(10));
+        q.offer(SimTime::from_micros(2), SimDuration::from_micros(10));
+        let mut w = SnapshotWriter::new();
+        q.save(&mut w);
+        let bytes = w.into_sealed();
+        let mut r = SnapshotReader::new(crate::snapshot::open(&bytes).unwrap());
+        let mut restored = RateQueue::new("q");
+        restored.load(&mut r).unwrap();
+        r.finish().unwrap();
+        let next = (SimTime::from_micros(3), SimDuration::from_micros(1));
+        assert_eq!(restored.offer(next.0, next.1), q.offer(next.0, next.1));
+        assert_eq!(restored.total_queueing(), q.total_queueing());
+        let now = SimTime::from_micros(40);
+        assert_eq!(restored.utilization(now), q.utilization(now));
     }
 }

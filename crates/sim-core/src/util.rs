@@ -1,5 +1,6 @@
 //! Busy-time integration for utilisation accounting.
 
+use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::{SimDuration, SimTime};
 
 /// Tracks what fraction of time a resource was busy, both cumulatively
@@ -72,32 +73,24 @@ impl UtilizationTracker {
         self.window_busy = SimDuration::ZERO;
     }
 
-    /// The tracker's full state, captured for checkpointing.
-    pub fn state(&self) -> UtilizationState {
-        UtilizationState {
-            busy_total: self.busy_total,
-            window_start: self.window_start,
-            window_busy: self.window_busy,
-        }
+    /// Writes the tracker's state to a checkpoint.
+    pub fn save(&self, w: &mut SnapshotWriter) {
+        w.put_duration(self.busy_total);
+        w.put_time(self.window_start);
+        w.put_duration(self.window_busy);
     }
 
-    /// Overwrites the tracker with a checkpointed [`UtilizationState`].
-    pub fn restore_state(&mut self, state: UtilizationState) {
-        self.busy_total = state.busy_total;
-        self.window_start = state.window_start;
-        self.window_busy = state.window_busy;
+    /// Overwrites the tracker with what [`Self::save`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] if the checkpoint ends early.
+    pub fn load(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.busy_total = r.get_duration()?;
+        self.window_start = r.get_time()?;
+        self.window_busy = r.get_duration()?;
+        Ok(())
     }
-}
-
-/// A [`UtilizationTracker`]'s state, captured for checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UtilizationState {
-    /// Cumulative busy time.
-    pub busy_total: SimDuration,
-    /// Start of the current sampling window.
-    pub window_start: SimTime,
-    /// Busy time inside the current window.
-    pub window_busy: SimDuration,
 }
 
 #[cfg(test)]
@@ -144,5 +137,23 @@ mod tests {
         let mut t = UtilizationTracker::new();
         t.record_busy(SimTime::ZERO, SimDuration::from_micros(100));
         assert_eq!(t.utilization(SimTime::from_micros(10)), 1.0);
+    }
+
+    #[test]
+    fn load_continues_where_save_left_off() {
+        let mut t = UtilizationTracker::new();
+        t.record_busy(SimTime::ZERO, SimDuration::from_micros(10));
+        t.restart_window(SimTime::from_micros(20));
+        t.record_busy(SimTime::from_micros(25), SimDuration::from_micros(5));
+        let mut w = SnapshotWriter::new();
+        t.save(&mut w);
+        let bytes = w.into_sealed();
+        let mut r = SnapshotReader::new(crate::snapshot::open(&bytes).unwrap());
+        let mut restored = UtilizationTracker::new();
+        restored.load(&mut r).unwrap();
+        r.finish().unwrap();
+        let now = SimTime::from_micros(40);
+        assert_eq!(restored.busy_total(), t.busy_total());
+        assert_eq!(restored.window_utilization(now), t.window_utilization(now));
     }
 }

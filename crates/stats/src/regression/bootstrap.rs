@@ -16,7 +16,9 @@ use crate::distribution::two_sided_p_value;
 use crate::linalg::SolveError;
 use crate::quantile::quantile_of_sorted;
 use crate::regression::design::FactorialDesign;
-use crate::regression::saturated::{experiment_quantile_fit, per_run_quantiles, Cell};
+use crate::regression::saturated::{
+    experiment_quantiles, per_run_quantiles, saturated_matrix, Cell,
+};
 use crate::streaming::StreamingStats;
 
 /// One row of the coefficient table (Table IV).
@@ -72,22 +74,16 @@ pub fn bootstrap_saturated<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<CoefficientEstimate>, SolveError> {
     assert!(options.replicates > 0, "bootstrap needs at least one replicate");
-    let point = experiment_quantile_fit(design, cells, tau)?;
-    let labels = design.term_labels();
-
-    let configs: Vec<Vec<f64>> = cells.iter().map(|c| c.levels.clone()).collect();
-    let matrix = design.design_matrix(&configs);
-
-    // Per-run quantile estimates, precomputed once per cell.
+    let matrix = saturated_matrix(design, cells, tau);
+    // Per-run quantile estimates, computed once per cell: the point fit
+    // and every replicate resample them.
     let run_quantiles: Vec<Vec<f64>> =
         cells.iter().map(|cell| per_run_quantiles(cell, tau)).collect();
-
-    let mut per_coef: Vec<StreamingStats> =
-        (0..design.num_terms()).map(|_| StreamingStats::new()).collect();
+    let point = matrix.solve(&experiment_quantiles(&run_quantiles, tau))?;
 
     let mut rhs = vec![0.0f64; cells.len()];
     let mut resampled: Vec<f64> = Vec::new();
-    for _ in 0..options.replicates {
+    bootstrap_coefficients(design, point, options.replicates, || {
         for (ci, quantiles) in run_quantiles.iter().enumerate() {
             let r = quantiles.len();
             resampled.clear();
@@ -95,13 +91,37 @@ pub fn bootstrap_saturated<R: Rng + ?Sized>(
             resampled.sort_by(f64::total_cmp);
             rhs[ci] = quantile_of_sorted(&resampled, tau);
         }
-        let beta = matrix.solve(&rhs)?;
+        matrix.solve(&rhs)
+    })
+}
+
+/// The coefficient rows of a fit: `point` holds the estimates, ordered
+/// as [`FactorialDesign::term_labels`], and `replicate` is called
+/// `replicates` times for one bootstrap replicate of them. Each
+/// coefficient's standard error is its sample standard deviation across
+/// the replicates, and its p-value the two-sided normal test of
+/// `estimate / std_error` (with a zero standard error: 1 for a zero
+/// estimate, 0 otherwise).
+///
+/// # Errors
+///
+/// The first error `replicate` returns.
+pub fn bootstrap_coefficients(
+    design: &FactorialDesign,
+    point: Vec<f64>,
+    replicates: usize,
+    mut replicate: impl FnMut() -> Result<Vec<f64>, SolveError>,
+) -> Result<Vec<CoefficientEstimate>, SolveError> {
+    let mut per_coef: Vec<StreamingStats> =
+        (0..design.num_terms()).map(|_| StreamingStats::new()).collect();
+    for _ in 0..replicates {
+        let beta = replicate()?;
         for (stat, value) in per_coef.iter_mut().zip(&beta) {
             stat.record(*value);
         }
     }
-
-    Ok(labels
+    Ok(design
+        .term_labels()
         .into_iter()
         .zip(point)
         .zip(per_coef)
@@ -127,6 +147,7 @@ pub fn bootstrap_saturated<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regression::experiment_quantile_fit;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -26,7 +26,9 @@ pub mod saturated;
 pub mod simplex;
 
 pub use anova::{anova, AnovaRow, AnovaTable};
-pub use bootstrap::{bootstrap_saturated, BootstrapOptions, CoefficientEstimate};
+pub use bootstrap::{
+    bootstrap_coefficients, bootstrap_saturated, BootstrapOptions, CoefficientEstimate,
+};
 pub use design::FactorialDesign;
 pub use fit::{check_weight, pinball_loss, pseudo_r_squared, total_pinball_loss};
 pub use irls::{quantile_regression_irls, IrlsOptions};

@@ -9,7 +9,7 @@
 //! orders of magnitude faster than running an LP over millions of
 //! samples.
 
-use crate::linalg::SolveError;
+use crate::linalg::{Matrix, SolveError};
 use crate::quantile::quantile_of_sorted;
 use crate::regression::design::FactorialDesign;
 
@@ -156,14 +156,7 @@ pub fn saturated_quantile_fit(
     cells: &[Cell],
     tau: f64,
 ) -> Result<Vec<f64>, SolveError> {
-    assert!(tau > 0.0 && tau < 1.0, "quantile level {tau} outside (0, 1)");
-    assert_eq!(
-        design.num_terms(),
-        cells.len(),
-        "saturated fit needs exactly one cell per design term"
-    );
-    let configs: Vec<Vec<f64>> = cells.iter().map(|c| c.levels.clone()).collect();
-    let matrix = design.design_matrix(&configs);
+    let matrix = saturated_matrix(design, cells, tau);
     let rhs: Vec<f64> = cells.iter().map(|c| c.pooled_quantile(tau)).collect();
     matrix.solve(&rhs)
 }
@@ -197,6 +190,20 @@ pub fn experiment_quantile_fit(
     cells: &[Cell],
     tau: f64,
 ) -> Result<Vec<f64>, SolveError> {
+    let matrix = saturated_matrix(design, cells, tau);
+    let run_quantiles: Vec<Vec<f64>> =
+        cells.iter().map(|cell| per_run_quantiles(cell, tau)).collect();
+    matrix.solve(&experiment_quantiles(&run_quantiles, tau))
+}
+
+/// The design matrix of a saturated fit, one row per cell, after the
+/// checks every saturated fit makes.
+///
+/// # Panics
+///
+/// Panics if `tau` is outside `(0, 1)` or the design is not saturated
+/// (`num_terms != number of cells`).
+pub(crate) fn saturated_matrix(design: &FactorialDesign, cells: &[Cell], tau: f64) -> Matrix {
     assert!(tau > 0.0 && tau < 1.0, "quantile level {tau} outside (0, 1)");
     assert_eq!(
         design.num_terms(),
@@ -204,16 +211,20 @@ pub fn experiment_quantile_fit(
         "saturated fit needs exactly one cell per design term"
     );
     let configs: Vec<Vec<f64>> = cells.iter().map(|c| c.levels.clone()).collect();
-    let matrix = design.design_matrix(&configs);
-    let rhs: Vec<f64> = cells
+    design.design_matrix(&configs)
+}
+
+/// The τ-quantile of each cell's per-run τ-quantiles: the cell values
+/// [`experiment_quantile_fit`] solves for.
+pub(crate) fn experiment_quantiles(run_quantiles: &[Vec<f64>], tau: f64) -> Vec<f64> {
+    run_quantiles
         .iter()
-        .map(|cell| {
-            let mut qs = per_run_quantiles(cell, tau);
-            qs.sort_by(f64::total_cmp);
-            quantile_of_sorted(&qs, tau)
+        .map(|quantiles| {
+            let mut sorted = quantiles.clone();
+            sorted.sort_by(f64::total_cmp);
+            quantile_of_sorted(&sorted, tau)
         })
-        .collect();
-    matrix.solve(&rhs)
+        .collect()
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ pub struct ServiceMoments {
     /// exactly even when `mean_service_ns()` is an approximation.
     pub mean_ns: f64,
     /// Squared coefficient of variation of total service demand,
-    /// Var[S]/E[S]².
+    /// `Var[S] / E[S]²`.
     pub cv2: f64,
     /// Fraction of the mean demand that is frequency-scalable CPU work
     /// (the remainder is memory-bound and NUMA-sensitive).

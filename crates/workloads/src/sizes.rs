@@ -188,7 +188,7 @@ impl SizeDistribution {
         }
     }
 
-    /// The exact or approximate second moment E[X²] of the distribution,
+    /// The exact or approximate second moment `E[X²]` of the distribution,
     /// in bytes². Exact for `Fixed`, discrete `Uniform`, capped `Pareto`
     /// (the analytic form of E[min(X, cap)²]) and `Mixture`; for
     /// `Lognormal` the uncapped moment is clipped at `cap²`.

@@ -45,8 +45,8 @@
 //!     Print a submitted experiment's status JSON.
 //!
 //! treadmill-cli fetch <job-id> --addr HOST:PORT [--artifact NAME] [--out FILE]
-//!     Fetch a finished experiment's artifact (default: attribution)
-//!     to stdout or FILE.
+//!     Fetch a finished experiment's artifact (attribution, the
+//!     default, or summary, screen, factorial) to stdout or FILE.
 //! ```
 //!
 //! `sweep` and `screen --out` install SIGINT/SIGTERM handlers: an
@@ -56,7 +56,9 @@
 //!
 //! A `--runs` that a command's procedure cannot use (below 2 for `run`
 //! and `compare`, 0 for the others that simulate) is rejected before
-//! anything is simulated.
+//! anything is simulated, and so is a sweep's `--ckpt-events` below
+//! the service's floor (`MIN_CKPT_EVENTS`, 1,000): at 0 a sweep would
+//! neither checkpoint nor notice Ctrl-C until its cell ends.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -72,6 +74,7 @@ use treadmill::inference::{
     attribute, collect, screen_factors, screen_hardware, CollectionPlan, ScreeningOptions,
     TABLE_IV_PERCENTILES,
 };
+use treadmill::server::job::MIN_CKPT_EVENTS;
 use treadmill::sim::SimDuration;
 use treadmill::stats::compare::welch_t_test;
 use treadmill::workloads::{Mcrouter, Memcached, Workload};
@@ -154,7 +157,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--artifact" => {
                 flags.artifact = iter
                     .next()
-                    .ok_or("--artifact needs a name (attribution|summary)")?
+                    .ok_or("--artifact needs a name (attribution|summary|screen|factorial)")?
                     .clone();
             }
             other if other.starts_with("--") => {
@@ -285,14 +288,24 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         .first()
         .ok_or("sweep needs a config file path")?;
     let out = flags.out.as_ref().ok_or("sweep needs --out DIR")?;
-    require_runs(flags, 1, SWEEP_RUNS)?;
+    check_sweep_flags(flags)?;
     let mut config = load_config(path)?;
     config.seed = flags.seed;
     durable_sweep(&config, out, flags)
 }
 
-/// Why a sweep rejects `--runs 0`, as `treadmill-serve` does.
-const SWEEP_RUNS: &str = "a sweep runs each cell at least once";
+/// Rejects the flags a durable sweep cannot use, as `treadmill-serve`
+/// rejects them in a spec: `--runs 0` and a `--ckpt-events` under
+/// [`MIN_CKPT_EVENTS`].
+fn check_sweep_flags(flags: &Flags) -> Result<(), String> {
+    require_runs(flags, 1, "a sweep runs each cell at least once")?;
+    match flags.ckpt_events {
+        Some(k) if k < MIN_CKPT_EVENTS => Err(format!(
+            "--ckpt-events must be at least {MIN_CKPT_EVENTS}, got {k}"
+        )),
+        _ => Ok(()),
+    }
+}
 
 /// Runs `config` into `out` as `treadmill-serve` runs a job: with a
 /// `screen` block, the screened 16-cell factorial; without one, the
@@ -588,7 +601,7 @@ fn cmd_screen(flags: &Flags) -> Result<(), String> {
 /// threshold, spending DES only on the flagged cells.
 fn cmd_screen_analytic(flags: &Flags, path: &str) -> Result<(), String> {
     if flags.out.is_some() {
-        require_runs(flags, 1, SWEEP_RUNS)?;
+        check_sweep_flags(flags)?;
     }
     let mut config = load_config(path)?;
     config.seed = flags.seed;

@@ -155,6 +155,141 @@ fn too_few_runs_are_rejected_before_anything_runs() {
 }
 
 #[test]
+fn checkpoint_intervals_under_the_floor_are_rejected_before_anything_runs() {
+    // At `--ckpt-events 0` a sweep would neither checkpoint nor notice
+    // Ctrl-C until its cell ends; the floor is the service's.
+    let root = temp_root("ckpt-events");
+    let config = write_config(&root, "config.json", "");
+    let out_dir = root.join("out");
+    let out = out_dir.to_str().unwrap();
+    let cases: [&[&str]; 2] = [
+        &["sweep", &config, "--out", out, "--ckpt-events", "0"],
+        &["screen", &config, "--out", out, "--ckpt-events", "999"],
+    ];
+    for args in cases {
+        let result = cli(args);
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("--ckpt-events"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            !out_dir.exists(),
+            "{args:?} wrote {out} before rejecting --ckpt-events"
+        );
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Pulls `"name":"value"` out of a flat JSON body.
+fn field_str(body: &str, name: &str) -> Option<String> {
+    let marker = format!("\"{name}\":\"");
+    let at = body.find(&marker)? + marker.len();
+    let rest = &body[at..];
+    Some(rest[..rest.find('"')?].to_string())
+}
+
+#[test]
+fn submit_status_and_fetch_talk_to_a_running_service() {
+    let root = temp_root("service");
+    let state = root.join("state");
+    let handle = treadmill::server::start(treadmill::server::ServeOptions::new(&state)).unwrap();
+    let addr = handle.addr().to_string();
+    let spec = root.join("spec.json");
+    fs::write(
+        &spec,
+        r#"{"config":{"workload":{"workload":"memcached"},
+            "target_rps":50000,"clients":2,"connections_per_client":4,
+            "duration_ms":40,"warmup_ms":10,"seed":3},
+            "runs":1,"ckpt_events":25000}"#,
+    )
+    .unwrap();
+    let spec = spec.to_str().unwrap();
+    let stdout = |out: &Output| String::from_utf8_lossy(&out.stdout).into_owned();
+
+    // A keyed submission prints its id; the same key again prints that
+    // id, deduplicated.
+    let submit = ["submit", spec, "--addr", &addr, "--key", "cli-test"];
+    let first = cli(&submit);
+    assert!(
+        first.status.success(),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    let id = field_str(&stdout(&first), "id").expect("submit printed no id");
+    let again = cli(&submit);
+    assert!(
+        again.status.success(),
+        "{}",
+        String::from_utf8_lossy(&again.stderr)
+    );
+    assert_eq!(
+        field_str(&stdout(&again), "id").as_deref(),
+        Some(id.as_str())
+    );
+    assert!(
+        stdout(&again).contains("\"deduplicated\":true"),
+        "{}",
+        stdout(&again)
+    );
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        let status = cli(&["status", &id, "--addr", &addr]);
+        assert!(
+            status.status.success(),
+            "{}",
+            String::from_utf8_lossy(&status.stderr)
+        );
+        match field_str(&stdout(&status), "status").as_deref() {
+            Some("done") => break,
+            Some("queued" | "running") if std::time::Instant::now() < deadline => {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+            other => panic!("job {id} is {other:?}: {}", stdout(&status)),
+        }
+    }
+
+    let fetched = root.join("attribution.tsv");
+    let fetch = cli(&[
+        "fetch",
+        &id,
+        "--addr",
+        &addr,
+        "--out",
+        fetched.to_str().unwrap(),
+    ]);
+    assert!(
+        fetch.status.success(),
+        "{}",
+        String::from_utf8_lossy(&fetch.stderr)
+    );
+    assert_eq!(
+        fs::read(&fetched).unwrap(),
+        fs::read(state.join("jobs").join(&id).join("attribution.tsv")).unwrap()
+    );
+
+    // A repeated-run job has no screen table, and no job is "exp-nope".
+    let cases: [&[&str]; 2] = [
+        &["fetch", &id, "--addr", &addr, "--artifact", "screen"],
+        &["status", "exp-nope", "--addr", &addr],
+    ];
+    for args in cases {
+        let result = cli(args);
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("HTTP 404"), "{args:?}: {stderr}");
+    }
+    let result = cli(&["status", &id]);
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--addr"), "{stderr}");
+
+    handle.drain();
+    handle.join().expect("service threads panicked");
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn costs_that_overflow_the_clock_are_rejected_by_name() {
     let root = temp_root("costs");
     let cases = [
