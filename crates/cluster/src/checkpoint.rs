@@ -13,8 +13,9 @@
 //!   client machines' RNG streams, bookkeeping, in-flight requests and
 //!   record and failure counts, the cursor the segment must reach; the
 //!   fault plan's cursors; the link queues; the server's cores, run
-//!   queues and thermal state); then the clock, the event heap (verbatim
-//!   slot order, so FIFO tie-breaks survive) and the shard counters. A
+//!   queues and thermal state); then the clock, the pending events (in
+//!   ascending key order; the keys carry the FIFO tie-breaks, so a
+//!   restore may take them in any order) and the shard counters. A
 //!   component writes its section with a `save` beside its fields and
 //!   reads it back with a `load`; this module keeps the section order
 //!   and the value codecs the sections share (profiles, requests, core
@@ -197,18 +198,19 @@ pub fn write_state(engine: &Engine<ClusterWorld>, w: &mut SnapshotWriter) {
     world.network.save(w);
     world.server.save(w);
 
-    // Engine clock and event heap (raw slot order: restoring verbatim
-    // preserves FIFO tie-breaks among simultaneous events).
+    // Engine clock and pending events in ascending key order. The keys
+    // carry every FIFO tie-break, and a sorted array is also a valid
+    // 4-ary heap, the layout older builds wrote and read here.
     let (now, executed) = engine.clock_state();
     w.put_time(now);
     w.put_u64(executed);
-    let (keys, events, next_seq) = engine.queue().snapshot_slots();
+    let (entries, next_seq) = engine.queue().snapshot_slots();
     w.put_u64(next_seq);
-    w.put_u64(keys.len() as u64);
-    for &key in keys {
+    w.put_u64(entries.len() as u64);
+    for &(key, _) in &entries {
         w.put_u128(key);
     }
-    for event in events {
+    for &(_, event) in &entries {
         put_event(w, event);
     }
 
@@ -707,6 +709,73 @@ pub(crate) mod tests {
     fn resume_from_event_zero_and_near_drain() {
         kill_and_resume_matches(false, 0);
         kill_and_resume_matches(false, u64::MAX / 2);
+    }
+
+    /// A 4-ary heap layout of `keys` (as indices into it), built by
+    /// inserting them in schedule order: how checkpoints written before
+    /// the calendar queue listed pending events.
+    fn heap_order(keys: &[u128]) -> Vec<usize> {
+        let mut by_seq: Vec<usize> = (0..keys.len()).collect();
+        by_seq.sort_by_key(|&i| keys[i] as u64 & ((1 << 48) - 1));
+        let mut heap: Vec<usize> = Vec::new();
+        for i in by_seq {
+            heap.push(i);
+            let mut at = heap.len() - 1;
+            while at > 0 && keys[heap[(at - 1) / 4]] > keys[heap[at]] {
+                heap.swap(at, (at - 1) / 4);
+                at = (at - 1) / 4;
+            }
+        }
+        heap
+    }
+
+    #[test]
+    fn a_queue_section_in_heap_order_resumes_bit_identically() {
+        // Version-5 checkpoints from before the calendar queue hold the
+        // pending events in heap slot order rather than sorted: re-seal
+        // a state with its queue section permuted that way, and resume.
+        let golden = builder(true).run();
+        let mut victim = builder(true).build();
+        victim.run_events(25_000);
+        let (entries, next_seq) = victim.queue().snapshot_slots();
+        let keys: Vec<u128> = entries.iter().map(|&(key, _)| key).collect();
+        let section = |order: &[usize]| {
+            let mut w = SnapshotWriter::new();
+            w.put_u64(next_seq);
+            w.put_u64(order.len() as u64);
+            for &i in order {
+                w.put_u128(keys[i]);
+            }
+            for &i in order {
+                put_event(&mut w, entries[i].1);
+            }
+            snapshot::open(&w.into_sealed()).expect("sealed").to_vec()
+        };
+        let sorted = section(&(0..keys.len()).collect::<Vec<_>>());
+        let order = heap_order(&keys);
+        assert!(
+            order.windows(2).any(|w| w[0] > w[1]),
+            "the heap layout is not sorted"
+        );
+
+        let mut state = SnapshotWriter::new();
+        write_state(&victim, &mut state);
+        let mut state = snapshot::open(&state.into_sealed()).expect("sealed").to_vec();
+        let at = state
+            .windows(sorted.len())
+            .position(|bytes| bytes == sorted.as_slice())
+            .expect("the queue section is written in ascending key order");
+        state[at..at + sorted.len()].copy_from_slice(&section(&order));
+
+        let mut records = Vec::new();
+        write_chunk(&victim, &mut Vec::new(), &mut records).expect("writing to memory");
+        let mut w = SnapshotWriter::new();
+        w.put_raw(&records);
+        w.put_raw(&state);
+        let mut resumed = builder(true).build();
+        restore(&mut resumed, &w.into_sealed()).expect("a heap-ordered section restores");
+        resumed.run_to_completion();
+        assert_identical(&golden, &extract_result(resumed));
     }
 
     #[test]

@@ -49,11 +49,12 @@ use crate::source::{SendOrder, TrafficSource};
 
 /// The event alphabet of the cluster simulation.
 ///
-/// Variants that track a request in flight carry it boxed: every
-/// request transits the event heap roughly eight times, and sift swaps
-/// move whole events, so a thin pointer beats an inline ~130-byte
-/// payload by a wide margin. The request is allocated once at
-/// [`Event::SendFire`] and freed when [`Event::Delivered`] lands.
+/// Variants that track a request in flight carry it boxed: a delivered
+/// request crosses the event queue ten times, and the queue moves whole
+/// events (into its slab, and again when a removal fills the gap), so a
+/// thin pointer beats an inline ~130-byte payload by a wide margin. The
+/// request is allocated once at [`Event::SendFire`] and freed when
+/// [`Event::Delivered`] lands.
 #[derive(Debug)]
 pub enum Event {
     /// The load tester on `client` initiates a send on `conn`.
@@ -920,14 +921,12 @@ impl ClusterBuilder {
             policy,
             shard: ShardCtx::new(index, n_shards, remote_every, crate::shard::INTER_SHARD_PROPAGATION),
         };
-        // What can be pending follows clients, cores and in-flight
-        // requests, not connections: an open-loop client keeps one send
-        // pending, a request holds one event wherever it is, and the
-        // periodic ticks add a few. A 750k rps single-server run holds
-        // ~50 events on average. This reservation covers the common case;
-        // past it the heap grows like any vector.
-        let queue_capacity = 64 + 4 * (world.clients.len() + world.server.cores.len());
-        let mut engine = Engine::with_queue_capacity(world, queue_capacity);
+        // Not pre-sized: the event queue grows as events arrive, a few
+        // doublings early in a run (a 750k rps single-server run holds
+        // ~53 events on average, a shard of a 100-shard run ~13), where
+        // a worst-case reservation per queue costs the 100-shard run
+        // 0.75 MB of peak RSS.
+        let mut engine = Engine::new(world);
         let starts = engine.world_mut().collect_start_orders(SimTime::ZERO);
         for (client, order) in starts {
             if order.at <= stop_sending_at {

@@ -184,12 +184,38 @@ impl SweepControl<'_> {
 pub struct SweepOptions {
     /// Cells (repeated runs) to execute.
     pub runs: u64,
-    /// Events between checkpoints of the running cell. Smaller values
-    /// lose less work to a crash but cost more checkpoints: each writes
-    /// the records completed since the previous one, plus an envelope
-    /// of fixed size (the pending events and in-flight state).
+    /// Events between checkpoints of the running cell, at least
+    /// [`MIN_CKPT_EVENTS`]. Smaller values lose less work to a crash but
+    /// cost more checkpoints: each writes the records completed since
+    /// the previous one, plus an envelope of fixed size (the pending
+    /// events and in-flight state).
     pub ckpt_events: u64,
 }
+
+impl SweepOptions {
+    /// Rejects a checkpoint interval under [`MIN_CKPT_EVENTS`], naming
+    /// `ckpt_events`.
+    fn validate(&self) -> Result<(), SweepError> {
+        if self.ckpt_events < MIN_CKPT_EVENTS {
+            return Err(SweepError::Config(ConfigError::Invalid {
+                field: "ckpt_events",
+                message: format!("must be >= {MIN_CKPT_EVENTS}, got {}", self.ckpt_events),
+            }));
+        }
+        Ok(())
+    }
+}
+
+/// Floor on [`SweepOptions::ckpt_events`], for every sweep: the CLI's
+/// `--ckpt-events`, a service job's `ckpt_events` and a library caller's
+/// options. A cell checks for cancellation only between checkpoint
+/// intervals, and an interval of 0 executes nothing, which reads as a
+/// drained cell: the cell would then run to its end in one piece, with
+/// no checkpoint. Each checkpoint writes only the records completed
+/// since the previous one, but also costs two fsyncs, an envelope of
+/// the pending state and an invariant audit; tighter intervals would
+/// make those fixed costs dominate the run.
+pub const MIN_CKPT_EVENTS: u64 = 1_000;
 
 /// Event-heap ceiling for the per-checkpoint invariant audit.
 const MAX_PENDING_EVENTS: usize = 10_000_000;
@@ -630,12 +656,24 @@ fn aggregate_attribution(
 /// # Errors
 ///
 /// Returns [`SweepError::Config`] if the configuration does not build
-/// and [`SweepError::Io`] on filesystem trouble. A corrupt or missing
-/// checkpoint is *not* an error: the affected cell restarts from event
-/// zero (with a warning) and the sweep continues. Cancellation is not
-/// an error either: the outcome comes back `Ok` with
-/// [`SweepOutcome::interrupted`] set.
+/// or `opts.ckpt_events` is under [`MIN_CKPT_EVENTS`] (both before
+/// anything is written), and [`SweepError::Io`] on filesystem trouble.
+/// A corrupt or missing checkpoint is *not* an error: the affected cell
+/// restarts from event zero (with a warning) and the sweep continues.
+/// Cancellation is not an error either: the outcome comes back `Ok`
+/// with [`SweepOutcome::interrupted`] set.
 pub fn run_sweep_controlled(
+    config: &LoadTestConfig,
+    out_dir: &Path,
+    opts: &SweepOptions,
+    ctrl: &mut SweepControl<'_>,
+) -> Result<SweepOutcome, SweepError> {
+    opts.validate()?;
+    sweep_cells(config, out_dir, opts, ctrl)
+}
+
+/// [`run_sweep_controlled`] past its check of `opts`.
+fn sweep_cells(
     config: &LoadTestConfig,
     out_dir: &Path,
     opts: &SweepOptions,
@@ -1011,6 +1049,7 @@ pub fn run_factorial_sweep_controlled(
     plan: Option<&ScreenedSweepPlan>,
     ctrl: &mut SweepControl<'_>,
 ) -> Result<FactorialOutcome, SweepError> {
+    opts.validate()?;
     config.validate()?;
     if let Some(plan) = plan {
         plan.validate()?;
@@ -1131,6 +1170,19 @@ mod tests {
         run_sweep_controlled(config, dir, opts, &mut SweepControl::default())
     }
 
+    /// [`sweep`] without the floor on `ckpt_events`: the crash-state
+    /// tests enumerate the files a cell of a few hundred events leaves
+    /// when it checkpoints every third of its run, and a cell long
+    /// enough for 1,000-event intervals would multiply the states and
+    /// the cost of each.
+    fn sweep_below_floor(
+        config: &LoadTestConfig,
+        dir: &Path,
+        opts: &SweepOptions,
+    ) -> Result<SweepOutcome, SweepError> {
+        sweep_cells(config, dir, opts, &mut SweepControl::default())
+    }
+
     /// The service's `/events` lines and the CLI's per-cell lines are
     /// these strings byte for byte.
     #[test]
@@ -1186,6 +1238,36 @@ mod tests {
         SweepOptions {
             runs,
             ckpt_events: 20_000,
+        }
+    }
+
+    /// Library callers get the floor the CLI and the service apply: at 0
+    /// the cell would run to its end with no checkpoint and no look at
+    /// its cancellation flag.
+    #[test]
+    fn checkpoint_intervals_under_the_floor_are_rejected_before_anything_is_written() {
+        let config = small_config();
+        let dir = std::env::temp_dir().join(format!("tml-sweep-floor-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        for ckpt_events in [0, MIN_CKPT_EVENTS - 1] {
+            let opts = SweepOptions {
+                runs: 1,
+                ckpt_events,
+            };
+            let mut ctrl = SweepControl::default();
+            let errors = [
+                sweep(&config, &dir, &opts).err(),
+                run_factorial_sweep_controlled(&config, &dir, &opts, None, &mut ctrl).err(),
+            ];
+            for err in errors {
+                match err {
+                    Some(SweepError::Config(e)) => {
+                        assert_eq!(e.field(), Some("ckpt_events"), "{e}");
+                    }
+                    other => panic!("ckpt_events {ckpt_events}: {other:?}"),
+                }
+            }
+            assert!(!dir.exists(), "a rejected sweep writes nothing");
         }
     }
 
@@ -1545,7 +1627,7 @@ mod tests {
             ..opts(1)
         };
         let golden_dir = tempdir("golden-stale");
-        sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
+        sweep_below_floor(&config, &golden_dir, &every_opts).expect("golden sweep");
 
         // Another configuration's in-flight cell 0: its checkpoint
         // files, and its `running` line.
@@ -1579,7 +1661,7 @@ mod tests {
             cancel: None,
             progress: Some(&mut look),
         };
-        let outcome = run_sweep_controlled(&config, &dir, &every_opts, &mut ctrl).expect("sweep");
+        let outcome = sweep_cells(&config, &dir, &every_opts, &mut ctrl).expect("sweep");
         assert_eq!(outcome.resumed_cell, None);
         let (last, envelope, segment) = at_start.expect("cell 0 started");
         let hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
@@ -1812,7 +1894,7 @@ mod tests {
             ckpt_events: every,
             ..opts(1)
         };
-        sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
+        sweep_below_floor(&config, &golden_dir, &every_opts).expect("golden sweep");
         let envelope = Some(first.envelope.as_slice());
         let cases = [
             ("unpublished", envelope, second.segment.as_slice(), Some(0)),
@@ -1831,7 +1913,7 @@ mod tests {
                 fs::write(dir.join("cell_0.ckpt.tmp"), &second.envelope[..40]).expect("tmp");
             }
             fs::write(records_path(&dir, 0), segment).expect("segment");
-            let outcome = sweep(&config, &dir, &every_opts).expect("resumed sweep");
+            let outcome = sweep_below_floor(&config, &dir, &every_opts).expect("resumed sweep");
             assert_eq!(outcome.resumed_cell, resumed, "{tag}");
             for artifact in [
                 "cell_0.tsv",
@@ -1863,7 +1945,7 @@ mod tests {
             ..opts(1)
         };
         let golden_dir = tempdir("golden-untrusted");
-        sweep(&config, &golden_dir, &every_opts).expect("golden sweep");
+        sweep_below_floor(&config, &golden_dir, &every_opts).expect("golden sweep");
         let scratch = tempdir("untrusted-checkpoints");
         let states = checkpoints_on_disk(&test, &scratch, every);
         let _ = fs::remove_dir_all(&scratch);
@@ -1889,7 +1971,7 @@ mod tests {
             let dir = crashed_dir(tag, &config);
             fs::write(ckpt_path(&dir, 0), envelope).expect("envelope");
             fs::write(records_path(&dir, 0), segment).expect("segment");
-            let outcome = sweep(&config, &dir, &every_opts).expect("resumed sweep");
+            let outcome = sweep_below_floor(&config, &dir, &every_opts).expect("resumed sweep");
             assert_eq!(outcome.resumed_cell, None, "{tag}");
             assert!(
                 outcome

@@ -10,16 +10,11 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use treadmill_core::sweep::DEFAULT_CKPT_EVENTS;
+use treadmill_core::sweep::{DEFAULT_CKPT_EVENTS, MIN_CKPT_EVENTS};
 use treadmill_core::{ConfigError, LoadTestConfig};
 
 /// Ceiling on the repeated-run count of one submission.
 pub const MAX_RUNS_PER_JOB: u64 = 64;
-/// Floor on the checkpoint interval. A checkpoint writes only the
-/// records completed since the previous one, but each also costs two
-/// fsyncs, an envelope of the pending state and an invariant audit;
-/// tighter intervals would make those fixed costs dominate the run.
-pub const MIN_CKPT_EVENTS: u64 = 1_000;
 
 fn default_runs() -> u64 {
     6

@@ -109,8 +109,8 @@ impl<W: World> Engine<W> {
     /// Returns the number of events executed by this call.
     pub fn run_to_completion(&mut self) -> u64 {
         // Unconditional pops: an infinite horizon never rejects an
-        // event, so the per-event root comparison of `run_until` would
-        // be pure overhead here.
+        // event, so the per-event horizon comparison of `run_until`
+        // would be pure overhead here.
         let mut count = 0;
         while let Some(scheduled) = self.queue.pop() {
             debug_assert!(scheduled.at >= self.now, "time went backwards");
@@ -129,8 +129,8 @@ impl<W: World> Engine<W> {
     /// left at the last executed event (it does not jump to `horizon`).
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         let mut count = 0;
-        // pop_at_or_before does the horizon check on the heap root
-        // directly — no separate peek traversal per event.
+        // pop_at_or_before does the horizon check on the earliest key
+        // it has already found — no separate peek per event.
         while let Some(scheduled) = self.queue.pop_at_or_before(horizon) {
             debug_assert!(scheduled.at >= self.now, "time went backwards");
             self.now = scheduled.at;

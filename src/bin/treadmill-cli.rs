@@ -57,7 +57,7 @@
 //! A `--runs` that a command's procedure cannot use (below 2 for `run`
 //! and `compare`, 0 for the others that simulate) is rejected before
 //! anything is simulated, and so is a sweep's `--ckpt-events` below
-//! the service's floor (`MIN_CKPT_EVENTS`, 1,000): at 0 a sweep would
+//! every sweep's floor (`MIN_CKPT_EVENTS`, 1,000): at 0 a sweep would
 //! neither checkpoint nor notice Ctrl-C until its cell ends.
 
 use std::path::Path;
@@ -66,6 +66,7 @@ use std::sync::Arc;
 
 use treadmill::cluster::HardwareConfig;
 use treadmill::core::experiment::run_until_converged_with;
+use treadmill::core::sweep::MIN_CKPT_EVENTS;
 use treadmill::core::{
     run_factorial_sweep_controlled, run_sweep_controlled, ExperimentOptions, LoadTestConfig,
     ScreenSpec, SweepControl, SweepEvent, SweepOptions,
@@ -74,7 +75,6 @@ use treadmill::inference::{
     attribute, collect, screen_factors, screen_hardware, CollectionPlan, ScreeningOptions,
     TABLE_IV_PERCENTILES,
 };
-use treadmill::server::job::MIN_CKPT_EVENTS;
 use treadmill::sim::SimDuration;
 use treadmill::stats::compare::welch_t_test;
 use treadmill::workloads::{Mcrouter, Memcached, Workload};
