@@ -16,6 +16,14 @@
 //! Because these draws are per-run, two runs of the *same* configuration
 //! converge to different tail-latency values, no matter how many samples
 //! each collects — exactly Figure 4.
+//!
+//! [`RunState`] keeps one byte and one bit per connection: the RSS queue
+//! as a `u8` and the remote-buffer flag in a bitset. The worker core is
+//! not stored: connection `i` (counted across clients) runs on
+//! `core_order[i % cores]`, the shuffled round-robin, and the remainder
+//! is taken by a multiply and a shift (Lemire, Kaser and Kurz, *Faster
+//! Remainder by Direct Computation*, 2019), so a request's placement
+//! costs no division.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -38,7 +46,16 @@ pub struct ConnectionState {
 #[derive(Debug, Clone)]
 pub struct RunState {
     conn_offsets: Vec<u32>,
-    states: Vec<ConnectionState>,
+    /// Worker cores in round-robin order.
+    core_order: Vec<u8>,
+    /// `⌊(2⁶⁴ − 1) / cores⌋ + 1` (mod 2⁶⁴), for `i % cores` by
+    /// multiplication.
+    core_magic: u64,
+    /// Each connection's RSS queue.
+    rss: Vec<u8>,
+    /// Bit `i % 64` of word `i / 64` is set if connection `i`'s buffers
+    /// are remote to its worker core.
+    remote: Vec<u64>,
     remote_fraction: f64,
     service_factor: f64,
 }
@@ -49,7 +66,8 @@ impl RunState {
     ///
     /// # Panics
     ///
-    /// Panics if `connections_per_client` is empty or any entry is zero.
+    /// Panics if `connections_per_client` is empty or any entry is zero,
+    /// or if `spec` has no core or more than 255.
     // Core counts are bounded by ServerSpec's u8 fields, so the
     // core-id casts below cannot truncate.
     #[allow(clippy::cast_possible_truncation)]
@@ -75,8 +93,11 @@ impl RunState {
         }
 
         // Worker placement: shuffled round-robin over all cores.
-        let cores = spec.total_cores() as u32;
-        let mut core_order: Vec<u8> = (0..cores as u8).collect();
+        let mut core_order: Vec<u8> = (0..spec.total_cores() as u8).collect();
+        assert!(
+            core_order.len() == spec.total_cores() && !core_order.is_empty(),
+            "a server needs 1 to 255 cores"
+        );
         core_order.shuffle(rng);
 
         // Buffer placement probability per policy. `same-node` mostly
@@ -112,17 +133,24 @@ impl RunState {
             1.0
         };
 
-        let states = (0..total)
-            .map(|i| ConnectionState {
-                worker_core: core_order[(i % cores) as usize],
-                rss_queue: rng.gen_range(0..spec.rss_queues),
-                buffer_remote: rng.gen::<f64>() < remote_fraction,
-            })
-            .collect();
+        // Per connection, in index order: its RSS queue, then whether
+        // its buffers are remote.
+        let total = total as usize;
+        let mut rss = Vec::with_capacity(total);
+        let mut remote = vec![0u64; total.div_ceil(64)];
+        for i in 0..total {
+            rss.push(rng.gen_range(0..spec.rss_queues));
+            if rng.gen::<f64>() < remote_fraction {
+                remote[i / 64] |= 1 << (i % 64);
+            }
+        }
 
         RunState {
             conn_offsets,
-            states,
+            core_magic: (u64::MAX / core_order.len() as u64).wrapping_add(1),
+            core_order,
+            rss,
+            remote,
             remote_fraction,
             service_factor,
         }
@@ -133,9 +161,22 @@ impl RunState {
     /// # Panics
     ///
     /// Panics if the indices are out of range.
+    // The shifted product is a remainder, below the core count.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn connection(&self, client: u32, conn: u32) -> ConnectionState {
-        let base = self.conn_offsets[client as usize];
-        self.states[(base + conn) as usize]
+        let i = self.conn_offsets[client as usize] + conn;
+        // `i % cores` for any 32-bit `i`: the low 64 bits of
+        // `core_magic · i` are the fraction `i / cores` below one, and
+        // their product with `cores` carries the remainder above bit 64.
+        let fraction = self.core_magic.wrapping_mul(u64::from(i));
+        let cores = self.core_order.len() as u128;
+        let worker = ((u128::from(fraction) * cores) >> 64) as usize;
+        let i = i as usize;
+        ConnectionState {
+            worker_core: self.core_order[worker],
+            rss_queue: self.rss[i],
+            buffer_remote: (self.remote[i / 64] >> (i % 64)) & 1 == 1,
+        }
     }
 
     /// The run's realised remote-buffer probability (diagnostics).
@@ -150,7 +191,7 @@ impl RunState {
 
     /// Total connections across clients.
     pub fn total_connections(&self) -> usize {
-        self.states.len()
+        self.rss.len()
     }
 }
 
@@ -247,6 +288,114 @@ mod tests {
         assert!(max - min > 0.02, "hysteresis spread {min}..{max} too small");
     }
 
+    /// The reference the packed layout is checked against: one stored
+    /// `ConnectionState` per connection, each worker core taken with a
+    /// division, drawn in the order `RunState::generate` draws. Returns
+    /// the states, the remote fraction and the service factor.
+    #[allow(clippy::cast_possible_truncation)]
+    fn per_connection_draws(
+        spec: &ServerSpec,
+        hw: HardwareConfig,
+        connections_per_client: &[u32],
+        rng: &mut SmallRng,
+    ) -> (Vec<ConnectionState>, f64, f64) {
+        let total: u32 = connections_per_client.iter().sum();
+        let cores = spec.total_cores() as u32;
+        let mut core_order: Vec<u8> = (0..cores as u8).collect();
+        core_order.shuffle(rng);
+        let h = &spec.hysteresis;
+        let (base_remote, jitter_width) = match hw.numa {
+            Level::Low => (h.remote_fraction_same_node, h.remote_jitter_same_node),
+            Level::High => (h.remote_fraction_interleave, h.remote_jitter_interleave),
+        };
+        let jitter: f64 = if jitter_width > 0.0 {
+            rng.gen_range(-jitter_width..jitter_width)
+        } else {
+            0.0
+        };
+        let remote_fraction = (base_remote + jitter).clamp(0.0, 1.0);
+        let service_factor = if h.service_jitter > 0.0 {
+            1.0 + rng.gen_range(-h.service_jitter..h.service_jitter)
+        } else {
+            1.0
+        };
+        let states = (0..total)
+            .map(|i| ConnectionState {
+                worker_core: core_order[(i % cores) as usize],
+                rss_queue: rng.gen_range(0..spec.rss_queues),
+                buffer_remote: rng.gen::<f64>() < remote_fraction,
+            })
+            .collect();
+        (states, remote_fraction, service_factor)
+    }
+
+    #[test]
+    fn packed_placement_matches_per_connection_draws() {
+        let fifteen_cores = ServerSpec {
+            sockets: 3,
+            cores_per_socket: 5,
+            rss_queues: 7,
+            ..ServerSpec::default()
+        };
+        let one_core = ServerSpec {
+            sockets: 1,
+            cores_per_socket: 1,
+            ..ServerSpec::default()
+        };
+        let clusters: [&[u32]; 3] = [&[1_250; 8], &[4, 8, 2], &[1]];
+        for spec in [ServerSpec::default(), fifteen_cores, one_core] {
+            for hw in [HardwareConfig::default(), interleave_hw()] {
+                for counts in clusters {
+                    for seed in 0..3 {
+                        let mut rng = SmallRng::seed_from_u64(seed);
+                        let mut reference_rng = rng.clone();
+                        let state = RunState::generate(&spec, hw, counts, &mut rng);
+                        let (states, remote_fraction, service_factor) =
+                            per_connection_draws(&spec, hw, counts, &mut reference_rng);
+                        assert_eq!(
+                            rng, reference_rng,
+                            "the RNG is left where the draws leave it"
+                        );
+                        assert_eq!(state.remote_fraction().to_bits(), remote_fraction.to_bits());
+                        assert_eq!(state.service_factor().to_bits(), service_factor.to_bits());
+                        assert_eq!(state.total_connections(), states.len());
+                        let mut expected = states.iter();
+                        for (client, &n) in (0u32..).zip(counts) {
+                            for conn in 0..n {
+                                assert_eq!(
+                                    Some(&state.connection(client, conn)),
+                                    expected.next(),
+                                    "{} cores, {hw:?}, {counts:?}, seed {seed}: client {client} conn {conn}",
+                                    spec.total_cores()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn placement_takes_one_byte_and_one_bit_per_connection() {
+        let spec = ServerSpec::default();
+        let counts = [1_250; 8];
+        let mut rng = SmallRng::seed_from_u64(7);
+        let state = RunState::generate(&spec, interleave_hw(), &counts, &mut rng);
+        let n = state.total_connections();
+        let held = state.rss.capacity()
+            + 8 * state.remote.capacity()
+            + 4 * state.conn_offsets.capacity()
+            + state.core_order.capacity();
+        // The bitset rounds up to whole words; the rest is per client
+        // and per core.
+        let bound = n + 8 * n.div_ceil(64) + 4 * counts.len() + spec.total_cores();
+        assert!(
+            held <= bound,
+            "{held} B held for {n} connections, bound {bound} B"
+        );
+    }
+
     #[test]
     fn multi_client_indexing() {
         let spec = ServerSpec::default();
@@ -260,6 +409,25 @@ mod tests {
         assert_eq!(state.total_connections(), 14);
         // Last connection of last client is addressable.
         let _ = state.connection(2, 1);
+    }
+
+    #[test]
+    fn core_counts_beyond_the_u8_ids_are_rejected() {
+        for (sockets, cores_per_socket) in [(0, 8), (2, 128), (3, 100)] {
+            let spec = ServerSpec {
+                sockets,
+                cores_per_socket,
+                ..ServerSpec::default()
+            };
+            let drawn = std::panic::catch_unwind(|| {
+                let mut rng = SmallRng::seed_from_u64(8);
+                RunState::generate(&spec, HardwareConfig::default(), &[64], &mut rng)
+            });
+            assert!(
+                drawn.is_err(),
+                "{sockets} × {cores_per_socket} cores accepted"
+            );
+        }
     }
 
     #[test]

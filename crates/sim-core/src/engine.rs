@@ -41,17 +41,6 @@ impl<W: World> Engine<W> {
         }
     }
 
-    /// Creates an engine whose queue is pre-sized for `capacity` pending
-    /// events, avoiding growth reallocations on the hot schedule path.
-    pub fn with_queue_capacity(world: W, capacity: usize) -> Self {
-        Engine {
-            world,
-            queue: EventQueue::with_capacity(capacity),
-            now: SimTime::ZERO,
-            executed: 0,
-        }
-    }
-
     /// The current simulation instant.
     pub fn now(&self) -> SimTime {
         self.now

@@ -138,14 +138,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue::with_capacity(0)
-    }
-
-    /// Creates an empty queue with room for `capacity` events in its
-    /// calendar, where all but far-future events go.
-    pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            calendar: Calendar::with_capacity(capacity),
+            calendar: Calendar::new(),
             heap: Heap::default(),
             next_seq: 0,
         }
@@ -253,11 +247,6 @@ impl<E> EventQueue<E> {
         self.heap.events.clear();
     }
 
-    /// Reserves calendar room for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.calendar.nodes.reserve(additional);
-    }
-
     /// The pending events for checkpointing, as packed keys with their
     /// payloads in ascending key order (the order they will pop in), and
     /// the schedule counter. The order depends only on the keys, not on
@@ -336,13 +325,13 @@ struct Node<E> {
 }
 
 impl<E> Calendar<E> {
-    fn with_capacity(capacity: usize) -> Self {
+    fn new() -> Self {
         Calendar {
             cursor: 0,
             heads: [NIL; BUCKETS],
             occupied: [0; WORDS],
             summary: 0,
-            nodes: Vec::with_capacity(capacity),
+            nodes: Vec::new(),
         }
     }
 
