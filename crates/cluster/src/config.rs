@@ -162,6 +162,19 @@ impl Default for HysteresisSpec {
 }
 
 impl HysteresisSpec {
+    /// The mean remote-buffer fraction under NUMA policy `numa` (`Low`
+    /// is `same-node`, `High` is `interleave`) and the half-width of the
+    /// per-run jitter drawn around it.
+    pub fn remote_fraction(&self, numa: Level) -> (f64, f64) {
+        match numa {
+            Level::Low => (self.remote_fraction_same_node, self.remote_jitter_same_node),
+            Level::High => (
+                self.remote_fraction_interleave,
+                self.remote_jitter_interleave,
+            ),
+        }
+    }
+
     /// A spec with every per-run variation source zeroed: restarts
     /// become statistically identical (useful for ablations).
     pub fn none() -> Self {
@@ -268,6 +281,27 @@ impl ServerSpec {
     pub fn socket_of(&self, core: usize) -> u8 {
         assert!(core < self.total_cores(), "core {core} out of range");
         (core / usize::from(self.cores_per_socket)) as u8
+    }
+
+    /// The clock every core boots at in configuration `hw`:
+    /// `performance` (dvfs High) starts at the maximum available
+    /// frequency, `ondemand` at base (starting at the minimum step would
+    /// inject a cold-start backlog transient into every run).
+    pub fn boot_ghz(&self, hw: HardwareConfig) -> f64 {
+        match (hw.dvfs, hw.turbo) {
+            (Level::High, Level::High) => self.turbo_ghz,
+            _ => self.base_ghz,
+        }
+    }
+
+    /// How many cores take NIC interrupts under affinity policy `nic`
+    /// (Table III): socket 0's under `same-node` (Low), every core under
+    /// `all-nodes` (High). RSS queue `q` interrupts core `q % irq_cores`.
+    pub fn irq_cores(&self, nic: Level) -> usize {
+        match nic {
+            Level::Low => usize::from(self.cores_per_socket),
+            Level::High => self.total_cores(),
+        }
     }
 }
 

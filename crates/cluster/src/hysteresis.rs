@@ -28,7 +28,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::config::{HardwareConfig, Level, ServerSpec};
+use crate::config::{HardwareConfig, ServerSpec};
 
 /// Frozen per-connection placement state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,10 +112,7 @@ impl RunState {
         // source. This is why the paper's tuned (same-node) system also
         // had far lower run-to-run variance (Figure 12).
         let h = &spec.hysteresis;
-        let (base_remote, jitter_width) = match hw.numa {
-            Level::Low => (h.remote_fraction_same_node, h.remote_jitter_same_node),
-            Level::High => (h.remote_fraction_interleave, h.remote_jitter_interleave),
-        };
+        let (base_remote, jitter_width) = h.remote_fraction(hw.numa);
         let jitter: f64 = if jitter_width > 0.0 {
             rng.gen_range(-jitter_width..jitter_width)
         } else {
@@ -198,6 +195,7 @@ impl RunState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Level;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -304,10 +302,7 @@ mod tests {
         let mut core_order: Vec<u8> = (0..cores as u8).collect();
         core_order.shuffle(rng);
         let h = &spec.hysteresis;
-        let (base_remote, jitter_width) = match hw.numa {
-            Level::Low => (h.remote_fraction_same_node, h.remote_jitter_same_node),
-            Level::High => (h.remote_fraction_interleave, h.remote_jitter_interleave),
-        };
+        let (base_remote, jitter_width) = h.remote_fraction(hw.numa);
         let jitter: f64 = if jitter_width > 0.0 {
             rng.gen_range(-jitter_width..jitter_width)
         } else {

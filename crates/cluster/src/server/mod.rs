@@ -10,7 +10,7 @@ use treadmill_sim_core::{SimDuration, SimTime};
 use treadmill_workloads::RequestProfile;
 
 use crate::checkpoint;
-use crate::config::{HardwareConfig, Level, ServerSpec};
+use crate::config::{HardwareConfig, ServerSpec};
 use core::Core;
 use turbo::ThermalModel;
 
@@ -22,6 +22,8 @@ pub struct Server {
     /// The CPU cores; index = core id.
     pub cores: Vec<Core>,
     thermal: ThermalModel,
+    /// Cores taking NIC interrupts ([`ServerSpec::irq_cores`]).
+    irq_cores: usize,
     prev_busy: Vec<SimDuration>,
     last_thermal: SimTime,
     freq_trace: Option<Vec<FrequencyEvent>>,
@@ -43,20 +45,7 @@ impl Server {
     // Core ids fit u8: ServerSpec bounds cores with u8 fields.
     #[allow(clippy::cast_possible_truncation)]
     pub fn new(spec: ServerSpec, hw: HardwareConfig) -> Self {
-        let initial_freq = match hw.dvfs {
-            // performance: start at the max available frequency.
-            Level::High => {
-                if hw.turbo.is_high() {
-                    spec.turbo_ghz
-                } else {
-                    spec.base_ghz
-                }
-            }
-            // ondemand: start at base — the governor retargets from its
-            // first sampling window (starting at the minimum step would
-            // inject a cold-start backlog transient into every run).
-            Level::Low => spec.base_ghz,
-        };
+        let initial_freq = spec.boot_ghz(hw);
         let cores = (0..spec.total_cores())
             .map(|i| Core::new(i as u8, spec.socket_of(i), initial_freq))
             .collect::<Vec<_>>();
@@ -69,6 +58,7 @@ impl Server {
         );
         let prev_busy = vec![SimDuration::ZERO; cores.len()];
         Server {
+            irq_cores: spec.irq_cores(hw.nic),
             spec,
             hw,
             cores,
@@ -108,11 +98,7 @@ impl Server {
     /// affinity policy (Table III): `same-node` maps every queue to
     /// socket-0 cores; `all-nodes` spreads queues across both sockets.
     pub fn rss_core(&self, queue: u8) -> usize {
-        let per_socket = usize::from(self.spec.cores_per_socket);
-        match self.hw.nic {
-            Level::Low => usize::from(queue) % per_socket,
-            Level::High => usize::from(queue) % self.spec.total_cores(),
-        }
+        usize::from(queue) % self.irq_cores
     }
 
     /// Interrupt-handling duration on `core` at its current frequency.
@@ -338,6 +324,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Level;
 
     fn hw(numa: bool, turbo: bool, dvfs: bool, nic: bool) -> HardwareConfig {
         HardwareConfig {
@@ -373,6 +360,20 @@ mod tests {
         let sockets: std::collections::BTreeSet<u8> =
             (0..16).map(|q| server.cores[server.rss_core(q)].socket).collect();
         assert_eq!(sockets.len(), 2);
+    }
+
+    #[test]
+    fn interrupts_land_on_exactly_the_irq_cores() {
+        let spec = ServerSpec::default();
+        for nic in [false, true] {
+            let server = Server::new(spec.clone(), hw(false, false, false, nic));
+            let cores: std::collections::BTreeSet<usize> =
+                (0..spec.rss_queues).map(|q| server.rss_core(q)).collect();
+            let expected = spec.irq_cores(Level::from_bit(nic));
+            assert_eq!(cores, (0..expected).collect(), "nic {nic}");
+        }
+        assert_eq!(spec.irq_cores(Level::Low), 8);
+        assert_eq!(spec.irq_cores(Level::High), 16);
     }
 
     #[test]
@@ -416,6 +417,18 @@ mod tests {
         assert_eq!(ondemand.cores[0].freq_ghz(), 2.2);
         let perf = Server::new(ServerSpec::default(), hw(false, true, true, false));
         assert_eq!(perf.cores[0].freq_ghz(), 3.0);
+        // Only performance with turbo boots above base.
+        let spec = ServerSpec::default();
+        for cell in HardwareConfig::all() {
+            let server = Server::new(spec.clone(), cell);
+            let boot = if cell.dvfs.is_high() && cell.turbo.is_high() {
+                3.0
+            } else {
+                2.2
+            };
+            assert_eq!(spec.boot_ghz(cell), boot, "{cell}");
+            assert!(server.cores.iter().all(|c| c.freq_ghz() == boot), "{cell}");
+        }
     }
 
     #[test]

@@ -14,6 +14,42 @@
 //! * the `turbo:dvfs` interaction — a `performance` governor keeps
 //!   frequency pinned high, heating the package and eroding the very
 //!   headroom turbo needs.
+//!
+//! Both laws are free functions, so the analytic screen solves its
+//! steady state with the package's own arithmetic.
+
+/// Gain from package activity to heat input (see [`heat_input`]).
+const HEATING_GAIN: f64 = 0.85;
+
+/// The heat level the package relaxes toward while its cores run at
+/// average utilisation `util` (clamped to `[0, 1]`) and average
+/// frequency `freq_ghz`: `HEATING_GAIN · util · (f / base)³`, dynamic
+/// power along the V/f curve.
+pub fn heat_input(util: f64, freq_ghz: f64, base_ghz: f64) -> f64 {
+    let rel_freq = (freq_ghz / base_ghz).max(0.0);
+    HEATING_GAIN * util.clamp(0.0, 1.0) * rel_freq.powi(3)
+}
+
+/// The maximum frequency available at normalised package `heat`, in
+/// GHz. With turbo disabled this is always the base frequency. With
+/// turbo enabled it is the full turbo frequency up to `throttle_start`,
+/// shrinking linearly to base as heat rises to 1.
+pub fn available_ghz(
+    base_ghz: f64,
+    turbo_ghz: f64,
+    turbo_enabled: bool,
+    throttle_start: f64,
+    heat: f64,
+) -> f64 {
+    if !turbo_enabled {
+        return base_ghz;
+    }
+    if heat <= throttle_start {
+        return turbo_ghz;
+    }
+    let over = ((heat - throttle_start) / (1.0 - throttle_start)).clamp(0.0, 1.0);
+    turbo_ghz - (turbo_ghz - base_ghz) * over
+}
 
 /// The package thermal state and turbo-frequency calculator.
 #[derive(Debug, Clone)]
@@ -23,7 +59,6 @@ pub struct ThermalModel {
     turbo_enabled: bool,
     tau_s: f64,
     throttle_start: f64,
-    heating_gain: f64,
     heat: f64,
 }
 
@@ -48,7 +83,6 @@ impl ThermalModel {
             turbo_enabled,
             tau_s,
             throttle_start,
-            heating_gain: 0.85,
             heat: 0.0,
         }
     }
@@ -63,27 +97,21 @@ impl ThermalModel {
     /// that interval.
     pub fn advance(&mut self, dt_s: f64, avg_util: f64, avg_freq_ghz: f64) {
         debug_assert!(dt_s >= 0.0);
-        let rel_freq = (avg_freq_ghz / self.base_ghz).max(0.0);
-        let input = self.heating_gain * avg_util.clamp(0.0, 1.0) * rel_freq.powi(3);
+        let input = heat_input(avg_util, avg_freq_ghz, self.base_ghz);
         let alpha = 1.0 - (-dt_s / self.tau_s).exp();
         self.heat += (input - self.heat) * alpha;
     }
 
-    /// The maximum frequency currently available, in GHz.
-    ///
-    /// With turbo disabled this is always the base frequency. With turbo
-    /// enabled it is the full turbo frequency while the package is cool,
-    /// shrinking linearly to base as heat rises past the throttle point.
+    /// The maximum frequency currently available, in GHz: [`available_ghz`]
+    /// at the current heat.
     pub fn available_ghz(&self) -> f64 {
-        if !self.turbo_enabled {
-            return self.base_ghz;
-        }
-        if self.heat <= self.throttle_start {
-            return self.turbo_ghz;
-        }
-        let over = ((self.heat - self.throttle_start) / (1.0 - self.throttle_start))
-            .clamp(0.0, 1.0);
-        self.turbo_ghz - (self.turbo_ghz - self.base_ghz) * over
+        available_ghz(
+            self.base_ghz,
+            self.turbo_ghz,
+            self.turbo_enabled,
+            self.throttle_start,
+            self.heat,
+        )
     }
 
     /// True if turbo is enabled in this configuration.
@@ -163,6 +191,20 @@ mod tests {
             fast.advance(0.01, 0.7, 3.0);
         }
         assert!(fast.heat() > slow.heat() * 1.5);
+    }
+
+    #[test]
+    fn the_package_settles_at_its_heat_input() {
+        // Twenty time constants at a fixed load: the heat has relaxed
+        // onto `heat_input`, the steady state the analytic screen takes.
+        let mut m = model(true);
+        for _ in 0..100 {
+            m.advance(0.01, 0.9, 3.0);
+        }
+        let settled = heat_input(0.9, 3.0, 2.2);
+        let gap = (m.heat() - settled).abs();
+        assert!(gap < 1e-6, "settled {settled}, off by {gap}");
+        assert!(available_ghz(2.2, 3.0, true, 0.55, settled) < 3.0);
     }
 
     #[test]

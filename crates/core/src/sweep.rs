@@ -182,7 +182,7 @@ impl SweepControl<'_> {
 /// Knobs for [`run_sweep_controlled`].
 #[derive(Debug, Clone, Copy)]
 pub struct SweepOptions {
-    /// Cells (repeated runs) to execute.
+    /// Cells (repeated runs) to execute, at least 1.
     pub runs: u64,
     /// Events between checkpoints of the running cell, at least
     /// [`MIN_CKPT_EVENTS`]. Smaller values lose less work to a crash but
@@ -193,9 +193,15 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Rejects a checkpoint interval under [`MIN_CKPT_EVENTS`], naming
-    /// `ckpt_events`.
+    /// Rejects a sweep of no runs, naming `runs`, and a checkpoint
+    /// interval under [`MIN_CKPT_EVENTS`], naming `ckpt_events`.
     fn validate(&self) -> Result<(), SweepError> {
+        if self.runs == 0 {
+            return Err(SweepError::Config(ConfigError::Invalid {
+                field: "runs",
+                message: "must be >= 1, got 0".to_string(),
+            }));
+        }
         if self.ckpt_events < MIN_CKPT_EVENTS {
             return Err(SweepError::Config(ConfigError::Invalid {
                 field: "ckpt_events",
@@ -655,9 +661,10 @@ fn aggregate_attribution(
 ///
 /// # Errors
 ///
-/// Returns [`SweepError::Config`] if the configuration does not build
-/// or `opts.ckpt_events` is under [`MIN_CKPT_EVENTS`] (both before
-/// anything is written), and [`SweepError::Io`] on filesystem trouble.
+/// Returns [`SweepError::Config`] if the configuration does not build,
+/// `opts.runs` is 0 or `opts.ckpt_events` is under [`MIN_CKPT_EVENTS`]
+/// (all before anything is written), and [`SweepError::Io`] on
+/// filesystem trouble.
 /// A corrupt or missing checkpoint is *not* an error: the affected cell
 /// restarts from event zero (with a warning) and the sweep continues.
 /// Cancellation is not an error either: the outcome comes back `Ok`
@@ -1241,19 +1248,22 @@ mod tests {
         }
     }
 
-    /// Library callers get the floor the CLI and the service apply: at 0
-    /// the cell would run to its end with no checkpoint and no look at
-    /// its cancellation flag.
+    /// Library callers get the floors the CLI and the service apply: at
+    /// `ckpt_events` 0 the cell would run to its end with no checkpoint
+    /// and no look at its cancellation flag, and at `runs` 0 a factorial
+    /// would report every cell simulated from no run at all.
     #[test]
     fn checkpoint_intervals_under_the_floor_are_rejected_before_anything_is_written() {
         let config = small_config();
         let dir = std::env::temp_dir().join(format!("tml-sweep-floor-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        for ckpt_events in [0, MIN_CKPT_EVENTS - 1] {
-            let opts = SweepOptions {
-                runs: 1,
-                ckpt_events,
-            };
+        let cases = [
+            (1, 0, "ckpt_events"),
+            (1, MIN_CKPT_EVENTS - 1, "ckpt_events"),
+            (0, MIN_CKPT_EVENTS, "runs"),
+        ];
+        for (runs, ckpt_events, field) in cases {
+            let opts = SweepOptions { runs, ckpt_events };
             let mut ctrl = SweepControl::default();
             let errors = [
                 sweep(&config, &dir, &opts).err(),
@@ -1261,10 +1271,8 @@ mod tests {
             ];
             for err in errors {
                 match err {
-                    Some(SweepError::Config(e)) => {
-                        assert_eq!(e.field(), Some("ckpt_events"), "{e}");
-                    }
-                    other => panic!("ckpt_events {ckpt_events}: {other:?}"),
+                    Some(SweepError::Config(e)) => assert_eq!(e.field(), Some(field), "{e}"),
+                    other => panic!("runs {runs}, ckpt_events {ckpt_events}: {other:?}"),
                 }
             }
             assert!(!dir.exists(), "a rejected sweep writes nothing");

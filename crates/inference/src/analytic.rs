@@ -17,29 +17,35 @@
 //!
 //! # Model
 //!
-//! The server is approximated as two queueing stages plus a fixed
-//! client/network pipeline:
+//! The server's laws are the simulator's own functions, called rather
+//! than restated: the governor's target and 0.1 GHz grid
+//! (`dvfs::governor_target`), package heat and turbo headroom
+//! (`turbo::heat_input`, `turbo::available_ghz`), the boot clock, the
+//! interrupt cores, the mean remote-buffer fraction and rack
+//! propagation. What is the screen's own is the queueing approximation
+//! around them: two queueing stages plus a fixed client/network
+//! pipeline.
 //!
 //! * **Worker stage** — an M/G/k queue over all `k = 16` cores with
 //!   two-moment (Allen–Cunneen) waiting time: the M/M/k Erlang-C wait
 //!   scaled by `(1 + CV²)/2`. Service demand comes from
 //!   [`ServiceMoments`]: the CPU share scales with the solved core
-//!   frequency, the memory share is inflated by the NUMA remote
-//!   fraction, and half the requests pay the cross-socket handoff fee.
+//!   frequency, the memory share is inflated by the expected NUMA
+//!   remote fraction, and half the requests pay the cross-socket
+//!   handoff fee.
 //! * **Interrupt-path correction** — IRQ handling is its own M/D/k'
-//!   stage with `k' = 8` when NIC affinity pins every RSS queue to
-//!   socket 0 (`nic` Low) and `k' = 16` when queues spread across both
-//!   sockets (`nic` High, which instead pays the cross-socket DMA
-//!   penalty on half its interrupts). Concentrating interrupt load on
-//!   one socket is exactly what makes `nic` a tail factor at high
-//!   load.
+//!   stage over the interrupt cores: `k' = 8` when NIC affinity pins
+//!   every RSS queue to socket 0 (`nic` Low) and `k' = 16` when queues
+//!   spread across both sockets (`nic` High, which instead pays the
+//!   expected cross-socket DMA penalty on half its interrupts).
+//!   Concentrating interrupt load on one socket is exactly what makes
+//!   `nic` a tail factor at high load.
 //! * **DVFS/thermal fixed point** — service times depend on frequency,
 //!   frequency depends on the governor's view of utilisation, and
 //!   utilisation depends on service times. The solver iterates
 //!   frequency → service → utilisation → steady-state package heat →
-//!   available turbo headroom → governor target (the same `ondemand`
-//!   proportional law and quantisation as the DES) to a damped fixed
-//!   point.
+//!   available turbo headroom → governor target to a damped fixed
+//!   point, and reports the governor's last target, a step of its grid.
 //! * **NIC-overflow correction** — with a finite ingress buffer, the
 //!   overflow probability is estimated from the geometric backlog tail
 //!   of the interrupt stage; dropped (and crash-reset) requests thin
@@ -62,6 +68,7 @@
 
 use std::fmt;
 
+use treadmill_cluster::server::{dvfs, turbo};
 use treadmill_cluster::{
     ClientSpec, FaultSpec, HardwareConfig, Level, NetworkSpec, ServerSpec,
 };
@@ -172,10 +179,6 @@ pub struct TailPrediction {
 }
 
 const NS_PER_SEC: f64 = 1e9;
-/// Matches `ThermalModel::heating_gain` in the DES.
-const THERMAL_HEATING_GAIN: f64 = 0.85;
-/// Matches `dvfs::FREQ_STEP_GHZ`.
-const FREQ_STEP_GHZ: f64 = 0.1;
 /// Erlang-part utilisation clamp: above this the fluid overload ramp
 /// takes over (the Erlang wait diverges at 1).
 const RHO_CLAMP: f64 = 0.995;
@@ -213,12 +216,14 @@ pub fn predict_cell(
 /// # Errors
 ///
 /// Returns [`AnalyticError::Invalid`] when the rate or moments are
-/// non-finite/non-positive or the server spec has no cores.
+/// non-finite/non-positive, or the server spec has no cores or clocks
+/// that are not finite, positive and ordered
+/// `min_ghz ≤ base_ghz ≤ turbo_ghz`.
 pub fn predict(input: &AnalyticInput) -> Result<TailPrediction, AnalyticError> {
     validate_input(input)?;
     let spec = &input.server;
     let k_total = spec.total_cores() as f64;
-    let k_irq = irq_cores(spec, input.hardware.nic) as f64;
+    let k_irq = spec.irq_cores(input.hardware.nic) as f64;
 
     // Arrival thinning: uplink loss happens before the server sees the
     // packet; NIC overflow and crash resets are solved below.
@@ -317,10 +322,22 @@ fn validate_input(input: &AnalyticInput) -> Result<(), AnalyticError> {
             message: format!("must be finite and non-negative, got {}", input.moments.cv2),
         });
     }
-    if input.server.total_cores() == 0 {
+    let server = &input.server;
+    if server.total_cores() == 0 {
         return Err(AnalyticError::Invalid {
             field: "server",
             message: "server spec has zero cores".to_string(),
+        });
+    }
+    // The governor and turbo laws assume this order; any NaN fails it.
+    let (min, base, turbo) = (server.min_ghz, server.base_ghz, server.turbo_ghz);
+    if !(0.0 < min && min <= base && base <= turbo && turbo.is_finite()) {
+        return Err(AnalyticError::Invalid {
+            field: "server",
+            message: format!(
+                "clocks must be finite with 0 < min_ghz <= base_ghz <= turbo_ghz, \
+                 got {min} / {base} / {turbo}"
+            ),
         });
     }
     if !(input.duration_us.is_finite() && input.duration_us > 0.0) {
@@ -330,16 +347,6 @@ fn validate_input(input: &AnalyticInput) -> Result<(), AnalyticError> {
         });
     }
     Ok(())
-}
-
-/// Cores handling interrupts under the NIC affinity policy: `same-node`
-/// (Low) pins every RSS queue to socket 0; `all-nodes` (High) spreads
-/// queues over all cores.
-fn irq_cores(spec: &ServerSpec, nic: Level) -> usize {
-    match nic {
-        Level::Low => usize::from(spec.cores_per_socket).max(1),
-        Level::High => spec.total_cores().max(1),
-    }
 }
 
 /// Mean interrupt service at frequency `f`: the kernel cost scales with
@@ -354,23 +361,15 @@ fn irq_service_ns(spec: &ServerSpec, hw: HardwareConfig, freq_ghz: f64) -> f64 {
     spec.irq_ns * spec.base_ghz / freq_ghz + cross_fraction * spec.irq_cross_socket_ns
 }
 
-/// NUMA remote fraction for the cell: the mean of the jittered
-/// per-run draw in `hysteresis::RunState`.
-fn remote_fraction(spec: &ServerSpec, hw: HardwareConfig) -> f64 {
-    match hw.numa {
-        Level::Low => spec.hysteresis.remote_fraction_same_node,
-        Level::High => spec.hysteresis.remote_fraction_interleave,
-    }
-}
-
 /// Mean worker service at frequency `f`: CPU share frequency-scaled,
-/// memory share NUMA-inflated, plus the expected cross-socket handoff
-/// fee (worker cores are drawn uniformly over both sockets, so half
-/// the requests cross regardless of NIC affinity).
+/// memory share inflated at the run's mean remote fraction (the centre
+/// of `RunState`'s jittered draw), plus the expected cross-socket
+/// handoff fee (worker cores are drawn uniformly over both sockets, so
+/// half the requests cross regardless of NIC affinity).
 fn work_service_ns(input: &AnalyticInput, freq_ghz: f64) -> f64 {
     let spec = &input.server;
     let m = &input.moments;
-    let r = remote_fraction(spec, input.hardware);
+    let (r, _) = spec.hysteresis.remote_fraction(input.hardware.numa);
     let mem_mult = 1.0 + (spec.numa_remote_penalty - 1.0) * r;
     let cpu = m.mean_ns * m.cpu_fraction * spec.base_ghz / freq_ghz;
     let mem = m.mean_ns * (1.0 - m.cpu_fraction) * mem_mult;
@@ -383,7 +382,7 @@ fn work_service_ns(input: &AnalyticInput, freq_ghz: f64) -> f64 {
 fn numa_cv2_boost(input: &AnalyticInput, freq_ghz: f64) -> f64 {
     let spec = &input.server;
     let m = &input.moments;
-    let r = remote_fraction(spec, input.hardware);
+    let (r, _) = spec.hysteresis.remote_fraction(input.hardware.numa);
     let mem = m.mean_ns * (1.0 - m.cpu_fraction);
     let delta = mem * (spec.numa_remote_penalty - 1.0);
     let mean = work_service_ns(input, freq_ghz);
@@ -401,44 +400,42 @@ struct SolvedPoint {
 }
 
 /// Damped fixed-point solve of frequency ↔ utilisation ↔ thermal
-/// headroom, replicating the DES governor laws:
-///
-/// * `performance` (dvfs High): target = thermally available max;
-/// * `ondemand` (dvfs Low): jump to max at `up_threshold`, proportional
-///   `min + (max−min)·util/threshold` below it;
-/// * turbo headroom shrinks linearly once steady-state heat
-///   (`0.85·util·(f/base)³`) passes the throttle start;
-/// * targets quantise to 0.1 GHz steps.
+/// headroom with the simulator's laws: from the boot clock, each step
+/// takes the package heat the utilisation sustains at the current
+/// clock, the turbo headroom at that heat, and the governor's target
+/// under that headroom.
 fn solve_frequency(
     input: &AnalyticInput,
     lambda: f64,
     capacity_scale: f64,
 ) -> SolvedPoint {
     let spec = &input.server;
+    let hw = input.hardware;
     let k_total = spec.total_cores() as f64;
-    let cold_max = if input.hardware.turbo.is_high() {
-        spec.turbo_ghz
-    } else {
-        spec.base_ghz
-    };
-    let mut freq = match input.hardware.dvfs {
-        Level::High => cold_max,
-        Level::Low => spec.base_ghz,
-    };
+    let mut freq = spec.boot_ghz(hw);
     let mut target = freq;
     for _ in 0..64 {
-        let s_irq = irq_service_ns(spec, input.hardware, freq) / capacity_scale;
+        let s_irq = irq_service_ns(spec, hw, freq) / capacity_scale;
         let s_work = work_service_ns(input, freq) / capacity_scale;
         let util = (lambda * (s_irq + s_work) / (k_total * NS_PER_SEC)).clamp(0.0, 1.0);
-        let heat = THERMAL_HEATING_GAIN
-            * util
-            * (freq / spec.base_ghz).max(0.0).powi(3);
-        let max_avail = available_ghz(spec, input.hardware.turbo.is_high(), heat);
-        target = governor_target(
-            input.hardware.dvfs,
+        let heat = turbo::heat_input(util, freq, spec.base_ghz);
+        let max_avail = turbo::available_ghz(
+            spec.base_ghz,
+            spec.turbo_ghz,
+            hw.turbo.is_high(),
+            spec.thermal_throttle_start,
+            heat,
+        );
+        // The governor requires `min_ghz <= max_avail`. Headroom never
+        // falls under base (so under min) except on a NaN heat, which a
+        // NaN cost, moment or loss in the input produces, or by an ulp
+        // when turbo is more than twice base: the floor keeps both off
+        // its `assert!`.
+        target = dvfs::governor_target(
+            hw.dvfs,
             util,
             spec.min_ghz,
-            max_avail,
+            max_avail.max(spec.min_ghz),
             spec.ondemand_up_threshold,
         );
         let next = 0.5 * freq + 0.5 * target;
@@ -450,51 +447,11 @@ fn solve_frequency(
     }
     // Land on the governor's quantised step rather than the damped
     // average between steps.
-    let freq = target.clamp(spec.min_ghz, spec.turbo_ghz.max(spec.base_ghz));
     SolvedPoint {
-        freq_ghz: freq,
-        irq_ns: irq_service_ns(spec, input.hardware, freq) / capacity_scale,
-        work_ns: work_service_ns(input, freq) / capacity_scale,
+        freq_ghz: target,
+        irq_ns: irq_service_ns(spec, hw, target) / capacity_scale,
+        work_ns: work_service_ns(input, target) / capacity_scale,
     }
-}
-
-/// Mirror of `ThermalModel::available_ghz` at steady-state heat.
-fn available_ghz(spec: &ServerSpec, turbo_enabled: bool, heat: f64) -> f64 {
-    if !turbo_enabled {
-        return spec.base_ghz;
-    }
-    if heat <= spec.thermal_throttle_start {
-        return spec.turbo_ghz;
-    }
-    let over = ((heat - spec.thermal_throttle_start)
-        / (1.0 - spec.thermal_throttle_start))
-        .clamp(0.0, 1.0);
-    spec.turbo_ghz - (spec.turbo_ghz - spec.base_ghz) * over
-}
-
-/// Mirror of `dvfs::governor_target` (including quantisation), minus
-/// the panic path: an inverted range clamps instead of aborting.
-fn governor_target(
-    governor: Level,
-    window_util: f64,
-    min_ghz: f64,
-    max_available_ghz: f64,
-    up_threshold: f64,
-) -> f64 {
-    let max_available_ghz = max_available_ghz.max(min_ghz);
-    let target = match governor {
-        Level::High => max_available_ghz,
-        Level::Low => {
-            let util = window_util.clamp(0.0, 1.0);
-            if util >= up_threshold {
-                max_available_ghz
-            } else {
-                min_ghz + (max_available_ghz - min_ghz) * (util / up_threshold)
-            }
-        }
-    };
-    let stepped = (target / FREQ_STEP_GHZ).round() * FREQ_STEP_GHZ;
-    stepped.clamp(min_ghz, max_available_ghz)
 }
 
 /// Erlang-C probability of waiting for an M/M/k queue offered `a`
@@ -577,8 +534,7 @@ fn fixed_path_ns(input: &AnalyticInput) -> f64 {
     let n = &input.network;
     let tx = input.moments.request_bytes / n.bytes_per_ns;
     let rx = input.moments.response_bytes / n.bytes_per_ns;
-    let prop = 2.0 * n.same_rack_propagation.as_micros_f64() * 1_000.0
-        + 2.0 * f64::from(c.rack) * n.cross_rack_extra.as_micros_f64() * 1_000.0;
+    let prop = 2.0 * n.propagation(c.rack).as_micros_f64() * 1_000.0;
     c.send_cpu_ns
         + c.recv_cpu_ns
         + c.kernel_tx.as_micros_f64() * 1_000.0
@@ -886,6 +842,82 @@ mod tests {
         bad = input(1_000.0, 0);
         bad.duration_us = 0.0;
         assert!(predict(&bad).is_err());
+    }
+
+    /// Predicts cells 0, 4, 6 and 12 at 200k rps on `server`, expecting
+    /// each to be refused as an invalid server spec.
+    fn assert_server_rejected(server: ServerSpec) {
+        for cell in [0, 4, 6, 12] {
+            let mut bad = input(200_000.0, cell);
+            bad.server = server.clone();
+            assert!(
+                matches!(predict(&bad), Err(AnalyticError::Invalid { field: "server", .. })),
+                "cell {cell}: {:?}",
+                predict(&bad)
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_min_clock_is_a_typed_error() {
+        assert_server_rejected(ServerSpec {
+            min_ghz: f64::NAN,
+            ..ServerSpec::default()
+        });
+    }
+
+    #[test]
+    fn a_min_clock_above_turbo_is_a_typed_error() {
+        assert_server_rejected(ServerSpec {
+            min_ghz: 3.5,
+            ..ServerSpec::default()
+        });
+    }
+
+    #[test]
+    fn a_zero_base_clock_is_a_typed_error() {
+        assert_server_rejected(ServerSpec {
+            base_ghz: 0.0,
+            ..ServerSpec::default()
+        });
+    }
+
+    #[test]
+    fn turbo_above_twice_base_keeps_the_governor_in_range() {
+        // A hot package's headroom `turbo − (turbo − base)` rounds to
+        // 0.5999999999999999 here, under `min_ghz`: the governor's
+        // `min <= max` assert must not see it.
+        let mut hot = input(400_000.0, 0b0110);
+        hot.server = ServerSpec {
+            base_ghz: 0.6,
+            min_ghz: 0.6,
+            turbo_ghz: 1.8,
+            ..ServerSpec::default()
+        };
+        let p = predict(&hot).expect("predicts");
+        assert!((0.6..=1.8).contains(&p.effective_ghz), "{}", p.effective_ghz);
+        assert!(p.p99_us.is_finite());
+    }
+
+    #[test]
+    fn solved_clocks_without_turbo_are_governor_steps() {
+        // Without turbo the available maximum is base, 2.2 GHz, itself a
+        // step, so the governor's target and the solved clock must land
+        // on its 0.1 GHz grid exactly as the simulator rounds it.
+        for rps in [20_000, 60_000, 100_000, 250_000, 400_000] {
+            let config = treadmill_core::LoadTestConfig::from_json(&format!(
+                r#"{{ "workload": {{ "workload": "memcached" }}, "target_rps": {rps} }}"#
+            ))
+            .expect("parses");
+            for hw in HardwareConfig::all().into_iter().filter(|hw| !hw.turbo.is_high()) {
+                let f = predict_cell(&config, hw).expect("predicts").effective_ghz;
+                assert_eq!(
+                    ((f * 10.0).round() / 10.0).to_bits(),
+                    f.to_bits(),
+                    "{rps} rps, {hw}: {f} GHz is off the governor's grid"
+                );
+            }
+        }
     }
 
     #[test]

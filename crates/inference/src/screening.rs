@@ -212,17 +212,6 @@ pub struct CellPrediction {
     pub flagged: bool,
 }
 
-/// A marginal factor effect computed from the analytic cell grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FactorEffect {
-    /// Factor name.
-    pub factor: String,
-    /// Mean predicted p99 over cells with the factor low, µs.
-    pub mean_low_p99_us: f64,
-    /// Mean predicted p99 over cells with the factor high, µs.
-    pub mean_high_p99_us: f64,
-}
-
 /// The output of the analytic screen over a 2^k factor space.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScreenPlan {
@@ -238,8 +227,6 @@ pub struct ScreenPlan {
     pub baseline_p99_us: f64,
     /// The relative tail-effect threshold the screen applied.
     pub threshold: f64,
-    /// Marginal per-factor effects of the predicted p99 grid.
-    pub factor_effects: Vec<FactorEffect>,
 }
 
 impl ScreenPlan {
@@ -340,32 +327,12 @@ pub fn screen_cells<E: fmt::Display>(
             .then(a.cmp(&b))
     });
     let flagged: Vec<usize> = cells.iter().filter(|c| c.flagged).map(|c| c.index).collect();
-    let factor_effects = factor_names
-        .iter()
-        .enumerate()
-        .map(|(fi, name)| {
-            let mean = |want_high: bool| {
-                let picked: Vec<f64> = cells
-                    .iter()
-                    .filter(|c| c.levels[fi] == want_high)
-                    .map(|c| c.p99_us)
-                    .collect();
-                picked.iter().sum::<f64>() / picked.len().max(1) as f64
-            };
-            FactorEffect {
-                factor: name.to_string(),
-                mean_low_p99_us: mean(false),
-                mean_high_p99_us: mean(true),
-            }
-        })
-        .collect();
     Ok(ScreenPlan {
         cells,
         ranking,
         flagged,
         baseline_p99_us,
         threshold,
-        factor_effects,
     })
 }
 
@@ -503,6 +470,17 @@ mod tests {
         assert_eq!(err, ScreenError::TooFewExperiments { experiments: 2 });
     }
 
+    /// Mean predicted p99 over the cells with `factor` at `high`, µs.
+    fn marginal_p99(plan: &ScreenPlan, factor: usize, high: bool) -> f64 {
+        let picked: Vec<f64> = plan
+            .cells
+            .iter()
+            .filter(|c| c.levels[factor] == high)
+            .map(|c| c.p99_us)
+            .collect();
+        picked.iter().sum::<f64>() / picked.len() as f64
+    }
+
     #[test]
     fn screen_cells_ranks_and_flags() {
         use crate::analytic::TailPrediction;
@@ -531,12 +509,9 @@ mod tests {
         assert_eq!(plan.flagged, vec![1, 3]);
         assert!(plan.cells[2].tail_effect > 0.09 && !plan.cells[2].flagged);
         // Factor a's marginal effect dwarfs b's.
-        let a = &plan.factor_effects[0];
-        let b = &plan.factor_effects[1];
-        assert!(
-            (a.mean_high_p99_us - a.mean_low_p99_us)
-                > 4.0 * (b.mean_high_p99_us - b.mean_low_p99_us)
-        );
+        let effect =
+            |factor| marginal_p99(&plan, factor, true) - marginal_p99(&plan, factor, false);
+        assert!(effect(0) > 4.0 * effect(1));
     }
 
     #[test]
@@ -573,13 +548,8 @@ mod tests {
         )
         .expect("parses");
         let plan = screen_hardware(&config, 0.05).expect("screen runs");
-        let numa = &plan.factor_effects[0];
-        assert!(
-            numa.mean_high_p99_us > numa.mean_low_p99_us,
-            "numa high {} must exceed low {}",
-            numa.mean_high_p99_us,
-            numa.mean_low_p99_us
-        );
+        let (high, low) = (marginal_p99(&plan, 0, true), marginal_p99(&plan, 0, false));
+        assert!(high > low, "numa high {high} must exceed low {low}");
         // The screen keeps the worst cell and drops at least one cell.
         assert!(plan.flagged.contains(&plan.ranking[0]));
         assert!(plan.flagged.len() < 16, "a 5% threshold should drop some cells");

@@ -67,8 +67,9 @@ impl Cell {
     }
 
     /// The τ-quantile of the mixture where run `i` is weighted by
-    /// `multiplicity[i]` (used by the run-level bootstrap). Computed by
-    /// bisection on the mixture CDF over the per-run sorted arrays.
+    /// `multiplicity[i]`; [`Self::pooled_quantile`] is the case of every
+    /// weight 1. Computed by bisection on the mixture CDF over the
+    /// per-run sorted arrays.
     ///
     /// # Panics
     ///

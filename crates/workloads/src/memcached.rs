@@ -17,6 +17,14 @@ use crate::sizes::SizeDistribution;
 /// Protocol overhead per message: ≈ 48 bytes of headers and framing.
 pub(crate) const HEADER_BYTES: u32 = 48;
 
+/// `(cpu, mem)` demand multipliers of a GET that misses: the hash walk
+/// but no item copy.
+const MISS_SCALE: (f64, f64) = (0.6, 0.4);
+
+/// `(cpu, mem)` demand multipliers of a SET: item allocation on the
+/// write path. A SET of the largest value is the costliest request.
+pub(crate) const SET_SCALE: (f64, f64) = (1.15, 1.25);
+
 /// Memcached operation kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemcachedOp {
@@ -155,8 +163,8 @@ impl Workload for Memcached {
                         class: OpClass::Read,
                         request_bytes: HEADER_BYTES + key,
                         response_bytes: HEADER_BYTES,
-                        cpu_ns: cpu_ns * 0.6,
-                        mem_ns: mem_ns * 0.4,
+                        cpu_ns: cpu_ns * MISS_SCALE.0,
+                        mem_ns: mem_ns * MISS_SCALE.1,
                     }
                 }
             }
@@ -164,21 +172,15 @@ impl Workload for Memcached {
                 class: OpClass::Write,
                 request_bytes: HEADER_BYTES + key + value,
                 response_bytes: HEADER_BYTES,
-                cpu_ns: cpu_ns * 1.15, // item allocation on the write path
-                mem_ns: mem_ns * 1.25,
+                cpu_ns: cpu_ns * SET_SCALE.0,
+                mem_ns: mem_ns * SET_SCALE.1,
             },
         }
     }
 
+    /// The exact mean of [`Self::service_moments`].
     fn mean_service_ns(&self) -> f64 {
-        let payload = self.value_size.mean();
-        let cpu = self.base_cpu_ns + self.cpu_ns_per_byte * payload;
-        let mem = self.base_mem_ns + self.mem_ns_per_byte * payload;
-        let set_scale = 1.0 - self.get_fraction;
-        let slow_scale = 1.0 + self.slow_fraction * (self.slow_multiplier - 1.0);
-        let miss_discount =
-            1.0 - self.get_fraction * (1.0 - self.hit_rate) * 0.5;
-        (cpu + mem) * (1.0 + set_scale * 0.2) * slow_scale * miss_discount
+        self.service_moments().mean_ns
     }
 
     /// Exact first and second moments of the sampled service demand.
@@ -205,11 +207,11 @@ impl Workload for Memcached {
         let e_acam = bc * bm + (bc * cm + bm * cc) * ev + cc * cm * ev2;
 
         // (weight, cpu multiplier, mem multiplier): hit / miss / set,
-        // mirroring `sample_request`.
+        // the multipliers `sample_request` applies.
         let classes = [
             (g * h, 1.0, 1.0),
-            (g * (1.0 - h), 0.6, 0.4),
-            (1.0 - g, 1.15, 1.25),
+            (g * (1.0 - h), MISS_SCALE.0, MISS_SCALE.1),
+            (1.0 - g, SET_SCALE.0, SET_SCALE.1),
         ];
         let mut e_b = 0.0;
         let mut e_b2 = 0.0;
@@ -223,6 +225,7 @@ impl Workload for Memcached {
                     + km * km * e_am2);
         }
 
+        let header = f64::from(HEADER_BYTES);
         let sigma2 = self.service_noise_sigma * self.service_noise_sigma;
         let e_n2 = sigma2.exp();
         let e_s = 1.0 + self.slow_fraction * (self.slow_multiplier - 1.0);
@@ -237,8 +240,8 @@ impl Workload for Memcached {
             mean_ns: mean,
             cv2: cv2.max(0.0),
             cpu_fraction: if e_b > 0.0 { e_b_cpu / e_b } else { 0.5 },
-            request_bytes: 48.0 + self.key_size.mean() + (1.0 - g) * ev,
-            response_bytes: 48.0 + g * h * ev,
+            request_bytes: header + self.key_size.mean() + (1.0 - g) * ev,
+            response_bytes: header + g * h * ev,
             noise_sigma: self.service_noise_sigma,
             slow_fraction: self.slow_fraction,
             slow_multiplier: self.slow_multiplier,
@@ -274,11 +277,13 @@ mod tests {
                 OpClass::Read => {
                     assert!(p.request_bytes < 150, "GET request {}", p.request_bytes);
                     // Hits carry the value; misses only the header.
-                    assert!(p.response_bytes == 48 || p.response_bytes >= 48 + 16);
+                    assert!(
+                        p.response_bytes == HEADER_BYTES || p.response_bytes >= HEADER_BYTES + 16
+                    );
                 }
                 OpClass::Write => {
                     assert!(p.request_bytes > p.response_bytes);
-                    assert_eq!(p.response_bytes, 48);
+                    assert_eq!(p.response_bytes, HEADER_BYTES);
                 }
                 OpClass::Route => panic!("memcached never routes"),
             }
@@ -358,7 +363,7 @@ mod tests {
         let mut hit_mem = 0.0;
         for _ in 0..5_000 {
             let m = all_miss.sample_request(&mut rng);
-            assert_eq!(m.response_bytes, 48, "miss carries no value");
+            assert_eq!(m.response_bytes, HEADER_BYTES, "miss carries no value");
             miss_mem += m.mem_ns;
             hit_mem += all_hit.sample_request(&mut rng).mem_ns;
         }

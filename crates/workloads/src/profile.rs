@@ -57,8 +57,7 @@ pub struct RequestProfile {
 /// reference point as [`RequestProfile`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceMoments {
-    /// Mean total service demand, ns. Implementations may compute this
-    /// exactly even when `mean_service_ns()` is an approximation.
+    /// Mean total service demand, ns.
     pub mean_ns: f64,
     /// Squared coefficient of variation of total service demand,
     /// `Var[S] / E[S]²`.
@@ -92,8 +91,8 @@ pub trait Workload: fmt::Debug + Send + Sync {
     /// Draws the resource profile of the next request.
     fn sample_request(&self, rng: &mut dyn RngCore) -> RequestProfile;
 
-    /// Mean total service demand in nanoseconds at base frequency; used
-    /// to translate a target utilisation into a request rate.
+    /// Mean total service demand in nanoseconds at base frequency: the
+    /// mean the default [`Workload::service_moments`] reports.
     fn mean_service_ns(&self) -> f64;
 
     /// Closed-form moments for the analytic estimator. The default is a

@@ -166,14 +166,14 @@ fn validate_memcached(w: &Memcached) -> Result<(), SpecError> {
              overflow u32 with the {header}-byte header"
         )));
     }
-    // The costliest request is a SET of the largest value: its CPU work
-    // costs 1.15×, its memory work 1.25×.
+    // The costliest request is a SET of the largest value.
     let value = f64::from(value);
+    let (cpu_scale, mem_scale) = memcached::SET_SCALE;
     let demand = [
-        ("base_cpu_ns", w.base_cpu_ns * 1.15),
-        ("cpu_ns_per_byte", w.cpu_ns_per_byte * value * 1.15),
-        ("base_mem_ns", w.base_mem_ns * 1.25),
-        ("mem_ns_per_byte", w.mem_ns_per_byte * value * 1.25),
+        ("base_cpu_ns", w.base_cpu_ns * cpu_scale),
+        ("cpu_ns_per_byte", w.cpu_ns_per_byte * value * cpu_scale),
+        ("base_mem_ns", w.base_mem_ns * mem_scale),
+        ("mem_ns_per_byte", w.mem_ns_per_byte * value * mem_scale),
     ];
     validate_worst_case(&demand, w.service_noise_sigma, w.slow_multiplier)
 }
