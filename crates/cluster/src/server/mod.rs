@@ -478,6 +478,36 @@ mod tests {
         assert!(server.thermal().available_ghz() < 3.0);
     }
 
+    /// Turbo more than twice base: past heat 1 the headroom
+    /// `turbo − (turbo − base)` rounds an ulp under base, and with
+    /// `min_ghz` at base the governor must still find room.
+    #[test]
+    fn a_package_past_full_heat_keeps_the_governor_in_range() {
+        let spec = ServerSpec {
+            base_ghz: 0.6,
+            min_ghz: 0.6,
+            turbo_ghz: 1.8,
+            ..ServerSpec::default()
+        };
+        let mut server = Server::new(spec, hw(false, true, true, false));
+        let mut hottest = 0.0f64;
+        for step in 1..=50u64 {
+            for core in &mut server.cores {
+                core.util
+                    .record_busy(SimTime::from_millis(step - 1), SimDuration::from_millis(1));
+            }
+            server.thermal_tick(SimTime::from_millis(step));
+            hottest = hottest.max(server.thermal().heat());
+            server.governor_tick(SimTime::from_millis(step));
+            assert!(server.thermal().available_ghz() >= 0.6, "step {step}");
+            assert!(server
+                .cores
+                .iter()
+                .all(|c| (0.6..=1.8).contains(&c.freq_ghz())));
+        }
+        assert!(hottest > 1.0, "the package never passed heat 1: {hottest}");
+    }
+
     #[test]
     fn mean_utilization_averages_cores() {
         let mut server = Server::new(ServerSpec::default(), hw(false, false, true, false));

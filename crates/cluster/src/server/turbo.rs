@@ -33,7 +33,8 @@ pub fn heat_input(util: f64, freq_ghz: f64, base_ghz: f64) -> f64 {
 /// The maximum frequency available at normalised package `heat`, in
 /// GHz. With turbo disabled this is always the base frequency. With
 /// turbo enabled it is the full turbo frequency up to `throttle_start`,
-/// shrinking linearly to base as heat rises to 1.
+/// shrinking linearly to base as heat rises to 1; never under base, even
+/// where `turbo − (turbo − base)` rounds an ulp below it or heat is NaN.
 pub fn available_ghz(
     base_ghz: f64,
     turbo_ghz: f64,
@@ -48,7 +49,7 @@ pub fn available_ghz(
         return turbo_ghz;
     }
     let over = ((heat - throttle_start) / (1.0 - throttle_start)).clamp(0.0, 1.0);
-    turbo_ghz - (turbo_ghz - base_ghz) * over
+    (turbo_ghz - (turbo_ghz - base_ghz) * over).max(base_ghz)
 }
 
 /// The package thermal state and turbo-frequency calculator.
@@ -205,6 +206,15 @@ mod tests {
         let gap = (m.heat() - settled).abs();
         assert!(gap < 1e-6, "settled {settled}, off by {gap}");
         assert!(available_ghz(2.2, 3.0, true, 0.55, settled) < 3.0);
+    }
+
+    #[test]
+    fn headroom_never_falls_under_base() {
+        // 1.8 − (1.8 − 0.6) is 0.5999999999999999 unfloored.
+        assert_eq!(available_ghz(0.6, 1.8, true, 0.55, 1.0), 0.6);
+        assert_eq!(available_ghz(0.6, 1.8, true, 0.55, 3.0), 0.6);
+        assert_eq!(available_ghz(2.2, 3.0, true, 0.55, f64::NAN), 2.2);
+        assert_eq!(available_ghz(2.2, 3.0, true, 0.55, 1.0), 2.2);
     }
 
     #[test]

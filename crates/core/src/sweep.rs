@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use serde::{Deserialize, Serialize};
-use treadmill_cluster::PacketCapture;
+use treadmill_cluster::{HardwareConfig, PacketCapture};
 use treadmill_sim_core::fnv1a64;
 
 use crate::aggregation::tail_composition;
@@ -57,11 +57,26 @@ use crate::report::health_warnings;
 use crate::resumable::ResumableRun;
 use crate::runner::{LoadTest, LoadTestReport};
 
-/// Progress notifications emitted by [`run_sweep_controlled`] as the
-/// sweep advances — the hook a long-running service uses to stream
-/// per-cell status to clients without polling artifact files.
+/// Progress notifications a sweep emits as it advances — the hook a
+/// long-running service uses to stream per-cell status to clients
+/// without polling artifact files.
 #[derive(Debug, Clone)]
 pub enum SweepEvent {
+    /// A screened factorial's plan, before any hardware cell runs.
+    Screened {
+        /// The relative tail-effect threshold the screen applied.
+        threshold: f64,
+        /// The hardware cells it simulates, in index order.
+        flagged: Vec<usize>,
+    },
+    /// A factorial turns to one hardware cell; the run events up to the
+    /// next hardware cell are this cell's.
+    HardwareCellStarted {
+        /// Hardware cell index (`HardwareConfig::from_index`).
+        index: usize,
+        /// The cell's hardware configuration.
+        hardware: HardwareConfig,
+    },
     /// A cell was skipped because the journal already marks it done.
     CellSkipped {
         /// Cell index.
@@ -107,10 +122,18 @@ pub enum SweepEvent {
 }
 
 /// One progress line per event: the text of the service's `/events`
-/// stream and of `treadmill-cli sweep`'s per-cell lines.
+/// stream and of `treadmill-cli sweep`'s progress, byte for byte.
 impl fmt::Display for SweepEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SweepEvent::Screened { threshold, flagged } => write!(
+                f,
+                "analytic screen at threshold {threshold:.3} flagged hardware cells \
+                 {flagged:?} of {FACTORIAL_CELLS}"
+            ),
+            SweepEvent::HardwareCellStarted { index, hardware } => {
+                write!(f, "hardware cell {index}: {hardware}")
+            }
             SweepEvent::CellSkipped { cell } => {
                 write!(f, "cell {cell}: skipped (already done)")
             }
@@ -268,15 +291,9 @@ pub struct CellSummary {
     pub p999_us: f64,
 }
 
-/// What [`run_sweep_controlled`] did, for operator-facing summaries.
+/// What [`run_sweep_controlled`] did beside its [`SweepEvent`]s.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOutcome {
-    /// Cells executed (fresh or resumed) this invocation.
-    pub executed: Vec<u64>,
-    /// Cells skipped because the journal already marks them done.
-    pub skipped: Vec<u64>,
-    /// The cell that was resumed from a checkpoint, if any.
-    pub resumed_cell: Option<u64>,
     /// Warnings accumulated across cells (audit findings, health
     /// checks, recovery notes).
     pub warnings: Vec<String>,
@@ -710,7 +727,6 @@ fn sweep_cells(
     'cells: for cell in 0..opts.runs {
         let seed = test.derive_run_seed(cell);
         if manifest.done.contains_key(&cell) {
-            outcome.skipped.push(cell);
             ctrl.emit(SweepEvent::CellSkipped { cell });
             continue;
         }
@@ -726,10 +742,7 @@ fn sweep_cells(
             None
         };
         let mut run = match resumed {
-            Some(run) => {
-                outcome.resumed_cell = Some(cell);
-                run
-            }
+            Some(run) => run,
             None => {
                 let run = fresh_cell(&test, out_dir, cell)?;
                 journal.append(&ManifestLine {
@@ -811,7 +824,6 @@ fn sweep_cells(
         let _ = fs::remove_file(records_path(out_dir, cell));
         let (samples, p99_us) = (result.samples, from_bits(&result.p99_bits));
         summary_cells.insert(cell, (seed, result));
-        outcome.executed.push(cell);
         ctrl.emit(SweepEvent::CellDone {
             cell,
             samples,
@@ -988,7 +1000,7 @@ fn factorial_tsv(
     out.push('\n');
     out.push_str("cell\tnuma\tturbo\tdvfs\tnic\truns\tsamples\tmean_us\tp50_us\tp95_us\tp99_us\tp999_us\n");
     for c in cells {
-        let hw = treadmill_cluster::HardwareConfig::from_index(c.index);
+        let hw = HardwareConfig::from_index(c.index);
         out.push_str(&format!(
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.6}\t{:.6}\t{:.6}\t{:.6}\t{:.6}\n",
             c.index,
@@ -1017,7 +1029,7 @@ fn screen_tsv(master_seed: u64, base_hash: &str, plan: &ScreenedSweepPlan) -> St
         "cell\tnuma\tturbo\tdvfs\tnic\tpred_p50_us\tpred_p95_us\tpred_p99_us\tutilization\ttail_effect\tflagged\n",
     );
     for c in &plan.cells {
-        let hw = treadmill_cluster::HardwareConfig::from_index(c.index);
+        let hw = HardwareConfig::from_index(c.index);
         out.push_str(&format!(
             "{}\t{}\t{}\t{}\t{}\t{:.6}\t{:.6}\t{:.6}\t{:.6}\t{:.6}\t{}\n",
             c.index,
@@ -1042,8 +1054,9 @@ fn screen_tsv(master_seed: u64, base_hash: &str, plan: &ScreenedSweepPlan) -> St
 /// With a screen `plan`, DES runs are spent only on the cells it
 /// flagged and the predictions land in `screen.tsv`; a threshold-0
 /// plan (every cell flagged) reproduces `plan: None`'s artifacts
-/// byte-for-byte. Cells run one at a time, in index order: that is the
-/// order [`SweepEvent::CellDone`] reports them in.
+/// byte-for-byte. A plan is announced by [`SweepEvent::Screened`], then
+/// cells run one at a time, in index order, each announced by
+/// [`SweepEvent::HardwareCellStarted`] before its runs' events.
 ///
 /// # Errors
 ///
@@ -1081,6 +1094,11 @@ pub fn run_factorial_sweep_controlled(
             .filter(|c| !c.flagged)
             .map(|c| c.index)
             .collect();
+        let flagged = plan.cells.iter().filter(|c| c.flagged);
+        ctrl.emit(SweepEvent::Screened {
+            threshold: plan.threshold,
+            flagged: flagged.map(|c| c.index).collect(),
+        });
     }
 
     for index in 0..FACTORIAL_CELLS {
@@ -1091,6 +1109,10 @@ pub fn run_factorial_sweep_controlled(
         }
         let cell_config = factorial_cell_config(config, index);
         let cell_dir = factorial_cell_dir(out_dir, index);
+        ctrl.emit(SweepEvent::HardwareCellStarted {
+            index,
+            hardware: HardwareConfig::from_index(index),
+        });
         let inner = run_sweep_controlled(&cell_config, &cell_dir, opts, ctrl)?;
         for warning in &inner.warnings {
             outcome.warnings.push(format!("hw {index}: {warning}"));
@@ -1190,6 +1212,75 @@ mod tests {
         sweep_cells(config, dir, opts, &mut SweepControl::default())
     }
 
+    /// What a sweep's events say it decided for each cell.
+    #[derive(Debug, Default, PartialEq)]
+    struct Decisions {
+        /// Cells the journal already marked done.
+        skipped: Vec<u64>,
+        /// The cell resumed from a checkpoint, if any.
+        resumed: Option<u64>,
+        /// Cells run to their end (fresh or resumed).
+        done: Vec<u64>,
+    }
+
+    /// Runs `sweep` under a control that records its events (and, with
+    /// `cancel`, stops once `stop_at` returns true for one), and reads
+    /// the decisions off them.
+    fn decided<T>(
+        cancel: Option<&AtomicBool>,
+        stop_at: impl Fn(&SweepEvent) -> bool,
+        sweep: impl FnOnce(&mut SweepControl<'_>) -> T,
+    ) -> (T, Decisions) {
+        let mut decisions = Decisions::default();
+        let mut record = |event: SweepEvent| {
+            if let Some(cancel) = cancel {
+                if stop_at(&event) {
+                    cancel.store(true, Ordering::Relaxed);
+                }
+            }
+            match event {
+                SweepEvent::CellSkipped { cell } => decisions.skipped.push(cell),
+                SweepEvent::CellStarted {
+                    cell,
+                    resumed_at_events,
+                    ..
+                } if resumed_at_events > 0 => decisions.resumed = Some(cell),
+                SweepEvent::CellDone { cell, .. } => decisions.done.push(cell),
+                _ => {}
+            }
+        };
+        let out = sweep(&mut SweepControl {
+            cancel,
+            progress: Some(&mut record),
+        });
+        (out, decisions)
+    }
+
+    /// [`sweep`] with its decisions.
+    fn decided_sweep(
+        config: &LoadTestConfig,
+        dir: &Path,
+        opts: &SweepOptions,
+    ) -> (SweepOutcome, Decisions) {
+        let (outcome, decisions) = decided(
+            None,
+            |_| false,
+            |ctrl| run_sweep_controlled(config, dir, opts, ctrl),
+        );
+        (outcome.expect("sweep"), decisions)
+    }
+
+    /// [`sweep_below_floor`] with its decisions.
+    fn decided_below_floor(
+        config: &LoadTestConfig,
+        dir: &Path,
+        opts: &SweepOptions,
+    ) -> (SweepOutcome, Decisions) {
+        let (outcome, decisions) =
+            decided(None, |_| false, |ctrl| sweep_cells(config, dir, opts, ctrl));
+        (outcome.expect("sweep"), decisions)
+    }
+
     /// The service's `/events` lines and the CLI's per-cell lines are
     /// these strings byte for byte.
     #[test]
@@ -1226,6 +1317,20 @@ mod tests {
                 "interrupted in cell 1: checkpoint sealed; resume continues it",
             ),
             (SweepEvent::Interrupted { cell: None }, "interrupted between cells"),
+            (
+                SweepEvent::Screened {
+                    threshold: 0.25,
+                    flagged: vec![1, 9],
+                },
+                "analytic screen at threshold 0.250 flagged hardware cells [1, 9] of 16",
+            ),
+            (
+                SweepEvent::HardwareCellStarted {
+                    index: 9,
+                    hardware: HardwareConfig::from_index(9),
+                },
+                "hardware cell 9: numa-high,turbo-low,dvfs-low,nic-high",
+            ),
         ];
         for (event, line) in lines {
             assert_eq!(event.to_string(), line);
@@ -1282,9 +1387,14 @@ mod tests {
     #[test]
     fn sweep_writes_all_artifacts() {
         let dir = tempdir("basic");
-        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("sweep");
-        assert_eq!(outcome.executed, vec![0, 1]);
-        assert!(outcome.skipped.is_empty());
+        let (outcome, decisions) = decided_sweep(&small_config(), &dir, &opts(2));
+        assert_eq!(
+            decisions,
+            Decisions {
+                done: vec![0, 1],
+                ..Decisions::default()
+            }
+        );
         assert!(!outcome.interrupted);
         for cell in 0..2 {
             let text =
@@ -1330,9 +1440,15 @@ mod tests {
         assert!(lines[1].contains(r#""status":"done""#), "{manifest}");
         let pending = lines[0].replace(r#""status":"running""#, r#""status":"pending""#);
         fs::write(&manifest_path, format!("{pending}\n{manifest}")).expect("old manifest");
-        let outcome = sweep(&small_config(), &dir, &opts(3)).expect("resumed sweep");
-        assert_eq!(outcome.skipped, vec![0]);
-        assert_eq!(outcome.executed, vec![1, 2]);
+        let (outcome, decisions) = decided_sweep(&small_config(), &dir, &opts(3));
+        assert_eq!(
+            decisions,
+            Decisions {
+                skipped: vec![0],
+                resumed: None,
+                done: vec![1, 2]
+            }
+        );
         assert!(
             !outcome.warnings.iter().any(|w| w.contains("unparseable")),
             "{:?}",
@@ -1357,8 +1473,6 @@ mod tests {
 
     #[test]
     fn cancelled_sweep_seals_checkpoint_and_resumes_bit_identical() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
         let golden_dir = tempdir("golden-cancel");
         sweep(&small_config(), &golden_dir, &opts(2)).expect("golden sweep");
 
@@ -1368,24 +1482,18 @@ mod tests {
         // running.
         let dir = tempdir("cancel");
         let cancel = AtomicBool::new(false);
-        let mut flip = |event: SweepEvent| {
-            if matches!(event, SweepEvent::Checkpointed { .. }) {
-                cancel.store(true, Ordering::Relaxed);
-            }
-        };
-        let mut ctrl = SweepControl {
-            cancel: Some(&cancel),
-            progress: Some(&mut flip),
-        };
-        let outcome =
-            run_sweep_controlled(&small_config(), &dir, &opts(2), &mut ctrl).expect("sweep");
-        assert!(outcome.interrupted);
-        assert!(outcome.executed.is_empty());
+        let (outcome, decisions) = decided(
+            Some(&cancel),
+            |event| matches!(event, SweepEvent::Checkpointed { .. }),
+            |ctrl| run_sweep_controlled(&small_config(), &dir, &opts(2), ctrl),
+        );
+        assert!(outcome.expect("sweep").interrupted);
+        assert_eq!(decisions, Decisions::default(), "no cell finished");
         assert!(dir.join("cell_0.ckpt").exists(), "checkpoint must be sealed");
 
         // Rerun without cancellation: byte-identical to the golden.
-        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("resume");
-        assert_eq!(outcome.resumed_cell, Some(0));
+        let (outcome, decisions) = decided_sweep(&small_config(), &dir, &opts(2));
+        assert_eq!(decisions.resumed, Some(0));
         assert!(!outcome.interrupted);
         for artifact in ["cell_0.tsv", "cell_1.tsv", "summary.tsv", "attribution.tsv"] {
             let golden = fs::read(golden_dir.join(artifact)).expect("golden artifact");
@@ -1407,6 +1515,9 @@ mod tests {
                 SweepEvent::Checkpointed { cell, .. } => format!("ckpt {cell}"),
                 SweepEvent::CellDone { cell, .. } => format!("done {cell}"),
                 SweepEvent::Interrupted { .. } => "interrupted".to_string(),
+                SweepEvent::Screened { .. } | SweepEvent::HardwareCellStarted { .. } => {
+                    "factorial".to_string()
+                }
             });
         };
         let mut ctrl = SweepControl {
@@ -1435,8 +1546,8 @@ mod tests {
         run.step(30_000);
         checkpoint_cell(&mut run, &dir, 0).expect("checkpoint");
 
-        let outcome = sweep(&config, &dir, &opts(1)).expect("resumed sweep");
-        assert_eq!(outcome.resumed_cell, Some(0));
+        let (_, decisions) = decided_sweep(&config, &dir, &opts(1));
+        assert_eq!(decisions.resumed, Some(0));
         for artifact in ["cell_0.tsv", "summary.tsv"] {
             let golden = fs::read(golden_dir.join(artifact)).expect("golden artifact");
             let resumed = fs::read(dir.join(artifact)).expect("resumed artifact");
@@ -1448,8 +1559,6 @@ mod tests {
 
     #[test]
     fn torn_journal_line_is_tolerated() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
         let golden_dir = tempdir("golden-torn");
         sweep(&small_config(), &golden_dir, &opts(2)).expect("golden sweep");
 
@@ -1468,27 +1577,28 @@ mod tests {
         // `running` line journaled after the torn tail must survive
         // replay, or the second resume throws the checkpoint away.
         let cancel = AtomicBool::new(false);
-        let mut flip = |event: SweepEvent| {
-            if matches!(event, SweepEvent::Checkpointed { cell: 1, .. }) {
-                cancel.store(true, Ordering::Relaxed);
-            }
-        };
-        let mut ctrl = SweepControl {
-            cancel: Some(&cancel),
-            progress: Some(&mut flip),
-        };
-        let outcome =
-            run_sweep_controlled(&small_config(), &dir, &opts(2), &mut ctrl).expect("resumed");
-        assert_eq!(outcome.skipped, vec![0]);
+        let (outcome, decisions) = decided(
+            Some(&cancel),
+            |event| matches!(event, SweepEvent::Checkpointed { cell: 1, .. }),
+            |ctrl| run_sweep_controlled(&small_config(), &dir, &opts(2), ctrl),
+        );
+        let outcome = outcome.expect("resumed");
+        assert_eq!(decisions.skipped, vec![0]);
         assert!(outcome.interrupted);
         assert!(outcome
             .warnings
             .iter()
             .any(|w| w.contains("torn/unparseable")));
 
-        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("resumed again");
-        assert_eq!(outcome.resumed_cell, Some(1));
-        assert_eq!(outcome.executed, vec![1]);
+        let (_, decisions) = decided_sweep(&small_config(), &dir, &opts(2));
+        assert_eq!(
+            decisions,
+            Decisions {
+                skipped: vec![0],
+                resumed: Some(1),
+                done: vec![1]
+            }
+        );
         for artifact in ["cell_0.tsv", "cell_1.tsv", "summary.tsv", "attribution.tsv"] {
             let golden = fs::read(golden_dir.join(artifact)).expect("golden artifact");
             let resumed = fs::read(dir.join(artifact)).expect("resumed artifact");
@@ -1510,8 +1620,8 @@ mod tests {
         let dir = crashed_dir("corrupt", &config);
         fs::write(ckpt_path(&dir, 0), b"not a checkpoint").expect("corrupt ckpt");
 
-        let outcome = sweep(&config, &dir, &opts(1)).expect("resumed");
-        assert_eq!(outcome.resumed_cell, None);
+        let (outcome, decisions) = decided_sweep(&config, &dir, &opts(1));
+        assert_eq!(decisions.resumed, None);
         assert!(outcome.warnings.iter().any(|w| w.contains("unusable")));
         assert_eq!(
             fs::read(golden_dir.join("cell_0.tsv")).expect("golden"),
@@ -1528,10 +1638,15 @@ mod tests {
         sweep(&small_config(), &dir, &opts(1)).expect("sweep");
         let mut changed = small_config();
         changed.target_rps = 90_000.0;
-        let outcome = sweep(&changed, &dir, &opts(1)).expect("resumed");
+        let (_, decisions) = decided_sweep(&changed, &dir, &opts(1));
         // The old done line is for a different config hash: re-run.
-        assert_eq!(outcome.executed, vec![0]);
-        assert!(outcome.skipped.is_empty());
+        assert_eq!(
+            decisions,
+            Decisions {
+                done: vec![0],
+                ..Decisions::default()
+            }
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1558,9 +1673,14 @@ mod tests {
         fs::remove_file(dir.join("summary.tsv")).expect("remove summary");
         fs::remove_file(dir.join("attribution.tsv")).expect("remove attribution");
 
-        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("rerun");
-        assert!(outcome.executed.is_empty(), "{:?}", outcome.executed);
-        assert_eq!(outcome.skipped, vec![0, 1]);
+        let (_, decisions) = decided_sweep(&small_config(), &dir, &opts(2));
+        assert_eq!(
+            decisions,
+            Decisions {
+                skipped: vec![0, 1],
+                ..Decisions::default()
+            }
+        );
         assert_eq!(fs::read(dir.join("summary.tsv")).expect("summary"), summary);
         assert_eq!(
             fs::read(dir.join("attribution.tsv")).expect("attribution"),
@@ -1576,8 +1696,8 @@ mod tests {
 
         let dir = tempdir("fewer");
         sweep(&small_config(), &dir, &opts(3)).expect("3-run sweep");
-        let outcome = sweep(&small_config(), &dir, &opts(2)).expect("2-run rerun");
-        assert!(outcome.executed.is_empty(), "{:?}", outcome.executed);
+        let (outcome, decisions) = decided_sweep(&small_config(), &dir, &opts(2));
+        assert!(decisions.done.is_empty(), "{decisions:?}");
         let cells: Vec<u64> = outcome.cells.iter().map(|c| c.cell).collect();
         assert_eq!(cells, vec![0, 1]);
         for artifact in ["summary.tsv", "attribution.tsv"] {
@@ -1604,10 +1724,10 @@ mod tests {
 
         let dir = tempdir("aba");
         sweep(&config_a, &dir, &opts(1)).expect("sweep A");
-        let outcome = sweep(&config_b, &dir, &opts(1)).expect("sweep B");
-        assert_eq!(outcome.executed, vec![0]);
-        let outcome = sweep(&config_a, &dir, &opts(1)).expect("sweep A again");
-        assert_eq!(outcome.executed, vec![0], "cell 0 held B's files");
+        let (_, decisions) = decided_sweep(&config_b, &dir, &opts(1));
+        assert_eq!(decisions.done, vec![0]);
+        let (outcome, decisions) = decided_sweep(&config_a, &dir, &opts(1));
+        assert_eq!(decisions.done, vec![0], "cell 0 held B's files");
         assert!(
             outcome.warnings.iter().any(|w| w.contains("journaled last under")),
             "{:?}",
@@ -1615,8 +1735,8 @@ mod tests {
         );
         assert_eq!(tsv_artifacts(&dir), tsv_artifacts(&golden_dir));
         // Journaled last under A again: done, and no warning about B.
-        let outcome = sweep(&config_a, &dir, &opts(1)).expect("sweep A a third time");
-        assert_eq!(outcome.skipped, vec![0]);
+        let (outcome, decisions) = decided_sweep(&config_a, &dir, &opts(1));
+        assert_eq!(decisions.skipped, vec![0]);
         assert!(outcome.warnings.is_empty(), "{:?}", outcome.warnings);
         let _ = fs::remove_dir_all(&golden_dir);
         let _ = fs::remove_dir_all(&dir);
@@ -1658,7 +1778,16 @@ mod tests {
         // What a crash right after this attempt's `running` line leaves.
         let mut at_start = None;
         let mut look = |event: SweepEvent| {
-            if let SweepEvent::CellStarted { cell: 0, .. } = event {
+            if let SweepEvent::CellStarted {
+                cell: 0,
+                resumed_at_events,
+                ..
+            } = event
+            {
+                assert_eq!(
+                    resumed_at_events, 0,
+                    "another configuration's checkpoint resumed"
+                );
                 let manifest = fs::read_to_string(dir.join("manifest.jsonl")).expect("manifest");
                 let last = manifest.lines().last().unwrap_or_default().to_string();
                 let segment = fs::metadata(records_path(&dir, 0)).map_or(0, |m| m.len());
@@ -1669,8 +1798,7 @@ mod tests {
             cancel: None,
             progress: Some(&mut look),
         };
-        let outcome = sweep_cells(&config, &dir, &every_opts, &mut ctrl).expect("sweep");
-        assert_eq!(outcome.resumed_cell, None);
+        sweep_cells(&config, &dir, &every_opts, &mut ctrl).expect("sweep");
         let (last, envelope, segment) = at_start.expect("cell 0 started");
         let hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
         assert!(
@@ -1723,6 +1851,46 @@ mod tests {
         assert!(factorial.contains("\n3\thigh\thigh\tlow\tlow\t"), "{factorial}");
         assert!(factorial.contains("\n11\thigh\thigh\tlow\thigh\t"), "{factorial}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A factorial sweep announces its plan, then each hardware cell
+    /// before that cell's run events; without a plan, all 16 in order.
+    #[test]
+    fn factorial_events_name_each_hardware_cell_before_its_runs() {
+        let kinds = |plan: Option<&ScreenedSweepPlan>, tag: &str| -> Vec<String> {
+            let dir = tempdir(tag);
+            let mut kinds = Vec::new();
+            let mut record = |event: SweepEvent| {
+                kinds.push(match event {
+                    SweepEvent::Screened { flagged, .. } => format!("screened {flagged:?}"),
+                    SweepEvent::HardwareCellStarted { index, hardware } => {
+                        assert_eq!(hardware, HardwareConfig::from_index(index));
+                        format!("hw {index}")
+                    }
+                    SweepEvent::CellStarted { cell, .. } => format!("start {cell}"),
+                    SweepEvent::CellDone { cell, .. } => format!("done {cell}"),
+                    other => other.to_string(),
+                });
+            };
+            let mut ctrl = SweepControl {
+                cancel: None,
+                progress: Some(&mut record),
+            };
+            run_factorial_sweep_controlled(&tiny_config(), &dir, &opts(1), plan, &mut ctrl)
+                .expect("sweep");
+            let _ = fs::remove_dir_all(&dir);
+            kinds
+        };
+        let runs = |index: usize| [format!("hw {index}"), "start 0".into(), "done 0".into()];
+
+        let mut screened = vec!["screened [3, 11]".to_string()];
+        screened.extend(runs(3));
+        screened.extend(runs(11));
+        let plan = uniform_plan(&[3, 11], 0.05);
+        assert_eq!(kinds(Some(&plan), "events-screened"), screened);
+
+        let full: Vec<String> = (0..FACTORIAL_CELLS).flat_map(runs).collect();
+        assert_eq!(kinds(None, "events-full"), full);
     }
 
     #[test]
@@ -1921,8 +2089,8 @@ mod tests {
                 fs::write(dir.join("cell_0.ckpt.tmp"), &second.envelope[..40]).expect("tmp");
             }
             fs::write(records_path(&dir, 0), segment).expect("segment");
-            let outcome = sweep_below_floor(&config, &dir, &every_opts).expect("resumed sweep");
-            assert_eq!(outcome.resumed_cell, resumed, "{tag}");
+            let (_, decisions) = decided_below_floor(&config, &dir, &every_opts);
+            assert_eq!(decisions.resumed, resumed, "{tag}");
             for artifact in [
                 "cell_0.tsv",
                 "cell_0.attr.tsv",
@@ -1979,8 +2147,8 @@ mod tests {
             let dir = crashed_dir(tag, &config);
             fs::write(ckpt_path(&dir, 0), envelope).expect("envelope");
             fs::write(records_path(&dir, 0), segment).expect("segment");
-            let outcome = sweep_below_floor(&config, &dir, &every_opts).expect("resumed sweep");
-            assert_eq!(outcome.resumed_cell, None, "{tag}");
+            let (outcome, decisions) = decided_below_floor(&config, &dir, &every_opts);
+            assert_eq!(decisions.resumed, None, "{tag}");
             assert!(
                 outcome
                     .warnings

@@ -426,16 +426,11 @@ fn solve_frequency(
             spec.thermal_throttle_start,
             heat,
         );
-        // The governor requires `min_ghz <= max_avail`. Headroom never
-        // falls under base (so under min) except on a NaN heat, which a
-        // NaN cost, moment or loss in the input produces, or by an ulp
-        // when turbo is more than twice base: the floor keeps both off
-        // its `assert!`.
         target = dvfs::governor_target(
             hw.dvfs,
             util,
             spec.min_ghz,
-            max_avail.max(spec.min_ghz),
+            max_avail,
             spec.ondemand_up_threshold,
         );
         let next = 0.5 * freq + 0.5 * target;

@@ -62,7 +62,7 @@ pub use goodness::model_pseudo_r_squared;
 pub use impact::{average_factor_impacts, FactorImpact};
 pub use reduced::{fit_reduced, model_comparison, ModelComparisonRow, ReducedModel};
 pub use screening::{
-    screen_cells, screen_factors, screen_hardware, CellPrediction, ScreenError, ScreenPlan,
-    ScreeningOptions, ScreeningResult,
+    run_config_sweep, screen_cells, screen_factors, screen_hardware, CellPrediction, ConfigSweep,
+    ScreenError, ScreenPlan, ScreeningOptions, ScreeningResult,
 };
 pub use tuning::{validate, ArmSummary, TuningOutcome, TuningPlan};

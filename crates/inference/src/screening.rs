@@ -22,6 +22,7 @@
 //!   recall of significant cells) is pinned by `tests/analytic_oracle.rs`.
 
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -29,7 +30,10 @@ use treadmill_stats::compare::welch_t_test;
 
 use crate::analytic::{predict_cell, TailPrediction};
 use treadmill_cluster::HardwareConfig;
-use treadmill_core::LoadTestConfig;
+use treadmill_core::{
+    run_factorial_sweep_controlled, run_sweep_controlled, LoadTestConfig, SweepControl, SweepError,
+    SweepOptions,
+};
 
 /// Why a screening request was refused.
 #[derive(Debug, Clone, PartialEq)]
@@ -351,6 +355,62 @@ pub fn screen_hardware(
 ) -> Result<ScreenPlan, ScreenError> {
     screen_cells(&HardwareConfig::factor_names(), threshold, |_, index| {
         predict_cell(config, HardwareConfig::from_index(index))
+    })
+}
+
+/// What [`run_config_sweep`] reports beside its progress events.
+#[derive(Debug, Clone, Default)]
+pub struct ConfigSweep {
+    /// The sweep stopped on a cancellation request; a rerun continues it.
+    pub interrupted: bool,
+    /// Every cell's audit findings, health checks and recovery notes.
+    pub warnings: Vec<String>,
+    /// The top-level tables written: `summary.tsv`, or `screen.tsv` and
+    /// (once every flagged cell is done) `factorial.tsv`.
+    pub artifacts: Vec<PathBuf>,
+}
+
+/// The one door into a durable sweep of `config`, which
+/// `treadmill-serve` and `treadmill-cli sweep` both use: with a `screen`
+/// block, the screened factorial (the analytic screen at its threshold,
+/// then DES runs of the flagged hardware cells); without one,
+/// `opts.runs` repeated runs. `ctrl` receives every progress event.
+///
+/// # Errors
+///
+/// [`SweepError::Config`] for a config or options that do not validate,
+/// [`SweepError::Screen`] when the screen fails, [`SweepError::Io`] on
+/// filesystem trouble.
+pub fn run_config_sweep(
+    config: &LoadTestConfig,
+    out_dir: &Path,
+    opts: &SweepOptions,
+    ctrl: &mut SweepControl<'_>,
+) -> Result<ConfigSweep, SweepError> {
+    let Some(screen) = config.screen else {
+        let outcome = run_sweep_controlled(config, out_dir, opts, ctrl)?;
+        return Ok(ConfigSweep {
+            interrupted: outcome.interrupted,
+            warnings: outcome.warnings,
+            artifacts: vec![outcome.summary_path],
+        });
+    };
+    // A config the sweep would reject is its error, not the screen's.
+    config.validate()?;
+    let plan = screen_hardware(config, screen.threshold)
+        .map_err(|e| SweepError::Screen {
+            message: e.to_string(),
+        })?
+        .to_sweep_plan();
+    let outcome = run_factorial_sweep_controlled(config, out_dir, opts, Some(&plan), ctrl)?;
+    let mut artifacts: Vec<PathBuf> = outcome.screen_path.into_iter().collect();
+    if !outcome.interrupted {
+        artifacts.push(outcome.factorial_path);
+    }
+    Ok(ConfigSweep {
+        interrupted: outcome.interrupted,
+        warnings: outcome.warnings,
+        artifacts,
     })
 }
 

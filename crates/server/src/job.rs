@@ -30,8 +30,8 @@ fn default_ckpt_events() -> u64 {
 pub struct ExperimentSpec {
     /// The load-test configuration to sweep.
     pub config: LoadTestConfig,
-    /// Repeated-run cells to execute (the paper's repeated-run
-    /// procedure; defaults to 6).
+    /// Repeated runs of the config, or of each hardware cell a screened
+    /// config simulates (the repeated-run procedure; defaults to 6).
     #[serde(default = "default_runs")]
     pub runs: u64,
     /// Events between checkpoints of the running cell.

@@ -7,7 +7,7 @@
 //!                                     │
 //!                 POST /experiments ──┴──(JobStore's queue)──> executor
 //!                                                                  │
-//!                                                  run_sweep_controlled
+//!                                                      run_config_sweep
 //! ```
 //!
 //! Every handler and the executor read and write one record per job,
@@ -39,10 +39,8 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use treadmill_core::journal::write_atomic;
-use treadmill_core::{
-    run_factorial_sweep_controlled, run_sweep_controlled, SweepControl, SweepEvent,
-    SweepOptions,
-};
+use treadmill_core::{SweepControl, SweepEvent, SweepOptions};
+use treadmill_inference::run_config_sweep;
 
 use crate::http::{self, HttpError, Request};
 use crate::job::{ExperimentSpec, JobStatus};
@@ -424,7 +422,7 @@ fn handle_submit(
         }
     };
     let key = req.header("idempotency-key");
-    let note = format!("queued ({} cells)", spec.runs);
+    let note = format!("queued ({} runs)", spec.runs);
     match shared.store.submit(key, &spec.canonical_json(), &note) {
         Ok(SubmitOutcome::Created { job, depth }) => {
             let body = SubmitBody {
@@ -584,7 +582,7 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
     let resumed = out_dir.exists();
     let _ = shared.store.set_status(id, JobStatus::Running, None);
     say(format!(
-        "job {id}: running {} cell(s){}",
+        "job {id}: running {} run(s){}",
         spec.runs,
         if resumed { ", resuming from journal" } else { "" }
     ));
@@ -598,47 +596,14 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
         cancel: Some(&shared.draining),
         progress: Some(&mut on_event),
     };
-    // A spec with a `screen` block runs the two-stage screened
-    // factorial sweep (analytic screen, then DES on flagged cells);
-    // otherwise the classic repeated-run sweep. The whole computation
-    // runs under `catch_unwind`: engine invariant violations abort by
-    // panicking, and that must poison only this job — the journal and
-    // admission state the service still owns stay consistent because
-    // the sweep mutates nothing of `Shared` directly.
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || {
-            if let Some(screen) = spec.config.screen {
-                say(format!(
-                    "job {id}: analytic screen over 16 hardware cells (threshold {:.3})",
-                    screen.threshold
-                ));
-                match treadmill_inference::screen_hardware(&spec.config, screen.threshold) {
-                    Ok(plan) => {
-                        let sweep_plan = plan.to_sweep_plan();
-                        say(format!(
-                            "job {id}: screen flagged {} of 16 cells for simulation",
-                            sweep_plan.cells.iter().filter(|c| c.flagged).count()
-                        ));
-                        run_factorial_sweep_controlled(
-                            &spec.config,
-                            &out_dir,
-                            &opts,
-                            Some(&sweep_plan),
-                            &mut ctrl,
-                        )
-                        .map(|o| (o.interrupted, o.warnings))
-                    }
-                    Err(e) => Err(treadmill_core::SweepError::Screen {
-                        message: e.to_string(),
-                    }),
-                }
-            } else {
-                run_sweep_controlled(&spec.config, &out_dir, &opts, &mut ctrl)
-                    .map(|o| (o.interrupted, o.warnings))
-            }
-        },
-    ));
-    let result: Result<(bool, Vec<String>), String> = match caught {
+    // The whole computation runs under `catch_unwind`: engine invariant
+    // violations abort by panicking, and that must poison only this job
+    // — the journal and admission state the service still owns stay
+    // consistent because the sweep mutates nothing of `Shared` directly.
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_config_sweep(&spec.config, &out_dir, &opts, &mut ctrl)
+    }));
+    let result = match caught {
         Ok(outcome) => outcome.map_err(|e| e.to_string()),
         Err(payload) => Err(format!(
             "sweep aborted by engine invariant panic: {}",
@@ -646,7 +611,7 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
         )),
     };
     match result {
-        Ok((interrupted, _)) if interrupted => {
+        Ok(swept) if swept.interrupted => {
             // Deliberately left `running`: the journal + sealed
             // checkpoint are exactly what a restart picks up.
             say(format!("job {id}: interrupted by drain; a restart continues it"));
@@ -654,8 +619,8 @@ fn execute_job(shared: &Arc<Shared>, id: &str) {
         // Every final line lands before the terminal status is
         // published, so a client that reads `done` (or sees the
         // `/events` stream end) has every line to read.
-        Ok((_, warnings)) => {
-            for warning in &warnings {
+        Ok(swept) => {
+            for warning in &swept.warnings {
                 say(format!("warning: {warning}"));
             }
             say(format!("job {id}: done"));

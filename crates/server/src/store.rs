@@ -576,7 +576,7 @@ mod tests {
         let dir = tmp_dir("progress");
         let (store, _) = JobStore::open(&dir, CAP).unwrap();
         let SubmitOutcome::Created { job, .. } =
-            store.submit(None, "{}", "queued (2 cells)").unwrap()
+            store.submit(None, "{}", "queued (2 runs)").unwrap()
         else {
             panic!("expected creation");
         };
@@ -584,7 +584,7 @@ mod tests {
         assert_eq!(
             store.progress(&job.id, 0),
             Some((
-                vec!["job exp-000000: queued (2 cells)".to_string()],
+                vec!["job exp-000000: queued (2 runs)".to_string()],
                 JobStatus::Queued
             ))
         );

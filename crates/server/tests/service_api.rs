@@ -296,10 +296,41 @@ fn screened_spec_runs_two_stage_sweep_and_serves_screen_artifacts() {
     assert_eq!(simulated, flagged, "{factorial}\n{screen}");
     assert!((1..16).contains(&simulated), "screen must drop some cells: {screen}");
 
-    // The progress stream narrates the two stages.
+    // The progress stream states the screen's verdict, then names each
+    // flagged hardware cell right before that cell's run lines.
     let events = get(&addr, &format!("/experiments/{id}/events")).text();
-    assert!(events.contains("analytic screen"), "{events}");
-    assert!(events.contains("flagged"), "{events}");
+    let lines: Vec<&str> = events.lines().collect();
+    // Each flagged row of screen.tsv: its index and its four levels.
+    let rows: Vec<(usize, String)> = screen
+        .lines()
+        .filter(|l| l.ends_with("\t1"))
+        .map(|l| {
+            let cols: Vec<&str> = l.split('\t').collect();
+            let hardware = format!(
+                "numa-{},turbo-{},dvfs-{},nic-{}",
+                cols[1], cols[2], cols[3], cols[4]
+            );
+            (cols[0].parse().unwrap(), hardware)
+        })
+        .collect();
+    let flagged: Vec<usize> = rows.iter().map(|(index, _)| *index).collect();
+    let verdict =
+        format!("analytic screen at threshold 0.200 flagged hardware cells {flagged:?} of 16");
+    let at = lines
+        .iter()
+        .position(|l| *l == verdict)
+        .unwrap_or_else(|| panic!("no line {verdict:?}:\n{events}"));
+    let mut named = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let Some(rest) = line.strip_prefix("hardware cell ") else {
+            continue;
+        };
+        let (index, hardware) = rest.split_once(": ").unwrap();
+        assert!(i > at, "{line} before the verdict:\n{events}");
+        assert!(lines[i + 1].starts_with("cell 0: started"), "{events}");
+        named.push((index.parse().unwrap(), hardware.to_string()));
+    }
+    assert_eq!(named, rows, "{events}");
 
     shutdown(handle, &state);
 }

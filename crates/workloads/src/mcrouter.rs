@@ -14,7 +14,7 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use treadmill_stats::distribution::sample_lognormal;
 
-use crate::profile::{OpClass, RequestProfile, Workload};
+use crate::profile::{BaseDemand, OpClass, RequestProfile, ServiceMoments, Workload};
 use crate::sizes::SizeDistribution;
 
 /// Protocol overhead per routed message, in bytes.
@@ -103,11 +103,26 @@ impl Workload for Mcrouter {
         }
     }
 
-    fn mean_service_ns(&self) -> f64 {
-        let slow_scale = 1.0 + self.slow_fraction * (self.slow_multiplier - 1.0);
-        (self.base_cpu_ns + self.cpu_ns_per_byte * self.message_size.mean()
-            + self.base_mem_ns)
-            * slow_scale
+    /// Moments of the sampled demand `(b_c + c·M + b_m)·N·S`, exact given
+    /// the message size `M`'s mean and mean square; the response's
+    /// quarter-message is rounded to within a byte.
+    fn service_moments(&self) -> ServiceMoments {
+        let em = self.message_size.mean();
+        let em2 = self.message_size.mean_square();
+        let fixed = self.base_cpu_ns + self.base_mem_ns;
+        let (per_byte, header) = (self.cpu_ns_per_byte, f64::from(HEADER_BYTES));
+        BaseDemand {
+            mean_ns: fixed + per_byte * em,
+            mean_square: fixed * fixed + 2.0 * fixed * per_byte * em + per_byte * per_byte * em2,
+            cpu_ns: self.base_cpu_ns + per_byte * em,
+        }
+        .moments(
+            self.service_noise_sigma,
+            self.slow_fraction,
+            self.slow_multiplier,
+            header + em,
+            header + em / 4.0,
+        )
     }
 }
 
@@ -163,10 +178,48 @@ mod tests {
             })
             .sum();
         let empirical = total / f64::from(n);
-        let declared = w.mean_service_ns();
+        let declared = w.service_moments().mean_ns;
         assert!(
             (empirical / declared - 1.0).abs() < 0.15,
             "empirical {empirical} vs declared {declared}"
+        );
+    }
+
+    #[test]
+    fn moments_match_empirical_distribution() {
+        let w = Mcrouter::default();
+        let m = w.service_moments();
+        let mut rng = SmallRng::seed_from_u64(11);
+        let n = 200_000;
+        let (mut sum, mut sum_sq, mut cpu, mut req, mut resp) = (0.0, 0.0, 0.0, 0.0, 0.0);
+        for _ in 0..n {
+            let p = w.sample_request(&mut rng);
+            let s = p.cpu_ns + p.mem_ns;
+            sum += s;
+            sum_sq += s * s;
+            cpu += p.cpu_ns;
+            req += f64::from(p.request_bytes);
+            resp += f64::from(p.response_bytes);
+        }
+        let n = f64::from(n);
+        let mean = sum / n;
+        let cv2 = sum_sq / n / (mean * mean) - 1.0;
+        let close = |empirical: f64, closed: f64, tol: f64, what: &str| {
+            assert!(
+                (empirical / closed - 1.0).abs() < tol,
+                "{what}: empirical {empirical} vs closed form {closed}"
+            );
+        };
+        close(mean, m.mean_ns, 0.05, "mean");
+        // The second moment is tail-dominated (Pareto messages and the
+        // slow path), so its sampling error bound is looser.
+        close(cv2, m.cv2, 0.25, "cv²");
+        close(cpu / sum, m.cpu_fraction, 0.02, "cpu fraction");
+        close(req / n, m.request_bytes, 0.05, "request bytes");
+        close(resp / n, m.response_bytes, 0.05, "response bytes");
+        assert_eq!(
+            (m.noise_sigma, m.slow_fraction, m.slow_multiplier),
+            (w.service_noise_sigma, w.slow_fraction, w.slow_multiplier)
         );
     }
 

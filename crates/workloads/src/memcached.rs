@@ -11,7 +11,7 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use treadmill_stats::distribution::sample_lognormal;
 
-use crate::profile::{OpClass, RequestProfile, ServiceMoments, Workload};
+use crate::profile::{BaseDemand, OpClass, RequestProfile, ServiceMoments, Workload};
 use crate::sizes::SizeDistribution;
 
 /// Protocol overhead per message: ≈ 48 bytes of headers and framing.
@@ -45,8 +45,8 @@ pub enum MemcachedOp {
 /// assert_eq!(workload.name(), "memcached");
 /// // Mean service demand is in the ~15µs range that makes 1M RPS ≈
 /// // full utilisation of a 16-core server.
-/// assert!(workload.mean_service_ns() > 8_000.0);
-/// assert!(workload.mean_service_ns() < 25_000.0);
+/// let mean_ns = workload.service_moments().mean_ns;
+/// assert!(mean_ns > 8_000.0 && mean_ns < 25_000.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Memcached {
@@ -178,11 +178,6 @@ impl Workload for Memcached {
         }
     }
 
-    /// The exact mean of [`Self::service_moments`].
-    fn mean_service_ns(&self) -> f64 {
-        self.service_moments().mean_ns
-    }
-
     /// Exact first and second moments of the sampled service demand.
     ///
     /// The demand is `T = (k_c·A_c + k_m·A_m)·N·S` with `A_c/A_m` affine
@@ -213,39 +208,25 @@ impl Workload for Memcached {
             (g * (1.0 - h), MISS_SCALE.0, MISS_SCALE.1),
             (1.0 - g, SET_SCALE.0, SET_SCALE.1),
         ];
-        let mut e_b = 0.0;
-        let mut e_b2 = 0.0;
-        let mut e_b_cpu = 0.0;
+        let mut base = BaseDemand {
+            mean_ns: 0.0,
+            mean_square: 0.0,
+            cpu_ns: 0.0,
+        };
         for (w, kc, km) in classes {
-            e_b += w * (kc * e_ac + km * e_am);
-            e_b_cpu += w * kc * e_ac;
-            e_b2 += w
-                * (kc * kc * e_ac2
-                    + 2.0 * kc * km * e_acam
-                    + km * km * e_am2);
+            base.mean_ns += w * (kc * e_ac + km * e_am);
+            base.cpu_ns += w * kc * e_ac;
+            base.mean_square += w * (kc * kc * e_ac2 + 2.0 * kc * km * e_acam + km * km * e_am2);
         }
 
         let header = f64::from(HEADER_BYTES);
-        let sigma2 = self.service_noise_sigma * self.service_noise_sigma;
-        let e_n2 = sigma2.exp();
-        let e_s = 1.0 + self.slow_fraction * (self.slow_multiplier - 1.0);
-        let e_s2 = 1.0
-            + self.slow_fraction * (self.slow_multiplier * self.slow_multiplier - 1.0);
-
-        let mean = e_b * e_s;
-        let second = e_b2 * e_n2 * e_s2;
-        let cv2 = if mean > 0.0 { second / (mean * mean) - 1.0 } else { 0.0 };
-
-        ServiceMoments {
-            mean_ns: mean,
-            cv2: cv2.max(0.0),
-            cpu_fraction: if e_b > 0.0 { e_b_cpu / e_b } else { 0.5 },
-            request_bytes: header + self.key_size.mean() + (1.0 - g) * ev,
-            response_bytes: header + g * h * ev,
-            noise_sigma: self.service_noise_sigma,
-            slow_fraction: self.slow_fraction,
-            slow_multiplier: self.slow_multiplier,
-        }
+        base.moments(
+            self.service_noise_sigma,
+            self.slow_fraction,
+            self.slow_multiplier,
+            header + self.key_size.mean() + (1.0 - g) * ev,
+            header + g * h * ev,
+        )
     }
 }
 
@@ -302,7 +283,7 @@ mod tests {
             })
             .sum();
         let empirical = total / f64::from(n);
-        let declared = w.mean_service_ns();
+        let declared = w.service_moments().mean_ns;
         assert!(
             (empirical / declared - 1.0).abs() < 0.15,
             "empirical {empirical} vs declared {declared}"

@@ -48,10 +48,10 @@ pub struct RequestProfile {
 }
 
 /// Closed-form moments of a workload's service-demand and wire-size
-/// distributions — the input to the analytic fast-path estimator
-/// (`treadmill_inference::analytic`), which needs second moments and a
-/// CPU/memory split that [`Workload::mean_service_ns`] alone cannot
-/// provide.
+/// distributions, exactly those of what [`Workload::sample_request`]
+/// draws — the input to the analytic fast-path estimator
+/// (`treadmill_inference::analytic`), which needs the mean, the second
+/// moment and the CPU/memory split of the demand.
 ///
 /// All quantities are at base frequency with local memory (the same
 /// reference point as [`RequestProfile`]).
@@ -78,6 +78,54 @@ pub struct ServiceMoments {
     pub slow_multiplier: f64,
 }
 
+/// A request's demand `B` before its noise and slow path — its mean, its
+/// second moment and the CPU part of its mean, in ns and ns² — from
+/// which a workload states its [`ServiceMoments`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BaseDemand {
+    pub mean_ns: f64,
+    pub mean_square: f64,
+    pub cpu_ns: f64,
+}
+
+impl BaseDemand {
+    /// The moments of `B·N·S`: `B` this demand, `N` lognormal noise of
+    /// mean 1 and log-scale sigma `noise_sigma` (`E[N²] = e^{σ²}`), `S`
+    /// the slow path (`slow_multiplier` with probability
+    /// `slow_fraction`, else 1), all independent.
+    pub(crate) fn moments(
+        self,
+        noise_sigma: f64,
+        slow_fraction: f64,
+        slow_multiplier: f64,
+        request_bytes: f64,
+        response_bytes: f64,
+    ) -> ServiceMoments {
+        let e_n2 = (noise_sigma * noise_sigma).exp();
+        let e_s = 1.0 + slow_fraction * (slow_multiplier - 1.0);
+        let e_s2 = 1.0 + slow_fraction * (slow_multiplier * slow_multiplier - 1.0);
+        let mean = self.mean_ns * e_s;
+        let second = self.mean_square * e_n2 * e_s2;
+        // `max` also takes a zero demand's 0/0 to 0.
+        let cv2 = (second / (mean * mean) - 1.0).max(0.0);
+        let cpu_fraction = if self.mean_ns > 0.0 {
+            self.cpu_ns / self.mean_ns
+        } else {
+            0.5
+        };
+        ServiceMoments {
+            mean_ns: mean,
+            cv2,
+            cpu_fraction,
+            request_bytes,
+            response_bytes,
+            noise_sigma,
+            slow_fraction,
+            slow_multiplier,
+        }
+    }
+}
+
 /// A service workload: something that can generate request profiles.
 ///
 /// Implementations should be cheap to sample (called once per simulated
@@ -91,26 +139,11 @@ pub trait Workload: fmt::Debug + Send + Sync {
     /// Draws the resource profile of the next request.
     fn sample_request(&self, rng: &mut dyn RngCore) -> RequestProfile;
 
-    /// Mean total service demand in nanoseconds at base frequency: the
-    /// mean the default [`Workload::service_moments`] reports.
-    fn mean_service_ns(&self) -> f64;
-
-    /// Closed-form moments for the analytic estimator. The default is a
-    /// conservative stand-in (exponential-like variability, even
-    /// CPU/memory split, small messages); workloads with exact forms
-    /// should override it.
-    fn service_moments(&self) -> ServiceMoments {
-        ServiceMoments {
-            mean_ns: self.mean_service_ns(),
-            cv2: 1.0,
-            cpu_fraction: 0.5,
-            request_bytes: 128.0,
-            response_bytes: 256.0,
-            noise_sigma: 0.0,
-            slow_fraction: 0.0,
-            slow_multiplier: 1.0,
-        }
-    }
+    /// Closed-form moments of what [`Workload::sample_request`] draws,
+    /// for the analytic estimator; their `mean_ns` is the mean total
+    /// service demand at base frequency. Each workload states its own:
+    /// the screen trusts them as it trusts the simulator.
+    fn service_moments(&self) -> ServiceMoments;
 }
 
 #[cfg(test)]

@@ -303,7 +303,7 @@ mod tests {
         let w = spec.build().unwrap();
         assert_eq!(w.name(), "mcrouter");
         // Mean reflects the override: 12000 + per-byte + mem.
-        assert!(w.mean_service_ns() > 12_000.0);
+        assert!(w.service_moments().mean_ns > 12_000.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use crate::profile::{OpClass, RequestProfile, Workload};
+use crate::profile::{OpClass, RequestProfile, ServiceMoments, Workload};
 
 /// A workload where every request is identical.
 ///
@@ -22,7 +22,7 @@ use crate::profile::{OpClass, RequestProfile, Workload};
 /// let a = workload.sample_request(&mut rng);
 /// let b = workload.sample_request(&mut rng);
 /// assert_eq!(a, b, "every request is identical");
-/// assert_eq!(workload.mean_service_ns(), 12_000.0);
+/// assert_eq!(workload.service_moments().mean_ns, 12_000.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Synthetic {
@@ -69,8 +69,19 @@ impl Workload for Synthetic {
         }
     }
 
-    fn mean_service_ns(&self) -> f64 {
-        self.cpu_ns + self.mem_ns
+    /// The fixed demand: no variance, no noise, no slow path.
+    fn service_moments(&self) -> ServiceMoments {
+        let demand = self.cpu_ns + self.mem_ns;
+        ServiceMoments {
+            mean_ns: demand,
+            cv2: 0.0,
+            cpu_fraction: self.cpu_ns / demand,
+            request_bytes: f64::from(self.request_bytes),
+            response_bytes: f64::from(self.response_bytes),
+            noise_sigma: 0.0,
+            slow_fraction: 0.0,
+            slow_multiplier: 1.0,
+        }
     }
 }
 
@@ -94,11 +105,33 @@ mod tests {
 
     #[test]
     fn mean_service_is_the_sum_of_components() {
-        assert_eq!(Synthetic::fixed(10_000.0, 0.0).mean_service_ns(), 10_000.0);
-        assert_eq!(Synthetic::fixed(0.0, 3_000.0).mean_service_ns(), 3_000.0);
+        assert_eq!(
+            Synthetic::fixed(10_000.0, 0.0).service_moments().mean_ns,
+            10_000.0
+        );
+        assert_eq!(
+            Synthetic::fixed(0.0, 3_000.0).service_moments().mean_ns,
+            3_000.0
+        );
         // The full-pipeline constant-latency check lives in
         // tests/end_to_end.rs (the workloads crate cannot depend on the
         // cluster simulator).
+    }
+
+    #[test]
+    fn moments_are_the_fixed_profile() {
+        let w = Synthetic::fixed(6_000.0, 2_000.0);
+        let p = w.sample_request(&mut SmallRng::seed_from_u64(2));
+        let m = w.service_moments();
+        assert_eq!(m.mean_ns, p.cpu_ns + p.mem_ns);
+        assert_eq!(m.cv2, 0.0, "a fixed demand does not vary");
+        assert_eq!(m.cpu_fraction, p.cpu_ns / (p.cpu_ns + p.mem_ns));
+        assert_eq!(m.request_bytes, f64::from(p.request_bytes));
+        assert_eq!(m.response_bytes, f64::from(p.response_bytes));
+        assert_eq!(
+            (m.noise_sigma, m.slow_fraction, m.slow_multiplier),
+            (0.0, 0.0, 1.0)
+        );
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //!     and print per-run and aggregated summaries.
 //!
 //! treadmill-cli sweep <config.json> --out DIR [--runs N] [--seed S] [--ckpt-events K]
-//!     Crash-tolerant sweep of the config, run as treadmill-serve runs
-//!     it: with a `screen` block, the screened 16-cell factorial
-//!     (screen.tsv, factorial.tsv and one N-run sweep per simulated
-//!     cell in DIR/hw_NN/); without one, N repeated runs of the config
-//!     (cell_N.tsv, summary.tsv, attribution.tsv). Journals per-cell
-//!     status to manifest.jsonl, checkpoints the running cell every K
-//!     events, and writes atomic TSV artifacts. Rerunning the same
-//!     command skips done cells and resumes the in-flight one from its
-//!     checkpoint, producing byte-identical artifacts to an
+//!     Crash-tolerant sweep of the config as a treadmill-serve job runs
+//!     it, printing the lines its /events streams: with a `screen` block,
+//!     the screened 16-cell factorial (screen.tsv, factorial.tsv and one
+//!     N-run sweep per flagged cell in DIR/hw_NN/); without one, N
+//!     repeated runs (cell_N.tsv, summary.tsv, attribution.tsv). Journals
+//!     per-cell status to manifest.jsonl, checkpoints the running cell
+//!     every K events, and writes atomic TSV artifacts. Rerunning the
+//!     same command skips done cells and resumes the in-flight one from
+//!     its checkpoint, producing byte-identical artifacts to an
 //!     uninterrupted sweep; an empty DIR computes from scratch.
 //!
 //! treadmill-cli attribute <memcached|mcrouter> [--rps R] [--runs N] [--seed S]
@@ -25,13 +25,12 @@
 //!     Run two hardware configurations under the same JSON load test
 //!     and compare their per-run p99s with Welch's t-test.
 //!
-//! treadmill-cli screen <config.json> [--threshold T] [--out DIR] [--runs N] [--seed S]
-//!                      [--ckpt-events K]
-//!     Analytic two-stage screening: rank all 16 hardware cells with
-//!     the closed-form M/G/k estimator and flag the ones whose predicted
-//!     tail effect exceeds T (default: the config's `screen` threshold).
-//!     With --out, run `sweep` on the config screened at T: DES only on
-//!     the flagged cells, writing screen.tsv + factorial.tsv.
+//! treadmill-cli screen <config.json>
+//!     Analytic screening: rank all 16 hardware cells with the
+//!     closed-form M/G/k estimator and flag the ones whose predicted
+//!     tail effect reaches the config's `screen` threshold (0.25 without
+//!     a `screen` block). Simulates nothing: `sweep` on a config with a
+//!     `screen` block simulates the flagged cells.
 //!
 //! treadmill-cli screen <memcached|mcrouter> [--rps R] [--runs N] [--seed S]
 //!     Randomised factor screening (§IV-B): which factors measurably
@@ -49,35 +48,32 @@
 //!     default, or summary, screen, factorial) to stdout or FILE.
 //! ```
 //!
-//! `sweep` and `screen --out` install SIGINT/SIGTERM handlers: an
-//! interrupted sweep seals the in-flight checkpoint before exiting (its
-//! journal appends are fsynced one by one), so rerunning it continues
-//! exactly like after a crash.
+//! `sweep` installs SIGINT/SIGTERM handlers: an interrupted sweep seals
+//! the in-flight checkpoint before exiting (its journal appends are
+//! fsynced one by one), so rerunning it continues exactly like after a
+//! crash.
 //!
 //! A `--runs` that a command's procedure cannot use (below 2 for `run`
 //! and `compare`, 0 for the others that simulate) is rejected before
 //! anything is simulated, and so is a sweep's `--ckpt-events` below
 //! every sweep's floor (`MIN_CKPT_EVENTS`, 1,000): at 0 a sweep would
-//! neither checkpoint nor notice Ctrl-C until its cell ends.
+//! neither checkpoint nor notice Ctrl-C until its cell ends. Every
+//! command that simulates validates a `LoadTestConfig` first, so a bad
+//! `--rps` is an error naming `target_rps`, not a panic.
 
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use treadmill::cluster::HardwareConfig;
 use treadmill::core::experiment::run_until_converged_with;
 use treadmill::core::sweep::MIN_CKPT_EVENTS;
-use treadmill::core::{
-    run_factorial_sweep_controlled, run_sweep_controlled, ExperimentOptions, LoadTestConfig,
-    ScreenSpec, SweepControl, SweepEvent, SweepOptions,
-};
+use treadmill::core::{ExperimentOptions, LoadTestConfig, SweepControl, SweepEvent, SweepOptions};
 use treadmill::inference::{
-    attribute, collect, screen_factors, screen_hardware, CollectionPlan, ScreeningOptions,
-    TABLE_IV_PERCENTILES,
+    attribute, collect, run_config_sweep, screen_factors, screen_hardware, CollectionPlan,
+    ScreeningOptions, TABLE_IV_PERCENTILES,
 };
 use treadmill::sim::SimDuration;
 use treadmill::stats::compare::welch_t_test;
-use treadmill::workloads::{Mcrouter, Memcached, Workload};
 
 struct Flags {
     positional: Vec<String>,
@@ -89,7 +85,6 @@ struct Flags {
     addr: Option<String>,
     key: Option<String>,
     artifact: String,
-    threshold: Option<f64>,
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -103,7 +98,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         addr: None,
         key: None,
         artifact: "attribution".to_string(),
-        threshold: None,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -146,14 +140,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--key" => {
                 flags.key = Some(iter.next().ok_or("--key needs a value")?.clone());
             }
-            "--threshold" => {
-                flags.threshold = Some(
-                    iter.next()
-                        .ok_or("--threshold needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--threshold: {e}"))?,
-                );
-            }
             "--artifact" => {
                 flags.artifact = iter
                     .next()
@@ -174,8 +160,7 @@ fn usage() -> &'static str {
      treadmill-cli sweep <config.json> --out DIR [--runs N] [--seed S] [--ckpt-events K]\n  \
      treadmill-cli attribute <memcached|mcrouter> [--rps R] [--runs N] [--seed S]\n  \
      treadmill-cli compare <config.json> <cfgA 0-15> <cfgB 0-15> [--runs N]\n  \
-     treadmill-cli screen <config.json> [--threshold T] [--out DIR] [--runs N] [--seed S]\n    \
-         [--ckpt-events K]\n  \
+     treadmill-cli screen <config.json>\n  \
      treadmill-cli screen <memcached|mcrouter> [--rps R] [--runs N] [--seed S]\n  \
      treadmill-cli submit <spec.json> --addr HOST:PORT [--key K]\n  \
      treadmill-cli status <job-id> --addr HOST:PORT\n  \
@@ -288,118 +273,44 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         .first()
         .ok_or("sweep needs a config file path")?;
     let out = flags.out.as_ref().ok_or("sweep needs --out DIR")?;
-    check_sweep_flags(flags)?;
-    let mut config = load_config(path)?;
-    config.seed = flags.seed;
-    durable_sweep(&config, out, flags)
-}
-
-/// Rejects the flags a durable sweep cannot use, as `treadmill-serve`
-/// rejects them in a spec: `--runs 0` and a `--ckpt-events` under
-/// [`MIN_CKPT_EVENTS`].
-fn check_sweep_flags(flags: &Flags) -> Result<(), String> {
     require_runs(flags, 1, "a sweep runs each cell at least once")?;
-    match flags.ckpt_events {
-        Some(k) if k < MIN_CKPT_EVENTS => Err(format!(
-            "--ckpt-events must be at least {MIN_CKPT_EVENTS}, got {k}"
-        )),
-        _ => Ok(()),
-    }
-}
-
-/// Runs `config` into `out` as `treadmill-serve` runs a job: with a
-/// `screen` block, the screened 16-cell factorial; without one, the
-/// repeated-run sweep.
-fn durable_sweep(config: &LoadTestConfig, out: &str, flags: &Flags) -> Result<(), String> {
     let mut opts = SweepOptions {
         runs: flags.runs as u64,
         ..SweepOptions::default()
     };
     if let Some(k) = flags.ckpt_events {
+        if k < MIN_CKPT_EVENTS {
+            return Err(format!(
+                "--ckpt-events must be at least {MIN_CKPT_EVENTS}, got {k}"
+            ));
+        }
         opts.ckpt_events = k;
     }
-    let dir = Path::new(out);
-    let verb = if dir.exists() { "resuming" } else { "starting" };
+    let mut config = load_config(path)?;
+    config.seed = flags.seed;
     // Ctrl-C / SIGTERM cancels at the next checkpoint boundary: the
     // checkpoint is sealed (the journal is fsynced per append), so a
     // rerun continues exactly like after a SIGKILL — same plumbing the
     // server's drain path uses.
     treadmill::server::shutdown::install();
-    // A screened sweep's runs restart at cell 0 in every hardware
-    // cell, so only the repeated-run sweep prints its runs' events.
-    let screened = config.screen.is_some();
-    let mut on_event = |event: SweepEvent| {
-        if !screened && matches!(event, SweepEvent::CellDone { .. }) {
-            println!("  {event}");
-        }
-    };
+    let mut on_event = |event: SweepEvent| println!("{event}");
     let mut ctrl = SweepControl {
         cancel: Some(treadmill::server::shutdown::flag()),
         progress: Some(&mut on_event),
     };
-    let (warnings, interrupted, last_lines) = match config.screen {
-        None => {
-            println!(
-                "{verb} sweep of {} cells at {} RPS into {out} (checkpoint every {} events) ...",
-                opts.runs, config.target_rps, opts.ckpt_events
-            );
-            let outcome = run_sweep_controlled(config, dir, &opts, &mut ctrl)
-                .map_err(|e| e.to_string())?;
-            if let Some(cell) = outcome.resumed_cell {
-                println!("  resumed cell {cell} from its checkpoint");
-            }
-            if !outcome.skipped.is_empty() {
-                println!("  skipped {} already-done cells", outcome.skipped.len());
-            }
-            println!("  executed {} cells", outcome.executed.len());
-            let last_lines = vec![format!("summary: {}", outcome.summary_path.display())];
-            (outcome.warnings, outcome.interrupted, last_lines)
-        }
-        Some(screen) => {
-            let plan = screen_hardware(config, screen.threshold)
-                .map_err(|e| e.to_string())?
-                .to_sweep_plan();
-            println!(
-                "{verb} screened sweep of {} of 16 hardware cells at {} RPS into {out} \
-                 (threshold {:.3}, {} runs per cell, checkpoint every {} events) ...",
-                plan.cells.iter().filter(|c| c.flagged).count(),
-                config.target_rps,
-                screen.threshold,
-                opts.runs,
-                opts.ckpt_events
-            );
-            let outcome =
-                run_factorial_sweep_controlled(config, dir, &opts, Some(&plan), &mut ctrl)
-                    .map_err(|e| e.to_string())?;
-            for cell in &outcome.cells {
-                println!(
-                    "  cell {:2}: p99 {:8.1}us ({} samples over {} runs)",
-                    cell.index, cell.p99_us, cell.samples, cell.runs
-                );
-            }
-            let mut last_lines = vec![format!(
-                "simulated {} of 16 cells ({} screened out)",
-                outcome.simulated.len(),
-                outcome.screened_out.len()
-            )];
-            if let Some(screen_path) = &outcome.screen_path {
-                last_lines.push(format!("screen: {}", screen_path.display()));
-            }
-            last_lines.push(format!("factorial: {}", outcome.factorial_path.display()));
-            (outcome.warnings, outcome.interrupted, last_lines)
-        }
-    };
-    for warning in &warnings {
-        println!("  note: {warning}");
+    let swept =
+        run_config_sweep(&config, Path::new(out), &opts, &mut ctrl).map_err(|e| e.to_string())?;
+    for warning in &swept.warnings {
+        println!("note: {warning}");
     }
-    if interrupted {
+    if swept.interrupted {
         println!(
             "interrupted: checkpoint sealed and journal flushed; \
              rerun the same command to continue"
         );
     }
-    for line in &last_lines {
-        println!("{line}");
+    for artifact in &swept.artifacts {
+        println!("wrote {}", artifact.display());
     }
     Ok(())
 }
@@ -488,12 +399,21 @@ fn cmd_fetch(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn workload_by_name(name: &str) -> Result<Arc<dyn Workload>, String> {
-    match name {
-        "memcached" => Ok(Arc::new(Memcached::default())),
-        "mcrouter" => Ok(Arc::new(Mcrouter::default())),
-        other => Err(format!("unknown workload {other:?}")),
-    }
+/// The load test `attribute` and `screen <workload>` simulate: the named
+/// workload at `--rps` in the command's own `shape` (clients and
+/// windows, as JSON fields), validated as `run`, `sweep` and the service
+/// validate theirs.
+fn workload_config(name: &str, flags: &Flags, shape: &str) -> Result<LoadTestConfig, String> {
+    let name = serde_json::to_string(&name.to_string()).map_err(|e| e.to_string())?;
+    let seed = flags.seed;
+    let json = format!(
+        r#"{{"workload": {{"workload": {name}}}, "target_rps": 0, "seed": {seed}, {shape}}}"#
+    );
+    let mut config = LoadTestConfig::from_json(&json).map_err(|e| e.to_string())?;
+    // JSON has no NaN: the rate goes in after parsing.
+    config.target_rps = flags.rps;
+    config.validate().map_err(|e| e.to_string())?;
+    Ok(config)
 }
 
 fn cmd_attribute(flags: &Flags) -> Result<(), String> {
@@ -502,15 +422,17 @@ fn cmd_attribute(flags: &Flags) -> Result<(), String> {
         .first()
         .ok_or("attribute needs a workload name")?;
     require_runs(flags, 1, "every hardware configuration needs a run")?;
-    let workload = workload_by_name(name)?;
+    let shape = r#""clients": 8, "duration_ms": 400, "warmup_ms": 100"#;
+    let config = workload_config(name, flags, shape)?;
+    let workload = config.workload.build().map_err(|e| e.to_string())?;
     let plan = CollectionPlan {
         runs_per_config: flags.runs,
         samples_per_run: 10_000,
-        clients: 8,
-        duration: SimDuration::from_millis(400),
-        warmup: SimDuration::from_millis(100),
-        seed: flags.seed,
-        ..CollectionPlan::new(workload, flags.rps)
+        clients: config.clients,
+        duration: SimDuration::from_millis(config.duration_ms),
+        warmup: SimDuration::from_millis(config.warmup_ms),
+        seed: config.seed,
+        ..CollectionPlan::new(workload, config.target_rps)
     };
     println!(
         "collecting {} experiments for {name} at {} RPS ...",
@@ -545,10 +467,16 @@ fn cmd_screen(flags: &Flags) -> Result<(), String> {
         .positional
         .first()
         .ok_or("screen needs a workload name or config.json")?;
-    if target.ends_with(".json") {
-        return cmd_screen_analytic(flags, target);
+    if flags.out.is_some() {
+        return Err("screen writes nothing: `sweep` a config with a `screen` block".to_string());
     }
-    let workload = workload_by_name(target)?;
+    if target.ends_with(".json") {
+        return cmd_screen_analytic(target);
+    }
+    let shape = r#""clients": 4, "duration_ms": 200, "warmup_ms": 50"#;
+    let test = workload_config(target, flags, shape)?
+        .build()
+        .map_err(|e| e.to_string())?;
     let experiments = (flags.runs * 8).max(16);
     println!(
         "screening 4 factors with {experiments} randomised experiments at {} RPS ...",
@@ -566,11 +494,8 @@ fn cmd_screen(flags: &Flags) -> Result<(), String> {
                 .iter()
                 .enumerate()
                 .fold(0usize, |acc, (b, &on)| acc | (usize::from(on) << b));
-            treadmill::core::LoadTest::new(Arc::clone(&workload), flags.rps)
-                .clients(4)
+            test.clone()
                 .hardware(HardwareConfig::from_index(index))
-                .duration(SimDuration::from_millis(200))
-                .warmup(SimDuration::from_millis(50))
                 .seed(flags.seed ^ (i as u64).wrapping_mul(0x9E37_79B9))
                 .run(0)
                 .aggregated
@@ -595,20 +520,13 @@ fn cmd_screen(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Two-stage analytic screening over a JSON-configured load test: the
-/// closed-form M/G/k estimator ranks all 16 hardware cells, and (with
-/// `--out`) [`durable_sweep`] runs the config screened at the same
-/// threshold, spending DES only on the flagged cells.
-fn cmd_screen_analytic(flags: &Flags, path: &str) -> Result<(), String> {
-    if flags.out.is_some() {
-        check_sweep_flags(flags)?;
-    }
-    let mut config = load_config(path)?;
-    config.seed = flags.seed;
-    let threshold = flags
-        .threshold
-        .or(config.screen.map(|s| s.threshold))
-        .unwrap_or_else(|| ScreenSpec::default().threshold);
+/// Analytic screening of a JSON-configured load test: the closed-form
+/// M/G/k estimator ranks all 16 hardware cells at the config's own
+/// threshold, the one `sweep` applies to it.
+fn cmd_screen_analytic(path: &str) -> Result<(), String> {
+    let config = load_config(path)?;
+    config.validate().map_err(|e| e.to_string())?;
+    let threshold = config.screen.unwrap_or_default().threshold;
     let plan = screen_hardware(&config, threshold).map_err(|e| e.to_string())?;
     println!(
         "analytic screen of 16 hardware cells at {} RPS (threshold {:.3}):",
@@ -638,12 +556,7 @@ fn cmd_screen_analytic(flags: &Flags, path: &str) -> Result<(), String> {
         plan.cells.len(),
         plan.baseline_p99_us
     );
-    let Some(out) = &flags.out else {
-        println!("(pass --out DIR to DES-simulate the flagged cells)");
-        return Ok(());
-    };
-    config.screen = Some(ScreenSpec { threshold });
-    durable_sweep(&config, out, flags)
+    Ok(())
 }
 
 fn cmd_compare(flags: &Flags) -> Result<(), String> {

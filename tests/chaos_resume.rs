@@ -49,16 +49,23 @@ fn temp_root(tag: &str) -> PathBuf {
 }
 
 fn write_config(dir: &Path) -> PathBuf {
-    let path = dir.join("config.json");
+    write_named_config(dir, "config.json", "")
+}
+
+/// The same load test, in `dir/name`, with `extra` JSON fields.
+fn write_named_config(dir: &Path, name: &str, extra: &str) -> PathBuf {
+    let path = dir.join(name);
     fs::write(
         &path,
-        r#"{
-            "workload": { "workload": "memcached" },
-            "target_rps": 300000,
-            "clients": 2,
-            "duration_ms": 150,
-            "warmup_ms": 30
-        }"#,
+        format!(
+            r#"{{
+                "workload": {{ "workload": "memcached" }},
+                "target_rps": 300000,
+                "clients": 2,
+                "duration_ms": 150,
+                "warmup_ms": 30{extra}
+            }}"#
+        ),
     )
     .unwrap();
     path
@@ -231,13 +238,10 @@ fn sigkilled_sharded_multithreaded_sweep_resumes_byte_identical() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// `screen --out` over the same config, DES-simulating the 8 cells the
-/// analytic screen flags at threshold 0.15 (one run each).
-fn screen_args(config: &Path, out: &Path) -> Vec<String> {
+/// `sweep` of a screened config, one run per flagged cell.
+fn screened_args(config: &Path, out: &Path) -> Vec<String> {
     let mut args = sweep_args(config, out);
-    args[0] = "screen".to_string();
     args[5] = "1".to_string(); // --runs
-    args.extend(["--threshold".to_string(), "0.15".to_string()]);
     args
 }
 
@@ -261,34 +265,46 @@ fn tsv_files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
 
 #[test]
 fn sigterm_interrupts_gracefully_and_resume_is_byte_identical() {
-    // The CLI installs SIGTERM/SIGINT handlers for `sweep` and for
-    // `screen --out`: an interrupted sweep seals the in-flight
-    // checkpoint and flushes the journal, exits 0, and rerunning the
-    // command continues onto the exact bytes an uninterrupted sweep
-    // would have produced — the same drain plumbing treadmill-serve
-    // uses.
+    // The CLI installs SIGTERM/SIGINT handlers for `sweep`, on a plain
+    // config and on a screened one: an interrupted sweep seals the
+    // in-flight checkpoint and flushes the journal, exits 0, and
+    // rerunning the command continues onto the exact bytes an
+    // uninterrupted sweep would have produced — the same drain
+    // plumbing treadmill-serve uses.
     let root = temp_root("sigterm");
     let config = write_config(&root);
+    // The analytic screen flags 8 of the 16 cells at threshold 0.15.
+    let screened = write_named_config(
+        &root,
+        "screened.json",
+        r#", "screen": { "threshold": 0.15 }"#,
+    );
     type Args = fn(&Path, &Path) -> Vec<String>;
-    let inputs: [(&str, Args, &[&str]); 2] = [
+    let inputs: [(&str, &Path, Args, &[&str]); 2] = [
         (
             "sweep",
+            &config,
             sweep_args,
             &["cell_0.tsv", "cell_1.tsv", "cell_2.tsv", "summary.tsv", "attribution.tsv"],
         ),
-        ("screen", screen_args, &["screen.tsv", "factorial.tsv", "hw_00/summary.tsv"]),
+        (
+            "screened",
+            &screened,
+            screened_args,
+            &["screen.tsv", "factorial.tsv", "hw_00/summary.tsv"],
+        ),
     ];
-    for (name, args, artifacts) in inputs {
+    for (name, config, args, artifacts) in inputs {
         let golden_dir = root.join(format!("{name}-golden"));
         let status = Command::new(cli())
-            .args(args(&config, &golden_dir))
+            .args(args(config, &golden_dir))
             .status()
             .expect("spawn golden sweep");
         assert!(status.success(), "golden {name} failed: {status}");
 
         let out = root.join(format!("{name}-interrupted"));
         let mut child = Command::new(cli())
-            .args(args(&config, &out))
+            .args(args(config, &out))
             .spawn()
             .expect("spawn sweep to interrupt");
         std::thread::sleep(Duration::from_millis(120));
@@ -313,7 +329,7 @@ fn sigterm_interrupts_gracefully_and_resume_is_byte_identical() {
 
         if !finished_early {
             let status = Command::new(cli())
-                .args(args(&config, &out))
+                .args(args(config, &out))
                 .status()
                 .expect("spawn resume after SIGTERM");
             assert!(status.success(), "resume of {name} after SIGTERM failed: {status}");
@@ -354,7 +370,16 @@ fn resume_of_a_finished_sweep_is_a_no_op() {
         .expect("spawn resume");
     assert!(rerun.status.success(), "rerun of finished sweep failed");
     let stdout = String::from_utf8_lossy(&rerun.stdout);
-    assert!(stdout.contains("executed 0 cells"), "{stdout}");
+    for cell in 0..3 {
+        assert!(
+            stdout.contains(&format!("cell {cell}: skipped (already done)")),
+            "{stdout}"
+        );
+    }
+    assert!(
+        !stdout.contains("started") && !stdout.contains("resumed at"),
+        "{stdout}"
+    );
     let after = fs::read(out.join("summary.tsv")).unwrap();
     assert_eq!(before, after, "no-op resume rewrote the summary differently");
     let _ = fs::remove_dir_all(&root);

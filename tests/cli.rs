@@ -59,46 +59,51 @@ fn tsv_files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
     out
 }
 
+/// The lines of a sweep's progress, without the front end's own: the
+/// CLI's notes, interrupted line and artifact paths, and the service's
+/// job lines, warnings and stream end.
+fn event_lines(text: &str) -> Vec<&str> {
+    text.lines()
+        .filter(|l| {
+            !["note: ", "wrote ", "interrupted:", "job ", "warning: "]
+                .iter()
+                .any(|p| l.starts_with(p))
+                && *l != "end"
+        })
+        .collect()
+}
+
 #[test]
 fn sweep_of_a_screened_config_runs_the_screened_factorial() {
-    // One JSON, one meaning: a config with a `screen` block runs the
-    // screened 16-cell factorial from `sweep`, as `treadmill-serve`
-    // runs it, and writes what `screen --out` writes at that threshold.
+    // One JSON, one meaning, one door: a config with a `screen` block
+    // runs the screened 16-cell factorial from `sweep` through the call
+    // `treadmill-serve` makes, printing the progress lines a job streams
+    // and writing the files a job writes.
     let root = temp_root("screened-sweep");
     let screened = write_config(
         &root,
         "screened.json",
-        r#", "screen": { "threshold": 0.25 }"#,
+        r#", "screen": { "threshold": 0.25 }, "seed": 7"#,
     );
-    let plain = write_config(&root, "plain.json", "");
-    let common = ["--runs", "1", "--seed", "7", "--ckpt-events", "25000"];
-
     let swept = root.join("sweep");
-    let mut args = vec!["sweep", &screened, "--out", swept.to_str().unwrap()];
-    args.extend(common);
-    let out = cli(&args);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let screened_out = root.join("screen");
-    let mut args = vec![
-        "screen",
-        &plain,
-        "--threshold",
-        "0.25",
+    let out = cli(&[
+        "sweep",
+        &screened,
         "--out",
-        screened_out.to_str().unwrap(),
-    ];
-    args.extend(common);
-    let out = cli(&args);
+        swept.to_str().unwrap(),
+        "--runs",
+        "1",
+        "--seed",
+        "7",
+        "--ckpt-events",
+        "25000",
+    ]);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
 
     assert!(
         swept.join("screen.tsv").exists(),
@@ -118,12 +123,104 @@ fn sweep_of_a_screened_config_runs_the_screened_factorial() {
         "the flagged cell 9 has no hw_09/ artifacts: {:?}",
         files.keys().collect::<Vec<_>>()
     );
+    assert!(stdout.contains("flagged hardware cells"), "{stdout}");
+    assert!(stdout.contains("\nhardware cell 9: "), "{stdout}");
+
+    // The same spec as a service job: the same progress lines and files.
+    let state = root.join("state");
+    let handle = treadmill::server::start(treadmill::server::ServeOptions::new(&state)).unwrap();
+    let addr = handle.addr().to_string();
+    let spec = format!(
+        r#"{{"config": {}, "runs": 1, "ckpt_events": 25000}}"#,
+        fs::read_to_string(&screened).unwrap()
+    );
+    let submit = |path: &str, method: &str, body: &[u8]| {
+        let timeout = std::time::Duration::from_secs(5);
+        treadmill::server::client::request(&addr, method, path, &[], body, timeout).unwrap()
+    };
+    let id = field_str(
+        &submit("/experiments", "POST", spec.as_bytes()).text(),
+        "id",
+    )
+    .expect("submit returned no id");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let events = loop {
+        let events = submit(&format!("/experiments/{id}/events"), "GET", b"").text();
+        if events.ends_with("end\n") {
+            break events;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job never ended: {events}"
+        );
+    };
+    assert!(events.contains(&format!("job {id}: done")), "{events}");
+    assert_eq!(
+        event_lines(&stdout),
+        event_lines(&events),
+        "{stdout}\n{events}"
+    );
     assert_eq!(
         files,
-        tsv_files(&screened_out),
-        "sweep and screen --out disagree"
+        tsv_files(&state.join("jobs").join(&id)),
+        "sweep and the service disagree"
     );
+    handle.drain();
+    handle.join().expect("service threads panicked");
     let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn screen_only_ranks_the_cells() {
+    // `screen` writes nothing and takes the config's own threshold; the
+    // flags of its former sweep path are errors that name the sweep.
+    let root = temp_root("screen-only");
+    let config = write_config(&root, "config.json", "");
+    let out_dir = root.join("out");
+    let out = out_dir.to_str().unwrap();
+    let ranked = cli(&["screen", &config]);
+    let stdout = String::from_utf8_lossy(&ranked.stdout);
+    assert!(
+        ranked.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ranked.stderr)
+    );
+    assert!(stdout.contains("(threshold 0.250)"), "{stdout}");
+    let cases: [(&[&str], &str); 3] = [
+        (&["screen", &config, "--out", out], "sweep"),
+        (&["screen", "memcached", "--out", out], "sweep"),
+        (&["screen", &config, "--threshold", "0.1"], "--threshold"),
+    ];
+    for (args, named) in cases {
+        let result = cli(args);
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(!out_dir.exists(), "{args:?} wrote {out}");
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn rates_no_config_accepts_are_rejected_before_anything_runs() {
+    // `attribute` and `screen <workload>` build their load tests from
+    // `--rps`; each passes the gate every config passes.
+    for rps in ["0", "-5", "NaN"] {
+        let cases: [&[&str]; 2] = [
+            &["attribute", "memcached", "--rps", rps, "--runs", "1"],
+            &["screen", "mcrouter", "--rps", rps],
+        ];
+        for args in cases {
+            let result = cli(args);
+            let stderr = String::from_utf8_lossy(&result.stderr);
+            assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("target_rps") || stderr.contains("--rps"),
+                "{args:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
 }
 
 #[test]
@@ -131,6 +228,7 @@ fn too_few_runs_are_rejected_before_anything_runs() {
     let root = temp_root("runs");
     let example = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/loadtest.json");
     let config = write_config(&root, "config.json", "");
+    let screened = write_config(&root, "screened.json", r#", "screen": {}"#);
     let out_dir = root.join("out");
     let out = out_dir.to_str().unwrap();
     let cases: [&[&str]; 5] = [
@@ -138,7 +236,7 @@ fn too_few_runs_are_rejected_before_anything_runs() {
         &["attribute", "memcached", "--runs", "0"],
         &["compare", example, "0", "1", "--runs", "1"],
         &["sweep", &config, "--out", out, "--runs", "0"],
-        &["screen", &config, "--out", out, "--runs", "0"],
+        &["sweep", &screened, "--out", out, "--runs", "0"],
     ];
     for args in cases {
         let result = cli(args);
@@ -160,11 +258,12 @@ fn checkpoint_intervals_under_the_floor_are_rejected_before_anything_runs() {
     // Ctrl-C until its cell ends; the floor is the service's.
     let root = temp_root("ckpt-events");
     let config = write_config(&root, "config.json", "");
+    let screened = write_config(&root, "screened.json", r#", "screen": {}"#);
     let out_dir = root.join("out");
     let out = out_dir.to_str().unwrap();
     let cases: [&[&str]; 2] = [
         &["sweep", &config, "--out", out, "--ckpt-events", "0"],
-        &["screen", &config, "--out", out, "--ckpt-events", "999"],
+        &["sweep", &screened, "--out", out, "--ckpt-events", "999"],
     ];
     for args in cases {
         let result = cli(args);
